@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import DEFAULT_MEMORY_LIMIT, SequenceTable
+from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants, parse_spec
-from .scalars import ln_fraction
+from .scalars import exp_ln, ln_fraction, round12
 
 __all__ = [
     "BoundsEntry",
@@ -93,12 +93,6 @@ def upper_bound_ln(table: SequenceTable, consts: GrowthConstants, n: int) -> flo
     return (a * _LN3 + b * math.log(n) + table.value_ln(n)) / n
 
 
-def _round12(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(f"{x:.12g}")
-
-
 @dataclass(frozen=True)
 class BoundsEntry:
     """Sandwich evaluated at one index: ln of lower and upper bound."""
@@ -124,33 +118,34 @@ class BoundsReport:
 
     @property
     def ratio(self) -> float:
-        return math.exp(self.best_ln_upper - self.best_ln_lower)
+        return exp_ln(self.best_ln_upper - self.best_ln_lower)
 
     def to_json_dict(self) -> dict:
+        # linear values that overflow a double print as null
         return {
             "spec": self.spec_text,
             "epsilon": self.epsilon,
             "entries": [
                 {
                     "n": e.n,
-                    "ln_lower": _round12(e.ln_lower),
-                    "ln_upper": _round12(e.ln_upper),
-                    "lower": _round12(math.exp(e.ln_lower)),
-                    "upper": _round12(math.exp(e.ln_upper)),
+                    "ln_lower": round12(e.ln_lower),
+                    "ln_upper": round12(e.ln_upper),
+                    "lower": round12(exp_ln(e.ln_lower, None)),
+                    "upper": round12(exp_ln(e.ln_upper, None)),
                 }
                 for e in self.entries
             ],
             "best": {
-                "ln_lower": _round12(self.best_ln_lower),
-                "ln_upper": _round12(self.best_ln_upper),
-                "lower": _round12(math.exp(self.best_ln_lower)),
-                "upper": _round12(math.exp(self.best_ln_upper)),
-                "ratio": _round12(self.ratio),
+                "ln_lower": round12(self.best_ln_lower),
+                "ln_upper": round12(self.best_ln_upper),
+                "lower": round12(exp_ln(self.best_ln_lower, None)),
+                "upper": round12(exp_ln(self.best_ln_upper, None)),
+                "ratio": round12(exp_ln(self.best_ln_upper - self.best_ln_lower, None)),
             },
             "converged": self.converged,
             "reason": self.reason,
             "max_n": self.max_n,
-            "elapsed_seconds": _round12(self.elapsed),
+            "elapsed_seconds": round12(self.elapsed),
         }
 
     def csv_rows(self) -> list[list]:
@@ -158,11 +153,11 @@ class BoundsReport:
         for e in self.entries:
             rows.append([
                 e.n,
-                _round12(e.ln_lower),
-                _round12(e.ln_upper),
-                _round12(math.exp(e.ln_lower)),
-                _round12(math.exp(e.ln_upper)),
-                _round12(math.exp(e.ln_upper - e.ln_lower)),
+                round12(e.ln_lower),
+                round12(e.ln_upper),
+                round12(exp_ln(e.ln_lower)),
+                round12(exp_ln(e.ln_upper)),
+                round12(exp_ln(e.ln_upper - e.ln_lower)),
             ])
         return rows
 
@@ -227,9 +222,10 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     """Double the table until the sandwich ratio is <= 1 + epsilon.
 
     Evaluation happens at each table length in the doubling schedule
-    2, 4, 8, ..., max_n.  Stops on convergence or when the max_n / wall
-    clock budget runs out; the latter yields converged=False in the
-    report rather than an exception.
+    2, 4, 8, ..., max_n.  Stops on convergence or when the max_n, wall
+    clock or memory budget runs out; the latter yields converged=False in
+    the report, with the budget named in ``reason``, rather than an
+    exception.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -244,7 +240,11 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     n = 2
     while True:
         prev = table.n
-        table.extend(n)
+        try:
+            table.extend(n)
+        except MemoryBudgetError:
+            report.reason = "memory budget exhausted"
+            break
         lnS = table.ln_values()
         low = max(
             lower_bound_ln(table, consts, n),
@@ -256,7 +256,7 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
         report.best_ln_upper = min(report.best_ln_upper, up)
         report.max_n = n
         log.info("refine n=%d lower=%.9g upper=%.9g ratio=%.6g",
-                 n, math.exp(report.best_ln_lower), math.exp(report.best_ln_upper),
+                 n, exp_ln(report.best_ln_lower), exp_ln(report.best_ln_upper),
                  report.ratio)
         if report.ratio <= 1.0 + epsilon:
             report.converged = True

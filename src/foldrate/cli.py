@@ -32,6 +32,7 @@ from .engine import (
     save_cache,
 )
 from .recurrence import RecurrenceSpec, SpecError, parse_spec, parse_spec_json
+from .scalars import exp_ln, round12
 from .trees import DEFAULT_SIZE_CAP, check_subtree_lemma, oracle_summary
 
 EXIT_OK = 0
@@ -106,12 +107,6 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
     return SequenceTable(spec, domain=args.domain).extend(n)
 
 
-def _round12(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(f"{x:.12g}")
-
-
 def _fraction_text(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -154,23 +149,24 @@ def cmd_eval(args) -> int:
     if fmt == "bfile":
         raise _UsageError("bfile output needs the exact domain (--domain exact)")
     lns = [table.value_ln(n) for n in range(args.n + 1)]
+    # linear values that overflow a double print as inf (null in JSON)
     if fmt == "text":
         for i, ln in enumerate(lns):
-            print(f"{i}\t{_round12(ln)}\t{_round12(math.exp(ln))}")
+            print(f"{i}\t{round12(ln)}\t{round12(exp_ln(ln))}")
     elif fmt == "json":
         print(json.dumps(
             {
                 "spec": spec.render(),
                 "domain": "log",
                 "n": args.n,
-                "ln_values": [_round12(v) for v in lns],
-                "values": [_round12(math.exp(v)) for v in lns],
+                "ln_values": [round12(v) for v in lns],
+                "values": [round12(exp_ln(v, None)) for v in lns],
             },
             indent=2,
         ))
     elif fmt == "csv":
         _write_csv([["n", "ln_value", "value"]]
-                   + [[i, _round12(v), _round12(math.exp(v))] for i, v in enumerate(lns)])
+                   + [[i, round12(v), round12(exp_ln(v))] for i, v in enumerate(lns)])
     return EXIT_OK
 
 
@@ -253,15 +249,15 @@ def cmd_known(args) -> int:
         result = known_rate_check(name, k=k, max_n=args.max_n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    lo = math.exp(result.report.best_ln_lower)
-    hi = math.exp(result.report.best_ln_upper)
+    lo = exp_ln(result.report.best_ln_lower)
+    hi = exp_ln(result.report.best_ln_upper)
     verdict = "PASS" if result.contained else "FAIL"
-    print(f"{result.name}: rate {_round12(result.rate)} inside "
-          f"[{_round12(lo)}, {_round12(hi)}]: {verdict}")
+    print(f"{result.name}: rate {round12(result.rate)} inside "
+          f"[{round12(lo)}, {round12(hi)}]: {verdict}")
     if result.ratio_ok:
-        print(f"ratio {_round12(result.ratio)} <= {result.ratio_threshold}")
+        print(f"ratio {round12(result.ratio)} <= {result.ratio_threshold}")
     else:
-        print(f"WARN ratio {_round12(result.ratio)} > {result.ratio_threshold}")
+        print(f"WARN ratio {round12(result.ratio)} > {result.ratio_threshold}")
     return EXIT_OK if result.contained else EXIT_CHECK_FAILED
 
 
@@ -285,10 +281,10 @@ def cmd_bench(args) -> int:
         print(json.dumps(
             {
                 "n": args.n,
-                "seconds_n": _round12(t1),
-                "seconds_2n": _round12(t2),
-                "ratio": _round12(ratio),
-                "exponent": _round12(exponent),
+                "seconds_n": round12(t1),
+                "seconds_2n": round12(t2),
+                "ratio": round12(ratio),
+                "exponent": round12(exponent),
             },
             indent=2,
         ))

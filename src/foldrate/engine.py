@@ -15,20 +15,45 @@ The same driver runs in two value domains: exact big rationals and natural
 log doubles (see scalars).  A table can be saved to and restored from a
 compact binary cache; restoring and extending gives bit-identical results
 to an uninterrupted run.
+
+Log-domain tables store ln values, and max cells are a max of sums of
+them.  Sum cells are computed in a scaled linear domain instead.  Cell
+indices are cut into power-of-two chunks, m in [2^(k-1), 2^k) with
+k = m.bit_length(), and each chunk has one scale theta_k: the slope of
+the stored ln s over [m0/2, m0], m0 = 2^(k-1) (ln s_1 for k = 1, 0 for
+m = 0).  Every column that feeds a sum rank (s, and cfold[2..L-1]) keeps
+a mirror u_x = exp(ln v_x - theta_k * x); since the theta factors of a
+split x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
+
+    ln(dot(u^s[0..m], u^prev[m..0])) + theta_k * m
+
+with the reversed mirror making u^prev[m..0] one contiguous slice.  The
+mirrors are rebuilt from the stored ln values when a chunk starts and
+after load_cache, through the same exp loop that appends each new cell,
+so resuming stays bit-identical.  While every mirror entry satisfies
+|ln v_x - theta_k * x| <= 340, all products are normal doubles and the
+dot product cannot overflow for N below ~10^7.  A cell whose inputs leave
+that window, or whose dot product is not a normal double, is computed by
+the ln kernel (scalars.log_sum_vec) instead; ``fallback_cells`` counts
+those.  Neither kernel carries a rigorous rounding radius: the float
+domain's bounds are certified only up to float rounding, which is not
+yet accounted for.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
+import sys
 import zlib
 from fractions import Fraction
 
 import numpy as np
 
 from .recurrence import Op, RecurrenceSpec
-from .scalars import ExactScalar, LogScalar, ln_fraction, log_add
+from .scalars import ExactScalar, LogScalar, ln_fraction, log_add, log_sum_vec
 
 __all__ = [
     "DEFAULT_MEMORY_LIMIT",
@@ -67,13 +92,17 @@ class CacheCorruptError(CacheError):
 
 
 class _FloatVec:
-    """Growable float64 array; keeps a numpy view for vectorised kernels."""
+    """Fixed-capacity float64 column; ``extend`` reserves before appending.
 
-    __slots__ = ("data", "n")
+    A column that feeds a sum rank also carries a ``_Mirror``.
+    """
 
-    def __init__(self, capacity: int = 16):
-        self.data = np.empty(max(capacity, 1), dtype=np.float64)
+    __slots__ = ("data", "n", "mirror")
+
+    def __init__(self):
+        self.data = np.empty(1, dtype=np.float64)
         self.n = 0
+        self.mirror = None
 
     def __len__(self):
         return self.n
@@ -82,10 +111,6 @@ class _FloatVec:
         return float(self.data[i])
 
     def append(self, x: float):
-        if self.n == len(self.data):
-            grown = np.empty(2 * len(self.data), dtype=np.float64)
-            grown[: self.n] = self.data
-            self.data = grown
         self.data[self.n] = x
         self.n += 1
 
@@ -94,9 +119,89 @@ class _FloatVec:
             grown = np.empty(total, dtype=np.float64)
             grown[: self.n] = self.data[: self.n]
             self.data = grown
+        if self.mirror is not None:
+            self.mirror.reserve(total)
 
     def view(self) -> np.ndarray:
         return self.data[: self.n]
+
+
+# Mirror entries satisfy |ln v - theta*x| <= _WINDOW, so each lies in
+# [e^-340, e^340], each product of two in [e^-680, e^680], and a dot
+# product of fewer than ~10^7 such products is a normal double.
+_WINDOW = 340.0
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
+
+
+def _chunk_scale(ln_s: np.ndarray, k: int) -> float:
+    """The scale theta for cells m with m.bit_length() == k.
+
+    Read off stored ln s only: the slope of ln s over the previous
+    half-chunk, [m0/2, m0] with m0 = 2^(k-1).
+    """
+    if k == 0:
+        return 0.0
+    m0 = 1 << (k - 1)
+    if m0 == 1:
+        return float(ln_s[1])
+    half = m0 // 2
+    return float((ln_s[m0] - ln_s[half]) / (m0 - half))
+
+
+class _Mirror:
+    """Scaled linear copy u_x = exp(ln v_x - theta*x) of an ln column.
+
+    ``rev`` holds u_x at index cap-1-x, so the reversed prefix u_m..u_0 a
+    convolution cell needs is the contiguous tail ``rev[cap-1-m:]``;
+    ``fwd`` (kept for s only) holds u_x at index x.  Entries are valid for
+    one chunk's theta; ``ok`` turns false for the rest of the chunk once
+    an entry leaves the window.
+    """
+
+    __slots__ = ("fwd", "rev", "n", "chunk", "ok")
+
+    def __init__(self, forward: bool):
+        self.fwd = np.empty(1, dtype=np.float64) if forward else None
+        self.rev = np.empty(1, dtype=np.float64)
+        self.n = 0
+        self.chunk = -1
+        self.ok = True
+
+    def reserve(self, total: int):
+        cap = len(self.rev)
+        if total <= cap:
+            return
+        rev = np.empty(total, dtype=np.float64)
+        rev[total - self.n :] = self.rev[cap - self.n :]
+        self.rev = rev
+        if self.fwd is not None:
+            fwd = np.empty(total, dtype=np.float64)
+            fwd[: self.n] = self.fwd[: self.n]
+            self.fwd = fwd
+
+    def sync(self, ln: np.ndarray, m: int, theta: float, chunk: int) -> bool:
+        """Cover entries 0..m of ``ln`` under ``chunk``'s theta; True if usable.
+
+        A rebuild after a chunk change (or on a fresh table after
+        load_cache) and the one-entry append of each new cell run through
+        this same loop, so both give bit-identical entries.
+        """
+        if chunk != self.chunk:
+            self.chunk, self.n, self.ok = chunk, 0, True
+        if self.ok and self.n <= m:
+            top = len(self.rev) - 1
+            for x, v in enumerate(ln[self.n : m + 1].tolist(), self.n):
+                a = v - theta * x
+                if not abs(a) <= _WINDOW:
+                    self.ok = False
+                    break
+                u = math.exp(a)
+                self.rev[top - x] = u
+                if self.fwd is not None:
+                    self.fwd[x] = u
+        self.n = max(self.n, m + 1)
+        return self.ok
 
 
 class _ExactDomain:
@@ -104,6 +209,7 @@ class _ExactDomain:
 
     name = "exact"
     tag = 0
+    fallback_cells = 0
 
     @staticmethod
     def from_rational(q: Fraction):
@@ -144,10 +250,12 @@ class _ExactDomain:
 
 
 class _LogDomain:
-    """Arithmetic strategy on ln-valued float64 numpy vectors.
+    """Arithmetic strategy on ln-valued float64 columns.
 
-    Each instance owns a scratch buffer so concurrent extension of
-    different tables never shares state.
+    Sum cells are computed from scaled linear mirrors (one dot product
+    per cell, see the module docstring); max cells and fallback sum cells
+    work on the ln columns directly.  Each instance owns its scratch
+    buffer and its chunk scale, so tables never share state.
     """
 
     name = "log"
@@ -155,6 +263,9 @@ class _LogDomain:
 
     def __init__(self):
         self._scratch = np.empty(256, dtype=np.float64)
+        self._chunk = -1
+        self._theta = 0.0
+        self.fallback_cells = 0
 
     @staticmethod
     def from_rational(q: Fraction):
@@ -173,8 +284,17 @@ class _LogDomain:
         return buf
 
     def conv_sum(self, s, c, m):
-        # ln-domain dot product: one stable fused reduction per cell
-        return float(np.logaddexp.reduce(self._cell(s, c, m)))
+        k = m.bit_length()
+        if k != self._chunk:
+            self._chunk, self._theta = k, _chunk_scale(s.data, k)
+        theta = self._theta
+        if s.mirror.sync(s.data, m, theta, k) and c.mirror.sync(c.data, m, theta, k):
+            rev = c.mirror.rev
+            d = float(np.dot(s.mirror.fwd[: m + 1], rev[len(rev) - 1 - m :]))
+            if _TINY <= d <= _HUGE:
+                return math.log(d) + theta * m
+        self.fallback_cells += 1
+        return log_sum_vec(self._cell(s, c, m))
 
     def conv_max(self, s, d, m):
         return float(self._cell(s, d, m).max())
@@ -246,6 +366,15 @@ class SequenceTable:
         self._s = dom.new_store()
         self._cfold = {j: dom.new_store() for j in self._sum_ranks}
         self._dfold = {j: dom.new_store() for j in self._max_ranks}
+        # float64 columns per table length: the ln tables plus, in the log
+        # domain, the sum kernel's mirrors (forward and reversed for s, one
+        # reversed per sum rank that feeds the next rank)
+        self._columns = self.table_count
+        if isinstance(dom, _LogDomain) and self._sum_ranks:
+            self._s.mirror = _Mirror(forward=True)
+            for j in self._sum_ranks[:-1]:
+                self._cfold[j].mirror = _Mirror(forward=False)
+            self._columns += len(self._sum_ranks) + 1
         one = dom.from_rational(Fraction(1))
         self._s.append(one)
         self._bytes = dom.nbytes(one)
@@ -265,7 +394,7 @@ class SequenceTable:
             return self
         dom = self._dom
         if isinstance(dom, _LogDomain):
-            projected = self.table_count * (new_n + 1) * 8
+            projected = self._columns * (new_n + 1) * 8
             if projected > self.memory_limit:
                 raise MemoryBudgetError(
                     f"extending to {new_n} needs ~{projected} bytes, "
@@ -308,6 +437,12 @@ class SequenceTable:
             self._bytes += added + nbytes(value)
             self.n = n
         return self
+
+    @property
+    def fallback_cells(self) -> int:
+        """Log-domain sum cells this object computed with the ln kernel
+        because their inputs left the mirrors' window (0 in the exact domain)."""
+        return self._dom.fallback_cells
 
     def _fold_raw(self, op: Op, arity: int, m: int):
         if arity == 1:
@@ -413,17 +548,17 @@ class _Reader:
         return v
 
 
-def _decode_store(dom, reader: _Reader, expected: int):
+def _decode_store(dom, reader: _Reader, expected: int, store) -> None:
+    """Fill ``store`` (fresh from the table constructor) with one record."""
     count = reader.u("<Q")
     if count != expected:
         raise CacheCorruptError(f"record has {count} values, expected {expected}")
     if isinstance(dom, _LogDomain):
-        store = _FloatVec(max(count, 1))
-        raw = np.frombuffer(reader.take(8 * count), dtype="<f8")
-        store.data[:count] = raw
+        store.reserve(count)
+        store.data[:count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
         store.n = count
-        return store
-    store = []
+        return
+    values = []
     for _ in range(count):
         sign = reader.u("<B")
         if sign not in (0, 1):
@@ -434,8 +569,8 @@ def _decode_store(dom, reader: _Reader, expected: int):
             raise CacheCorruptError("zero denominator in exact record")
         if sign:
             num = -num
-        store.append(Fraction(num, den))
-    return store
+        values.append(Fraction(num, den))
+    store[:] = values
 
 
 def save_cache(table: SequenceTable, path) -> None:
@@ -494,11 +629,13 @@ def load_cache(path, spec: RecurrenceSpec,
             or max_rank != (table._max_ranks[-1] if table._max_ranks else 0)):
         raise CacheCorruptError("fold table layout does not match the recurrence")
     dom = table._dom
-    table._s = _decode_store(dom, reader, n + 1)
+    # the stores keep the mirrors the constructor attached; those start
+    # empty and are rebuilt from the loaded ln values on the first new cell
+    _decode_store(dom, reader, n + 1, table._s)
     for j in table._sum_ranks:
-        table._cfold[j] = _decode_store(dom, reader, n)
+        _decode_store(dom, reader, n, table._cfold[j])
     for j in table._max_ranks:
-        table._dfold[j] = _decode_store(dom, reader, n)
+        _decode_store(dom, reader, n, table._dfold[j])
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
     table.n = n

@@ -63,6 +63,23 @@ def log_sum_vec(values: np.ndarray) -> float:
     return m + math.log(float(np.exp(values - m).sum()))
 
 
+def exp_ln(ln: float, overflow=math.inf):
+    """The linear value e**ln of an ln-quantity, or ``overflow`` where that
+    exceeds the double range (``math.exp`` would raise OverflowError)."""
+    try:
+        x = math.exp(ln)
+    except OverflowError:
+        return overflow
+    return overflow if math.isinf(x) else x
+
+
+def round12(x):
+    """x to 12 significant digits for display; None, inf and nan pass through."""
+    if x is None or not math.isfinite(x):
+        return x
+    return float(f"{x:.12g}")
+
+
 class ExactScalar:
     """A nonnegative rational sequence value; arithmetic is loss-free."""
 

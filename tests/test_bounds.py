@@ -5,6 +5,8 @@ import math
 import pytest
 
 from foldrate import (
+    BoundsEntry,
+    BoundsReport,
     compute_sequence,
     derive_constants,
     evaluate_bounds,
@@ -159,3 +161,15 @@ def test_known_rate_bad_names():
         known_rate_check("kfold")
     with pytest.raises(ValueError):
         known_rate_check("kfold", k=1)
+
+
+def test_report_renders_overflowing_linear_values():
+    report = BoundsReport(spec_text="sum 2 1\n", epsilon=None,
+                          entries=[BoundsEntry(2, 0.5, 1000.0)],
+                          best_ln_lower=0.5, best_ln_upper=1000.0)
+    assert report.ratio == math.inf
+    doc = report.to_json_dict()
+    assert doc["entries"][0]["upper"] is None and doc["best"]["ratio"] is None
+    assert doc["entries"][0]["ln_upper"] == 1000.0
+    assert doc["best"]["lower"] == pytest.approx(math.exp(0.5), rel=1e-11)
+    assert report.csv_rows()[1][4:] == [math.inf, math.inf]

@@ -252,3 +252,29 @@ def test_cache_dir_env_resolves_bare_names(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert (tmp_path / "bare.seq").exists()
+
+
+def test_bounds_with_overflowing_upper_prints_null(capsys):
+    code, out, _ = run(capsys, "bounds", "--spec-text", "sum 2 1\nmax 48 1", "--n", "64")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    first = doc["entries"][0]
+    assert first["upper"] is None  # e^ln_upper exceeds a double
+    assert first["ln_upper"] == pytest.approx(1375.4902845, rel=1e-9)
+    assert first["lower"] == pytest.approx(math.exp(first["ln_lower"]), rel=1e-11)
+
+
+def test_eval_log_beyond_double_range(capsys):
+    mix = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
+    code, out, _ = run(capsys, "eval", "--spec-text", mix, "--n", "200")
+    assert code == EXIT_OK
+    n, ln, value = out.strip().splitlines()[200].split("\t")
+    assert n == "200" and float(ln) > 709.8 and value == "inf"
+    code, out, _ = run(capsys, "eval", "--spec-text", mix, "--n", "200", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["values"][200] is None
+    assert doc["values"][1] == 20.0
+    code, out, _ = run(capsys, "eval", "--spec-text", mix, "--n", "200", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1].endswith(",inf")

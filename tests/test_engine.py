@@ -16,12 +16,17 @@ from foldrate import (
     compute_sequence,
     load_cache,
     parse_spec,
+    refine,
     save_cache,
 )
+from foldrate.engine import _FloatVec, _LogDomain, _Mirror
+from foldrate.scalars import log_sum_vec
+from helpers import MIXED_EXAMPLE
 
 CATALAN = parse_spec("sum 2 1")
 SCHROEDER = parse_spec("sum 1 1\nsum 2 1")
 MAX22 = parse_spec("max 2 2")
+MIX = parse_spec(MIXED_EXAMPLE)
 
 
 def catalan_closed(n: int) -> int:
@@ -133,6 +138,87 @@ def test_log_memory_budget_rejects_upfront():
     with pytest.raises(MemoryBudgetError):
         table.extend(4096)
     assert table.n == 0  # rejected before doing any work
+
+
+def test_log_memory_budget_counts_the_sum_mirrors():
+    # Catalan keeps 2 ln columns plus 2 mirror columns (forward and
+    # reversed s); a budget that fits only the ln columns must refuse
+    n = 1000
+    with pytest.raises(MemoryBudgetError):
+        SequenceTable(CATALAN, domain="log", memory_limit=3 * (n + 1) * 8).extend(n)
+    table = SequenceTable(CATALAN, domain="log", memory_limit=4 * (n + 1) * 8).extend(n)
+    assert table.n == n
+
+
+def test_refine_reports_memory_budget():
+    report = refine(MIX, memory_limit=20000, max_n=4096)
+    assert not report.converged
+    assert report.reason == "memory budget exhausted"
+    assert report.entries and report.max_n == report.entries[-1].n
+
+
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 6 1"])
+def test_log_sum_kernel_matches_exact(text):
+    spec = parse_spec(text)
+    exact = compute_sequence(spec, 300, domain="exact").ln_values()
+    logt = compute_sequence(spec, 300, domain="log").ln_values()
+    err = np.abs(exact - logt) / np.maximum(1.0, np.abs(exact))
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 6 1"])
+def test_log_resume_mid_chunk_is_bit_identical(tmp_path, text):
+    spec = parse_spec(text)
+    fresh = compute_sequence(spec, 300, domain="log")
+    path = str(tmp_path / "mid.seq")
+    save_cache(compute_sequence(spec, 100, domain="log"), path)  # inside chunk [64, 128)
+    resumed = load_cache(path, spec).extend(300)
+    stepped = SequenceTable(spec, domain="log")
+    for n in (3, 50, 129, 300):
+        stepped.extend(n)
+    for table in (resumed, stepped):
+        assert np.array_equal(table.ln_values(), fresh.ln_values())
+        # the fold tables too: the serialised state is byte-identical
+        a, b = str(tmp_path / "a.seq"), str(tmp_path / "b.seq")
+        save_cache(table, a)
+        save_cache(fresh, b)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+
+
+def test_mix_needs_no_fallback_cells():
+    assert compute_sequence(MIX, 2048, domain="log").fallback_cells == 0
+    assert compute_sequence(MIX, 8, domain="exact").fallback_cells == 0
+
+
+def _column(ln_values, forward):
+    col = _FloatVec()
+    col.mirror = _Mirror(forward=forward)
+    col.reserve(len(ln_values))
+    for v in ln_values:
+        col.append(float(v))
+    return col
+
+
+def test_out_of_window_cells_use_the_ln_kernel():
+    rng = np.random.default_rng(7)
+    ln_s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.5, 40))])
+    ln_c = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.5, 40))])
+
+    def cells(ln_c):
+        dom = _LogDomain()
+        s, c = _column(ln_s, True), _column(ln_c, False)
+        got = [dom.conv_sum(s, c, m) for m in range(41)]
+        want = [log_sum_vec(ln_s[: m + 1] + ln_c[m::-1]) for m in range(41)]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        return dom.fallback_cells
+
+    assert cells(ln_c) == 0
+    # one entry 1000 above its neighbours leaves the +-340 window: every
+    # cell from m = 5 on has it as an input
+    spiked = ln_c.copy()
+    spiked[5] += 1000.0
+    assert cells(spiked) == 41 - 5
 
 
 def test_duplicate_terms_merge_additively():
