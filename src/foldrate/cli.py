@@ -73,8 +73,14 @@ def _load_spec(args) -> RecurrenceSpec:
     if getattr(args, "spec_text", None) is not None:
         return parse_spec(args.spec_text)
     path = args.spec
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read spec file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"spec file {path!r} is not UTF-8 text "
+                          f"(byte {exc.start}: {exc.reason})") from None
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return parse_spec_json(text)
     return parse_spec(text)
@@ -93,7 +99,10 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
     if cache:
         cache = _resolve_cache(cache)
         if os.path.exists(cache):
-            table = load_cache(cache, spec)
+            try:
+                table = load_cache(cache, spec)
+            except OSError as exc:
+                raise _UsageError(f"cannot read cache file {cache!r}: {exc.strerror}") from None
             if table.domain_name != args.domain:
                 raise _UsageError(
                     f"cache {cache!r} holds a {table.domain_name}-domain table "
@@ -102,7 +111,10 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
         else:
             table = SequenceTable(spec, domain=args.domain)
         table.extend(n)
-        save_cache(table, cache)
+        try:
+            save_cache(table, cache)
+        except OSError as exc:
+            raise _UsageError(f"cannot write cache file {cache!r}: {exc.strerror}") from None
         return table
     return SequenceTable(spec, domain=args.domain).extend(n)
 
@@ -387,9 +399,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SpecError, CacheError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryBudgetError as exc:

@@ -11,10 +11,21 @@ with reduce = sum or max, so extending the sequence from N to N' costs one
 new cell per table per step and O(L * N'^2) scalar work overall.  s_n itself
 is assembled as the weighted sum of each term's fold at m = n - 1.
 
-The same driver runs in two value domains: exact big rationals and natural
-log doubles (see scalars).  A table can be saved to and restored from a
-compact binary cache; restoring and extending gives bit-identical results
-to an uninterrupted run.
+The same driver runs in two value domains: exact and natural log doubles
+(see scalars).  A table can be saved to and restored from a compact binary
+cache; restoring and extending gives bit-identical results to an
+uninterrupted run.
+
+The exact domain computes on Python ints.  With D the lcm of the merged
+plan's weight denominators, t_m = D^m s_m is an integer sequence: every
+split x_1+...+x_j = m has s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j},
+so a sum or max fold of s at m is D^-m times the same fold of t (a
+positive common factor keeps the argmax), and
+
+    t_n = sum_i (D * k_i) * fold_i(t)[n - 1],    t_0 = 1.
+
+Fraction appears only at the API boundary: values, fold cells, ln values
+and the cache all go through the reduced t / D^m.
 
 Log-domain tables store ln values, and max cells are a max of sums of
 them.  Sum cells are computed in a scaled linear domain instead.  Cell
@@ -205,15 +216,23 @@ class _Mirror:
 
 
 class _ExactDomain:
-    """Arithmetic strategy on plain Fractions stored in Python lists."""
+    """Arithmetic strategy on Python ints t_m = D^m s_m stored in lists.
+
+    ``scale`` is D, the lcm of the plan's weight denominators, and each
+    plan weight k enters as the integer D*k; the boundary methods take a
+    stored cell with its index m back to the reduced Fraction t / D^m.
+    """
 
     name = "exact"
     tag = 0
     fallback_cells = 0
+    one = 1
 
-    @staticmethod
-    def from_rational(q: Fraction):
-        return Fraction(q)
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def weight(self, w: Fraction) -> int:
+        return w.numerator * (self.scale // w.denominator)
 
     @staticmethod
     def new_store():
@@ -230,23 +249,23 @@ class _ExactDomain:
     @staticmethod
     def combine(contributions):
         # contributions: (weight_raw, fold_raw) pairs
-        total = Fraction(0)
+        total = 0
         for w, v in contributions:
             total += w * v
         return total
 
-    @staticmethod
-    def ln(v) -> float:
-        return ln_fraction(v)
+    def rational(self, v: int, m: int) -> Fraction:
+        return Fraction(v, self.scale ** m)
 
-    @staticmethod
-    def wrap(v) -> ExactScalar:
-        return ExactScalar(v)
+    def ln(self, v, m) -> float:
+        return ln_fraction(self.rational(v, m))
+
+    def wrap(self, v, m) -> ExactScalar:
+        return ExactScalar(self.rational(v, m))
 
     @staticmethod
     def nbytes(v) -> int:
-        # rough: limb payload plus object overhead
-        return 64 + (v.numerator.bit_length() + v.denominator.bit_length()) // 8
+        return sys.getsizeof(v)
 
 
 class _LogDomain:
@@ -260,6 +279,7 @@ class _LogDomain:
 
     name = "log"
     tag = 1
+    one = 0.0
 
     def __init__(self):
         self._scratch = np.empty(256, dtype=np.float64)
@@ -268,8 +288,8 @@ class _LogDomain:
         self.fallback_cells = 0
 
     @staticmethod
-    def from_rational(q: Fraction):
-        return ln_fraction(q)
+    def weight(w: Fraction) -> float:
+        return ln_fraction(w)
 
     @staticmethod
     def new_store():
@@ -308,11 +328,11 @@ class _LogDomain:
         return total
 
     @staticmethod
-    def ln(v) -> float:
+    def ln(v, m) -> float:
         return v
 
     @staticmethod
-    def wrap(v) -> LogScalar:
+    def wrap(v, m) -> LogScalar:
         return LogScalar(v)
 
     @staticmethod
@@ -350,17 +370,21 @@ class SequenceTable:
         self.spec = spec
         self.domain_name = domain
         self.memory_limit = memory_limit
-        dom = _DOMAINS[domain]()
+        sums, maxes = _merged_plan(spec)
+        if domain == "exact":
+            weights = [*sums.values(), *maxes.values()]
+            dom = _ExactDomain(math.lcm(*(w.denominator for w in weights)))
+        else:
+            dom = _LogDomain()
         self._dom = dom
 
-        sums, maxes = _merged_plan(spec)
         # Each needed arity j requires every rank 2..j of its own family as
         # intermediates, so the rank range is simply 2..max(family arities).
         self._sum_ranks = list(range(2, max(sums) + 1)) if sums and max(sums) >= 2 else []
         self._max_ranks = list(range(2, max(maxes) + 1)) if maxes and max(maxes) >= 2 else []
         self._plan = (
-            [(Op.SUM, arity, dom.from_rational(w)) for arity, w in sorted(sums.items())]
-            + [(Op.MAX, arity, dom.from_rational(w)) for arity, w in sorted(maxes.items())]
+            [(Op.SUM, arity, dom.weight(w)) for arity, w in sorted(sums.items())]
+            + [(Op.MAX, arity, dom.weight(w)) for arity, w in sorted(maxes.items())]
         )
 
         self._s = dom.new_store()
@@ -375,9 +399,8 @@ class SequenceTable:
             for j in self._sum_ranks[:-1]:
                 self._cfold[j].mirror = _Mirror(forward=False)
             self._columns += len(self._sum_ranks) + 1
-        one = dom.from_rational(Fraction(1))
-        self._s.append(one)
-        self._bytes = dom.nbytes(one)
+        self._s.append(dom.one)
+        self._bytes = dom.nbytes(dom.one)
         self.n = 0
 
     # -- extension --------------------------------------------------------
@@ -458,18 +481,19 @@ class SequenceTable:
     def value(self, n: int):
         """s_n as a scalar of this table's domain."""
         self._check_index(n)
-        return self._dom.wrap(self._s[n])
+        return self._dom.wrap(self._s[n], n)
 
     def value_ln(self, n: int) -> float:
         """Natural log of s_n."""
         self._check_index(n)
-        return self._dom.ln(self._s[n])
+        return self._dom.ln(self._s[n], n)
 
     def ln_values(self) -> np.ndarray:
         """Vector of ln s_0 .. ln s_n."""
         if isinstance(self._dom, _LogDomain):
             return self._s.view().copy()
-        return np.array([ln_fraction(v) for v in self._s], dtype=np.float64)
+        ln = self._dom.ln
+        return np.array([ln(v, m) for m, v in enumerate(self._s)], dtype=np.float64)
 
     def sum_fold(self, j: int, m: int):
         """j-fold sum-convolution cell at index m, as a domain scalar."""
@@ -482,12 +506,12 @@ class SequenceTable:
     def _fold_cell(self, family, j, m):
         if j == 1:
             self._check_index(m)
-            return self._dom.wrap(self._s[m])
+            return self._dom.wrap(self._s[m], m)
         if j not in family:
             raise KeyError(f"no rank-{j} fold table for this spec")
         if not 0 <= m < self.n:
             raise IndexError(f"fold cell {m} not computed; table extends to {self.n}")
-        return self._dom.wrap(family[j][m])
+        return self._dom.wrap(family[j][m], m)
 
     def __repr__(self):
         return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
@@ -509,26 +533,28 @@ def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log",
 #   | u32 crc32 of everything above
 # A record is u64 count followed by the encoded values.  Log values are raw
 # float64.  Exact values are sign byte, u64 numerator length, numerator
-# bytes, u64 denominator length, denominator bytes.
+# bytes, u64 denominator length, denominator bytes, of the reduced
+# Fraction s-scale value (t / D^m for the stored integer t at index m).
 
 _MAGIC = b"FRSQ"
 _VERSION = 1
 
 
-def _encode_store(dom, store) -> bytes:
+def _encode_store(dom, store) -> bytearray:
     out = bytearray(struct.pack("<Q", len(store)))
     if isinstance(dom, _LogDomain):
         out += store.view().astype("<f8").tobytes()
     else:
-        for v in store:
-            num, den = v.numerator, v.denominator
+        for m, v in enumerate(store):
+            q = dom.rational(v, m)
+            num, den = q.numerator, q.denominator
             nb = num.to_bytes((num.bit_length() + 7) // 8 or 1, "little")
             db = den.to_bytes((den.bit_length() + 7) // 8 or 1, "little")
             out += struct.pack("<BQ", 0 if num >= 0 else 1, len(nb))
             out += nb
             out += struct.pack("<Q", len(db))
             out += db
-    return bytes(out)
+    return out
 
 
 class _Reader:
@@ -559,7 +585,7 @@ def _decode_store(dom, reader: _Reader, expected: int, store) -> None:
         store.n = count
         return
     values = []
-    for _ in range(count):
+    for m in range(count):
         sign = reader.u("<B")
         if sign not in (0, 1):
             raise CacheCorruptError("bad sign byte in exact record")
@@ -567,9 +593,12 @@ def _decode_store(dom, reader: _Reader, expected: int, store) -> None:
         den = int.from_bytes(reader.take(reader.u("<Q")), "little")
         if den == 0:
             raise CacheCorruptError("zero denominator in exact record")
-        if sign:
-            num = -num
-        values.append(Fraction(num, den))
+        t, rest = divmod(num * dom.scale ** m, den)
+        if rest:
+            raise CacheCorruptError(
+                f"exact value at index {m} is not a multiple of 1/{dom.scale}^{m}"
+            )
+        values.append(-t if sign else t)
     store[:] = values
 
 
@@ -591,11 +620,18 @@ def save_cache(table: SequenceTable, path) -> None:
         buf += _encode_store(dom, table._cfold[j])
     for j in table._max_ranks:
         buf += _encode_store(dom, table._dfold[j])
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    buf += struct.pack("<I", zlib.crc32(buf))
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(buf))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf)
+        os.replace(tmp, path)
+    except OSError as exc:
+        # name the cache file, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
 
 
 def load_cache(path, spec: RecurrenceSpec,

@@ -160,7 +160,8 @@ class LogScalar:
 
     @property
     def value(self) -> float:
-        return math.exp(self.ln_value)
+        """The linear value; inf once it exceeds the double range."""
+        return exp_ln(self.ln_value)
 
     def __add__(self, other):
         if not isinstance(other, LogScalar):

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 
 import pytest
 
+from foldrate import cli
 from foldrate.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -193,6 +195,44 @@ def test_invalid_spec_is_usage_error(capsys):
 def test_missing_spec_file_is_usage_error(capsys):
     code, _, _ = run(capsys, "eval", "--spec", "no-such-file.txt", "--n", "3")
     assert code == EXIT_USAGE
+
+
+def test_unreadable_spec_files_are_usage_errors(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, "eval", "--spec", str(tmp_path), "--n", "3")
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and "directory" in err
+
+    binary = tmp_path / "latin1.spec"
+    binary.write_bytes(b"sum 2 1 \xe9\n")
+    code, _, err = run(capsys, "eval", "--spec", str(binary), "--n", "3")
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and "UTF-8" in err
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code, _, err = run(capsys, "eval", "--spec", str(binary), "--n", "3")
+    assert code == EXIT_USAGE
+    assert err.count("\n") == 1 and "Permission denied" in err
+
+
+def test_unwritable_cache_is_usage_error_and_leaves_no_temp_file(tmp_path, capsys,
+                                                                  monkeypatch):
+    missing = str(tmp_path / "missing" / "cat.seq")
+    code, _, err = run(capsys, "eval", "--spec-text", "sum 2 1", "--n", "5", "--cache", missing)
+    assert code == EXIT_USAGE
+    assert repr(missing) in err and ".tmp." not in err
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cache = str(tmp_path / "cat.seq")
+    code, _, err = run(capsys, "eval", "--spec-text", "sum 2 1", "--n", "5", "--cache", cache)
+    assert code == EXIT_USAGE
+    assert repr(cache) in err and ".tmp." not in err
+    assert list(tmp_path.glob("*.tmp.*")) == []
 
 
 def test_help_exits_cleanly(capsys):

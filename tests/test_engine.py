@@ -1,6 +1,9 @@
 """Sequence tables: values, fold cells, budgets and cache round trips."""
 
+import hashlib
 import math
+import os
+import random
 import struct
 import zlib
 from fractions import Fraction
@@ -13,6 +16,7 @@ from foldrate import (
     CacheMismatchError,
     MemoryBudgetError,
     SequenceTable,
+    Op,
     compute_sequence,
     load_cache,
     parse_spec,
@@ -21,7 +25,7 @@ from foldrate import (
 )
 from foldrate.engine import _FloatVec, _LogDomain, _Mirror
 from foldrate.scalars import log_sum_vec
-from helpers import MIXED_EXAMPLE
+from helpers import MIXED_EXAMPLE, random_spec
 
 CATALAN = parse_spec("sum 2 1")
 SCHROEDER = parse_spec("sum 1 1\nsum 2 1")
@@ -67,6 +71,35 @@ def test_pure_max_doubles_each_step():
     table = compute_sequence(MAX22, 64, domain="exact")
     for n in range(65):
         assert table.value(n).value == 2**n
+
+
+def _reference_values(spec, n_max):
+    """s_0..s_{n_max} on Fractions, each term keeping its own fold columns."""
+    s = [Fraction(1)]
+    folds = [[[] for _ in range(t.arity + 1)] for t in spec.terms]
+    for n in range(1, n_max + 1):
+        m = n - 1
+        total = Fraction(0)
+        for term, fold in zip(spec.terms, folds):
+            reduce = sum if term.op is Op.SUM else max
+            prev = s
+            for j in range(2, term.arity + 1):
+                fold[j].append(reduce(s[x] * prev[m - x] for x in range(m + 1)))
+                prev = fold[j]
+            total += term.weight * prev[m]
+        s.append(total)
+    return s
+
+
+def test_random_fractional_specs_match_reference():
+    rng = random.Random(20240917)
+    specs = [random_spec(rng) for _ in range(20)]
+    assert sum(any(t.weight.denominator > 1 for t in spec.terms) for spec in specs) >= 10
+    for spec in specs:
+        table = compute_sequence(spec, 40, domain="exact")
+        assert [table.value(n).value for n in range(41)] == _reference_values(spec, 40), (
+            spec.render()
+        )
 
 
 def test_max_fold_never_exceeds_sum_fold():
@@ -254,6 +287,62 @@ def test_cache_round_trip(tmp_path, domain):
         assert back.sum_fold(2, 79).value == fresh.sum_fold(2, 79).value
     else:
         assert np.array_equal(back.ln_values(), fresh.ln_values())
+
+
+def test_exact_cache_bytes_are_stable(tmp_path):
+    # digest of the format written before exact tables moved to integers
+    path = tmp_path / "frac.seq"
+    save_cache(compute_sequence(parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7"), 60,
+                                domain="exact"), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b8f3f9d46835fd54ba2cd85ce903021ed8c8b31a76ed7b51def62888409dc35b"
+    )
+
+
+def _exact_cache(spec, s_values, fold_values) -> bytes:
+    """A v1 exact cache for a spec with a single rank-2 sum table."""
+    def record(values):
+        out = struct.pack("<Q", len(values))
+        for q in values:
+            nb = q.numerator.to_bytes(max(1, (q.numerator.bit_length() + 7) // 8), "little")
+            db = q.denominator.to_bytes(max(1, (q.denominator.bit_length() + 7) // 8), "little")
+            out += struct.pack("<BQ", 0, len(nb)) + nb + struct.pack("<Q", len(db)) + db
+        return out
+
+    body = (b"FRSQ" + struct.pack("<H", 1) + spec.digest()
+            + struct.pack("<BQHH", 0, len(s_values) - 1, 2, 0)
+            + record(s_values) + record(fold_values))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_cache_rejects_exact_value_off_the_lattice(tmp_path):
+    # sum 2 1/2 has D = 2: s_1 = 1/2 is t_1 / 2 with t_1 = 1, but 1/3 is
+    # no integer over 2^1
+    spec = parse_spec("sum 2 1/2")
+    path = tmp_path / "half.seq"
+    path.write_bytes(_exact_cache(spec, [Fraction(1), Fraction(1, 2)], [Fraction(1)]))
+    assert load_cache(str(path), spec).extend(3).value(3).value == \
+        compute_sequence(spec, 3, domain="exact").value(3).value
+    path.write_bytes(_exact_cache(spec, [Fraction(1), Fraction(1, 3)], [Fraction(1)]))
+    with pytest.raises(CacheCorruptError):
+        load_cache(str(path), spec)
+
+
+def test_failed_cache_write_names_the_file_and_cleans_up(tmp_path, monkeypatch):
+    path = tmp_path / "cat.seq"
+    table = compute_sequence(CATALAN, 10, domain="exact")
+    with pytest.raises(FileNotFoundError) as info:
+        save_cache(table, str(tmp_path / "missing" / "cat.seq"))
+    assert info.value.filename == str(tmp_path / "missing" / "cat.seq")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError) as info:
+        save_cache(table, str(path))
+    assert info.value.filename == str(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_rejects_other_spec(tmp_path):

@@ -57,6 +57,11 @@ def test_log_zero_is_additive_identity():
         z.ln()
 
 
+def test_log_value_beyond_double_range_is_inf():
+    assert LogScalar(math.log(3.0)).value == pytest.approx(3.0, rel=1e-15)
+    assert LogScalar(710.0).value == math.inf  # math.exp(710) overflows
+
+
 def test_nth_root_ln():
     assert nth_root_ln(ExactScalar(1024), 10) == pytest.approx(math.log(2), abs=1e-12)
     assert nth_root_ln(LogScalar(10 * math.log(2)), 10) == pytest.approx(
