@@ -7,9 +7,10 @@ term with arity l and weight k contributes either
     k * max  of s_{x_1} * ... * s_{x_l}   x_1 + ... + x_l = n - 1
 
 and s_n is the sum of the per-term contributions.  The package computes such
-sequences exactly (big rationals) or in a log-domain float representation,
-derives certified lower/upper bounds on lim s_n^(1/n), and cross-checks the
-machinery against an exhaustive tree enumeration oracle.
+sequences exactly (on Python ints, scaled by the lcm of the weight
+denominators) or in a log-domain float representation, derives certified
+lower/upper bounds on lim s_n^(1/n), and cross-checks the machinery against
+an exhaustive tree enumeration oracle.
 """
 
 from .recurrence import (
@@ -25,7 +26,7 @@ from .recurrence import (
     parse_spec_json,
     render_spec,
 )
-from .scalars import ExactScalar, LogScalar, ln_fraction, ln_int, max_of, nth_root_ln
+from .scalars import ExactScalar, LogScalar, ln_fraction, ln_int
 from .engine import (
     DEFAULT_MEMORY_LIMIT,
     CacheCorruptError,
@@ -43,19 +44,11 @@ from .bounds import (
     KnownRateResult,
     evaluate_bounds,
     known_rate_check,
-    lower_bound_ln,
     refine,
-    sup_lower_bound_ln,
-    upper_bound_ln,
-    upper_coefficients,
 )
 from .trees import (
     DEFAULT_SIZE_CAP,
-    TermTree,
     check_subtree_lemma,
-    enumerate_trees,
-    oracle_max,
-    oracle_sum,
     oracle_summary,
     subtree_size_interval,
     tree_values,
@@ -83,21 +76,14 @@ __all__ = [
     "SpecSyntaxError",
     "SpecValidationError",
     "Term",
-    "TermTree",
     "check_subtree_lemma",
     "compute_sequence",
     "derive_constants",
-    "enumerate_trees",
     "evaluate_bounds",
     "known_rate_check",
     "ln_fraction",
     "ln_int",
     "load_cache",
-    "lower_bound_ln",
-    "max_of",
-    "nth_root_ln",
-    "oracle_max",
-    "oracle_sum",
     "oracle_summary",
     "parse_spec",
     "parse_spec_json",
@@ -105,8 +91,5 @@ __all__ = [
     "render_spec",
     "save_cache",
     "subtree_size_interval",
-    "sup_lower_bound_ln",
     "tree_values",
-    "upper_bound_ln",
-    "upper_coefficients",
 ]

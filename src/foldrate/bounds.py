@@ -40,11 +40,7 @@ __all__ = [
     "KnownRateResult",
     "evaluate_bounds",
     "known_rate_check",
-    "lower_bound_ln",
     "refine",
-    "sup_lower_bound_ln",
-    "upper_bound_ln",
-    "upper_coefficients",
 ]
 
 log = logging.getLogger(__name__)
@@ -55,42 +51,22 @@ DEFAULT_EPSILON = 0.25
 DEFAULT_MAX_N = 1 << 14
 
 
-def _require_n(table: SequenceTable, n: int, least: int):
-    if n < least:
-        raise ValueError(f"bound needs n >= {least}, got {n}")
-    if n > table.n:
-        raise ValueError(f"table only extends to {table.n}, cannot evaluate at {n}")
+def _bracket(ln_s: np.ndarray, consts: GrowthConstants, n: int, lo: int):
+    """(ln lower, ln upper) read off ln s_0..s_n at n >= 2.
 
-
-def lower_bound_ln(table: SequenceTable, consts: GrowthConstants, n: int) -> float:
-    """ln of the certified lower bound read off s_n; needs n >= 2."""
-    _require_n(table, n, 2)
-    penalty = math.log(consts.max_arity * (n - 1)) + ln_fraction(consts.s1)
-    return (ln_fraction(consts.kstar) - penalty + table.value_ln(n)) / n
-
-
-def sup_lower_bound_ln(table: SequenceTable, consts: GrowthConstants, n: int) -> float:
-    """ln of the supremum-form lower bound (k* * s_{n-1})^(1/n); n >= 1.
-
-    Its running max over n is nondecreasing and converges to the true
-    rate from below, so it usefully sharpens lower_bound_ln.
+    The lower also folds in the sup-form bound at every index in [lo, n].
+    The logs of n are scalar math.log calls: np.log differs from math.log
+    in the last bit on some integers, which would move reported digits.
     """
-    _require_n(table, n, 1)
-    return (ln_fraction(consts.kstar) + table.value_ln(n - 1)) / n
-
-
-def upper_coefficients(consts: GrowthConstants, n: int) -> tuple[float, float]:
-    """(A, B(n)): the exponents of 3 and of n in the upper bound."""
+    ln_kstar = ln_fraction(consts.kstar)
+    ln_n = math.log(n)
+    ln_sn = float(ln_s[n])
+    penalty = math.log(consts.max_arity * (n - 1)) + ln_fraction(consts.s1)
+    lower = (ln_kstar - penalty + ln_sn) / n
+    sup = float(((ln_kstar + ln_s[lo - 1 : n]) / np.arange(lo, n + 1, dtype=np.float64)).max())
     a = 18.0 * consts.alpha * _LN3 + 2.0 * consts.beta_prime
-    b = 3.0 * consts.alpha * math.log(n) + 12.0 * consts.alpha * _LN3 + consts.beta_prime
-    return a, b
-
-
-def upper_bound_ln(table: SequenceTable, consts: GrowthConstants, n: int) -> float:
-    """ln of the certified upper bound read off s_n; needs n >= 2."""
-    _require_n(table, n, 2)
-    a, b = upper_coefficients(consts, n)
-    return (a * _LN3 + b * math.log(n) + table.value_ln(n)) / n
+    b = 3.0 * consts.alpha * ln_n + 12.0 * consts.alpha * _LN3 + consts.beta_prime
+    return max(lower, sup), (a * _LN3 + b * ln_n + ln_sn) / n
 
 
 @dataclass(frozen=True)
@@ -119,6 +95,12 @@ class BoundsReport:
     @property
     def ratio(self) -> float:
         return exp_ln(self.best_ln_upper - self.best_ln_lower)
+
+    def add(self, n: int, ln_lower: float, ln_upper: float) -> None:
+        """Append the sandwich at n and fold it into the best envelope."""
+        self.entries.append(BoundsEntry(n, ln_lower, ln_upper))
+        self.best_ln_lower = max(self.best_ln_lower, ln_lower)
+        self.best_ln_upper = min(self.best_ln_upper, ln_upper)
 
     def to_json_dict(self) -> dict:
         # linear values that overflow a double print as null
@@ -162,14 +144,6 @@ class BoundsReport:
         return rows
 
 
-def _sup_lower_vector(lnS: np.ndarray, ln_kstar: float, lo: int, hi: int) -> float:
-    """Max of sup_lower over n in [lo, hi] given the ln-value vector."""
-    if hi < lo:
-        return float("-inf")
-    idx = np.arange(lo, hi + 1, dtype=np.float64)
-    return float(((ln_kstar + lnS[lo - 1 : hi]) / idx).max())
-
-
 def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
                     ns=None, epsilon: float | None = None) -> BoundsReport:
     """Evaluate the sandwich at the given indices (default: powers of two).
@@ -182,23 +156,16 @@ def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
     if table.n < 2:
         raise ValueError("need a table extended to at least n = 2")
     if ns is None:
-        ns = [n for n in _powers_of_two(table.n)]
+        ns = _powers_of_two(table.n)
     report = BoundsReport(spec_text=table.spec.render(), epsilon=epsilon)
-    ln_kstar = ln_fraction(consts.kstar)
-    lnS = table.ln_values()
+    ln_s = table.ln_values()
     for n in sorted(set(ns)):
-        _require_n(table, n, 2)
-        low = max(
-            lower_bound_ln(table, consts, n),
-            sup_lower_bound_ln(table, consts, n),
-        )
-        up = upper_bound_ln(table, consts, n)
-        report.entries.append(BoundsEntry(n, low, up))
-        report.best_ln_lower = max(report.best_ln_lower, low)
-        report.best_ln_upper = min(report.best_ln_upper, up)
-    report.best_ln_lower = max(
-        report.best_ln_lower, _sup_lower_vector(lnS, ln_kstar, 1, table.n)
-    )
+        if n < 2:
+            raise ValueError(f"bound needs n >= 2, got {n}")
+        if n > table.n:
+            raise ValueError(f"table only extends to {table.n}, cannot evaluate at {n}")
+        report.add(n, *_bracket(ln_s, consts, n, n))
+    report.best_ln_lower = max(report.best_ln_lower, _bracket(ln_s, consts, table.n, 1)[0])
     report.max_n = table.n
     if epsilon is not None:
         report.converged = report.ratio <= 1.0 + epsilon
@@ -225,7 +192,8 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     2, 4, 8, ..., max_n.  Stops on convergence or when the max_n, wall
     clock or memory budget runs out; the latter yields converged=False in
     the report, with the budget named in ``reason``, rather than an
-    exception.
+    exception.  The wall clock budget is checked before each doubling, so
+    a step predicted to overrun it is never started.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -235,25 +203,18 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     consts = derive_constants(spec)
     table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
-    ln_kstar = ln_fraction(consts.kstar)
 
     n = 2
     while True:
         prev = table.n
+        step = time.perf_counter()
         try:
             table.extend(n)
         except MemoryBudgetError:
             report.reason = "memory budget exhausted"
             break
-        lnS = table.ln_values()
-        low = max(
-            lower_bound_ln(table, consts, n),
-            _sup_lower_vector(lnS, ln_kstar, max(prev + 1, 1), n),
-        )
-        up = upper_bound_ln(table, consts, n)
-        report.entries.append(BoundsEntry(n, low, up))
-        report.best_ln_lower = max(report.best_ln_lower, low)
-        report.best_ln_upper = min(report.best_ln_upper, up)
+        step = time.perf_counter() - step
+        report.add(n, *_bracket(table.ln_values(), consts, n, prev + 1))
         report.max_n = n
         log.info("refine n=%d lower=%.9g upper=%.9g ratio=%.6g",
                  n, exp_ln(report.best_ln_lower), exp_ln(report.best_ln_upper),
@@ -262,11 +223,12 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
             report.converged = True
             report.reason = "converged"
             break
-        if seconds is not None and time.perf_counter() - start > seconds:
-            report.reason = "time budget exhausted"
-            break
         if n >= max_n:
             report.reason = "length budget exhausted"
+            break
+        # the engine is O(N^2), so doubling n costs about 4x the last step
+        if seconds is not None and time.perf_counter() - start + 4.0 * step > seconds:
+            report.reason = "time budget exhausted"
             break
         n = min(2 * n, max_n)
     report.elapsed = time.perf_counter() - start

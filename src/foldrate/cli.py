@@ -2,8 +2,7 @@
 
 Subcommands: eval (print sequence values), bounds (per-index sandwich and
 best envelope), refine (doubling loop to a target ratio), oracle (tree
-enumeration cross-checks), known (fixtures with known rates), bench
-(extend timing).  Exit codes: 0 success, 1 a check failed, 2 usage or
+enumeration cross-checks), known (fixtures with known rates).  Exit codes: 0 success, 1 a check failed, 2 usage or
 input error, 3 resource budget exceeded.
 """
 
@@ -13,10 +12,8 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
-import time
 
 from .bounds import (
     DEFAULT_EPSILON,
@@ -273,40 +270,6 @@ def cmd_known(args) -> int:
     return EXIT_OK if result.contained else EXIT_CHECK_FAILED
 
 
-# -- bench ---------------------------------------------------------------
-
-
-def _time_extend(spec: RecurrenceSpec, n: int, domain: str) -> float:
-    start = time.perf_counter()
-    SequenceTable(spec, domain=domain).extend(n)
-    return time.perf_counter() - start
-
-
-def cmd_bench(args) -> int:
-    spec = _load_spec(args)
-    _time_extend(spec, min(args.n, 64), args.domain)  # warm-up
-    t1 = _time_extend(spec, args.n, args.domain)
-    t2 = _time_extend(spec, 2 * args.n, args.domain)
-    ratio = t2 / t1 if t1 > 0 else float("inf")
-    exponent = math.log2(ratio) if 0 < ratio < float("inf") else float("nan")
-    if args.format == "json":
-        print(json.dumps(
-            {
-                "n": args.n,
-                "seconds_n": round12(t1),
-                "seconds_2n": round12(t2),
-                "ratio": round12(ratio),
-                "exponent": round12(exponent),
-            },
-            indent=2,
-        ))
-    else:
-        print(f"extend to {args.n}: {t1:.4f}s")
-        print(f"extend to {2 * args.n}: {t2:.4f}s")
-        print(f"ratio {ratio:.3f} (doubling exponent {exponent:.3f})")
-    return EXIT_OK
-
-
 # -- parser --------------------------------------------------------------
 
 
@@ -370,13 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="catalan, schroeder, or kfold:K")
     p.add_argument("--max-n", type=_nonneg_int, default=4096)
     p.set_defaults(func=cmd_known)
-
-    p = sub.add_parser("bench", help="time extend at N and 2N")
-    add_spec_args(p)
-    add_domain_arg(p)
-    p.add_argument("--n", type=_nonneg_int, default=2048)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -11,10 +11,10 @@ with reduce = sum or max, so extending the sequence from N to N' costs one
 new cell per table per step and O(L * N'^2) scalar work overall.  s_n itself
 is assembled as the weighted sum of each term's fold at m = n - 1.
 
-The same driver runs in two value domains: exact and natural log doubles
-(see scalars).  A table can be saved to and restored from a compact binary
-cache; restoring and extending gives bit-identical results to an
-uninterrupted run.
+The same driver runs in two value domains, the _ExactDomain and _LogDomain
+strategies below: exact integers and natural log doubles.  A table can be
+saved to and restored from a compact binary cache; restoring and extending
+gives bit-identical results to an uninterrupted run.
 
 The exact domain computes on Python ints.  With D the lcm of the merged
 plan's weight denominators, t_m = D^m s_m is an integer sequence: every

@@ -1,15 +1,16 @@
-"""Sequence values in two interchangeable arithmetic domains.
+"""Log-domain helpers and the read-only records SequenceTable returns.
 
-ExactScalar wraps an arbitrary-precision nonnegative rational; nothing ever
-rounds.  LogScalar stores the natural log of the value in a double, with
--inf standing for zero; multiplication becomes addition, addition becomes a
-stable log-sum-exp, and max is max.  Both expose the same operations so code
-written against one works against the other.
+The ln helpers take exact ints and Fractions of any size to doubles, and
+add ln-values without overflow (-inf stands for zero).  ExactScalar and
+LogScalar only carry a value out of a table: ``.value`` is the Fraction,
+or the linear float of a LogScalar's ``.ln_value``.  The arithmetic
+itself lives in the engine's domains.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,134 +81,20 @@ def round12(x):
     return float(f"{x:.12g}")
 
 
+@dataclass(frozen=True)
 class ExactScalar:
-    """A nonnegative rational sequence value; arithmetic is loss-free."""
+    """An exact sequence value or fold cell."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        value = value if isinstance(value, Fraction) else Fraction(value)
-        if value < 0:
-            raise ValueError(f"sequence values are nonnegative, got {value}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):  # immutable
-        raise AttributeError("ExactScalar is immutable")
-
-    @classmethod
-    def from_rational(cls, q) -> "ExactScalar":
-        return cls(Fraction(q))
-
-    def __add__(self, other):
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return ExactScalar(self.value + other.value)
-
-    def __mul__(self, other):
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return ExactScalar(self.value * other.value)
-
-    def __eq__(self, other):
-        return isinstance(other, ExactScalar) and self.value == other.value
-
-    def __lt__(self, other):
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.value < other.value
-
-    def __le__(self, other):
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.value <= other.value
-
-    def __hash__(self):
-        return hash(("ExactScalar", self.value))
-
-    def ln(self) -> float:
-        if self.value == 0:
-            raise ValueError("ln of exact zero")
-        return ln_fraction(self.value)
-
-    def nth_root_ln(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"root index must be >= 1, got {n}")
-        return self.ln() / n
-
-    def __repr__(self):
-        return f"ExactScalar({self.value!r})"
+    value: Fraction
 
 
+@dataclass(frozen=True)
 class LogScalar:
-    """A sequence value stored as its natural log; zero is ln = -inf."""
+    """A sequence value or fold cell stored as its natural log."""
 
-    __slots__ = ("ln_value",)
-
-    def __init__(self, ln_value: float):
-        object.__setattr__(self, "ln_value", float(ln_value))
-
-    def __setattr__(self, name, val):  # immutable
-        raise AttributeError("LogScalar is immutable")
-
-    @classmethod
-    def from_rational(cls, q) -> "LogScalar":
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError(f"sequence values are nonnegative, got {q}")
-        if q == 0:
-            return cls(LN_ZERO)
-        return cls(ln_fraction(q))
+    ln_value: float
 
     @property
     def value(self) -> float:
         """The linear value; inf once it exceeds the double range."""
         return exp_ln(self.ln_value)
-
-    def __add__(self, other):
-        if not isinstance(other, LogScalar):
-            return NotImplemented
-        return LogScalar(log_add(self.ln_value, other.ln_value))
-
-    def __mul__(self, other):
-        if not isinstance(other, LogScalar):
-            return NotImplemented
-        return LogScalar(self.ln_value + other.ln_value)
-
-    def __eq__(self, other):
-        return isinstance(other, LogScalar) and self.ln_value == other.ln_value
-
-    def __lt__(self, other):
-        if not isinstance(other, LogScalar):
-            return NotImplemented
-        return self.ln_value < other.ln_value
-
-    def __le__(self, other):
-        if not isinstance(other, LogScalar):
-            return NotImplemented
-        return self.ln_value <= other.ln_value
-
-    def __hash__(self):
-        return hash(("LogScalar", self.ln_value))
-
-    def ln(self) -> float:
-        if self.ln_value == LN_ZERO:
-            raise ValueError("ln of zero")
-        return self.ln_value
-
-    def nth_root_ln(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"root index must be >= 1, got {n}")
-        return self.ln() / n
-
-    def __repr__(self):
-        return f"LogScalar(ln={self.ln_value!r})"
-
-
-def max_of(a, b):
-    """Larger of two scalars from the same domain."""
-    return b if a < b else a
-
-
-def nth_root_ln(x, n: int) -> float:
-    """ln of the n-th root of a positive scalar, i.e. ln(x) / n."""
-    return x.nth_root_ln(n)

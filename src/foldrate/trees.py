@@ -16,68 +16,21 @@ from hanging a test run; pass a bigger cap explicitly to go past it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .recurrence import RecurrenceSpec
-from .scalars import ExactScalar
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
-    "TermTree",
     "check_subtree_lemma",
-    "enumerate_trees",
-    "oracle_max",
-    "oracle_sum",
     "oracle_summary",
     "subtree_size_interval",
     "tree_values",
 ]
 
 DEFAULT_SIZE_CAP = 9
-
-
-class TermTree:
-    """A labelled tree: term index at the root, one slot per arity."""
-
-    __slots__ = ("term_index", "branches", "size")
-
-    def __init__(self, term_index: int, branches: tuple):
-        self.term_index = term_index
-        self.branches = branches
-        self.size = 1 + sum(b.size for b in branches if b is not None)
-
-    def value(self, spec: RecurrenceSpec) -> Fraction:
-        """Product of the weights of all vertices."""
-        total = Fraction(1)
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            total *= spec.terms[node.term_index].weight
-            stack.extend(b for b in node.branches if b is not None)
-        return total
-
-    def subtree_sizes(self) -> list[int]:
-        """Vertex counts of every subtree (one entry per vertex)."""
-        sizes = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            sizes.append(node.size)
-            stack.extend(b for b in node.branches if b is not None)
-        return sizes
-
-    def __eq__(self, other):
-        return (isinstance(other, TermTree)
-                and self.term_index == other.term_index
-                and self.branches == other.branches)
-
-    def __hash__(self):
-        return hash((self.term_index, self.branches))
-
-    def __repr__(self):
-        inner = ", ".join("_" if b is None else repr(b) for b in self.branches)
-        return f"T{self.term_index}({inner})"
 
 
 def _compositions(total: int, parts: int):
@@ -100,42 +53,16 @@ def _check_cap(n: int, size_cap: int):
         )
 
 
-def enumerate_trees(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
-    """Yield every tree with n vertices, in a fixed deterministic order.
+def _scaled_values(spec: RecurrenceSpec, n: int, size_cap: int):
+    """(D**n, iterator over D**n times each tree value) for trees of size n.
 
-    Order: root term index ascending, then the branch-size split
-    lexicographically, then recursively the same within each branch.
+    D is the lcm of the weight denominators, so every vertex weight enters
+    as the integer D*k and a tree's product never needs a Fraction.
     """
     _check_cap(n, size_cap)
-    yield from _trees(spec.terms, n)
-
-
-def _trees(terms, n: int):
-    for index, term in enumerate(terms):
-        for sizes in _compositions(n - 1, term.arity):
-            yield from _label_branches(terms, sizes, 0, index, ())
-
-
-def _label_branches(terms, sizes, at, root_index, done):
-    if at == len(sizes):
-        yield TermTree(root_index, done)
-        return
-    size = sizes[at]
-    if size == 0:
-        yield from _label_branches(terms, sizes, at + 1, root_index, done + (None,))
-        return
-    for sub in _trees(terms, size):
-        yield from _label_branches(terms, sizes, at + 1, root_index, done + (sub,))
-
-
-def tree_values(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
-    """Yield the value of every tree with n vertices, one per tree.
-
-    Same traversal order as enumerate_trees, but carries the running
-    weight product instead of building tree objects.
-    """
-    _check_cap(n, size_cap)
-    plan = [(t.arity, t.weight) for t in spec.terms]
+    scale = math.lcm(*(t.weight.denominator for t in spec.terms))
+    plan = [(t.arity, t.weight.numerator * (scale // t.weight.denominator))
+            for t in spec.terms]
 
     def values(m):
         for arity, weight in plan:
@@ -153,32 +80,34 @@ def tree_values(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
         for v in values(size):
             yield from scaled(sizes, at + 1, acc * v)
 
-    yield from values(n)
+    return scale ** n, values(n)
+
+
+def tree_values(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
+    """Yield the value of every tree with n vertices, one per tree.
+
+    Order: root term index ascending, then the branch-size split
+    lexicographically, then recursively the same within each branch.
+    """
+    den, values = _scaled_values(spec, n, size_cap)
+    for v in values:
+        yield Fraction(v, den)
 
 
 def oracle_summary(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
-    """(count, sum of values, max of values) over all trees with n vertices."""
-    count = 0
-    total = Fraction(0)
-    best = None
-    for v in tree_values(spec, n, size_cap):
+    """(count, sum of values, max of values) over all trees with n vertices.
+
+    The sum equals s_n for all-sum recurrences, the max equals s_n for a
+    single max term, and for anything else the two bracket s_n.
+    """
+    den, values = _scaled_values(spec, n, size_cap)
+    count = total = best = 0
+    for v in values:
         count += 1
         total += v
-        if best is None or v > best:
+        if v > best:
             best = v
-    return count, total, best
-
-
-def oracle_sum(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> ExactScalar:
-    """Exact sum of tree values; equals s_n for all-sum recurrences."""
-    _, total, _ = oracle_summary(spec, n, size_cap)
-    return ExactScalar(total)
-
-
-def oracle_max(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> ExactScalar:
-    """Exact max of tree values; equals s_n for a single pure-max term."""
-    _, _, best = oracle_summary(spec, n, size_cap)
-    return ExactScalar(best)
+    return count, Fraction(total, den), Fraction(best, den)
 
 
 # -- subtree size interval ----------------------------------------------

@@ -17,12 +17,12 @@ from foldrate import (
     check_subtree_lemma,
     compute_sequence,
     derive_constants,
+    evaluate_bounds,
     known_rate_check,
     load_cache,
     oracle_summary,
     parse_spec,
     save_cache,
-    sup_lower_bound_ln,
 )
 from helpers import (
     MIXED_EXAMPLE,
@@ -140,18 +140,18 @@ def test_c3_known_rate_sandwiches():
 
 
 def test_c4_pure_max_exactness():
-    """For "max 2 2": s_n = 2^n exactly, and the sup-form lower bound is
+    """For "max 2 2": s_n = 2^n exactly, and the certified lower bound is
     ln 2 at every index."""
     spec = parse_spec("max 2 2")
     exact = compute_sequence(spec, 64, domain="exact")
     for n in range(65):
         assert exact.value(n).value == 2**n
     logt = compute_sequence(spec, 2048, domain="log")
-    consts = derive_constants(spec)
+    report = evaluate_bounds(logt, derive_constants(spec), ns=range(2, 2049))
     ln2 = math.log(2)
-    worst = max(
-        abs(sup_lower_bound_ln(logt, consts, n) - ln2) for n in range(1, 2049)
-    )
+    lowers = [e.ln_lower for e in report.entries] + [report.best_ln_lower]
+    worst = max(abs(lb - ln2) for lb in lowers)
+    assert len(report.entries) == 2047
     assert worst <= 1e-12
     verdict("C4 pure-max-exactness", f"max |lb - ln 2| = {worst:.2e} over n<=2048")
 

@@ -8,15 +8,10 @@ from foldrate import (
     BoundsEntry,
     BoundsReport,
     compute_sequence,
-    derive_constants,
     evaluate_bounds,
     known_rate_check,
-    lower_bound_ln,
     parse_spec,
     refine,
-    sup_lower_bound_ln,
-    upper_bound_ln,
-    upper_coefficients,
 )
 
 CATALAN = parse_spec("sum 2 1")
@@ -26,41 +21,39 @@ MAX22 = parse_spec("max 2 2")
 def test_catalan_lower_bound_at_two_is_one():
     # (1/2) * [ln 1 - ln(2*1*1) + ln 2] = 0, so the bound is e^0 = 1
     table = compute_sequence(CATALAN, 2, domain="exact")
-    consts = derive_constants(CATALAN)
-    assert lower_bound_ln(table, consts, 2) == pytest.approx(0.0, abs=1e-15)
+    (entry,) = evaluate_bounds(table, ns=[2]).entries
+    assert entry.ln_lower == pytest.approx(0.0, abs=1e-15)
 
 
 def test_catalan_upper_coefficient():
-    consts = derive_constants(CATALAN)
-    a, b = upper_coefficients(consts, 64)
-    # base-3/2 logs: A = 18*log(3) + 2*log(4) ~ 55.61
-    assert a == pytest.approx(
-        (18 * math.log(3) + 2 * math.log(4)) / math.log(1.5), rel=1e-12
-    )
-    assert b == pytest.approx(
-        (3 * math.log(64) + 12 * math.log(3) + math.log(4)) / math.log(1.5), rel=1e-12
+    # base-3/2 logs: A = 18*log(3) + 2*log(4) ~ 55.61 is the exponent of 3,
+    # B(n) = 3*log(n) + 12*log(3) + log(4) the exponent of n
+    table = compute_sequence(CATALAN, 64, domain="exact")
+    (entry,) = evaluate_bounds(table, ns=[64]).entries
+    a = (18 * math.log(3) + 2 * math.log(4)) / math.log(1.5)
+    b = (3 * math.log(64) + 12 * math.log(3) + math.log(4)) / math.log(1.5)
+    s64 = math.comb(128, 64) // 65
+    assert table.value(64).value == s64
+    assert entry.ln_upper == pytest.approx(
+        (a * math.log(3) + b * math.log(64) + math.log(s64)) / 64, rel=1e-12
     )
 
 
 def test_sup_lower_is_flat_for_pure_max():
-    # s_n = 2^n makes (kstar * s_{n-1})^(1/n) = 2 at every n
+    # s_n = 2^n makes (kstar * s_{n-1})^(1/n) = 2 at every n, and the other
+    # lower bound never exceeds it
     table = compute_sequence(MAX22, 64, domain="exact")
-    consts = derive_constants(MAX22)
-    for n in range(1, 65):
-        assert sup_lower_bound_ln(table, consts, n) == pytest.approx(
-            math.log(2), abs=1e-12
-        )
+    report = evaluate_bounds(table, ns=range(2, 65))
+    for entry in report.entries:
+        assert entry.ln_lower == pytest.approx(math.log(2), abs=1e-12)
+    assert report.best_ln_lower == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bound_argument_guards():
     table = compute_sequence(CATALAN, 8, domain="log")
-    consts = derive_constants(CATALAN)
-    with pytest.raises(ValueError):
-        lower_bound_ln(table, consts, 1)
-    with pytest.raises(ValueError):
-        upper_bound_ln(table, consts, 9)
-    with pytest.raises(ValueError):
-        sup_lower_bound_ln(table, consts, 0)
+    for ns in ([1], [9], [0], [2, 4, 9]):
+        with pytest.raises(ValueError):
+            evaluate_bounds(table, ns=ns)
 
 
 def test_sandwich_is_consistent_on_catalan():
@@ -116,6 +109,14 @@ def test_refine_reports_exhausted_time_budget():
     report = refine(CATALAN, epsilon=1e-9, max_n=1 << 20, seconds=0.05)
     assert not report.converged
     assert report.reason == "time budget exhausted"
+
+
+def test_refine_stops_inside_its_time_budget():
+    # the next doubling is predicted from the last one before it starts
+    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 20, seconds=0.5)
+    assert report.reason == "time budget exhausted"
+    assert report.elapsed <= 0.5
+    assert report.max_n < 1 << 20
 
 
 def test_refine_argument_guards():

@@ -8,15 +8,12 @@ import pytest
 from foldrate import (
     check_subtree_lemma,
     compute_sequence,
-    enumerate_trees,
-    oracle_max,
-    oracle_sum,
     oracle_summary,
     parse_spec,
     subtree_size_interval,
     tree_values,
 )
-from foldrate.trees import DEFAULT_SIZE_CAP, TermTree
+from foldrate.trees import DEFAULT_SIZE_CAP
 
 CATALAN = parse_spec("sum 2 1")
 MAX22 = parse_spec("max 2 2")
@@ -29,46 +26,39 @@ def catalan_closed(n: int) -> int:
 
 def test_tree_counts_follow_catalan():
     for n in range(1, 9):
-        assert sum(1 for _ in enumerate_trees(CATALAN, n)) == catalan_closed(n)
+        assert oracle_summary(CATALAN, n)[0] == catalan_closed(n)
+        assert sum(1 for _ in tree_values(CATALAN, n)) == catalan_closed(n)
 
 
 def test_size_one_trees_are_the_terms():
-    trees = list(enumerate_trees(MIXED, 1))
-    assert [t.term_index for t in trees] == [0, 1, 2, 3, 4]
-    values = [t.value(MIXED) for t in trees]
+    values = list(tree_values(MIXED, 1))
     assert values == [2, 3, 4, 5, 6]
     assert sum(values) == compute_sequence(MIXED, 1, domain="exact").value(1).value
 
 
 def test_max22_two_vertex_trees():
-    trees = list(enumerate_trees(MAX22, 2))
-    assert len(trees) == 2  # child in the first or the second slot
-    assert all(t.value(MAX22) == 4 for t in trees)
+    # child in the first or the second slot
+    assert list(tree_values(MAX22, 2)) == [4, 4]
 
 
 def test_enumeration_order_is_deterministic():
-    first = [repr(t) for t in enumerate_trees(CATALAN, 2)]
-    assert first == ["T0(_, T0(_, _))", "T0(T0(_, _), _)"]
-    assert [repr(t) for t in enumerate_trees(CATALAN, 4)] == [
-        repr(t) for t in enumerate_trees(CATALAN, 4)
-    ]
+    # root term ascending, then the branch-size split ascending: for
+    # "sum 1 1/2, sum 2 1/3" at size 2 the unary root comes first
+    spec = parse_spec("sum 1 1/2\nsum 2 1/3")
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    assert list(tree_values(spec, 2)) == [h * h, h * t, t * h, t * t, t * h, t * t]
+    assert list(tree_values(MIXED, 4)) == list(tree_values(MIXED, 4))
 
 
 def test_tree_values_match_enumerated_trees():
+    # size 2 by hand: root term i, its one child term j in any of the
+    # root's arity-many slots
+    weights = [(t.arity, t.weight) for t in MIXED.terms]
+    by_hand = [wi * wj for ai, wi in weights for _ in range(ai) for _, wj in weights]
+    assert list(tree_values(MIXED, 2)) == by_hand
     for n in range(1, 4):
-        streamed = list(tree_values(MIXED, n))
-        built = [t.value(MIXED) for t in enumerate_trees(MIXED, n)]
-        assert streamed == built
-
-
-def test_tree_equality_and_hash():
-    a, b = enumerate_trees(CATALAN, 2)
-    c, _ = enumerate_trees(CATALAN, 2)
-    assert a == c and hash(a) == hash(c)
-    assert a != b
-    leaf = TermTree(0, (None, None))
-    assert leaf.size == 1
-    assert sorted(a.subtree_sizes()) == [1, 2]
+        values = list(tree_values(MIXED, n))
+        assert oracle_summary(MIXED, n) == (len(values), sum(values), max(values))
 
 
 def test_oracle_sum_equals_engine_for_all_sum_specs():
@@ -76,7 +66,7 @@ def test_oracle_sum_equals_engine_for_all_sum_specs():
         spec = parse_spec(text)
         table = compute_sequence(spec, 6, domain="exact")
         for n in range(1, 7):
-            assert oracle_sum(spec, n).value == table.value(n).value
+            assert oracle_summary(spec, n)[1] == table.value(n).value
 
 
 def test_oracle_max_equals_engine_for_single_max_term():
@@ -84,7 +74,7 @@ def test_oracle_max_equals_engine_for_single_max_term():
         spec = parse_spec(text)
         table = compute_sequence(spec, 5, domain="exact")
         for n in range(1, 6):
-            assert oracle_max(spec, n).value == table.value(n).value
+            assert oracle_summary(spec, n)[2] == table.value(n).value
 
 
 def test_oracle_brackets_engine_for_mixed_specs():
@@ -111,20 +101,20 @@ def test_multi_term_max_specs_only_bracket():
         count, total, best = oracle_summary(spec, n)
         assert best <= table.value(n).value <= total
     assert table.value(1).value == 2
-    assert oracle_max(spec, 1).value == 1
+    assert oracle_summary(spec, 1)[2] == 1
 
 
 def test_size_cap_guard():
     with pytest.raises(ValueError) as exc:
-        list(enumerate_trees(CATALAN, DEFAULT_SIZE_CAP + 1))
+        list(tree_values(CATALAN, DEFAULT_SIZE_CAP + 1))
     assert "size_cap" in str(exc.value)
     with pytest.raises(ValueError):
-        oracle_sum(CATALAN, DEFAULT_SIZE_CAP + 1)
+        oracle_summary(CATALAN, DEFAULT_SIZE_CAP + 1)
     # explicit override works
     n = DEFAULT_SIZE_CAP + 1
-    assert oracle_sum(CATALAN, n, size_cap=n).value == catalan_closed(n)
+    assert oracle_summary(CATALAN, n, size_cap=n)[1] == catalan_closed(n)
     with pytest.raises(ValueError):
-        list(enumerate_trees(CATALAN, 0))
+        list(tree_values(CATALAN, 0))
 
 
 def test_subtree_size_interval_values():
