@@ -24,7 +24,6 @@ from .recurrence import (
     derive_constants,
     parse_spec,
     parse_spec_json,
-    render_spec,
 )
 from .scalars import ExactScalar, LogScalar, ln_fraction, ln_int
 from .engine import (
@@ -88,7 +87,6 @@ __all__ = [
     "parse_spec",
     "parse_spec_json",
     "refine",
-    "render_spec",
     "save_cache",
     "subtree_size_interval",
     "tree_values",

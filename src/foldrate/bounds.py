@@ -2,9 +2,8 @@
 
 Both directions come from finite prefixes of the sequence.  Writing L for
 the largest arity, k* for the largest weight among arity>=2 terms and s1
-for the weight sum, the lower bounds are
+for the weight sum, the lower bound is
 
-    lower(n)     = (1/n) * [ln k* - ln(L*(n-1)*s1) + ln s_n]        n >= 2
     sup_lower(n) = (1/n) * [ln k* + ln s_{n-1}]                     n >= 1
 
 and the upper bound is, with alpha = 1/ln((L+1)/L) and
@@ -14,11 +13,15 @@ beta' = alpha*ln(s1*L^2/k*),
     A        = 18*alpha*ln 3 + 2*beta'
     B(n)     = 3*alpha*ln n + 12*alpha*ln 3 + beta'
 
-Every lower(n), sup_lower(n) is <= the true rate and every upper(n) is >=
-it, so the running max of lowers and min of uppers form a shrinking
-sandwich.  refine() doubles the table length until the sandwich ratio
-reaches a target or a budget runs out; an unconverged run is reported,
-not raised.
+The paper's other lower bound, (1/n) * [ln k* - ln(L*(n-1)*s1) + ln s_n],
+is not computed: taking logs of the history inequality
+s_n <= L*(n-1)*s1*s_{n-1} (tested by acceptance check C2) shows it never
+exceeds sup_lower(n), up to 1 ulp of rounding where the two tie.
+
+Every sup_lower(n) is <= the true rate and every upper(n) is >= it, so
+the running max of lowers and min of uppers form a shrinking sandwich.
+refine() doubles the table length until the sandwich ratio reaches a
+target or a budget runs out; an unconverged run is reported, not raised.
 """
 
 from __future__ import annotations
@@ -54,19 +57,16 @@ DEFAULT_MAX_N = 1 << 14
 def _bracket(ln_s: np.ndarray, consts: GrowthConstants, n: int, lo: int):
     """(ln lower, ln upper) read off ln s_0..s_n at n >= 2.
 
-    The lower also folds in the sup-form bound at every index in [lo, n].
-    The logs of n are scalar math.log calls: np.log differs from math.log
-    in the last bit on some integers, which would move reported digits.
+    The lower is the best sup-form bound at any index in [lo, n].  The log
+    of n is a scalar math.log call: np.log differs from math.log in the
+    last bit on some integers, which would move reported digits.
     """
     ln_kstar = ln_fraction(consts.kstar)
     ln_n = math.log(n)
-    ln_sn = float(ln_s[n])
-    penalty = math.log(consts.max_arity * (n - 1)) + ln_fraction(consts.s1)
-    lower = (ln_kstar - penalty + ln_sn) / n
     sup = float(((ln_kstar + ln_s[lo - 1 : n]) / np.arange(lo, n + 1, dtype=np.float64)).max())
     a = 18.0 * consts.alpha * _LN3 + 2.0 * consts.beta_prime
     b = 3.0 * consts.alpha * ln_n + 12.0 * consts.alpha * _LN3 + consts.beta_prime
-    return max(lower, sup), (a * _LN3 + b * ln_n + ln_sn) / n
+    return sup, (a * _LN3 + b * ln_n + float(ln_s[n])) / n
 
 
 @dataclass(frozen=True)
@@ -257,8 +257,7 @@ class KnownRateResult:
     ratio_ok: bool
 
 
-def known_rate_check(name: str, k: int | None = None, max_n: int = 4096,
-                     seconds: float | None = None) -> KnownRateResult:
+def known_rate_check(name: str, k: int | None = None, max_n: int = 4096) -> KnownRateResult:
     """Run refine on a sequence with a known growth rate and check the
     sandwich contains it.  Containment is the hard requirement; the ratio
     threshold is a quality target the caller may treat as a warning.
@@ -276,7 +275,7 @@ def known_rate_check(name: str, k: int | None = None, max_n: int = 4096,
     spec = parse_spec(text)
     # A tiny epsilon pushes refine through the whole length budget so the
     # sandwich is as tight as the budget allows.
-    report = refine(spec, epsilon=1e-9, max_n=max_n, seconds=seconds)
+    report = refine(spec, epsilon=1e-9, max_n=max_n)
     ln_rate = math.log(rate)
     contained = (
         report.best_ln_lower - 1e-12 <= ln_rate <= report.best_ln_upper + 1e-12

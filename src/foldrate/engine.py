@@ -1,20 +1,26 @@
-"""Incremental sequence computation via per-arity fold tables.
+"""Incremental sequence computation via per-arity fold columns.
 
 For each operator family the engine keeps the j-fold convolution of the
-sequence with itself: ``cfold[j][m]`` is the sum over all ordered splits
-x_1+...+x_j = m of s_{x_1}*...*s_{x_j}, and ``dfold[j][m]`` is the max over
+sequence with itself: the sum fold at m is the sum over all ordered splits
+x_1+...+x_j = m of s_{x_1}*...*s_{x_j}, and the max fold is the max over
 the same splits.  Both satisfy the same one-step recurrence
 
     fold[j][m] = reduce_x s_x (*) fold[j-1][m - x],    fold[1][m] = s_m
 
 with reduce = sum or max, so extending the sequence from N to N' costs one
-new cell per table per step and O(L * N'^2) scalar work overall.  s_n itself
-is assembled as the weighted sum of each term's fold at m = n - 1.
+new cell per column per step and O(L * N'^2) scalar work overall.  s_n
+itself is assembled as the weighted sum of each term's fold at m = n - 1.
 
-The same driver runs in two value domains, the _ExactDomain and _LogDomain
-strategies below: exact integers and natural log doubles.  A table can be
-saved to and restored from a compact binary cache; restoring and extending
-gives bit-identical results to an uninterrupted run.
+The fold plan is resolved once, when a table is built, into one list of
+columns: s, then the sum ranks 2.., then the max ranks 2.. (the cache's
+record order).  Each rank is one step (kernel, column, source), its source
+being the rank below it, and the weighted sum is a list of (weight,
+column) pairs with arity 1 reading s.  The value domain, _ExactDomain
+(exact integers) or _LogDomain (natural log doubles), owns everything
+about how a column is stored: its creation, reservation and memory
+budget, byte counts, ln values, and its cache record encoding.  A table
+can be saved to and restored from a compact binary cache; restoring and
+extending gives bit-identical results to an uninterrupted run.
 
 The exact domain computes on Python ints.  With D the lcm of the merged
 plan's weight denominators, t_m = D^m s_m is an integer sequence: every
@@ -27,14 +33,14 @@ positive common factor keeps the argmax), and
 Fraction appears only at the API boundary: values, fold cells, ln values
 and the cache all go through the reduced t / D^m.
 
-Log-domain tables store ln values, and max cells are a max of sums of
+Log-domain columns store ln values, and max cells are a max of sums of
 them.  Sum cells are computed in a scaled linear domain instead.  Cell
 indices are cut into power-of-two chunks, m in [2^(k-1), 2^k) with
 k = m.bit_length(), and each chunk has one scale theta_k: the slope of
 the stored ln s over [m0/2, m0], m0 = 2^(k-1) (ln s_1 for k = 1, 0 for
-m = 0).  Every column that feeds a sum rank (s, and cfold[2..L-1]) keeps
-a mirror u_x = exp(ln v_x - theta_k * x); since the theta factors of a
-split x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
+m = 0).  Every column that feeds a sum rank (s, and sum ranks 2..L-1)
+keeps a mirror u_x = exp(ln v_x - theta_k * x); since the theta factors
+of a split x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
 
     ln(dot(u^s[0..m], u^prev[m..0])) + theta_k * m
 
@@ -53,7 +59,6 @@ yet accounted for.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import struct
@@ -78,8 +83,6 @@ __all__ = [
     "save_cache",
 ]
 
-log = logging.getLogger(__name__)
-
 DEFAULT_MEMORY_LIMIT = 8 << 30  # bytes of table payload, not process RSS
 
 
@@ -100,41 +103,6 @@ class CacheMismatchError(CacheError):
 
 class CacheCorruptError(CacheError):
     """Cache file is truncated, checksum-broken, or not a cache at all."""
-
-
-class _FloatVec:
-    """Fixed-capacity float64 column; ``extend`` reserves before appending.
-
-    A column that feeds a sum rank also carries a ``_Mirror``.
-    """
-
-    __slots__ = ("data", "n", "mirror")
-
-    def __init__(self):
-        self.data = np.empty(1, dtype=np.float64)
-        self.n = 0
-        self.mirror = None
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        return float(self.data[i])
-
-    def append(self, x: float):
-        self.data[self.n] = x
-        self.n += 1
-
-    def reserve(self, total: int):
-        if total > len(self.data):
-            grown = np.empty(total, dtype=np.float64)
-            grown[: self.n] = self.data[: self.n]
-            self.data = grown
-        if self.mirror is not None:
-            self.mirror.reserve(total)
-
-    def view(self) -> np.ndarray:
-        return self.data[: self.n]
 
 
 # Mirror entries satisfy |ln v - theta*x| <= _WINDOW, so each lies in
@@ -160,49 +128,67 @@ def _chunk_scale(ln_s: np.ndarray, k: int) -> float:
     return float((ln_s[m0] - ln_s[half]) / (m0 - half))
 
 
-class _Mirror:
-    """Scaled linear copy u_x = exp(ln v_x - theta*x) of an ln column.
+class _LogColumn:
+    """Fixed-capacity float64 column of ln values, with an optional mirror.
 
-    ``rev`` holds u_x at index cap-1-x, so the reversed prefix u_m..u_0 a
-    convolution cell needs is the contiguous tail ``rev[cap-1-m:]``;
-    ``fwd`` (kept for s only) holds u_x at index x.  Entries are valid for
-    one chunk's theta; ``ok`` turns false for the rest of the chunk once
-    an entry leaves the window.
+    The mirror is the scaled linear copy u_x = exp(ln v_x - theta*x) that
+    sum cells read.  ``rev`` holds u_x at index cap-1-x, so the reversed
+    prefix u_m..u_0 a convolution cell needs is the contiguous tail
+    ``rev[cap-1-m:]``; ``fwd`` (kept for s only) holds u_x at index x.
+    Mirror entries are valid for one chunk's theta; ``ok`` turns false for
+    the rest of the chunk once an entry leaves the window.
     """
 
-    __slots__ = ("fwd", "rev", "n", "chunk", "ok")
+    __slots__ = ("data", "n", "fwd", "rev", "covered", "chunk", "ok")
 
-    def __init__(self, forward: bool):
-        self.fwd = np.empty(1, dtype=np.float64) if forward else None
-        self.rev = np.empty(1, dtype=np.float64)
+    def __init__(self, mirror: bool = False, forward: bool = False):
+        self.data = np.empty(1, dtype=np.float64)
         self.n = 0
+        self.rev = np.empty(1, dtype=np.float64) if mirror else None
+        self.fwd = np.empty(1, dtype=np.float64) if forward else None
+        self.covered = 0
         self.chunk = -1
         self.ok = True
 
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return float(self.data[i])
+
+    def append(self, x: float):
+        self.data[self.n] = x
+        self.n += 1
+
     def reserve(self, total: int):
-        cap = len(self.rev)
+        cap = len(self.data)
         if total <= cap:
             return
-        rev = np.empty(total, dtype=np.float64)
-        rev[total - self.n :] = self.rev[cap - self.n :]
-        self.rev = rev
+        data = np.empty(total, dtype=np.float64)
+        data[: self.n] = self.data[: self.n]
+        self.data = data
+        k = self.covered
+        if self.rev is not None:
+            rev = np.empty(total, dtype=np.float64)
+            rev[total - k :] = self.rev[cap - k :]
+            self.rev = rev
         if self.fwd is not None:
             fwd = np.empty(total, dtype=np.float64)
-            fwd[: self.n] = self.fwd[: self.n]
+            fwd[:k] = self.fwd[:k]
             self.fwd = fwd
 
-    def sync(self, ln: np.ndarray, m: int, theta: float, chunk: int) -> bool:
-        """Cover entries 0..m of ``ln`` under ``chunk``'s theta; True if usable.
+    def sync(self, m: int, theta: float, chunk: int) -> bool:
+        """Cover mirror entries 0..m under ``chunk``'s theta; True if usable.
 
         A rebuild after a chunk change (or on a fresh table after
         load_cache) and the one-entry append of each new cell run through
         this same loop, so both give bit-identical entries.
         """
         if chunk != self.chunk:
-            self.chunk, self.n, self.ok = chunk, 0, True
-        if self.ok and self.n <= m:
+            self.chunk, self.covered, self.ok = chunk, 0, True
+        if self.ok and self.covered <= m:
             top = len(self.rev) - 1
-            for x, v in enumerate(ln[self.n : m + 1].tolist(), self.n):
+            for x, v in enumerate(self.data[self.covered : m + 1].tolist(), self.covered):
                 a = v - theta * x
                 if not abs(a) <= _WINDOW:
                     self.ok = False
@@ -211,19 +197,20 @@ class _Mirror:
                 self.rev[top - x] = u
                 if self.fwd is not None:
                     self.fwd[x] = u
-        self.n = max(self.n, m + 1)
+        self.covered = max(self.covered, m + 1)
         return self.ok
 
 
 class _ExactDomain:
-    """Arithmetic strategy on Python ints t_m = D^m s_m stored in lists.
+    """Python ints t_m = D^m s_m stored in lists.
 
     ``scale`` is D, the lcm of the plan's weight denominators, and each
     plan weight k enters as the integer D*k; the boundary methods take a
     stored cell with its index m back to the reduced Fraction t / D^m.
+    Byte counts are ``sys.getsizeof`` of each int; there is no upfront
+    budget, since the size of an int is not known before it is computed.
     """
 
-    name = "exact"
     tag = 0
     fallback_cells = 0
     one = 1
@@ -235,8 +222,12 @@ class _ExactDomain:
         return w.numerator * (self.scale // w.denominator)
 
     @staticmethod
-    def new_store():
+    def column(feeds_sum: bool, forward: bool) -> list:
         return []
+
+    @staticmethod
+    def reserve(cols, new_n: int, limit: int) -> None:
+        pass
 
     @staticmethod
     def conv_sum(s, c, m):
@@ -247,12 +238,17 @@ class _ExactDomain:
         return max(s[x] * d[m - x] for x in range(m + 1))
 
     @staticmethod
-    def combine(contributions):
-        # contributions: (weight_raw, fold_raw) pairs
-        total = 0
-        for w, v in contributions:
-            total += w * v
-        return total
+    def combine(pairs, m):
+        return sum(w * col[m] for w, col in pairs)
+
+    @staticmethod
+    def step_bytes(cols) -> int:
+        """Bytes of the cells one step just appended, the last of each column."""
+        return sum(sys.getsizeof(col[-1]) for col in cols)
+
+    @staticmethod
+    def table_bytes(cols) -> int:
+        return sum(sys.getsizeof(v) for col in cols for v in col)
 
     def rational(self, v: int, m: int) -> Fraction:
         return Fraction(v, self.scale ** m)
@@ -260,28 +256,61 @@ class _ExactDomain:
     def ln(self, v, m) -> float:
         return ln_fraction(self.rational(v, m))
 
+    def ln_values(self, s) -> np.ndarray:
+        return np.array([self.ln(v, m) for m, v in enumerate(s)], dtype=np.float64)
+
     def wrap(self, v, m) -> ExactScalar:
         return ExactScalar(self.rational(v, m))
 
-    @staticmethod
-    def nbytes(v) -> int:
-        return sys.getsizeof(v)
+    def encode(self, col) -> bytearray:
+        """Sign byte, u64 length and bytes of the numerator, then of the
+        denominator, of each reduced Fraction t / D^m."""
+        out = bytearray()
+        for m, v in enumerate(col):
+            q = self.rational(v, m)
+            num, den = q.numerator, q.denominator
+            nb = num.to_bytes((num.bit_length() + 7) // 8 or 1, "little")
+            db = den.to_bytes((den.bit_length() + 7) // 8 or 1, "little")
+            out += struct.pack("<BQ", 0 if num >= 0 else 1, len(nb))
+            out += nb
+            out += struct.pack("<Q", len(db))
+            out += db
+        return out
+
+    def decode(self, reader: "_Reader", col: list, count: int) -> None:
+        """Replace ``col``'s contents with ``count`` encoded values."""
+        values = []
+        for m in range(count):
+            sign = reader.u("<B")
+            if sign not in (0, 1):
+                raise CacheCorruptError("bad sign byte in exact record")
+            num = int.from_bytes(reader.take(reader.u("<Q")), "little")
+            den = int.from_bytes(reader.take(reader.u("<Q")), "little")
+            if den == 0:
+                raise CacheCorruptError("zero denominator in exact record")
+            t, rest = divmod(num * self.scale ** m, den)
+            if rest:
+                raise CacheCorruptError(
+                    f"exact value at index {m} is not a multiple of 1/{self.scale}^{m}"
+                )
+            values.append(-t if sign else t)
+        col[:] = values
 
 
 class _LogDomain:
-    """Arithmetic strategy on ln-valued float64 columns.
+    """ln-valued float64 columns, 8 bytes per value and mirror entry.
 
     Sum cells are computed from scaled linear mirrors (one dot product
     per cell, see the module docstring); max cells and fallback sum cells
     work on the ln columns directly.  Each instance owns its scratch
-    buffer and its chunk scale, so tables never share state.
+    buffer and its chunk scale, so tables never share state.  The scale
+    D is not needed: ln values carry no lattice.
     """
 
-    name = "log"
     tag = 1
     one = 0.0
 
-    def __init__(self):
+    def __init__(self, scale: int = 1):
         self._scratch = np.empty(256, dtype=np.float64)
         self._chunk = -1
         self._theta = 0.0
@@ -292,8 +321,22 @@ class _LogDomain:
         return ln_fraction(w)
 
     @staticmethod
-    def new_store():
-        return _FloatVec()
+    def column(feeds_sum: bool, forward: bool) -> _LogColumn:
+        return _LogColumn(mirror=feeds_sum, forward=feeds_sum and forward)
+
+    @staticmethod
+    def reserve(cols, new_n: int, limit: int) -> None:
+        """Reject an extension the budget cannot hold before doing any work."""
+        # per index, 8 bytes for the ln value and for each mirror entry
+        width = sum(1 + (c.rev is not None) + (c.fwd is not None) for c in cols)
+        projected = width * (new_n + 1) * 8
+        if projected > limit:
+            raise MemoryBudgetError(
+                f"extending to {new_n} needs ~{projected} bytes, "
+                f"budget is {limit}; table still valid at n={len(cols[0]) - 1}"
+            )
+        for col in cols:
+            col.reserve(new_n + 1)
 
     def _cell(self, s, c, m) -> np.ndarray:
         k = m + 1
@@ -308,9 +351,9 @@ class _LogDomain:
         if k != self._chunk:
             self._chunk, self._theta = k, _chunk_scale(s.data, k)
         theta = self._theta
-        if s.mirror.sync(s.data, m, theta, k) and c.mirror.sync(c.data, m, theta, k):
-            rev = c.mirror.rev
-            d = float(np.dot(s.mirror.fwd[: m + 1], rev[len(rev) - 1 - m :]))
+        if s.sync(m, theta, k) and c.sync(m, theta, k):
+            rev = c.rev
+            d = float(np.dot(s.fwd[: m + 1], rev[len(rev) - 1 - m :]))
             if _TINY <= d <= _HUGE:
                 return math.log(d) + theta * m
         self.fallback_cells += 1
@@ -320,24 +363,44 @@ class _LogDomain:
         return float(self._cell(s, d, m).max())
 
     @staticmethod
-    def combine(contributions):
+    def combine(pairs, m):
         total = None
-        for w, v in contributions:
-            term = w + v
+        for w, col in pairs:
+            term = w + col[m]
             total = term if total is None else log_add(total, term)
         return total
+
+    @staticmethod
+    def step_bytes(cols) -> int:
+        return 8 * len(cols)
+
+    @staticmethod
+    def table_bytes(cols) -> int:
+        return 8 * sum(len(col) for col in cols)
 
     @staticmethod
     def ln(v, m) -> float:
         return v
 
     @staticmethod
+    def ln_values(s) -> np.ndarray:
+        return s.data[: s.n].copy()
+
+    @staticmethod
     def wrap(v, m) -> LogScalar:
         return LogScalar(v)
 
     @staticmethod
-    def nbytes(v) -> int:
-        return 8
+    def encode(col) -> bytes:
+        """Raw little-endian float64 ln values."""
+        return col.data[: col.n].astype("<f8").tobytes()
+
+    @staticmethod
+    def decode(reader: "_Reader", col: _LogColumn, count: int) -> None:
+        """Replace ``col``'s contents with ``count`` encoded values."""
+        col.reserve(count)
+        col.data[:count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
+        col.n = count
 
 
 _DOMAINS = {"exact": _ExactDomain, "log": _LogDomain}
@@ -347,7 +410,7 @@ _DOMAIN_BY_TAG = {d.tag: name for name, d in _DOMAINS.items()}
 def _merged_plan(spec: RecurrenceSpec):
     """Per-family weight totals keyed by arity.
 
-    Equal-arity terms of the same family share one fold table, and because
+    Equal-arity terms of the same family share one fold column, and because
     every term's contribution to s_n is added, their weights merge by
     addition in both families: k_a*fold + k_b*fold = (k_a + k_b)*fold holds
     for the shared sum fold and equally for the shared max fold.
@@ -361,7 +424,7 @@ def _merged_plan(spec: RecurrenceSpec):
 
 
 class SequenceTable:
-    """The prefix s_0..s_n of a sequence plus the fold tables to extend it."""
+    """The prefix s_0..s_n of a sequence plus the fold columns to extend it."""
 
     def __init__(self, spec: RecurrenceSpec, domain: str = "log",
                  memory_limit: int = DEFAULT_MEMORY_LIMIT):
@@ -371,43 +434,33 @@ class SequenceTable:
         self.domain_name = domain
         self.memory_limit = memory_limit
         sums, maxes = _merged_plan(spec)
-        if domain == "exact":
-            weights = [*sums.values(), *maxes.values()]
-            dom = _ExactDomain(math.lcm(*(w.denominator for w in weights)))
-        else:
-            dom = _LogDomain()
-        self._dom = dom
+        weights = [*sums.values(), *maxes.values()]
+        dom = self._dom = _DOMAINS[domain](math.lcm(*(w.denominator for w in weights)))
 
         # Each needed arity j requires every rank 2..j of its own family as
-        # intermediates, so the rank range is simply 2..max(family arities).
-        self._sum_ranks = list(range(2, max(sums) + 1)) if sums and max(sums) >= 2 else []
-        self._max_ranks = list(range(2, max(maxes) + 1)) if maxes and max(maxes) >= 2 else []
-        self._plan = (
-            [(Op.SUM, arity, dom.weight(w)) for arity, w in sorted(sums.items())]
-            + [(Op.MAX, arity, dom.weight(w)) for arity, w in sorted(maxes.items())]
-        )
-
-        self._s = dom.new_store()
-        self._cfold = {j: dom.new_store() for j in self._sum_ranks}
-        self._dfold = {j: dom.new_store() for j in self._max_ranks}
-        # float64 columns per table length: the ln tables plus, in the log
-        # domain, the sum kernel's mirrors (forward and reversed for s, one
-        # reversed per sum rank that feeds the next rank)
-        self._columns = self.table_count
-        if isinstance(dom, _LogDomain) and self._sum_ranks:
-            self._s.mirror = _Mirror(forward=True)
-            for j in self._sum_ranks[:-1]:
-                self._cfold[j].mirror = _Mirror(forward=False)
-            self._columns += len(self._sum_ranks) + 1
-        self._s.append(dom.one)
-        self._bytes = dom.nbytes(dom.one)
+        # intermediates, so a family's ranks are 2..top (top 0: none).
+        self._top = tuple(max((a for a in family if a >= 2), default=0)
+                          for family in (sums, maxes))
+        s = dom.column(feeds_sum=self._top[0] >= 2, forward=True)
+        self._cols, self._steps, self._pairs = [s], [], []
+        for family, kernel, top in ((sums, dom.conv_sum, self._top[0]),
+                                    (maxes, dom.conv_max, self._top[1])):
+            ranks = [s]
+            for j in range(2, top + 1):
+                col = dom.column(feeds_sum=family is sums and j < top, forward=False)
+                self._steps.append((kernel, col, ranks[-1]))
+                ranks.append(col)
+            self._cols += ranks[1:]
+            self._pairs += [(dom.weight(w), ranks[a - 1]) for a, w in sorted(family.items())]
+        s.append(dom.one)
+        self._bytes = dom.table_bytes(self._cols)
         self.n = 0
 
     # -- extension --------------------------------------------------------
 
     @property
     def table_count(self) -> int:
-        return 1 + len(self._sum_ranks) + len(self._max_ranks)
+        return len(self._cols)
 
     def extend(self, new_n: int) -> "SequenceTable":
         """Grow the table so values up to s_{new_n} are available."""
@@ -415,22 +468,9 @@ class SequenceTable:
             raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
         if new_n == self.n:
             return self
-        dom = self._dom
-        if isinstance(dom, _LogDomain):
-            projected = self._columns * (new_n + 1) * 8
-            if projected > self.memory_limit:
-                raise MemoryBudgetError(
-                    f"extending to {new_n} needs ~{projected} bytes, "
-                    f"budget is {self.memory_limit}; table still valid at n={self.n}"
-                )
-            self._s.reserve(new_n + 1)
-            for store in self._cfold.values():
-                store.reserve(new_n)
-            for store in self._dfold.values():
-                store.reserve(new_n)
-
-        s = self._s
-        nbytes = dom.nbytes
+        dom, cols, steps, pairs = self._dom, self._cols, self._steps, self._pairs
+        dom.reserve(cols, new_n, self.memory_limit)
+        s = cols[0]
         for n in range(self.n + 1, new_n + 1):
             if self._bytes > self.memory_limit:
                 raise MemoryBudgetError(
@@ -438,26 +478,10 @@ class SequenceTable:
                     f"table still valid there"
                 )
             m = n - 1
-            added = 0
-            prev = s
-            for j in self._sum_ranks:
-                cell = dom.conv_sum(s, prev, m)
-                table = self._cfold[j]
-                table.append(cell)
-                added += nbytes(cell)
-                prev = table
-            prev = s
-            for j in self._max_ranks:
-                cell = dom.conv_max(s, prev, m)
-                table = self._dfold[j]
-                table.append(cell)
-                added += nbytes(cell)
-                prev = table
-            value = dom.combine(
-                [(w, self._fold_raw(op, arity, m)) for op, arity, w in self._plan]
-            )
-            s.append(value)
-            self._bytes += added + nbytes(value)
+            for kernel, col, source in steps:
+                col.append(kernel(s, source, m))
+            s.append(dom.combine(pairs, m))
+            self._bytes += dom.step_bytes(cols)
             self.n = n
         return self
 
@@ -466,11 +490,6 @@ class SequenceTable:
         """Log-domain sum cells this object computed with the ln kernel
         because their inputs left the mirrors' window (0 in the exact domain)."""
         return self._dom.fallback_cells
-
-    def _fold_raw(self, op: Op, arity: int, m: int):
-        if arity == 1:
-            return self._s[m]
-        return (self._cfold if op is Op.SUM else self._dfold)[arity][m]
 
     # -- access -----------------------------------------------------------
 
@@ -481,37 +500,36 @@ class SequenceTable:
     def value(self, n: int):
         """s_n as a scalar of this table's domain."""
         self._check_index(n)
-        return self._dom.wrap(self._s[n], n)
+        return self._dom.wrap(self._cols[0][n], n)
 
     def value_ln(self, n: int) -> float:
         """Natural log of s_n."""
         self._check_index(n)
-        return self._dom.ln(self._s[n], n)
+        return self._dom.ln(self._cols[0][n], n)
 
     def ln_values(self) -> np.ndarray:
         """Vector of ln s_0 .. ln s_n."""
-        if isinstance(self._dom, _LogDomain):
-            return self._s.view().copy()
-        ln = self._dom.ln
-        return np.array([ln(v, m) for m, v in enumerate(self._s)], dtype=np.float64)
+        return self._dom.ln_values(self._cols[0])
 
     def sum_fold(self, j: int, m: int):
         """j-fold sum-convolution cell at index m, as a domain scalar."""
-        return self._fold_cell(self._cfold, j, m)
+        return self._fold_cell(Op.SUM, j, m)
 
     def max_fold(self, j: int, m: int):
         """j-fold max-convolution cell at index m, as a domain scalar."""
-        return self._fold_cell(self._dfold, j, m)
+        return self._fold_cell(Op.MAX, j, m)
 
-    def _fold_cell(self, family, j, m):
+    def _fold_cell(self, op, j, m):
         if j == 1:
-            self._check_index(m)
-            return self._dom.wrap(self._s[m], m)
-        if j not in family:
+            return self.value(m)
+        top_sum, top_max = self._top
+        if not 2 <= j <= (top_sum if op is Op.SUM else top_max):
             raise KeyError(f"no rank-{j} fold table for this spec")
         if not 0 <= m < self.n:
             raise IndexError(f"fold cell {m} not computed; table extends to {self.n}")
-        return self._dom.wrap(family[j][m], m)
+        # _cols is s, sum ranks 2..top_sum, max ranks 2..top_max
+        col = self._cols[j - 1 if op is Op.SUM else max(top_sum - 1, 0) + j - 1]
+        return self._dom.wrap(col[m], m)
 
     def __repr__(self):
         return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
@@ -531,30 +549,10 @@ def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log",
 #   | u64 n | u16 max sum rank (0 = none) | u16 max max rank
 #   | record for s (n+1 values) | records for sum ranks 2.. | max ranks 2..
 #   | u32 crc32 of everything above
-# A record is u64 count followed by the encoded values.  Log values are raw
-# float64.  Exact values are sign byte, u64 numerator length, numerator
-# bytes, u64 denominator length, denominator bytes, of the reduced
-# Fraction s-scale value (t / D^m for the stored integer t at index m).
+# A record is u64 count followed by the values as the domain encodes them.
 
 _MAGIC = b"FRSQ"
 _VERSION = 1
-
-
-def _encode_store(dom, store) -> bytearray:
-    out = bytearray(struct.pack("<Q", len(store)))
-    if isinstance(dom, _LogDomain):
-        out += store.view().astype("<f8").tobytes()
-    else:
-        for m, v in enumerate(store):
-            q = dom.rational(v, m)
-            num, den = q.numerator, q.denominator
-            nb = num.to_bytes((num.bit_length() + 7) // 8 or 1, "little")
-            db = den.to_bytes((den.bit_length() + 7) // 8 or 1, "little")
-            out += struct.pack("<BQ", 0 if num >= 0 else 1, len(nb))
-            out += nb
-            out += struct.pack("<Q", len(db))
-            out += db
-    return out
 
 
 class _Reader:
@@ -574,52 +572,18 @@ class _Reader:
         return v
 
 
-def _decode_store(dom, reader: _Reader, expected: int, store) -> None:
-    """Fill ``store`` (fresh from the table constructor) with one record."""
-    count = reader.u("<Q")
-    if count != expected:
-        raise CacheCorruptError(f"record has {count} values, expected {expected}")
-    if isinstance(dom, _LogDomain):
-        store.reserve(count)
-        store.data[:count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
-        store.n = count
-        return
-    values = []
-    for m in range(count):
-        sign = reader.u("<B")
-        if sign not in (0, 1):
-            raise CacheCorruptError("bad sign byte in exact record")
-        num = int.from_bytes(reader.take(reader.u("<Q")), "little")
-        den = int.from_bytes(reader.take(reader.u("<Q")), "little")
-        if den == 0:
-            raise CacheCorruptError("zero denominator in exact record")
-        t, rest = divmod(num * dom.scale ** m, den)
-        if rest:
-            raise CacheCorruptError(
-                f"exact value at index {m} is not a multiple of 1/{dom.scale}^{m}"
-            )
-        values.append(-t if sign else t)
-    store[:] = values
-
-
 def save_cache(table: SequenceTable, path) -> None:
-    """Write a table (sequence and fold tables) to a cache file."""
+    """Write a table (sequence and fold columns) to a cache file."""
     dom = table._dom
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<H", _VERSION)
     buf += table.spec.digest()
     buf += struct.pack("<BQ", dom.tag, table.n)
-    buf += struct.pack(
-        "<HH",
-        table._sum_ranks[-1] if table._sum_ranks else 0,
-        table._max_ranks[-1] if table._max_ranks else 0,
-    )
-    buf += _encode_store(dom, table._s)
-    for j in table._sum_ranks:
-        buf += _encode_store(dom, table._cfold[j])
-    for j in table._max_ranks:
-        buf += _encode_store(dom, table._dfold[j])
+    buf += struct.pack("<HH", *table._top)
+    for col in table._cols:
+        buf += struct.pack("<Q", len(col))
+        buf += dom.encode(col)
     buf += struct.pack("<I", zlib.crc32(buf))
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -657,27 +621,21 @@ def load_cache(path, spec: RecurrenceSpec,
     if tag not in _DOMAIN_BY_TAG:
         raise CacheCorruptError(f"unknown domain tag {tag}")
     n = reader.u("<Q")
-    sum_rank = reader.u("<H")
-    max_rank = reader.u("<H")
+    top = (reader.u("<H"), reader.u("<H"))
 
     table = SequenceTable(spec, domain=_DOMAIN_BY_TAG[tag], memory_limit=memory_limit)
-    if (sum_rank != (table._sum_ranks[-1] if table._sum_ranks else 0)
-            or max_rank != (table._max_ranks[-1] if table._max_ranks else 0)):
+    if top != table._top:
         raise CacheCorruptError("fold table layout does not match the recurrence")
-    dom = table._dom
-    # the stores keep the mirrors the constructor attached; those start
+    # the columns keep the mirrors the constructor attached; those start
     # empty and are rebuilt from the loaded ln values on the first new cell
-    _decode_store(dom, reader, n + 1, table._s)
-    for j in table._sum_ranks:
-        _decode_store(dom, reader, n, table._cfold[j])
-    for j in table._max_ranks:
-        _decode_store(dom, reader, n, table._dfold[j])
+    for i, col in enumerate(table._cols):
+        expected = n + 1 if i == 0 else n
+        count = reader.u("<Q")
+        if count != expected:
+            raise CacheCorruptError(f"record has {count} values, expected {expected}")
+        table._dom.decode(reader, col, count)
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
     table.n = n
-    stores = [table._s, *table._cfold.values(), *table._dfold.values()]
-    if isinstance(dom, _LogDomain):
-        table._bytes = 8 * sum(len(store) for store in stores)
-    else:
-        table._bytes = sum(dom.nbytes(v) for store in stores for v in store)
+    table._bytes = table._dom.table_bytes(table._cols)
     return table

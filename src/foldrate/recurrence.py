@@ -34,7 +34,6 @@ __all__ = [
     "derive_constants",
     "parse_spec",
     "parse_spec_json",
-    "render_spec",
 ]
 
 
@@ -122,10 +121,6 @@ class RecurrenceSpec:
         return max(t.weight for t in self.terms if t.arity >= 2)
 
     @property
-    def sum_term_count(self) -> int:
-        return sum(1 for t in self.terms if t.op is Op.SUM)
-
-    @property
     def weight_sum(self) -> Fraction:
         """Sum of all weights; this always equals s_1."""
         return sum((t.weight for t in self.terms), Fraction(0))
@@ -140,14 +135,6 @@ class RecurrenceSpec:
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical_text().encode("ascii")).digest()
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-
-def render_spec(spec: RecurrenceSpec) -> str:
-    """Text form that parses back to an equal spec (same term order)."""
-    return spec.render()
 
 
 _OPS = {op.value: op for op in Op}
@@ -166,6 +153,14 @@ def _parse_weight_text(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad weight {text!r}: {exc}") from None
     return w
+
+
+def _term(where: str, op: Op, arity, weight: Fraction) -> Term:
+    """Term(op, arity, weight), its validation error prefixed with ``where``."""
+    try:
+        return Term(op, arity, weight)
+    except SpecValidationError as exc:
+        raise SpecValidationError(f"{where}: {exc}") from None
 
 
 def parse_spec(text: str) -> RecurrenceSpec:
@@ -204,11 +199,7 @@ def parse_spec(text: str) -> RecurrenceSpec:
             raise SpecSyntaxError(
                 str(exc), line=lineno, column=_column_of(raw, weight_text)
             ) from None
-        if arity < 1:
-            raise SpecValidationError(f"line {lineno}: arity must be >= 1, got {arity}")
-        if weight <= 0:
-            raise SpecValidationError(f"line {lineno}: weight must be positive, got {weight}")
-        terms.append(Term(op, arity, weight))
+        terms.append(_term(f"line {lineno}", op, arity, weight))
     if not terms:
         raise SpecValidationError("no terms found")
     return RecurrenceSpec(tuple(terms))
@@ -239,8 +230,6 @@ def parse_spec_json(text: str) -> RecurrenceSpec:
         op = _OPS.get(op_text.lower()) if isinstance(op_text, str) else None
         if op is None:
             raise SpecValidationError(f"terms[{i}]: unknown operator {op_text!r}")
-        if not isinstance(arity, int) or isinstance(arity, bool):
-            raise SpecValidationError(f"terms[{i}]: arity must be an integer, got {arity!r}")
         if isinstance(weight, str):
             try:
                 weight = _parse_weight_text(weight)
@@ -250,11 +239,7 @@ def parse_spec_json(text: str) -> RecurrenceSpec:
             weight = Fraction(weight)
         else:
             raise SpecValidationError(f"terms[{i}]: weight must be a number or string, got {weight!r}")
-        if arity < 1:
-            raise SpecValidationError(f"terms[{i}]: arity must be >= 1, got {arity}")
-        if weight <= 0:
-            raise SpecValidationError(f"terms[{i}]: weight must be positive, got {weight}")
-        terms.append(Term(op, arity, weight))
+        terms.append(_term(f"terms[{i}]", op, arity, weight))
     if not terms:
         raise SpecValidationError("no terms found")
     return RecurrenceSpec(tuple(terms))

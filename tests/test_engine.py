@@ -23,7 +23,7 @@ from foldrate import (
     refine,
     save_cache,
 )
-from foldrate.engine import _FloatVec, _LogDomain, _Mirror
+from foldrate.engine import _LogColumn, _LogDomain
 from foldrate.scalars import log_sum_vec
 from helpers import MIXED_EXAMPLE, random_spec
 
@@ -110,6 +110,19 @@ def test_max_fold_never_exceeds_sum_fold():
             assert table.max_fold(j, m).value <= table.sum_fold(j, m).value
         # a single split: max and sum coincide
         assert table.max_fold(j, 0) == table.sum_fold(j, 0)
+
+
+def test_fold_accessors_read_each_family_rank():
+    # both families' ranks against folds recomputed from s alone
+    table = compute_sequence(parse_spec("sum 3 1\nmax 4 1/2"), 12, domain="exact")
+    s = [table.value(n).value for n in range(13)]
+    for reduce, probe, top in ((sum, table.sum_fold, 3), (max, table.max_fold, 4)):
+        prev = s
+        for j in range(2, top + 1):
+            prev = [reduce(s[x] * prev[m - x] for x in range(m + 1)) for m in range(12)]
+            assert [probe(j, m).value for m in range(12)] == prev
+        with pytest.raises(KeyError):
+            probe(top + 1, 0)
 
 
 def test_fold_rank_one_is_the_sequence():
@@ -219,14 +232,23 @@ def test_log_resume_mid_chunk_is_bit_identical(tmp_path, text):
             assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("text, count", [
+    ("sum 2 1", 2),                  # s and the rank-2 sum column
+    (MIXED_EXAMPLE, 9),              # s, sum ranks 2..4, max ranks 2..6
+    ("sum 2 1\nmax 48 1", 49),       # s, one sum rank, max ranks 2..48
+])
+def test_table_count_is_one_column_per_rank(text, count):
+    for domain in ("exact", "log"):
+        assert SequenceTable(parse_spec(text), domain=domain).table_count == count
+
+
 def test_mix_needs_no_fallback_cells():
     assert compute_sequence(MIX, 2048, domain="log").fallback_cells == 0
     assert compute_sequence(MIX, 8, domain="exact").fallback_cells == 0
 
 
 def _column(ln_values, forward):
-    col = _FloatVec()
-    col.mirror = _Mirror(forward=forward)
+    col = _LogColumn(mirror=True, forward=forward)
     col.reserve(len(ln_values))
     for v in ln_values:
         col.append(float(v))

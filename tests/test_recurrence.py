@@ -17,7 +17,6 @@ from foldrate import (
     derive_constants,
     parse_spec,
     parse_spec_json,
-    render_spec,
 )
 
 
@@ -138,27 +137,26 @@ def test_json_errors():
 def test_render_round_trip():
     text = "sum 2 1/3\nmax 4 5"
     spec = parse_spec(text)
-    assert render_spec(spec) == "sum 2 1/3\nmax 4 5\n"
-    assert parse_spec(render_spec(spec)) == spec
+    assert spec.render() == "sum 2 1/3\nmax 4 5\n"
+    assert parse_spec(spec.render()) == spec
 
 
 def test_canonical_text_ignores_term_order():
     a = parse_spec("sum 2 1\nmax 3 2")
     b = parse_spec("max 3 2\nsum 2 1")
     assert a.canonical_text() == b.canonical_text()
-    assert a.hexdigest() == b.hexdigest()
+    assert a.digest().hex() == b.digest().hex()
     assert a != b  # ordering still matters for the spec itself
 
 
 def test_digest_separates_different_specs():
-    assert parse_spec("sum 2 1").hexdigest() != parse_spec("sum 2 2").hexdigest()
+    assert parse_spec("sum 2 1").digest().hex() != parse_spec("sum 2 2").digest().hex()
 
 
 def test_spec_properties():
     spec = parse_spec("sum 1 9\nsum 2 1\nmax 3 4")
     assert spec.max_arity == 3
     assert spec.kstar == Fraction(4)  # arity-1 weights never qualify
-    assert spec.sum_term_count == 2
     assert spec.weight_sum == Fraction(14)
 
 
@@ -201,7 +199,7 @@ spec_strategy = st.builds(
 @given(spec_strategy)
 @settings(max_examples=80, deadline=None)
 def test_parse_render_round_trip(spec):
-    assert parse_spec(render_spec(spec)) == spec
+    assert parse_spec(spec.render()) == spec
 
 
 @given(spec_strategy)
