@@ -193,7 +193,8 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     clock or memory budget runs out; the latter yields converged=False in
     the report, with the budget named in ``reason``, rather than an
     exception.  The wall clock budget is checked before each doubling, so
-    a step predicted to overrun it is never started.
+    a step predicted to overrun it is never started: the last step's time
+    times the largest step-to-step ratio seen so far, at least 4.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -204,7 +205,7 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
 
-    n = 2
+    n, growth, last = 2, 4.0, None
     while True:
         prev = table.n
         step = time.perf_counter()
@@ -226,8 +227,11 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
         if n >= max_n:
             report.reason = "length budget exhausted"
             break
-        # the engine is O(N^2), so doubling n costs about 4x the last step
-        if seconds is not None and time.perf_counter() - start + 4.0 * step > seconds:
+        # O(N^2) makes a doubling cost ~4x the last, more if the host slows
+        if last:
+            growth = max(growth, step / last)
+        last = step
+        if seconds is not None and time.perf_counter() - start + growth * step > seconds:
             report.reason = "time budget exhausted"
             break
         n = min(2 * n, max_n)

@@ -20,8 +20,10 @@ from .bounds import (
     DEFAULT_MAX_N,
     evaluate_bounds,
     known_rate_check,
+    refine,
 )
 from .engine import (
+    DEFAULT_MEMORY_LIMIT,
     CacheError,
     MemoryBudgetError,
     SequenceTable,
@@ -46,14 +48,19 @@ class _UsageError(Exception):
     """Config problem detected after argparse: maps to exit code 2."""
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+    return parse
+
+
+_nonneg_int = _int_at_least(0, "a nonnegative integer")
 
 
 def _positive_float(text: str) -> float:
@@ -125,6 +132,13 @@ def _write_csv(rows) -> None:
     writer.writerows(rows)
 
 
+def _print_report(report, fmt: str) -> None:
+    if fmt == "csv":
+        _write_csv(report.csv_rows())
+    else:
+        print(json.dumps(report.to_json_dict(), indent=2))
+
+
 # -- eval ----------------------------------------------------------------
 
 
@@ -187,23 +201,15 @@ def cmd_bounds(args) -> int:
         raise _UsageError("bounds need --n at least 2")
     spec = _load_spec(args)
     table = _obtain_table(spec, args, args.n)
-    report = evaluate_bounds(table)
-    if args.format == "csv":
-        _write_csv(report.csv_rows())
-    else:
-        print(json.dumps(report.to_json_dict(), indent=2))
+    _print_report(evaluate_bounds(table), args.format)
     return EXIT_OK
 
 
 def cmd_refine(args) -> int:
-    from .bounds import refine  # local import keeps startup light
-
     spec = _load_spec(args)
-    report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds)
-    if args.format == "csv":
-        _write_csv(report.csv_rows())
-    else:
-        print(json.dumps(report.to_json_dict(), indent=2))
+    report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds,
+                    memory_limit=args.memory_limit)
+    _print_report(report, args.format)
     if not report.converged:
         log.warning("not converged: %s (ratio %.6g)", report.reason, report.ratio)
     return EXIT_OK
@@ -314,10 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_args(p)
     p.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
                    help=f"stop once upper/lower <= 1 + epsilon (default {DEFAULT_EPSILON})")
-    p.add_argument("--max-n", type=_nonneg_int, default=DEFAULT_MAX_N,
+    p.add_argument("--max-n", type=_int_at_least(2, "an integer >= 2"), default=DEFAULT_MAX_N,
                    help=f"table length budget (default {DEFAULT_MAX_N})")
     p.add_argument("--seconds", type=_positive_float, default=None,
                    help="wall clock budget")
+    p.add_argument("--memory-limit", metavar="BYTES", type=_int_at_least(1, "a positive integer"),
+                   default=DEFAULT_MEMORY_LIMIT,
+                   help=f"table memory budget (default {DEFAULT_MEMORY_LIMIT})")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_refine)
 

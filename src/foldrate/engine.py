@@ -1,46 +1,53 @@
-"""Incremental sequence computation via per-arity fold columns.
+"""Incremental sequence computation via per-arity sum-fold columns.
 
-For each operator family the engine keeps the j-fold convolution of the
-sequence with itself: the sum fold at m is the sum over all ordered splits
-x_1+...+x_j = m of s_{x_1}*...*s_{x_j}, and the max fold is the max over
-the same splits.  Both satisfy the same one-step recurrence
+The j-fold sum fold at m is the sum over all ordered splits
+x_1+...+x_j = m of s_{x_1}*...*s_{x_j}.  It satisfies
 
-    fold[j][m] = reduce_x s_x (*) fold[j-1][m - x],    fold[1][m] = s_m
+    fold[j][m] = sum_x s_x * fold[j-1][m - x],    fold[1][m] = s_m
 
-with reduce = sum or max, so extending the sequence from N to N' costs one
-new cell per column per step and O(L * N'^2) scalar work overall.  s_n
-itself is assembled as the weighted sum of each term's fold at m = n - 1.
+so extending from N to N' costs one cell per column per step, O(L * N'^2)
+work overall, and s_n is the weighted sum of each term's fold at n - 1.
 
-The fold plan is resolved once, when a table is built, into one list of
-columns: s, then the sum ranks 2.., then the max ranks 2.. (the cache's
-record order).  Each rank is one step (kernel, column, source), its source
-being the rank below it, and the weighted sum is a list of (weight,
-column) pairs with arity 1 reading s.  The value domain, _ExactDomain
-(exact integers) or _LogDomain (natural log doubles), owns everything
-about how a column is stored: its creation, reservation and memory
-budget, byte counts, ln values, and its cache record encoding.  A table
-can be saved to and restored from a compact binary cache; restoring and
-extending gives bit-identical results to an uninterrupted run.
+Max terms need no columns: the j-fold max fold, the max over the same
+splits, is s_m.
 
-The exact domain computes on Python ints.  With D the lcm of the merged
-plan's weight denominators, t_m = D^m s_m is an integer sequence: every
-split x_1+...+x_j = m has s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j},
-so a sum or max fold of s at m is D^-m times the same fold of t (a
-positive common factor keeps the argmax), and
+    Theorem.  For every spec, s_a * s_b <= s_{a+b}.  So every max fold at
+    m is s_m, and a term `max j w` adds w * s_{n-1}, as `sum 1 w` does.
 
-    t_n = sum_i (D * k_i) * fold_i(t)[n - 1],    t_0 = 1.
+    Proof.  Induction on a + b; if a or b is 0 it holds as s_0 = 1.  For
+    a >= 1, s_a * s_b = sum_i k_i * F_i(a-1) * s_b with F_i term i's
+    fold.  (x_1, ..., x_l) -> (x_1 + b, x_2, ..., x_l) maps the splits of
+    a-1 injectively to splits of a+b-1, and as x_1 < a, induction gives
+    s_{x_1} * s_b <= s_{x_1+b}.  All products being nonnegative,
+    F_i(a-1) * s_b <= F_i(a+b-1) for sum and max folds alike; summing
+    over i proves the claim.  Applied j - 1 times, it bounds the product
+    over any split of m by s_m, which the split (m, 0, ..., 0) attains.
 
-Fraction appears only at the API boundary: values, fold cells, ln values
-and the cache all go through the reduced t / D^m.
+The plan is resolved once, when a table is built: columns s, then the sum
+ranks 2.. (the cache's record order); one step (column, source) per rank,
+its source the rank below; and (weight, column) pairs for the weighted
+sum, each sum arity reading its rank (arity 1 reads s), then each max
+arity reading s.  The value domain, _ExactDomain (exact integers) or
+_LogDomain (natural log doubles), owns how a column is stored: creation,
+reservation and memory budget, byte counts, ln values and cache
+encoding.  A table restored from the binary cache and extended is
+bit-identical to an uninterrupted run.
 
-Log-domain columns store ln values, and max cells are a max of sums of
-them.  Sum cells are computed in a scaled linear domain instead.  Cell
-indices are cut into power-of-two chunks, m in [2^(k-1), 2^k) with
-k = m.bit_length(), and each chunk has one scale theta_k: the slope of
-the stored ln s over [m0/2, m0], m0 = 2^(k-1) (ln s_1 for k = 1, 0 for
-m = 0).  Every column that feeds a sum rank (s, and sum ranks 2..L-1)
-keeps a mirror u_x = exp(ln v_x - theta_k * x); since the theta factors
-of a split x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
+The exact domain computes on Python ints.  With D the lcm of the plan's
+weight denominators, t_m = D^m s_m is an integer sequence: a split of m
+has s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
+at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
+with t_0 = 1.  Fraction appears only at the API boundary: values, fold
+cells, ln values and the cache all go through the reduced t / D^m.
+
+Log-domain columns store ln values, and sum cells are computed in a
+scaled linear domain.  Cell indices are cut into power-of-two chunks,
+m in [2^(k-1), 2^k) with k = m.bit_length(), and each chunk has one
+scale theta_k: the slope of the stored ln s over [m0/2, m0],
+m0 = 2^(k-1) (ln s_1 for k = 1, 0 for m = 0).  Every column that feeds a
+sum rank (s, and sum ranks 2..L-1) keeps a mirror
+u_x = exp(ln v_x - theta_k * x); since the theta factors of a split
+x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
 
     ln(dot(u^s[0..m], u^prev[m..0])) + theta_k * m
 
@@ -53,8 +60,7 @@ dot product cannot overflow for N below ~10^7.  A cell whose inputs leave
 that window, or whose dot product is not a normal double, is computed by
 the ln kernel (scalars.log_sum_vec) instead; ``fallback_cells`` counts
 those.  Neither kernel carries a rigorous rounding radius: the float
-domain's bounds are certified only up to float rounding, which is not
-yet accounted for.
+domain's bounds are certified only up to float rounding.
 """
 
 from __future__ import annotations
@@ -234,10 +240,6 @@ class _ExactDomain:
         return sum(s[x] * c[m - x] for x in range(m + 1))
 
     @staticmethod
-    def conv_max(s, d, m):
-        return max(s[x] * d[m - x] for x in range(m + 1))
-
-    @staticmethod
     def combine(pairs, m):
         return sum(w * col[m] for w, col in pairs)
 
@@ -301,17 +303,15 @@ class _LogDomain:
     """ln-valued float64 columns, 8 bytes per value and mirror entry.
 
     Sum cells are computed from scaled linear mirrors (one dot product
-    per cell, see the module docstring); max cells and fallback sum cells
-    work on the ln columns directly.  Each instance owns its scratch
-    buffer and its chunk scale, so tables never share state.  The scale
-    D is not needed: ln values carry no lattice.
+    per cell, see the module docstring); fallback cells work on the ln
+    columns directly.  Each instance owns its chunk scale, so tables never
+    share state.  The scale D is not needed: ln values carry no lattice.
     """
 
     tag = 1
     one = 0.0
 
     def __init__(self, scale: int = 1):
-        self._scratch = np.empty(256, dtype=np.float64)
         self._chunk = -1
         self._theta = 0.0
         self.fallback_cells = 0
@@ -338,14 +338,6 @@ class _LogDomain:
         for col in cols:
             col.reserve(new_n + 1)
 
-    def _cell(self, s, c, m) -> np.ndarray:
-        k = m + 1
-        if len(self._scratch) < k:
-            self._scratch = np.empty(max(k, 2 * len(self._scratch)), dtype=np.float64)
-        buf = self._scratch[:k]
-        np.add(s.data[:k], c.data[m::-1], out=buf)
-        return buf
-
     def conv_sum(self, s, c, m):
         k = m.bit_length()
         if k != self._chunk:
@@ -357,10 +349,7 @@ class _LogDomain:
             if _TINY <= d <= _HUGE:
                 return math.log(d) + theta * m
         self.fallback_cells += 1
-        return log_sum_vec(self._cell(s, c, m))
-
-    def conv_max(self, s, d, m):
-        return float(self._cell(s, d, m).max())
+        return log_sum_vec(s.data[: m + 1] + c.data[m::-1])
 
     @staticmethod
     def combine(pairs, m):
@@ -410,11 +399,10 @@ _DOMAIN_BY_TAG = {d.tag: name for name, d in _DOMAINS.items()}
 def _merged_plan(spec: RecurrenceSpec):
     """Per-family weight totals keyed by arity.
 
-    Equal-arity terms of the same family share one fold column, and because
-    every term's contribution to s_n is added, their weights merge by
-    addition in both families: k_a*fold + k_b*fold = (k_a + k_b)*fold holds
-    for the shared sum fold and equally for the shared max fold.
-    """
+    Equal-arity terms of a family share one fold, so their weights add.
+    Max totals all weight s but stay one per arity, not merged into the
+    arity-1 sum weight, so log combine adds the operands it added when
+    max folds had columns."""
     sums: dict[int, Fraction] = {}
     maxes: dict[int, Fraction] = {}
     for t in spec.terms:
@@ -437,21 +425,17 @@ class SequenceTable:
         weights = [*sums.values(), *maxes.values()]
         dom = self._dom = _DOMAINS[domain](math.lcm(*(w.denominator for w in weights)))
 
-        # Each needed arity j requires every rank 2..j of its own family as
-        # intermediates, so a family's ranks are 2..top (top 0: none).
-        self._top = tuple(max((a for a in family if a >= 2), default=0)
-                          for family in (sums, maxes))
-        s = dom.column(feeds_sum=self._top[0] >= 2, forward=True)
-        self._cols, self._steps, self._pairs = [s], [], []
-        for family, kernel, top in ((sums, dom.conv_sum, self._top[0]),
-                                    (maxes, dom.conv_max, self._top[1])):
-            ranks = [s]
-            for j in range(2, top + 1):
-                col = dom.column(feeds_sum=family is sums and j < top, forward=False)
-                self._steps.append((kernel, col, ranks[-1]))
-                ranks.append(col)
-            self._cols += ranks[1:]
-            self._pairs += [(dom.weight(w), ranks[a - 1]) for a, w in sorted(family.items())]
+        # Each needed sum arity j requires every rank 2..j as an
+        # intermediate, so the ranks are 2..top (top 0: none).
+        self._top = max((a for a in sums if a >= 2), default=0)
+        s = dom.column(feeds_sum=self._top >= 2, forward=True)
+        self._cols, self._steps = [s], []
+        for j in range(2, self._top + 1):
+            col = dom.column(feeds_sum=j < self._top, forward=False)
+            self._steps.append((col, self._cols[-1]))
+            self._cols.append(col)
+        self._pairs = [(dom.weight(w), self._cols[a - 1]) for a, w in sorted(sums.items())]
+        self._pairs += [(dom.weight(w), s) for _, w in sorted(maxes.items())]
         s.append(dom.one)
         self._bytes = dom.table_bytes(self._cols)
         self.n = 0
@@ -470,7 +454,7 @@ class SequenceTable:
             return self
         dom, cols, steps, pairs = self._dom, self._cols, self._steps, self._pairs
         dom.reserve(cols, new_n, self.memory_limit)
-        s = cols[0]
+        s, conv = cols[0], dom.conv_sum
         for n in range(self.n + 1, new_n + 1):
             if self._bytes > self.memory_limit:
                 raise MemoryBudgetError(
@@ -478,8 +462,8 @@ class SequenceTable:
                     f"table still valid there"
                 )
             m = n - 1
-            for kernel, col, source in steps:
-                col.append(kernel(s, source, m))
+            for col, source in steps:
+                col.append(conv(s, source, m))
             s.append(dom.combine(pairs, m))
             self._bytes += dom.step_bytes(cols)
             self.n = n
@@ -497,6 +481,12 @@ class SequenceTable:
         if not 0 <= n <= self.n:
             raise IndexError(f"s_{n} not computed; table extends to {self.n}")
 
+    def _check_fold(self, j: int, top: int, m: int):
+        if not 2 <= j <= top:
+            raise KeyError(f"no rank-{j} fold table for this spec")
+        if not 0 <= m < self.n:
+            raise IndexError(f"fold cell {m} not computed; table extends to {self.n}")
+
     def value(self, n: int):
         """s_n as a scalar of this table's domain."""
         self._check_index(n)
@@ -513,23 +503,19 @@ class SequenceTable:
 
     def sum_fold(self, j: int, m: int):
         """j-fold sum-convolution cell at index m, as a domain scalar."""
-        return self._fold_cell(Op.SUM, j, m)
-
-    def max_fold(self, j: int, m: int):
-        """j-fold max-convolution cell at index m, as a domain scalar."""
-        return self._fold_cell(Op.MAX, j, m)
-
-    def _fold_cell(self, op, j, m):
         if j == 1:
             return self.value(m)
-        top_sum, top_max = self._top
-        if not 2 <= j <= (top_sum if op is Op.SUM else top_max):
-            raise KeyError(f"no rank-{j} fold table for this spec")
-        if not 0 <= m < self.n:
-            raise IndexError(f"fold cell {m} not computed; table extends to {self.n}")
-        # _cols is s, sum ranks 2..top_sum, max ranks 2..top_max
-        col = self._cols[j - 1 if op is Op.SUM else max(top_sum - 1, 0) + j - 1]
-        return self._dom.wrap(col[m], m)
+        self._check_fold(j, self._top, m)
+        return self._dom.wrap(self._cols[j - 1][m], m)
+
+    def max_fold(self, j: int, m: int):
+        """Alias for value(m): every max fold is s (module docstring).  Ranks
+        2..the largest max arity take 0 <= m < n, other ranks >= 2 raise
+        KeyError, as when max ranks had columns."""
+        if j != 1:
+            self._check_fold(j, max((t.arity for t in self.spec.terms if t.op is Op.MAX),
+                                    default=0), m)
+        return self.value(m)
 
     def __repr__(self):
         return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
@@ -544,15 +530,15 @@ def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log",
 
 # -- cache persistence ---------------------------------------------------
 #
-# Layout (all integers little-endian):
+# Layout of version 2, little-endian (version 1 also held max ranks):
 #   magic "FRSQ" | u16 version | 32 bytes spec digest | u8 domain tag
-#   | u64 n | u16 max sum rank (0 = none) | u16 max max rank
-#   | record for s (n+1 values) | records for sum ranks 2.. | max ranks 2..
+#   | u64 n | u16 max sum rank (0 = none)
+#   | record for s (n+1 values) | records for sum ranks 2..
 #   | u32 crc32 of everything above
 # A record is u64 count followed by the values as the domain encodes them.
 
 _MAGIC = b"FRSQ"
-_VERSION = 1
+_VERSION = 2
 
 
 class _Reader:
@@ -580,7 +566,7 @@ def save_cache(table: SequenceTable, path) -> None:
     buf += struct.pack("<H", _VERSION)
     buf += table.spec.digest()
     buf += struct.pack("<BQ", dom.tag, table.n)
-    buf += struct.pack("<HH", *table._top)
+    buf += struct.pack("<H", table._top)
     for col in table._cols:
         buf += struct.pack("<Q", len(col))
         buf += dom.encode(col)
@@ -603,7 +589,7 @@ def load_cache(path, spec: RecurrenceSpec,
     """Restore a table for ``spec`` from a cache file written by save_cache."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < len(_MAGIC) + 2 + 32 + 1 + 8 + 4 + 4:
+    if len(data) < len(_MAGIC) + 2 + 32 + 1 + 8 + 2 + 4:
         raise CacheCorruptError("cache file is too short")
     body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
     if zlib.crc32(body) != crc:
@@ -621,7 +607,7 @@ def load_cache(path, spec: RecurrenceSpec,
     if tag not in _DOMAIN_BY_TAG:
         raise CacheCorruptError(f"unknown domain tag {tag}")
     n = reader.u("<Q")
-    top = (reader.u("<H"), reader.u("<H"))
+    top = reader.u("<H")
 
     table = SequenceTable(spec, domain=_DOMAIN_BY_TAG[tag], memory_limit=memory_limit)
     if top != table._top:

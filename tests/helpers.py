@@ -51,6 +51,32 @@ def spec_kind(spec: RecurrenceSpec) -> str:
     return "mixed"
 
 
+def splits(m: int, j: int):
+    """Every ordered split x_1 + ... + x_j = m into j nonnegative parts."""
+    if j == 1:
+        yield (m,)
+        return
+    for x in range(m + 1):
+        for rest in splits(m - x, j - 1):
+            yield (x, *rest)
+
+
+def split_reduce(reduce, s, m: int, j: int):
+    """``reduce`` (sum or max) over the splits of m into j parts of the
+    product of s at the parts."""
+    return reduce(math.prod(s[x] for x in split) for split in splits(m, j))
+
+
+def brute_force_values(spec: RecurrenceSpec, n_max: int) -> list[Fraction]:
+    """s_0..s_{n_max} as Fractions straight from the definition: each term
+    reduces over every split of n - 1, with no fold tables."""
+    s = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        s.append(sum(t.weight * split_reduce(sum if t.op is Op.SUM else max, s, n - 1, t.arity)
+                     for t in spec.terms))
+    return s
+
+
 def tree_count_total(spec: RecurrenceSpec, n_max: int) -> int:
     """Total number of labelled trees of sizes 1..n_max.
 

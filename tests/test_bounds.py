@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from foldrate import bounds
 from foldrate import (
     BoundsEntry,
     BoundsReport,
+    SequenceTable,
     compute_sequence,
     evaluate_bounds,
     known_rate_check,
@@ -117,6 +119,31 @@ def test_refine_stops_inside_its_time_budget():
     assert report.reason == "time budget exhausted"
     assert report.elapsed <= 0.5
     assert report.max_n < 1 << 20
+
+
+@pytest.mark.parametrize("cost, seconds, stop_n", [
+    # a 7.5x spike at n = 4: the 4x rule would start n = 8 at 8.5 s,
+    # predicting 38.5 s, and finish it at 64.75 s
+    ({2: 1.0, 4: 7.5, 8: 56.25, 16: 421.875}, 40.0, 4),
+    # steps that only double are still predicted at 4x: n = 8 would end
+    # at 7 s, but 3 s + 4 * 2 s passes the budget
+    ({2: 1.0, 4: 2.0, 8: 4.0, 16: 8.0}, 10.0, 4),
+])
+def test_refine_predicts_with_the_largest_step_ratio(monkeypatch, cost, seconds, stop_n):
+    # an injected clock that only moves while the table extends
+    clock = [0.0]
+    real_extend = SequenceTable.extend
+
+    def extend(self, n):
+        clock[0] += cost[n]
+        return real_extend(self, n)
+
+    monkeypatch.setattr(bounds.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(SequenceTable, "extend", extend)
+    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 10, seconds=seconds)
+    assert report.reason == "time budget exhausted"
+    assert report.max_n == stop_n
+    assert report.elapsed == clock[0] <= seconds
 
 
 def test_refine_argument_guards():

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -297,6 +299,51 @@ def test_cache_rejects_different_spec(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "different recurrence" in err
+
+
+def test_cache_of_version_one_is_refused(tmp_path, capsys):
+    # version 1 also held max-fold records; its header differs only in the
+    # version field and the trailing checksum as far as the reader gets
+    cache = tmp_path / "cat.seq"
+    run(capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", str(cache))
+    data = bytearray(cache.read_bytes())
+    struct.pack_into("<H", data, 4, 1)
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    cache.write_bytes(bytes(data))
+    code, _, err = run(
+        capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", str(cache)
+    )
+    assert code == EXIT_USAGE
+    assert "unsupported cache version 1" in err
+
+
+def test_refine_memory_limit_reports_exhaustion(capsys):
+    code, out, _ = run(
+        capsys, "refine", "--spec-text", "sum 2 2\nsum 3 3\nmax 5 5",
+        "--max-n", "4096", "--memory-limit", "20000",
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["reason"] == "memory budget exhausted"
+    assert doc["converged"] is False
+    assert 2 <= doc["max_n"] < 4096
+
+
+def test_refine_max_n_below_two_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "refine", "--spec-text", "sum 2 1", "--max-n", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--max-n" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-8", "lots"])
+def test_refine_memory_limit_must_be_positive(capsys, limit):
+    code, out, err = run(
+        capsys, "refine", "--spec-text", "sum 2 1", "--memory-limit", limit
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--memory-limit" in err
 
 
 def test_cache_dir_env_resolves_bare_names(tmp_path, capsys, monkeypatch):

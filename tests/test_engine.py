@@ -25,7 +25,7 @@ from foldrate import (
 )
 from foldrate.engine import _LogColumn, _LogDomain
 from foldrate.scalars import log_sum_vec
-from helpers import MIXED_EXAMPLE, random_spec
+from helpers import MIXED_EXAMPLE, brute_force_values, random_spec, split_reduce
 
 CATALAN = parse_spec("sum 2 1")
 SCHROEDER = parse_spec("sum 1 1\nsum 2 1")
@@ -103,18 +103,24 @@ def test_random_fractional_specs_match_reference():
 
 
 def test_max_fold_never_exceeds_sum_fold():
+    # max_fold(j, m) is an alias for s_m, which the sum fold's split
+    # (m, 0, ..., 0) already contributes
     spec = parse_spec("sum 3 1\nmax 3 1")
     table = compute_sequence(spec, 12, domain="exact")
     for j in (2, 3):
         for m in range(12):
+            assert table.max_fold(j, m) == table.value(m)
             assert table.max_fold(j, m).value <= table.sum_fold(j, m).value
         # a single split: max and sum coincide
         assert table.max_fold(j, 0) == table.sum_fold(j, 0)
 
 
 def test_fold_accessors_read_each_family_rank():
-    # both families' ranks against folds recomputed from s alone
-    table = compute_sequence(parse_spec("sum 3 1\nmax 4 1/2"), 12, domain="exact")
+    # both families' ranks against folds recomputed from s alone; the max
+    # ranks are the alias max_fold(j, m) == value(m), which the recomputed
+    # max folds must meet
+    text = "sum 3 1\nmax 4 1/2"
+    table = compute_sequence(parse_spec(text), 12, domain="exact")
     s = [table.value(n).value for n in range(13)]
     for reduce, probe, top in ((sum, table.sum_fold, 3), (max, table.max_fold, 4)):
         prev = s
@@ -123,6 +129,41 @@ def test_fold_accessors_read_each_family_rank():
             assert [probe(j, m).value for m in range(12)] == prev
         with pytest.raises(KeyError):
             probe(top + 1, 0)
+        with pytest.raises(IndexError):
+            probe(top, 12)
+    for domain in ("exact", "log"):
+        t = compute_sequence(parse_spec(text), 12, domain=domain)
+        assert all(t.max_fold(j, m) == t.value(m) for j in range(1, 5) for m in range(12))
+
+
+def test_max_folds_are_the_sequence_by_brute_force():
+    # the engine docstring's theorem on values built from the definition,
+    # sharing no code with the engine: s_a * s_b <= s_{a+b}, and every
+    # max over the splits of m into j parts of the product of s is s_m
+    rng = random.Random(61)
+    for _ in range(12):
+        spec = random_spec(rng, max_arity=4)
+        s = brute_force_values(spec, 20)
+        table = compute_sequence(spec, 20, domain="exact")
+        assert [table.value(n).value for n in range(21)] == s, spec.render()
+        for j in range(2, 5):
+            for m in range(20):
+                assert split_reduce(max, s, m, j) == s[m], (spec.render(), j, m)
+        for a in range(21):
+            for b in range(21 - a):
+                assert s[a] * s[b] <= s[a + b], (spec.render(), a, b)
+
+
+@pytest.mark.parametrize("text, n, digest", [
+    (MIXED_EXAMPLE, 2048, "1b4a1dd9f27df3a694b808a2132dd126580d982d0df6add765d56cdbf23f289b"),
+    ("sum 2 1\nmax 48 1", 1024,
+     "3e45355e45779d2c4b6a7470e990d1a8c68d38614a5818ce7c7ca82fa18344d0"),
+])
+def test_log_values_are_pinned(text, n, digest):
+    # recorded while every max rank still had a fold column of its own;
+    # digests of float64 bytes from numpy's dot product on x86-64
+    ln = compute_sequence(parse_spec(text), n, domain="log").ln_values()
+    assert hashlib.sha256(ln.tobytes()).hexdigest() == digest
 
 
 def test_fold_rank_one_is_the_sequence():
@@ -234,8 +275,8 @@ def test_log_resume_mid_chunk_is_bit_identical(tmp_path, text):
 
 @pytest.mark.parametrize("text, count", [
     ("sum 2 1", 2),                  # s and the rank-2 sum column
-    (MIXED_EXAMPLE, 9),              # s, sum ranks 2..4, max ranks 2..6
-    ("sum 2 1\nmax 48 1", 49),       # s, one sum rank, max ranks 2..48
+    (MIXED_EXAMPLE, 4),              # s, sum ranks 2..4; max folds are s
+    ("sum 2 1\nmax 48 1", 2),        # s, one sum rank
 ])
 def test_table_count_is_one_column_per_rank(text, count):
     for domain in ("exact", "log"):
@@ -280,7 +321,7 @@ def test_duplicate_terms_merge_additively():
     a = compute_sequence(parse_spec("sum 2 1\nsum 2 1"), 16, domain="exact")
     b = compute_sequence(parse_spec("sum 2 2"), 16, domain="exact")
     assert [a.value(n).value for n in range(17)] == [b.value(n).value for n in range(17)]
-    # equal-arity max terms share one fold table, so they merge the same way
+    # equal-arity max terms share one weight on s, so they merge the same way
     c = compute_sequence(parse_spec("max 2 2\nmax 2 3"), 16, domain="exact")
     d = compute_sequence(parse_spec("max 2 5"), 16, domain="exact")
     assert [c.value(n).value for n in range(17)] == [d.value(n).value for n in range(17)]
@@ -312,17 +353,23 @@ def test_cache_round_trip(tmp_path, domain):
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
-    # digest of the format written before exact tables moved to integers
+    # digest of the version 2 layout, with no max records
+    spec = parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7")
     path = tmp_path / "frac.seq"
-    save_cache(compute_sequence(parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7"), 60,
-                                domain="exact"), str(path))
+    save_cache(compute_sequence(spec, 60, domain="exact"), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "b8f3f9d46835fd54ba2cd85ce903021ed8c8b31a76ed7b51def62888409dc35b"
+        "d3b9f64ce5d2b5cddb485e7bdfa021a3c3d04bf06d3be987c186964efe7be2af"
+    )
+    # the reloaded Fractions, as printed when the cache still held max records
+    back = load_cache(str(path), spec)
+    text = " ".join(str(back.value(n).value) for n in range(61))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "496df84654ea08e8e73ce2d408486124563a69f5c3bd49fbe44819e3a4b4a201"
     )
 
 
 def _exact_cache(spec, s_values, fold_values) -> bytes:
-    """A v1 exact cache for a spec with a single rank-2 sum table."""
+    """A version 2 exact cache for a spec with a single rank-2 sum table."""
     def record(values):
         out = struct.pack("<Q", len(values))
         for q in values:
@@ -331,8 +378,8 @@ def _exact_cache(spec, s_values, fold_values) -> bytes:
             out += struct.pack("<BQ", 0, len(nb)) + nb + struct.pack("<Q", len(db)) + db
         return out
 
-    body = (b"FRSQ" + struct.pack("<H", 1) + spec.digest()
-            + struct.pack("<BQHH", 0, len(s_values) - 1, 2, 0)
+    body = (b"FRSQ" + struct.pack("<H", 2) + spec.digest()
+            + struct.pack("<BQH", 0, len(s_values) - 1, 2)
             + record(s_values) + record(fold_values))
     return body + struct.pack("<I", zlib.crc32(body))
 
