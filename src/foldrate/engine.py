@@ -24,13 +24,15 @@ splits, is s_m.
     over any split of m by s_m, which the split (m, 0, ..., 0) attains.
 
 The plan is resolved once, when a table is built: columns s, then the sum
-ranks 2.. (the cache's record order); one step (column, source) per rank,
-its source the rank below; and (weight, column) pairs for the weighted
-sum, each sum arity reading its rank (arity 1 reads s), then each max
-arity reading s.  The value domain, _ExactDomain (exact integers) or
-_LogDomain (natural log doubles), owns how a column is stored: creation,
-reservation and memory budget, byte counts, ln values and cache
-encoding.  A table restored from the binary cache and extended is
+ranks 2.. (the cache's record order), each rank folding s with the rank
+below; and (weight, column) pairs for the weighted sum, each sum arity
+reading its rank (arity 1 reads s), then each max arity reading s.  The
+value domain, _ExactDomain (exact integers) or _LogDomain (natural log
+doubles), owns how a column is stored (creation, reservation and memory
+budget, byte counts, ln values and cache encoding) and the one loop that
+extends the table: per n, every rank's cell and then s_n.
+SequenceTable.extend only reserves, runs that loop and records the n it
+reached.  A table restored from the binary cache and extended is
 bit-identical to an uninterrupted run.
 
 The exact domain computes on Python ints.  With D the lcm of the plan's
@@ -53,19 +55,23 @@ x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
 
 with the reversed mirror making u^prev[m..0] one contiguous slice.  The
 mirrors are rebuilt from the stored ln values when a chunk starts and
-after load_cache, through the same exp loop that appends each new cell,
-so resuming stays bit-identical.  While every mirror entry satisfies
-|ln v_x - theta_k * x| <= 340, all products are normal doubles and the
-dot product cannot overflow for N below ~10^7.  A cell whose inputs leave
-that window, or whose dot product is not a normal double, is computed by
-the ln kernel (scalars.log_sum_vec) instead; ``fallback_cells`` counts
-those.  Neither kernel carries a rigorous rounding radius: the float
-domain's bounds are certified only up to float rounding.
+after load_cache; otherwise the extend loop appends each new cell's entry
+inline, s's before the ranks run and each rank's right after its cell.
+Resuming stays bit-identical because the rebuild and the inline append
+evaluate the same math.exp(v - theta*x) on the same double v.  While
+every mirror entry satisfies |ln v_x - theta_k * x| <= 340, all products
+are normal doubles and the dot product cannot overflow for N below
+~10^7.  A cell whose inputs leave that window, or whose dot product is
+not a normal double, is computed by the ln kernel (scalars.log_sum_vec)
+instead; ``fallback_cells`` counts those.  Neither kernel carries a
+rigorous rounding radius: the float domain's bounds are certified only
+up to float rounding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 import sys
@@ -75,7 +81,7 @@ from fractions import Fraction
 import numpy as np
 
 from .recurrence import Op, RecurrenceSpec
-from .scalars import ExactScalar, LogScalar, ln_fraction, log_add, log_sum_vec
+from .scalars import ExactScalar, LogScalar, ln_fraction, log_sum_vec
 
 __all__ = [
     "DEFAULT_MEMORY_LIMIT",
@@ -141,30 +147,22 @@ class _LogColumn:
     sum cells read.  ``rev`` holds u_x at index cap-1-x, so the reversed
     prefix u_m..u_0 a convolution cell needs is the contiguous tail
     ``rev[cap-1-m:]``; ``fwd`` (kept for s only) holds u_x at index x.
-    Mirror entries are valid for one chunk's theta; ``ok`` turns false for
-    the rest of the chunk once an entry leaves the window.
+    The log domain's extend loop writes values and mirror entries in place.
     """
 
-    __slots__ = ("data", "n", "fwd", "rev", "covered", "chunk", "ok")
+    __slots__ = ("data", "n", "fwd", "rev")
 
     def __init__(self, mirror: bool = False, forward: bool = False):
         self.data = np.empty(1, dtype=np.float64)
         self.n = 0
         self.rev = np.empty(1, dtype=np.float64) if mirror else None
         self.fwd = np.empty(1, dtype=np.float64) if forward else None
-        self.covered = 0
-        self.chunk = -1
-        self.ok = True
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, i):
         return float(self.data[i])
-
-    def append(self, x: float):
-        self.data[self.n] = x
-        self.n += 1
 
     def reserve(self, total: int):
         cap = len(self.data)
@@ -173,38 +171,33 @@ class _LogColumn:
         data = np.empty(total, dtype=np.float64)
         data[: self.n] = self.data[: self.n]
         self.data = data
-        k = self.covered
         if self.rev is not None:
             rev = np.empty(total, dtype=np.float64)
-            rev[total - k :] = self.rev[cap - k :]
+            rev[total - cap :] = self.rev
             self.rev = rev
         if self.fwd is not None:
             fwd = np.empty(total, dtype=np.float64)
-            fwd[:k] = self.fwd[:k]
+            fwd[:cap] = self.fwd
             self.fwd = fwd
 
-    def sync(self, m: int, theta: float, chunk: int) -> bool:
-        """Cover mirror entries 0..m under ``chunk``'s theta; True if usable.
+    def rebuild(self, count: int, theta: float) -> bool:
+        """Mirror entries 0..count-1 under ``theta``; False at the first
+        entry that leaves the window.
 
-        A rebuild after a chunk change (or on a fresh table after
-        load_cache) and the one-entry append of each new cell run through
-        this same loop, so both give bit-identical entries.
+        Each entry is math.exp(v - theta*x) of the stored value v as a
+        Python float, the expression the extend loop appends a new cell's
+        entry with, so a rebuilt mirror equals an appended one bit for bit.
         """
-        if chunk != self.chunk:
-            self.chunk, self.covered, self.ok = chunk, 0, True
-        if self.ok and self.covered <= m:
-            top = len(self.rev) - 1
-            for x, v in enumerate(self.data[self.covered : m + 1].tolist(), self.covered):
-                a = v - theta * x
-                if not abs(a) <= _WINDOW:
-                    self.ok = False
-                    break
-                u = math.exp(a)
-                self.rev[top - x] = u
-                if self.fwd is not None:
-                    self.fwd[x] = u
-        self.covered = max(self.covered, m + 1)
-        return self.ok
+        top = len(self.rev) - 1
+        for x, v in enumerate(self.data[:count].tolist()):
+            a = v - theta * x
+            if not abs(a) <= _WINDOW:
+                return False
+            u = math.exp(a)
+            self.rev[top - x] = u
+            if self.fwd is not None:
+                self.fwd[x] = u
+        return True
 
 
 class _ExactDomain:
@@ -219,7 +212,6 @@ class _ExactDomain:
 
     tag = 0
     fallback_cells = 0
-    one = 1
 
     def __init__(self, scale: int):
         self.scale = scale
@@ -228,25 +220,43 @@ class _ExactDomain:
         return w.numerator * (self.scale // w.denominator)
 
     @staticmethod
-    def column(feeds_sum: bool, forward: bool) -> list:
-        return []
+    def columns(top: int) -> list:
+        """s, holding t_0 = 1, then the sum ranks 2..top."""
+        return [[1]] + [[] for _ in range(2, top + 1)]
 
     @staticmethod
     def reserve(cols, new_n: int, limit: int) -> None:
         pass
 
     @staticmethod
-    def conv_sum(s, c, m):
-        return sum(s[x] * c[m - x] for x in range(m + 1))
+    def extend(cols, pairs, n0: int, new_n: int, nbytes: int, limit: int):
+        """Compute s_{n0+1}..s_{new_n}; return the n reached and the bytes.
 
-    @staticmethod
-    def combine(pairs, m):
-        return sum(w * col[m] for w, col in pairs)
-
-    @staticmethod
-    def step_bytes(cols) -> int:
-        """Bytes of the cells one step just appended, the last of each column."""
-        return sum(sys.getsizeof(col[-1]) for col in cols)
+        Stops, with the table valid, before any n that would start with
+        more than ``limit`` bytes stored.
+        """
+        s, steps = cols[0], list(zip(cols[1:], cols))
+        mul, getsizeof = operator.mul, sys.getsizeof
+        try:
+            for n in range(n0 + 1, new_n + 1):
+                if nbytes > limit:
+                    return n - 1, nbytes
+                m = n - 1
+                for col, source in steps:
+                    # s holds s_0..s_m until the ranks are done
+                    v = sum(map(mul, s, source[m::-1]))
+                    col.append(v)
+                    nbytes += getsizeof(v)
+                v = sum(w * cols[i][m] for w, i in pairs)
+                s.append(v)
+                nbytes += getsizeof(v)
+        except BaseException:
+            # a call cut short leaves the table at n0
+            del s[n0 + 1 :]
+            for col in cols[1:]:
+                del col[n0:]
+            raise
+        return new_n, nbytes
 
     @staticmethod
     def table_bytes(cols) -> int:
@@ -304,16 +314,19 @@ class _LogDomain:
 
     Sum cells are computed from scaled linear mirrors (one dot product
     per cell, see the module docstring); fallback cells work on the ln
-    columns directly.  Each instance owns its chunk scale, so tables never
-    share state.  The scale D is not needed: ln values carry no lattice.
+    columns directly.  Each instance owns its chunk state, carried across
+    extend calls, so tables never share it.  The scale D is not needed:
+    ln values carry no lattice.
     """
 
     tag = 1
-    one = 0.0
 
     def __init__(self, scale: int = 1):
+        # the chunk whose theta the mirrors hold (-1: none), and per column
+        # whether its mirror is usable for the rest of that chunk
         self._chunk = -1
         self._theta = 0.0
+        self._ok: list[bool] = []
         self.fallback_cells = 0
 
     @staticmethod
@@ -321,8 +334,12 @@ class _LogDomain:
         return ln_fraction(w)
 
     @staticmethod
-    def column(feeds_sum: bool, forward: bool) -> _LogColumn:
-        return _LogColumn(mirror=feeds_sum, forward=feeds_sum and forward)
+    def columns(top: int) -> list[_LogColumn]:
+        """s, holding ln s_0 = 0, then the sum ranks 2..top.  A column that
+        feeds a sum rank has a reversed mirror, and s a forward one too."""
+        s = _LogColumn(mirror=top >= 2, forward=top >= 2)
+        s.data[0], s.n = 0.0, 1
+        return [s] + [_LogColumn(mirror=j < top) for j in range(2, top + 1)]
 
     @staticmethod
     def reserve(cols, new_n: int, limit: int) -> None:
@@ -338,30 +355,72 @@ class _LogDomain:
         for col in cols:
             col.reserve(new_n + 1)
 
-    def conv_sum(self, s, c, m):
-        k = m.bit_length()
-        if k != self._chunk:
-            self._chunk, self._theta = k, _chunk_scale(s.data, k)
-        theta = self._theta
-        if s.sync(m, theta, k) and c.sync(m, theta, k):
-            rev = c.rev
-            d = float(np.dot(s.fwd[: m + 1], rev[len(rev) - 1 - m :]))
-            if _TINY <= d <= _HUGE:
-                return math.log(d) + theta * m
-        self.fallback_cells += 1
-        return log_sum_vec(s.data[: m + 1] + c.data[m::-1])
+    def extend(self, cols, pairs, n0: int, new_n: int, nbytes: int, limit: int):
+        """Compute s_{n0+1}..s_{new_n}; return new_n and the bytes.
 
-    @staticmethod
-    def combine(pairs, m):
-        total = None
-        for w, col in pairs:
-            term = w + col[m]
-            total = term if total is None else log_add(total, term)
-        return total
-
-    @staticmethod
-    def step_bytes(cols) -> int:
-        return 8 * len(cols)
+        ``reserve`` has checked the budget for all of them.  For each n,
+        with m = n - 1: a new chunk sets theta and rebuilds every mirror
+        through m - 1; s's mirror gains entry m; each rank's cell is one
+        dot product (or the ln kernel), and its mirror gains entry m right
+        after it; s_n is the log-add of the weighted cells in pair order.
+        """
+        s, ranks = cols[0], range(1, len(cols))
+        sdata, fwd = s.data, s.fwd
+        datas = [c.data for c in cols]
+        revs = [c.rev for c in cols]
+        tops = [len(c.data) - 1 for c in cols]
+        (w0, i0), rest = pairs[0], pairs[1:]
+        cells = [0.0] * len(cols)
+        chunk, theta, ok = self._chunk, self._theta, self._ok
+        self._chunk = -1  # if the loop is cut short, rebuild next time
+        exp, log, log1p, dot = math.exp, math.log, math.log1p, np.dot
+        fallback = 0
+        sm = float(sdata[n0])
+        for n in range(n0 + 1, new_n + 1):
+            m = n - 1
+            cells[0] = sm
+            if ranks:
+                k = m.bit_length()
+                if k != chunk:
+                    chunk, theta = k, _chunk_scale(sdata, k)
+                    ok = [c.rev is not None and c.rebuild(m, theta) for c in cols]
+                tm = theta * m
+                if ok[0]:
+                    a = sm - tm
+                    if abs(a) <= _WINDOW:
+                        fwd[m] = revs[0][tops[0] - m] = exp(a)
+                    else:
+                        ok[0] = False
+                head = fwd[: m + 1]
+                for i in ranks:
+                    j, v = i - 1, None
+                    if ok[0] and ok[j]:
+                        d = float(dot(head, revs[j][tops[j] - m :]))
+                        if _TINY <= d <= _HUGE:
+                            v = log(d) + tm
+                    if v is None:
+                        fallback += 1
+                        v = log_sum_vec(sdata[: m + 1] + datas[j][m::-1])
+                    datas[i][m] = cells[i] = v
+                    if ok[i]:
+                        a = v - tm
+                        if abs(a) <= _WINDOW:
+                            revs[i][tops[i] - m] = exp(a)
+                        else:
+                            ok[i] = False
+            # log_add(total, term) on finite operands, inline
+            total = w0 + cells[i0]
+            for w, i in rest:
+                term = w + cells[i]
+                d = total - term
+                total = total + log1p(exp(-d)) if d >= 0.0 else term + log1p(exp(d))
+            sdata[n] = sm = total
+        self._chunk, self._theta, self._ok = chunk, theta, ok
+        self.fallback_cells += fallback
+        s.n = new_n + 1
+        for col in cols[1:]:
+            col.n = new_n
+        return new_n, nbytes + 8 * len(cols) * (new_n - n0)
 
     @staticmethod
     def table_bytes(cols) -> int:
@@ -401,8 +460,8 @@ def _merged_plan(spec: RecurrenceSpec):
 
     Equal-arity terms of a family share one fold, so their weights add.
     Max totals all weight s but stay one per arity, not merged into the
-    arity-1 sum weight, so log combine adds the operands it added when
-    max folds had columns."""
+    arity-1 sum weight, so the log-add of s_n sees the operands it saw
+    when max folds had columns."""
     sums: dict[int, Fraction] = {}
     maxes: dict[int, Fraction] = {}
     for t in spec.terms:
@@ -426,17 +485,14 @@ class SequenceTable:
         dom = self._dom = _DOMAINS[domain](math.lcm(*(w.denominator for w in weights)))
 
         # Each needed sum arity j requires every rank 2..j as an
-        # intermediate, so the ranks are 2..top (top 0: none).
+        # intermediate, so the ranks are 2..top (top 0: none); rank j is
+        # column j - 1 and folds s with column j - 2.
         self._top = max((a for a in sums if a >= 2), default=0)
-        s = dom.column(feeds_sum=self._top >= 2, forward=True)
-        self._cols, self._steps = [s], []
-        for j in range(2, self._top + 1):
-            col = dom.column(feeds_sum=j < self._top, forward=False)
-            self._steps.append((col, self._cols[-1]))
-            self._cols.append(col)
-        self._pairs = [(dom.weight(w), self._cols[a - 1]) for a, w in sorted(sums.items())]
-        self._pairs += [(dom.weight(w), s) for _, w in sorted(maxes.items())]
-        s.append(dom.one)
+        self._cols = dom.columns(self._top)
+        # (weight, column): each sum arity reads its rank (arity 1 reads
+        # s), then each max arity reads s
+        self._pairs = [(dom.weight(w), a - 1) for a, w in sorted(sums.items())]
+        self._pairs += [(dom.weight(w), 0) for _, w in sorted(maxes.items())]
         self._bytes = dom.table_bytes(self._cols)
         self.n = 0
 
@@ -447,26 +503,23 @@ class SequenceTable:
         return len(self._cols)
 
     def extend(self, new_n: int) -> "SequenceTable":
-        """Grow the table so values up to s_{new_n} are available."""
+        """Grow the table so values up to s_{new_n} are available.
+
+        MemoryBudgetError leaves the table valid at the n it reached; any
+        other exception from inside the loop leaves it at its old n.
+        """
         if new_n < self.n:
             raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
         if new_n == self.n:
             return self
-        dom, cols, steps, pairs = self._dom, self._cols, self._steps, self._pairs
-        dom.reserve(cols, new_n, self.memory_limit)
-        s, conv = cols[0], dom.conv_sum
-        for n in range(self.n + 1, new_n + 1):
-            if self._bytes > self.memory_limit:
-                raise MemoryBudgetError(
-                    f"memory budget {self.memory_limit} bytes exhausted at n={self.n}; "
-                    f"table still valid there"
-                )
-            m = n - 1
-            for col, source in steps:
-                col.append(conv(s, source, m))
-            s.append(dom.combine(pairs, m))
-            self._bytes += dom.step_bytes(cols)
-            self.n = n
+        self._dom.reserve(self._cols, new_n, self.memory_limit)
+        self.n, self._bytes = self._dom.extend(self._cols, self._pairs, self.n, new_n,
+                                               self._bytes, self.memory_limit)
+        if self.n < new_n:
+            raise MemoryBudgetError(
+                f"memory budget {self.memory_limit} bytes exhausted at n={self.n}; "
+                f"table still valid there"
+            )
         return self
 
     @property

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import os
 import random
 import struct
@@ -23,8 +24,7 @@ from foldrate import (
     refine,
     save_cache,
 )
-from foldrate.engine import _LogColumn, _LogDomain
-from foldrate.scalars import log_sum_vec
+from foldrate.scalars import ln_fraction, log_add, log_sum_vec
 from helpers import MIXED_EXAMPLE, brute_force_values, random_spec, split_reduce
 
 CATALAN = parse_spec("sum 2 1")
@@ -166,6 +166,19 @@ def test_log_values_are_pinned(text, n, digest):
     assert hashlib.sha256(ln.tobytes()).hexdigest() == digest
 
 
+def test_log_sequence_is_the_log_add_of_its_weighted_cells():
+    # the extend loop inlines scalars.log_add over the (weight, column)
+    # pairs: sum arities 2, 3, 4, then max arities 5, 6 reading s
+    table = compute_sequence(MIX, 300, domain="log")
+    ln_s = table.ln_values()
+    for n in range(1, 301):
+        total = None
+        for rank, w in ((2, 2), (3, 3), (4, 4), (1, 5), (1, 6)):
+            term = ln_fraction(Fraction(w)) + table.sum_fold(rank, n - 1).ln_value
+            total = term if total is None else log_add(total, term)
+        assert total == ln_s[n], n
+
+
 def test_fold_rank_one_is_the_sequence():
     table = compute_sequence(CATALAN, 6, domain="exact")
     assert table.sum_fold(1, 4) == table.value(4)
@@ -273,6 +286,64 @@ def test_log_resume_mid_chunk_is_bit_identical(tmp_path, text):
             assert fa.read() == fb.read()
 
 
+def _saved(table, path) -> bytes:
+    save_cache(table, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1", "sum 9 1/7\nmax 5 50"])
+def test_log_extend_across_chunk_boundaries_is_bit_identical(tmp_path, text):
+    # the chunk's theta and mirror state carry across extend calls and
+    # are rebuilt after load_cache; each n below sits on, before or after
+    # a chunk start m = 2^(k-1)
+    spec = parse_spec(text)
+    fresh = compute_sequence(spec, 1500, domain="log")
+    stepped = SequenceTable(spec, domain="log")
+    for n in (1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 1024, 1025, 1500):
+        stepped.extend(n)
+    # saved at n = 128, so the first cell after loading, m = 128, starts a chunk
+    path = tmp_path / "first.seq"
+    save_cache(compute_sequence(spec, 128, domain="log"), str(path))
+    resumed = load_cache(str(path), spec).extend(1500)
+    want = _saved(fresh, tmp_path / "fresh.seq")
+    for table in (stepped, resumed):
+        assert np.array_equal(table.ln_values(), fresh.ln_values())
+        assert _saved(table, tmp_path / "other.seq") == want
+
+
+@pytest.mark.parametrize("domain, module, name, call", [
+    # rows m = 40..65 take one dot per rank; then rank 2's, and rank 3's fails
+    ("log", np, "dot", 3 * (66 - 40) + 1),
+    # row m takes m + 1 products per rank; then rank 2's 67, and rank 3's
+    # 11th product fails
+    ("exact", operator, "mul", 3 * sum(range(41, 67)) + 67 + 10),
+])
+def test_extend_cut_short_keeps_the_table_valid(tmp_path, monkeypatch, domain, module,
+                                                name, call):
+    # an error in row m = 66, after rank 2's cell and, in the log domain,
+    # after the mirrors were rebuilt for chunk [64, 128), leaves the table
+    # at n = 40 as a fresh run saves it; the next extend matches an
+    # uninterrupted run, so the log loop rebuilt the mirrors for chunk
+    # [32, 64) instead of reading them
+    table = compute_sequence(MIX, 40, domain=domain)
+    calls, real = iter(range(10**6)), getattr(module, name)
+
+    def failing(*args):
+        if next(calls) == call:
+            raise RuntimeError("cut short")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(RuntimeError):
+        table.extend(80)
+    monkeypatch.undo()
+    assert table.n == 40
+    at_40 = _saved(compute_sequence(MIX, 40, domain=domain), tmp_path / "b.seq")
+    assert _saved(table, tmp_path / "a.seq") == at_40
+    fresh = compute_sequence(MIX, 80, domain=domain)
+    assert _saved(table.extend(80), tmp_path / "a.seq") == _saved(fresh, tmp_path / "b.seq")
+
+
 @pytest.mark.parametrize("text, count", [
     ("sum 2 1", 2),                  # s and the rank-2 sum column
     (MIXED_EXAMPLE, 4),              # s, sum ranks 2..4; max folds are s
@@ -288,33 +359,35 @@ def test_mix_needs_no_fallback_cells():
     assert compute_sequence(MIX, 8, domain="exact").fallback_cells == 0
 
 
-def _column(ln_values, forward):
-    col = _LogColumn(mirror=True, forward=forward)
-    col.reserve(len(ln_values))
-    for v in ln_values:
-        col.append(float(v))
-    return col
+def _kernel_cells(table, cells):
+    """Each (rank, m) cell of ``table`` against scalars.log_sum_vec of its
+    stored inputs, ln s_0..s_m and the rank below at m..0."""
+    ln_s = table.ln_values()
+    for j, m in cells:
+        below = np.array([table.sum_fold(j - 1, x).ln_value for x in range(m + 1)])
+        want = log_sum_vec(ln_s[: m + 1] + below[::-1])
+        assert np.isclose(table.sum_fold(j, m).ln_value, want, rtol=1e-12, atol=0.0), (j, m)
 
 
 def test_out_of_window_cells_use_the_ln_kernel():
-    rng = np.random.default_rng(7)
-    ln_s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.5, 40))])
-    ln_c = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.5, 40))])
+    # white-box: no public spec reaches the fallback, so a +1000 spike is
+    # written into rank 3's stored ln value at x = 5 inside chunk [32, 64)
+    # (whose mirror keeps the old entry), and the table is extended across
+    # the chunk start m = 64, where the rebuilt mirror leaves the window
+    def extended(spike):
+        table = compute_sequence(MIX, 40, domain="log")
+        table._cols[2].data[5] += spike
+        return table.extend(80)
 
-    def cells(ln_c):
-        dom = _LogDomain()
-        s, c = _column(ln_s, True), _column(ln_c, False)
-        got = [dom.conv_sum(s, c, m) for m in range(41)]
-        want = [log_sum_vec(ln_s[: m + 1] + ln_c[m::-1]) for m in range(41)]
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        return dom.fallback_cells
-
-    assert cells(ln_c) == 0
-    # one entry 1000 above its neighbours leaves the +-340 window: every
-    # cell from m = 5 on has it as an input
-    spiked = ln_c.copy()
-    spiked[5] += 1000.0
-    assert cells(spiked) == 41 - 5
+    clean = extended(0.0)
+    assert clean.fallback_cells == 0
+    _kernel_cells(clean, [(j, m) for m in range(40, 80) for j in (2, 3, 4)])
+    # rank 4 reads the spiked entry at m = 64; s_65 then carries it and
+    # leaves the window itself, so every rank reads it from m = 65 on
+    spiked = extended(1000.0)
+    read = [(4, 64)] + [(j, m) for m in range(65, 80) for j in (2, 3, 4)]
+    assert spiked.fallback_cells == len(read)
+    _kernel_cells(spiked, read)
 
 
 def test_duplicate_terms_merge_additively():
