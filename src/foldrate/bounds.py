@@ -145,28 +145,35 @@ class BoundsReport:
 
 
 def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
-                    ns=None, epsilon: float | None = None) -> BoundsReport:
+                    ns=None, epsilon: float | None = None,
+                    max_n: int | None = None) -> BoundsReport:
     """Evaluate the sandwich at the given indices (default: powers of two).
 
-    The reported best lower also folds in the supremum-form bound over
-    every available index, which costs O(N) and never hurts.
+    Only s_0..s_{max_n} are read (default: the whole table), so the report
+    does not depend on how far the table reaches beyond max_n.  The
+    reported best lower also folds in the supremum-form bound over every
+    index up to max_n, which costs O(N) and never hurts.
     """
     if consts is None:
         consts = derive_constants(table.spec)
-    if table.n < 2:
+    if max_n is None:
+        max_n = table.n
+    if max_n > table.n:
+        raise ValueError(f"table only extends to {table.n}, cannot read up to {max_n}")
+    if max_n < 2:
         raise ValueError("need a table extended to at least n = 2")
     if ns is None:
-        ns = _powers_of_two(table.n)
+        ns = _powers_of_two(max_n)
     report = BoundsReport(spec_text=table.spec.render(), epsilon=epsilon)
     ln_s = table.ln_values()
     for n in sorted(set(ns)):
         if n < 2:
             raise ValueError(f"bound needs n >= 2, got {n}")
-        if n > table.n:
-            raise ValueError(f"table only extends to {table.n}, cannot evaluate at {n}")
+        if n > max_n:
+            raise ValueError(f"bounds read up to {max_n}, cannot evaluate at {n}")
         report.add(n, *_bracket(ln_s, consts, n, n))
-    report.best_ln_lower = max(report.best_ln_lower, _bracket(ln_s, consts, table.n, 1)[0])
-    report.max_n = table.n
+    report.best_ln_lower = max(report.best_ln_lower, _bracket(ln_s, consts, max_n, 1)[0])
+    report.max_n = max_n
     if epsilon is not None:
         report.converged = report.ratio <= 1.0 + epsilon
         report.reason = "converged" if report.converged else "target not reached"

@@ -2,8 +2,9 @@
 
 Subcommands: eval (print sequence values), bounds (per-index sandwich and
 best envelope), refine (doubling loop to a target ratio), oracle (tree
-enumeration cross-checks), known (fixtures with known rates).  Exit codes: 0 success, 1 a check failed, 2 usage or
-input error, 3 resource budget exceeded.
+enumeration cross-checks), known (fixtures with known rates).  Exit
+codes: 0 success, 1 a check failed, 2 usage or input error, 3 resource
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ def _resolve_cache(path: str) -> str:
 
 
 def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
-    """Build or restore a table, extend it to n, update the cache if used."""
+    """Build or restore a table reaching at least n; write the cache, if
+    one is used, when it is new or the table had to grow."""
     cache = getattr(args, "cache", None)
     if cache:
         cache = _resolve_cache(cache)
-        if os.path.exists(cache):
+        cached = os.path.exists(cache)
+        if cached:
             try:
                 table = load_cache(cache, spec)
             except OSError as exc:
@@ -114,6 +117,8 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
                 )
         else:
             table = SequenceTable(spec, domain=args.domain)
+        if cached and table.n >= n:
+            return table
         table.extend(n)
         try:
             save_cache(table, cache)
@@ -121,10 +126,6 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
             raise _UsageError(f"cannot write cache file {cache!r}: {exc.strerror}") from None
         return table
     return SequenceTable(spec, domain=args.domain).extend(n)
-
-
-def _fraction_text(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _write_csv(rows) -> None:
@@ -149,19 +150,19 @@ def cmd_eval(args) -> int:
     if table.domain_name == "exact":
         values = [table.value(n).value for n in range(args.n + 1)]
         if fmt == "text":
-            print(" ".join(_fraction_text(v) for v in values))
+            print(" ".join(map(str, values)))
         elif fmt == "json":
             print(json.dumps(
                 {
                     "spec": spec.render(),
                     "domain": "exact",
                     "n": args.n,
-                    "values": [_fraction_text(v) for v in values],
+                    "values": [str(v) for v in values],
                 },
                 indent=2,
             ))
         elif fmt == "csv":
-            _write_csv([["n", "value"]] + [[i, _fraction_text(v)] for i, v in enumerate(values)])
+            _write_csv([["n", "value"]] + [[i, str(v)] for i, v in enumerate(values)])
         elif fmt == "bfile":
             if any(v.denominator != 1 for v in values):
                 raise _UsageError("bfile output needs integer values; this sequence has fractions")
@@ -201,7 +202,7 @@ def cmd_bounds(args) -> int:
         raise _UsageError("bounds need --n at least 2")
     spec = _load_spec(args)
     table = _obtain_table(spec, args, args.n)
-    _print_report(evaluate_bounds(table), args.format)
+    _print_report(evaluate_bounds(table, max_n=args.n), args.format)
     return EXIT_OK
 
 

@@ -28,19 +28,21 @@ ranks 2.. (the cache's record order), each rank folding s with the rank
 below; and (weight, column) pairs for the weighted sum, each sum arity
 reading its rank (arity 1 reads s), then each max arity reading s.  The
 value domain, _ExactDomain (exact integers) or _LogDomain (natural log
-doubles), owns how a column is stored (creation, reservation and memory
-budget, byte counts, ln values and cache encoding) and the one loop that
-extends the table: per n, every rank's cell and then s_n.
-SequenceTable.extend only reserves, runs that loop and records the n it
-reached.  A table restored from the binary cache and extended is
-bit-identical to an uninterrupted run.
+doubles), is the table's storage: it holds the columns and the memory
+budget's byte count, reads values and ln values off them, encodes them
+for the cache, and runs the one loop that extends them: per n, every
+rank's cell and then s_n.  SequenceTable holds the plan and n, and its
+extend only runs that loop and records the n reached.  A table restored
+from the binary cache and extended is bit-identical to an uninterrupted
+run.
 
 The exact domain computes on Python ints.  With D the lcm of the plan's
 weight denominators, t_m = D^m s_m is an integer sequence: a split of m
 has s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
 at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
 with t_0 = 1.  Fraction appears only at the API boundary: values, fold
-cells, ln values and the cache all go through the reduced t / D^m.
+cells and ln values go through the reduced t / D^m, and the cache stores
+t itself.
 
 Log-domain columns store ln values, and sum cells are computed in a
 scaled linear domain.  Cell indices are cut into power-of-two chunks,
@@ -140,107 +142,50 @@ def _chunk_scale(ln_s: np.ndarray, k: int) -> float:
     return float((ln_s[m0] - ln_s[half]) / (m0 - half))
 
 
-class _LogColumn:
-    """Fixed-capacity float64 column of ln values, with an optional mirror.
-
-    The mirror is the scaled linear copy u_x = exp(ln v_x - theta*x) that
-    sum cells read.  ``rev`` holds u_x at index cap-1-x, so the reversed
-    prefix u_m..u_0 a convolution cell needs is the contiguous tail
-    ``rev[cap-1-m:]``; ``fwd`` (kept for s only) holds u_x at index x.
-    The log domain's extend loop writes values and mirror entries in place.
-    """
-
-    __slots__ = ("data", "n", "fwd", "rev")
-
-    def __init__(self, mirror: bool = False, forward: bool = False):
-        self.data = np.empty(1, dtype=np.float64)
-        self.n = 0
-        self.rev = np.empty(1, dtype=np.float64) if mirror else None
-        self.fwd = np.empty(1, dtype=np.float64) if forward else None
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        return float(self.data[i])
-
-    def reserve(self, total: int):
-        cap = len(self.data)
-        if total <= cap:
-            return
-        data = np.empty(total, dtype=np.float64)
-        data[: self.n] = self.data[: self.n]
-        self.data = data
-        if self.rev is not None:
-            rev = np.empty(total, dtype=np.float64)
-            rev[total - cap :] = self.rev
-            self.rev = rev
-        if self.fwd is not None:
-            fwd = np.empty(total, dtype=np.float64)
-            fwd[:cap] = self.fwd
-            self.fwd = fwd
-
-    def rebuild(self, count: int, theta: float) -> bool:
-        """Mirror entries 0..count-1 under ``theta``; False at the first
-        entry that leaves the window.
-
-        Each entry is math.exp(v - theta*x) of the stored value v as a
-        Python float, the expression the extend loop appends a new cell's
-        entry with, so a rebuilt mirror equals an appended one bit for bit.
-        """
-        top = len(self.rev) - 1
-        for x, v in enumerate(self.data[:count].tolist()):
-            a = v - theta * x
-            if not abs(a) <= _WINDOW:
-                return False
-            u = math.exp(a)
-            self.rev[top - x] = u
-            if self.fwd is not None:
-                self.fwd[x] = u
-        return True
+def _widened(rows: np.ndarray, total: int, at: int) -> np.ndarray:
+    """``rows`` copied into new rows of ``total`` entries, starting at ``at``."""
+    out = np.empty((len(rows), total))
+    out[:, at : at + rows.shape[1]] = rows
+    return out
 
 
 class _ExactDomain:
-    """Python ints t_m = D^m s_m stored in lists.
+    """Python ints t_m = D^m s_m in one list per column: s, holding
+    t_0 = 1, then the sum ranks 2..top.
 
     ``scale`` is D, the lcm of the plan's weight denominators, and each
     plan weight k enters as the integer D*k; the boundary methods take a
     stored cell with its index m back to the reduced Fraction t / D^m.
-    Byte counts are ``sys.getsizeof`` of each int; there is no upfront
-    budget, since the size of an int is not known before it is computed.
+    ``nbytes`` is the sum of ``sys.getsizeof`` over the stored ints; there
+    is no upfront budget, since the size of an int is not known before it
+    is computed.
     """
 
     tag = 0
     fallback_cells = 0
 
-    def __init__(self, scale: int):
+    def __init__(self, scale: int, top: int):
         self.scale = scale
+        self.cols = [[1]] + [[] for _ in range(2, top + 1)]
+        self.nbytes = sys.getsizeof(1)
 
     def weight(self, w: Fraction) -> int:
         return w.numerator * (self.scale // w.denominator)
 
-    @staticmethod
-    def columns(top: int) -> list:
-        """s, holding t_0 = 1, then the sum ranks 2..top."""
-        return [[1]] + [[] for _ in range(2, top + 1)]
-
-    @staticmethod
-    def reserve(cols, new_n: int, limit: int) -> None:
-        pass
-
-    @staticmethod
-    def extend(cols, pairs, n0: int, new_n: int, nbytes: int, limit: int):
-        """Compute s_{n0+1}..s_{new_n}; return the n reached and the bytes.
+    def extend(self, pairs, n0: int, new_n: int, limit: int) -> int:
+        """Compute s_{n0+1}..s_{new_n}; return the n reached.
 
         Stops, with the table valid, before any n that would start with
         more than ``limit`` bytes stored.
         """
+        cols, nbytes = self.cols, self.nbytes
         s, steps = cols[0], list(zip(cols[1:], cols))
         mul, getsizeof = operator.mul, sys.getsizeof
         try:
             for n in range(n0 + 1, new_n + 1):
                 if nbytes > limit:
-                    return n - 1, nbytes
+                    new_n = n - 1
+                    break
                 m = n - 1
                 for col, source in steps:
                     # s holds s_0..s_m until the ranks are done
@@ -256,72 +201,61 @@ class _ExactDomain:
             for col in cols[1:]:
                 del col[n0:]
             raise
-        return new_n, nbytes
+        self.nbytes = nbytes
+        return new_n
 
-    @staticmethod
-    def table_bytes(cols) -> int:
-        return sum(sys.getsizeof(v) for col in cols for v in col)
+    def rational(self, i: int, m: int) -> Fraction:
+        return Fraction(self.cols[i][m], self.scale ** m)
 
-    def rational(self, v: int, m: int) -> Fraction:
-        return Fraction(v, self.scale ** m)
+    def ln(self, i: int, m: int) -> float:
+        return ln_fraction(self.rational(i, m))
 
-    def ln(self, v, m) -> float:
-        return ln_fraction(self.rational(v, m))
+    def ln_values(self, n: int) -> np.ndarray:
+        return np.array([self.ln(0, m) for m in range(n + 1)], dtype=np.float64)
 
-    def ln_values(self, s) -> np.ndarray:
-        return np.array([self.ln(v, m) for m, v in enumerate(s)], dtype=np.float64)
+    def wrap(self, i: int, m: int) -> ExactScalar:
+        return ExactScalar(self.rational(i, m))
 
-    def wrap(self, v, m) -> ExactScalar:
-        return ExactScalar(self.rational(v, m))
-
-    def encode(self, col) -> bytearray:
-        """Sign byte, u64 length and bytes of the numerator, then of the
-        denominator, of each reduced Fraction t / D^m."""
+    def encode(self, i: int, count: int) -> bytearray:
+        """u64 byte length and little-endian bytes of each stored t_m."""
         out = bytearray()
-        for m, v in enumerate(col):
-            q = self.rational(v, m)
-            num, den = q.numerator, q.denominator
-            nb = num.to_bytes((num.bit_length() + 7) // 8 or 1, "little")
-            db = den.to_bytes((den.bit_length() + 7) // 8 or 1, "little")
-            out += struct.pack("<BQ", 0 if num >= 0 else 1, len(nb))
-            out += nb
-            out += struct.pack("<Q", len(db))
-            out += db
+        for v in self.cols[i][:count]:
+            b = v.to_bytes((v.bit_length() + 7) // 8, "little")
+            out += struct.pack("<Q", len(b))
+            out += b
         return out
 
-    def decode(self, reader: "_Reader", col: list, count: int) -> None:
-        """Replace ``col``'s contents with ``count`` encoded values."""
-        values = []
-        for m in range(count):
-            sign = reader.u("<B")
-            if sign not in (0, 1):
-                raise CacheCorruptError("bad sign byte in exact record")
-            num = int.from_bytes(reader.take(reader.u("<Q")), "little")
-            den = int.from_bytes(reader.take(reader.u("<Q")), "little")
-            if den == 0:
-                raise CacheCorruptError("zero denominator in exact record")
-            t, rest = divmod(num * self.scale ** m, den)
-            if rest:
-                raise CacheCorruptError(
-                    f"exact value at index {m} is not a multiple of 1/{self.scale}^{m}"
-                )
-            values.append(-t if sign else t)
-        col[:] = values
+    def decode(self, reader: "_Reader", i: int, count: int) -> None:
+        """Replace column i's contents with ``count`` encoded values."""
+        col = [int.from_bytes(reader.take(reader.u("<Q")), "little") for _ in range(count)]
+        getsizeof = sys.getsizeof
+        self.nbytes += sum(map(getsizeof, col)) - sum(map(getsizeof, self.cols[i]))
+        self.cols[i] = col
 
 
 class _LogDomain:
-    """ln-valued float64 columns, 8 bytes per value and mirror entry.
+    """ln values in float64 rows, 8 bytes per value and mirror entry.
 
-    Sum cells are computed from scaled linear mirrors (one dot product
-    per cell, see the module docstring); fallback cells work on the ln
-    columns directly.  Each instance owns its chunk state, carried across
-    extend calls, so tables never share it.  The scale D is not needed:
-    ln values carry no lattice.
+    Row i of ``data`` is column i: s, holding ln s_0 = 0, then the sum
+    ranks 2..top.  Columns 0..top-2 feed a sum rank and keep the scaled
+    linear mirror u_x = exp(ln v_x - theta*x) that sum cells read (see the
+    module docstring): row i of ``rev`` holds column i's u_x at index
+    cap-1-x, so the reversed prefix u_m..u_0 a cell needs is the
+    contiguous tail ``rev[i, cap-1-m:]``, and the one row of ``fwd`` holds
+    s's u_x at index x.  Every row has the same capacity; the record
+    counts come from the table's n.  Fallback cells work on the ln rows
+    directly.  Each instance owns its chunk state, carried across extend
+    calls, so tables never share it.  The scale D is not needed: ln
+    values carry no lattice.
     """
 
     tag = 1
 
-    def __init__(self, scale: int = 1):
+    def __init__(self, scale: int, top: int):
+        feeds = max(top - 1, 0)
+        self.data = np.zeros((max(top, 1), 1))
+        self.rev = np.empty((feeds, 1))
+        self.fwd = np.empty((min(feeds, 1), 1))
         # the chunk whose theta the mirrors hold (-1: none), and per column
         # whether its mirror is usable for the rest of that chunk
         self._chunk = -1
@@ -333,44 +267,61 @@ class _LogDomain:
     def weight(w: Fraction) -> float:
         return ln_fraction(w)
 
-    @staticmethod
-    def columns(top: int) -> list[_LogColumn]:
-        """s, holding ln s_0 = 0, then the sum ranks 2..top.  A column that
-        feeds a sum rank has a reversed mirror, and s a forward one too."""
-        s = _LogColumn(mirror=top >= 2, forward=top >= 2)
-        s.data[0], s.n = 0.0, 1
-        return [s] + [_LogColumn(mirror=j < top) for j in range(2, top + 1)]
+    def _grow(self, total: int) -> None:
+        """Give every row room for ``total`` entries, keeping what it holds."""
+        cap = self.data.shape[1]
+        if total > cap:
+            self.data = _widened(self.data, total, 0)
+            self.rev = _widened(self.rev, total, total - cap)
+            self.fwd = _widened(self.fwd, total, 0)
 
-    @staticmethod
-    def reserve(cols, new_n: int, limit: int) -> None:
+    def _reserve(self, n0: int, new_n: int, limit: int) -> None:
         """Reject an extension the budget cannot hold before doing any work."""
-        # per index, 8 bytes for the ln value and for each mirror entry
-        width = sum(1 + (c.rev is not None) + (c.fwd is not None) for c in cols)
-        projected = width * (new_n + 1) * 8
+        # per index, 8 bytes for each ln value and mirror entry
+        projected = (len(self.data) + len(self.rev) + len(self.fwd)) * (new_n + 1) * 8
         if projected > limit:
             raise MemoryBudgetError(
                 f"extending to {new_n} needs ~{projected} bytes, "
-                f"budget is {limit}; table still valid at n={len(cols[0]) - 1}"
+                f"budget is {limit}; table still valid at n={n0}"
             )
-        for col in cols:
-            col.reserve(new_n + 1)
+        self._grow(new_n + 1)
 
-    def extend(self, cols, pairs, n0: int, new_n: int, nbytes: int, limit: int):
-        """Compute s_{n0+1}..s_{new_n}; return new_n and the bytes.
+    def _rebuild(self, i: int, count: int, theta: float) -> bool:
+        """Mirror entries 0..count-1 of column i under ``theta``; False at
+        the first entry that leaves the window.
 
-        ``reserve`` has checked the budget for all of them.  For each n,
-        with m = n - 1: a new chunk sets theta and rebuilds every mirror
+        Each entry is math.exp(v - theta*x) of the stored value v as a
+        Python float, the expression the extend loop appends a new cell's
+        entry with, so a rebuilt mirror equals an appended one bit for bit.
+        """
+        rev, fwd = self.rev[i], self.fwd[0] if i == 0 else None
+        top = len(rev) - 1
+        for x, v in enumerate(self.data[i, :count].tolist()):
+            a = v - theta * x
+            if not abs(a) <= _WINDOW:
+                return False
+            u = math.exp(a)
+            rev[top - x] = u
+            if fwd is not None:
+                fwd[x] = u
+        return True
+
+    def extend(self, pairs, n0: int, new_n: int, limit: int) -> int:
+        """Compute s_{n0+1}..s_{new_n}; return new_n.
+
+        The budget is checked for all of them before any work.  For each
+        n, with m = n - 1: a new chunk sets theta and rebuilds every mirror
         through m - 1; s's mirror gains entry m; each rank's cell is one
         dot product (or the ln kernel), and its mirror gains entry m right
         after it; s_n is the log-add of the weighted cells in pair order.
         """
-        s, ranks = cols[0], range(1, len(cols))
-        sdata, fwd = s.data, s.fwd
-        datas = [c.data for c in cols]
-        revs = [c.rev for c in cols]
-        tops = [len(c.data) - 1 for c in cols]
+        self._reserve(n0, new_n, limit)
+        datas, revs = list(self.data), list(self.rev)
+        sdata, ranks, feeds = datas[0], range(1, len(datas)), len(revs)
+        fwd = self.fwd[0] if feeds else None
+        top = self.data.shape[1] - 1
         (w0, i0), rest = pairs[0], pairs[1:]
-        cells = [0.0] * len(cols)
+        cells = [0.0] * len(datas)
         chunk, theta, ok = self._chunk, self._theta, self._ok
         self._chunk = -1  # if the loop is cut short, rebuild next time
         exp, log, log1p, dot = math.exp, math.log, math.log1p, np.dot
@@ -383,19 +334,19 @@ class _LogDomain:
                 k = m.bit_length()
                 if k != chunk:
                     chunk, theta = k, _chunk_scale(sdata, k)
-                    ok = [c.rev is not None and c.rebuild(m, theta) for c in cols]
+                    ok = [i < feeds and self._rebuild(i, m, theta) for i in range(len(datas))]
                 tm = theta * m
                 if ok[0]:
                     a = sm - tm
                     if abs(a) <= _WINDOW:
-                        fwd[m] = revs[0][tops[0] - m] = exp(a)
+                        fwd[m] = revs[0][top - m] = exp(a)
                     else:
                         ok[0] = False
                 head = fwd[: m + 1]
                 for i in ranks:
                     j, v = i - 1, None
                     if ok[0] and ok[j]:
-                        d = float(dot(head, revs[j][tops[j] - m :]))
+                        d = float(dot(head, revs[j][top - m :]))
                         if _TINY <= d <= _HUGE:
                             v = log(d) + tm
                     if v is None:
@@ -405,7 +356,7 @@ class _LogDomain:
                     if ok[i]:
                         a = v - tm
                         if abs(a) <= _WINDOW:
-                            revs[i][tops[i] - m] = exp(a)
+                            revs[i][top - m] = exp(a)
                         else:
                             ok[i] = False
             # log_add(total, term) on finite operands, inline
@@ -417,38 +368,25 @@ class _LogDomain:
             sdata[n] = sm = total
         self._chunk, self._theta, self._ok = chunk, theta, ok
         self.fallback_cells += fallback
-        s.n = new_n + 1
-        for col in cols[1:]:
-            col.n = new_n
-        return new_n, nbytes + 8 * len(cols) * (new_n - n0)
+        return new_n
 
-    @staticmethod
-    def table_bytes(cols) -> int:
-        return 8 * sum(len(col) for col in cols)
+    def ln(self, i: int, m: int) -> float:
+        return float(self.data[i, m])
 
-    @staticmethod
-    def ln(v, m) -> float:
-        return v
+    def ln_values(self, n: int) -> np.ndarray:
+        return self.data[0, : n + 1].copy()
 
-    @staticmethod
-    def ln_values(s) -> np.ndarray:
-        return s.data[: s.n].copy()
+    def wrap(self, i: int, m: int) -> LogScalar:
+        return LogScalar(self.ln(i, m))
 
-    @staticmethod
-    def wrap(v, m) -> LogScalar:
-        return LogScalar(v)
-
-    @staticmethod
-    def encode(col) -> bytes:
+    def encode(self, i: int, count: int) -> bytes:
         """Raw little-endian float64 ln values."""
-        return col.data[: col.n].astype("<f8").tobytes()
+        return self.data[i, :count].astype("<f8").tobytes()
 
-    @staticmethod
-    def decode(reader: "_Reader", col: _LogColumn, count: int) -> None:
-        """Replace ``col``'s contents with ``count`` encoded values."""
-        col.reserve(count)
-        col.data[:count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
-        col.n = count
+    def decode(self, reader: "_Reader", i: int, count: int) -> None:
+        """Replace column i's contents with ``count`` encoded values."""
+        self._grow(count)
+        self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
 
 
 _DOMAINS = {"exact": _ExactDomain, "log": _LogDomain}
@@ -482,25 +420,23 @@ class SequenceTable:
         self.memory_limit = memory_limit
         sums, maxes = _merged_plan(spec)
         weights = [*sums.values(), *maxes.values()]
-        dom = self._dom = _DOMAINS[domain](math.lcm(*(w.denominator for w in weights)))
-
         # Each needed sum arity j requires every rank 2..j as an
         # intermediate, so the ranks are 2..top (top 0: none); rank j is
         # column j - 1 and folds s with column j - 2.
         self._top = max((a for a in sums if a >= 2), default=0)
-        self._cols = dom.columns(self._top)
+        dom = self._dom = _DOMAINS[domain](math.lcm(*(w.denominator for w in weights)),
+                                           self._top)
         # (weight, column): each sum arity reads its rank (arity 1 reads
         # s), then each max arity reads s
         self._pairs = [(dom.weight(w), a - 1) for a, w in sorted(sums.items())]
         self._pairs += [(dom.weight(w), 0) for _, w in sorted(maxes.items())]
-        self._bytes = dom.table_bytes(self._cols)
         self.n = 0
 
     # -- extension --------------------------------------------------------
 
     @property
     def table_count(self) -> int:
-        return len(self._cols)
+        return max(self._top, 1)
 
     def extend(self, new_n: int) -> "SequenceTable":
         """Grow the table so values up to s_{new_n} are available.
@@ -512,9 +448,7 @@ class SequenceTable:
             raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
         if new_n == self.n:
             return self
-        self._dom.reserve(self._cols, new_n, self.memory_limit)
-        self.n, self._bytes = self._dom.extend(self._cols, self._pairs, self.n, new_n,
-                                               self._bytes, self.memory_limit)
+        self.n = self._dom.extend(self._pairs, self.n, new_n, self.memory_limit)
         if self.n < new_n:
             raise MemoryBudgetError(
                 f"memory budget {self.memory_limit} bytes exhausted at n={self.n}; "
@@ -543,23 +477,23 @@ class SequenceTable:
     def value(self, n: int):
         """s_n as a scalar of this table's domain."""
         self._check_index(n)
-        return self._dom.wrap(self._cols[0][n], n)
+        return self._dom.wrap(0, n)
 
     def value_ln(self, n: int) -> float:
         """Natural log of s_n."""
         self._check_index(n)
-        return self._dom.ln(self._cols[0][n], n)
+        return self._dom.ln(0, n)
 
     def ln_values(self) -> np.ndarray:
         """Vector of ln s_0 .. ln s_n."""
-        return self._dom.ln_values(self._cols[0])
+        return self._dom.ln_values(self.n)
 
     def sum_fold(self, j: int, m: int):
         """j-fold sum-convolution cell at index m, as a domain scalar."""
         if j == 1:
             return self.value(m)
         self._check_fold(j, self._top, m)
-        return self._dom.wrap(self._cols[j - 1][m], m)
+        return self._dom.wrap(j - 1, m)
 
     def max_fold(self, j: int, m: int):
         """Alias for value(m): every max fold is s (module docstring).  Ranks
@@ -569,6 +503,10 @@ class SequenceTable:
             self._check_fold(j, max((t.arity for t in self.spec.terms if t.op is Op.MAX),
                                     default=0), m)
         return self.value(m)
+
+    def _record_counts(self) -> list[int]:
+        """Values per stored column: n + 1 for s, n for each sum rank."""
+        return [self.n + 1] + [self.n] * (self.table_count - 1)
 
     def __repr__(self):
         return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
@@ -583,15 +521,18 @@ def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log",
 
 # -- cache persistence ---------------------------------------------------
 #
-# Layout of version 2, little-endian (version 1 also held max ranks):
+# Layout of version 3, little-endian (version 1 also held max ranks, and
+# versions 1 and 2 stored each exact value as a reduced Fraction):
 #   magic "FRSQ" | u16 version | 32 bytes spec digest | u8 domain tag
 #   | u64 n | u16 max sum rank (0 = none)
 #   | record for s (n+1 values) | records for sum ranks 2..
 #   | u32 crc32 of everything above
-# A record is u64 count followed by the values as the domain encodes them.
+# A record is u64 count followed by the values as the domain encodes them:
+# per value a u64 byte length and the little-endian bytes of t_m (exact),
+# or the little-endian float64 ln value (log).
 
 _MAGIC = b"FRSQ"
-_VERSION = 2
+_VERSION = 3
 
 
 class _Reader:
@@ -620,9 +561,9 @@ def save_cache(table: SequenceTable, path) -> None:
     buf += table.spec.digest()
     buf += struct.pack("<BQ", dom.tag, table.n)
     buf += struct.pack("<H", table._top)
-    for col in table._cols:
-        buf += struct.pack("<Q", len(col))
-        buf += dom.encode(col)
+    for i, count in enumerate(table._record_counts()):
+        buf += struct.pack("<Q", count)
+        buf += dom.encode(i, count)
     buf += struct.pack("<I", zlib.crc32(buf))
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -665,16 +606,13 @@ def load_cache(path, spec: RecurrenceSpec,
     table = SequenceTable(spec, domain=_DOMAIN_BY_TAG[tag], memory_limit=memory_limit)
     if top != table._top:
         raise CacheCorruptError("fold table layout does not match the recurrence")
-    # the columns keep the mirrors the constructor attached; those start
-    # empty and are rebuilt from the loaded ln values on the first new cell
-    for i, col in enumerate(table._cols):
-        expected = n + 1 if i == 0 else n
+    # log mirrors are rebuilt from the loaded ln values on the first new cell
+    table.n = n
+    for i, expected in enumerate(table._record_counts()):
         count = reader.u("<Q")
         if count != expected:
             raise CacheCorruptError(f"record has {count} values, expected {expected}")
-        table._dom.decode(reader, col, count)
+        table._dom.decode(reader, i, count)
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
-    table.n = n
-    table._bytes = table._dom.table_bytes(table._cols)
     return table

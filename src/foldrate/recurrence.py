@@ -65,12 +65,6 @@ class SpecValidationError(SpecError):
     """Readable input that does not describe a usable recurrence."""
 
 
-def _format_weight(w: Fraction) -> str:
-    if w.denominator == 1:
-        return str(w.numerator)
-    return f"{w.numerator}/{w.denominator}"
-
-
 @dataclass(frozen=True)
 class Term:
     """One weighted convolution term of a recurrence."""
@@ -91,7 +85,7 @@ class Term:
             raise SpecValidationError(f"weight must be positive, got {self.weight}")
 
     def render(self) -> str:
-        return f"{self.op.value} {self.arity} {_format_weight(self.weight)}"
+        return f"{self.op.value} {self.arity} {self.weight}"
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class RecurrenceSpec:
     def canonical_text(self) -> str:
         """Order-independent rendering used for identity hashing."""
         keys = sorted((t.op.value, t.arity, t.weight) for t in self.terms)
-        return "\n".join(f"{op} {arity} {_format_weight(w)}" for op, arity, w in keys) + "\n"
+        return "\n".join(f"{op} {arity} {w}" for op, arity, w in keys) + "\n"
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical_text().encode("ascii")).digest()

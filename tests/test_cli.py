@@ -301,20 +301,42 @@ def test_cache_rejects_different_spec(tmp_path, capsys):
     assert "different recurrence" in err
 
 
-def test_cache_of_version_one_is_refused(tmp_path, capsys):
-    # version 1 also held max-fold records; its header differs only in the
-    # version field and the trailing checksum as far as the reader gets
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_cache_version_is_refused(tmp_path, capsys, version):
+    # version 1 also held max-fold records and version 2 stored exact
+    # values as Fractions; the header differs only in the version field
+    # and the trailing checksum as far as the reader gets
     cache = tmp_path / "cat.seq"
     run(capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", str(cache))
     data = bytearray(cache.read_bytes())
-    struct.pack_into("<H", data, 4, 1)
+    struct.pack_into("<H", data, 4, version)
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     cache.write_bytes(bytes(data))
-    code, _, err = run(
+    code, out, err = run(
         capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", str(cache)
     )
-    assert code == EXIT_USAGE
-    assert "unsupported cache version 1" in err
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: unsupported cache version {version}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--domain", "exact"],
+    ["eval", "--domain", "log"],
+    ["bounds", "--domain", "log"],
+    ["bounds", "--domain", "exact", "--format", "csv"],
+])
+def test_cache_longer_or_shorter_than_n_prints_the_cold_output(tmp_path, capsys, argv):
+    # a cached table longer than --n is read only up to --n; a shorter one
+    # is extended to it
+    spec = ["--spec-text", "sum 2 1\nmax 3 1/2"]
+    cache = str(tmp_path / "c.seq")
+    code, cold, err = run(capsys, *argv, *spec, "--n", "8")
+    assert (code, err) == (EXIT_OK, "")
+    run(capsys, *argv, *spec, "--n", "16", "--cache", cache)
+    assert run(capsys, *argv, *spec, "--n", "8", "--cache", cache) == (EXIT_OK, cold, "")
+    short = str(tmp_path / "short.seq")
+    run(capsys, *argv, *spec, "--n", "4", "--cache", short)
+    assert run(capsys, *argv, *spec, "--n", "8", "--cache", short) == (EXIT_OK, cold, "")
 
 
 def test_refine_memory_limit_reports_exhaustion(capsys):

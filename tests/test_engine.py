@@ -250,6 +250,34 @@ def test_log_memory_budget_counts_the_sum_mirrors():
     assert table.n == n
 
 
+def test_exact_memory_budget_holds_after_a_load(tmp_path):
+    # the byte count is restored with the values: a loaded table stops
+    # where an uninterrupted one under the same budget stops
+    limit = 4096
+    whole = SequenceTable(CATALAN, domain="exact", memory_limit=limit)
+    with pytest.raises(MemoryBudgetError):
+        whole.extend(100_000)
+    path = str(tmp_path / "cat.seq")
+    save_cache(compute_sequence(CATALAN, whole.n // 2, domain="exact"), path)
+    back = load_cache(path, CATALAN, memory_limit=limit)
+    with pytest.raises(MemoryBudgetError):
+        back.extend(100_000)
+    assert back.n == whole.n
+    assert back.value(whole.n).value == catalan_closed(whole.n)
+
+
+def test_log_memory_budget_holds_after_a_load(tmp_path):
+    # the budget fits the loaded n = 100 (2 ln rows, 2 mirror rows) and no more
+    path = str(tmp_path / "cat.seq")
+    fresh = compute_sequence(CATALAN, 100, domain="log")
+    save_cache(fresh, path)
+    back = load_cache(path, CATALAN, memory_limit=4 * 101 * 8)
+    with pytest.raises(MemoryBudgetError, match=r"still valid at n=100$"):
+        back.extend(101)
+    assert back.n == 100
+    assert np.array_equal(back.ln_values(), fresh.ln_values())
+
+
 def test_refine_reports_memory_budget():
     report = refine(MIX, memory_limit=20000, max_n=4096)
     assert not report.converged
@@ -376,7 +404,7 @@ def test_out_of_window_cells_use_the_ln_kernel():
     # the chunk start m = 64, where the rebuilt mirror leaves the window
     def extended(spike):
         table = compute_sequence(MIX, 40, domain="log")
-        table._cols[2].data[5] += spike
+        table._dom.data[2, 5] += spike
         return table.extend(80)
 
     clean = extended(0.0)
@@ -426,12 +454,12 @@ def test_cache_round_trip(tmp_path, domain):
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
-    # digest of the version 2 layout, with no max records
+    # digest of the version 3 layout, which stores each t_m = D^m s_m
     spec = parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7")
     path = tmp_path / "frac.seq"
     save_cache(compute_sequence(spec, 60, domain="exact"), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "d3b9f64ce5d2b5cddb485e7bdfa021a3c3d04bf06d3be987c186964efe7be2af"
+        "585676511120463569394441ab839d903538f22747e563a6047c6462832a7168"
     )
     # the reloaded Fractions, as printed when the cache still held max records
     back = load_cache(str(path), spec)
@@ -442,32 +470,34 @@ def test_exact_cache_bytes_are_stable(tmp_path):
 
 
 def _exact_cache(spec, s_values, fold_values) -> bytes:
-    """A version 2 exact cache for a spec with a single rank-2 sum table."""
+    """A version 3 exact cache for a spec with a single rank-2 sum table,
+    from the integers t_m it stores."""
     def record(values):
         out = struct.pack("<Q", len(values))
-        for q in values:
-            nb = q.numerator.to_bytes(max(1, (q.numerator.bit_length() + 7) // 8), "little")
-            db = q.denominator.to_bytes(max(1, (q.denominator.bit_length() + 7) // 8), "little")
-            out += struct.pack("<BQ", 0, len(nb)) + nb + struct.pack("<Q", len(db)) + db
+        for t in values:
+            tb = t.to_bytes((t.bit_length() + 7) // 8, "little")
+            out += struct.pack("<Q", len(tb)) + tb
         return out
 
-    body = (b"FRSQ" + struct.pack("<H", 2) + spec.digest()
+    body = (b"FRSQ" + struct.pack("<H", 3) + spec.digest()
             + struct.pack("<BQH", 0, len(s_values) - 1, 2)
             + record(s_values) + record(fold_values))
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def test_cache_rejects_exact_value_off_the_lattice(tmp_path):
-    # sum 2 1/2 has D = 2: s_1 = 1/2 is t_1 / 2 with t_1 = 1, but 1/3 is
-    # no integer over 2^1
+def test_exact_cache_is_read_as_the_layout_documents(tmp_path):
+    # sum 2 1/2 has D = 2 and t = 1, 1, 2, 5, 14, 42: the Catalan numbers,
+    # as s_m = C_m / 2^m; the fold cells at 0..2 are t's self-convolution
     spec = parse_spec("sum 2 1/2")
     path = tmp_path / "half.seq"
-    path.write_bytes(_exact_cache(spec, [Fraction(1), Fraction(1, 2)], [Fraction(1)]))
-    assert load_cache(str(path), spec).extend(3).value(3).value == \
-        compute_sequence(spec, 3, domain="exact").value(3).value
-    path.write_bytes(_exact_cache(spec, [Fraction(1), Fraction(1, 3)], [Fraction(1)]))
-    with pytest.raises(CacheCorruptError):
-        load_cache(str(path), spec)
+    path.write_bytes(_exact_cache(spec, [1, 1, 2, 5], [1, 2, 5]))
+    back = load_cache(str(path), spec)
+    assert [back.value(n).value for n in range(4)] == [1, Fraction(1, 2), Fraction(1, 2),
+                                                       Fraction(5, 8)]
+    assert back.sum_fold(2, 2).value == Fraction(5, 4)
+    fresh = compute_sequence(spec, 5, domain="exact")
+    assert back.extend(5).value(5).value == fresh.value(5).value == Fraction(42, 32)
+    assert _saved(back, tmp_path / "a.seq") == _saved(fresh, tmp_path / "b.seq")
 
 
 def test_failed_cache_write_names_the_file_and_cleans_up(tmp_path, monkeypatch):
