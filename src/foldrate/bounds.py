@@ -1,27 +1,37 @@
 """Certified two-sided bounds on the growth rate lim s_n^(1/n).
 
-Both directions come from finite prefixes of the sequence.  Writing L for
-the largest arity, k* for the largest weight among arity>=2 terms and s1
-for the weight sum, the lower bound is
+Both directions come from finite prefixes of the sequence.  The sequence
+is supermultiplicative, s_a * s_b <= s_{a+b} (engine docstring), so by
+Fekete's lemma the rate is sup_k s_k^(1/k) and every index gives a lower
+bound,
 
-    sup_lower(n) = (1/n) * [ln k* + ln s_{n-1}]                     n >= 1
+    lower(k) = ln s_k / k                                          k >= 1
 
-and the upper bound is, with alpha = 1/ln((L+1)/L) and
+which needs no constant from the spec.  It dominates the bound
+(ln k* + ln s_{n-1})/n at the same index, since k* s_{n-1} <= s_n.
+
+The upper bound is the paper's, for the reduced spec in which each max
+term is the arity-1 sum term it equals (recurrence.derive_constants).
+With L, k* and s1 its constants, alpha = 1/ln((L+1)/L) and
 beta' = alpha*ln(s1*L^2/k*),
 
-    upper(n) = (1/n) * [A*ln 3 + B(n)*ln n + ln s_n]
+    upper(n) = ln s_n / n + e(n)
+    e(n)     = (A*ln 3 + B(n)*ln n) / n
     A        = 18*alpha*ln 3 + 2*beta'
     B(n)     = 3*alpha*ln n + 12*alpha*ln 3 + beta'
 
-The paper's other lower bound, (1/n) * [ln k* - ln(L*(n-1)*s1) + ln s_n],
-is not computed: taking logs of the history inequality
-s_n <= L*(n-1)*s1*s_{n-1} (tested by acceptance check C2) shows it never
-exceeds sup_lower(n), up to 1 ulp of rounding where the two tie.
-
-Every sup_lower(n) is <= the true rate and every upper(n) is >= it, so
-the running max of lowers and min of uppers form a shrinking sandwich.
-refine() doubles the table length until the sandwich ratio reaches a
-target or a budget runs out; an unconverged run is reported, not raised.
+Every lower(k) is <= the true rate and every upper(n) is >= it, so the
+running max of lowers and min of uppers form a shrinking sandwich.  As
+lower(n) sits inside it, its width at n is at most e(n), which depends
+on the constants alone and strictly decreases for n >= 1 (beta' > 0).
+So refine() works out, before computing anything, the least n* with
+e(n*) <= ln(1 + epsilon), and doubles the table length as before but
+stops at n* instead of the next power of two past it: no table shorter
+than n* is certified by this argument, and one of length n* is.
+Convergence is still read off the sandwich itself, never off n*, and a
+run that rounding leaves short of the target at n* keeps doubling.
+refine() stops on convergence or when a budget runs out; an unconverged
+run is reported, not raised.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import numpy as np
 
 from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants, parse_spec
-from .scalars import exp_ln, ln_fraction, round12
+from .scalars import exp_ln, round12
 
 __all__ = [
     "BoundsEntry",
@@ -54,19 +64,43 @@ DEFAULT_EPSILON = 0.25
 DEFAULT_MAX_N = 1 << 14
 
 
+def _excess(consts: GrowthConstants, n: int) -> float:
+    """e(n) = upper(n) - ln s_n / n, from the constants alone.
+
+    The log of n is a scalar math.log call: np.log differs from math.log
+    in the last bit on some integers, which would move reported digits.
+    """
+    ln_n = math.log(n)
+    a = 18.0 * consts.alpha * _LN3 + 2.0 * consts.beta_prime
+    b = 3.0 * consts.alpha * ln_n + 12.0 * consts.alpha * _LN3 + consts.beta_prime
+    return (a * _LN3 + b * ln_n) / n
+
+
 def _bracket(ln_s: np.ndarray, consts: GrowthConstants, n: int, lo: int):
     """(ln lower, ln upper) read off ln s_0..s_n at n >= 2.
 
-    The lower is the best sup-form bound at any index in [lo, n].  The log
-    of n is a scalar math.log call: np.log differs from math.log in the
-    last bit on some integers, which would move reported digits.
+    The lower is the best Fekete bound ln s_k / k at any k in [lo, n].
     """
-    ln_kstar = ln_fraction(consts.kstar)
-    ln_n = math.log(n)
-    sup = float(((ln_kstar + ln_s[lo - 1 : n]) / np.arange(lo, n + 1, dtype=np.float64)).max())
-    a = 18.0 * consts.alpha * _LN3 + 2.0 * consts.beta_prime
-    b = 3.0 * consts.alpha * ln_n + 12.0 * consts.alpha * _LN3 + consts.beta_prime
-    return sup, (a * _LN3 + b * ln_n + float(ln_s[n])) / n
+    fekete = float((ln_s[lo : n + 1] / np.arange(lo, n + 1, dtype=np.float64)).max())
+    return fekete, float(ln_s[n]) / n + _excess(consts, n)
+
+
+def _last_step(consts: GrowthConstants, epsilon: float, max_n: int) -> int:
+    """The least n in [2, max_n] with e(n) <= ln(1 + epsilon), else max_n.
+
+    Bisection on the strictly decreasing e(n): O(log max_n) scalar calls.
+    """
+    target = math.log1p(epsilon)
+    lo, hi = 1, max_n
+    if _excess(consts, hi) > target:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _excess(consts, mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -151,8 +185,8 @@ def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
 
     Only s_0..s_{max_n} are read (default: the whole table), so the report
     does not depend on how far the table reaches beyond max_n.  The
-    reported best lower also folds in the supremum-form bound over every
-    index up to max_n, which costs O(N) and never hurts.
+    reported best lower also folds in the Fekete bound at every index up
+    to max_n, which costs O(N) and never hurts.
     """
     if consts is None:
         consts = derive_constants(table.spec)
@@ -193,15 +227,21 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
            max_n: int = DEFAULT_MAX_N, seconds: float | None = None,
            domain: str = "log",
            memory_limit: int = DEFAULT_MEMORY_LIMIT) -> BoundsReport:
-    """Double the table until the sandwich ratio is <= 1 + epsilon.
+    """Grow the table until the sandwich ratio is <= 1 + epsilon.
 
-    Evaluation happens at each table length in the doubling schedule
-    2, 4, 8, ..., max_n.  Stops on convergence or when the max_n, wall
-    clock or memory budget runs out; the latter yields converged=False in
-    the report, with the budget named in ``reason``, rather than an
-    exception.  The wall clock budget is checked before each doubling, so
-    a step predicted to overrun it is never started: the last step's time
-    times the largest step-to-step ratio seen so far, at least 4.
+    Evaluation happens at each table length in the schedule 2, 4, 8, ...,
+    each step doubling n but stopping at max_n and at n*, the least n
+    whose excess e(n) is within ln(1 + epsilon) (module docstring).
+    Stops on convergence or when the max_n, wall clock or memory budget
+    runs out; the latter yields converged=False in the report, with the
+    budget named in ``reason``, rather than an exception.  The wall
+    clock budget is checked before each step, so a step predicted to
+    overrun it is never started.  A step from n to n' is predicted at
+    its n'^2 - n^2 cells times the last step's time per cell, times the
+    largest step-to-step rise in that time seen so far (at least 1).
+    After a doubling that is the last step's time times the largest
+    step ratio, at least 4, scaled by (n'^2 - n^2) / (3 n^2), the new
+    step's cells relative to a doubling's.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -209,10 +249,11 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     start = time.perf_counter()
     consts = derive_constants(spec)
+    n_star = _last_step(consts, epsilon, max_n)
     table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
 
-    n, growth, last = 2, 4.0, None
+    n, slowdown, last_rate = 2, 1.0, None
     while True:
         prev = table.n
         step = time.perf_counter()
@@ -234,14 +275,20 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
         if n >= max_n:
             report.reason = "length budget exhausted"
             break
-        # O(N^2) makes a doubling cost ~4x the last, more if the host slows
-        if last:
-            growth = max(growth, step / last)
-        last = step
-        if seconds is not None and time.perf_counter() - start + growth * step > seconds:
+        # past n* (rounding left the ratio short) the doubling goes on
+        nxt = min(2 * n, max_n if n >= n_star else n_star)
+        # a step to n' costs ~n'^2 - n^2 cells; the time per cell is the
+        # last step's, times its largest rise between steps so far, since
+        # the host can slow down
+        rate = step / (n * n - prev * prev)
+        if last_rate:
+            slowdown = max(slowdown, rate / last_rate)
+        last_rate = rate
+        predicted = slowdown * rate * (nxt * nxt - n * n)
+        if seconds is not None and time.perf_counter() - start + predicted > seconds:
             report.reason = "time budget exhausted"
             break
-        n = min(2 * n, max_n)
+        n = nxt
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -225,12 +225,24 @@ class _ExactDomain:
             out += b
         return out
 
-    def decode(self, reader: "_Reader", i: int, count: int) -> None:
-        """Replace column i's contents with ``count`` encoded values."""
-        col = [int.from_bytes(reader.take(reader.u("<Q")), "little") for _ in range(count)]
+    def decode(self, reader: "_Reader", counts: list[int], limit: int) -> None:
+        """Fill every column from its record, then refuse a table that an
+        uninterrupted extend under ``limit`` would have stopped short of:
+        one whose bytes before its last n exceed the limit."""
+        for i, count in enumerate(counts):
+            reader.record(count)
+            self.cols[i] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
+                            for _ in range(count)]
         getsizeof = sys.getsizeof
-        self.nbytes += sum(map(getsizeof, col)) - sum(map(getsizeof, self.cols[i]))
-        self.cols[i] = col
+        self.nbytes = sum(sum(map(getsizeof, col)) for col in self.cols)
+        n = counts[0] - 1
+        # the last n added s_n and each rank's cell at n - 1: every column's last value
+        before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols) if n else 0
+        if before > limit:
+            raise MemoryBudgetError(
+                f"a table at n={n} holds {before} bytes before its last step, "
+                f"budget is {limit}"
+            )
 
 
 class _LogDomain:
@@ -275,10 +287,13 @@ class _LogDomain:
             self.rev = _widened(self.rev, total, total - cap)
             self.fwd = _widened(self.fwd, total, 0)
 
+    def _projected(self, n: int) -> int:
+        """Bytes of a table at n: 8 per index for each ln value and mirror entry."""
+        return (len(self.data) + len(self.rev) + len(self.fwd)) * (n + 1) * 8
+
     def _reserve(self, n0: int, new_n: int, limit: int) -> None:
         """Reject an extension the budget cannot hold before doing any work."""
-        # per index, 8 bytes for each ln value and mirror entry
-        projected = (len(self.data) + len(self.rev) + len(self.fwd)) * (new_n + 1) * 8
+        projected = self._projected(new_n)
         if projected > limit:
             raise MemoryBudgetError(
                 f"extending to {new_n} needs ~{projected} bytes, "
@@ -383,10 +398,20 @@ class _LogDomain:
         """Raw little-endian float64 ln values."""
         return self.data[i, :count].astype("<f8").tobytes()
 
-    def decode(self, reader: "_Reader", i: int, count: int) -> None:
-        """Replace column i's contents with ``count`` encoded values."""
-        self._grow(count)
-        self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
+    def decode(self, reader: "_Reader", counts: list[int], limit: int) -> None:
+        """Fill every column from its record, unless a table that long
+        could not have been reached under ``limit``: that is refused
+        before anything is decoded."""
+        n = counts[0] - 1
+        projected = self._projected(n)
+        if projected > limit:
+            raise MemoryBudgetError(
+                f"a table at n={n} needs ~{projected} bytes, budget is {limit}"
+            )
+        self._grow(n + 1)
+        for i, count in enumerate(counts):
+            reader.record(count)
+            self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
 
 
 _DOMAINS = {"exact": _ExactDomain, "log": _LogDomain}
@@ -551,6 +576,12 @@ class _Reader:
         (v,) = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return v
 
+    def record(self, expected: int) -> None:
+        """Read a record's value count, which must be ``expected``."""
+        count = self.u("<Q")
+        if count != expected:
+            raise CacheCorruptError(f"record has {count} values, expected {expected}")
+
 
 def save_cache(table: SequenceTable, path) -> None:
     """Write a table (sequence and fold columns) to a cache file."""
@@ -580,7 +611,11 @@ def save_cache(table: SequenceTable, path) -> None:
 
 def load_cache(path, spec: RecurrenceSpec,
                memory_limit: int = DEFAULT_MEMORY_LIMIT) -> SequenceTable:
-    """Restore a table for ``spec`` from a cache file written by save_cache."""
+    """Restore a table for ``spec`` from a cache file written by save_cache.
+
+    Raises MemoryBudgetError if extending a fresh table under
+    ``memory_limit`` could not have reached the cached n.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(_MAGIC) + 2 + 32 + 1 + 8 + 2 + 4:
@@ -608,11 +643,7 @@ def load_cache(path, spec: RecurrenceSpec,
         raise CacheCorruptError("fold table layout does not match the recurrence")
     # log mirrors are rebuilt from the loaded ln values on the first new cell
     table.n = n
-    for i, expected in enumerate(table._record_counts()):
-        count = reader.u("<Q")
-        if count != expected:
-            raise CacheCorruptError(f"record has {count} values, expected {expected}")
-        table._dom.decode(reader, i, count)
+    table._dom.decode(reader, table._record_counts(), memory_limit)
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
     return table

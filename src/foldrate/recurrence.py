@@ -243,10 +243,13 @@ def parse_spec_json(text: str) -> RecurrenceSpec:
 class GrowthConstants:
     """Constants the growth bounds need, derived once from a spec.
 
-    s1 is the exact first sequence value (the weight sum).  log_base is
-    (L+1)/L where L is the largest arity; alpha = 1/ln(log_base) converts
-    natural logs into base-(L+1)/L logs; beta_prime = alpha * ln(s1*L^2/k*)
-    where k* is the largest weight among arity>=2 terms.
+    They are the paper's constants for the reduced spec, in which each
+    ``max j w`` is the ``sum 1 w`` it equals (engine docstring): s1 is the
+    exact first sequence value (the weight sum, the same for both specs);
+    max_arity is L, the largest arity of a sum term with arity >= 2, and
+    kstar is k*, the largest weight among those terms.  log_base is
+    (L+1)/L, alpha = 1/ln(log_base) converts natural logs into
+    base-(L+1)/L logs, and beta_prime = alpha * ln(s1*L^2/k*).
     """
 
     s1: Fraction
@@ -258,10 +261,21 @@ class GrowthConstants:
 
 
 def derive_constants(spec: RecurrenceSpec) -> GrowthConstants:
-    """Compute the bound constants for a spec.  Pure and deterministic."""
-    L = spec.max_arity
+    """Compute the bound constants for a spec.  Pure and deterministic.
+
+    A max term counts as arity 1, so L and k* range over the sum terms of
+    arity >= 2.  The reduced spec describes the same sequence, so the
+    paper's theorem applied to it is just as certified, and its L is
+    smaller whenever a max term has the largest arity (6 -> 4 on
+    ``sum 2 2 / sum 3 3 / sum 4 4 / max 5 5 / max 6 6``).  With no such
+    sum term the reduced spec is geometric (``max 2 2`` gives s_n = 2^n)
+    and the theorem does not apply to it, so L and k* are taken over the
+    spec as written.
+    """
+    folds = [t for t in spec.terms if t.op is Op.SUM and t.arity >= 2]
+    L = max((t.arity for t in folds), default=spec.max_arity)
     s1 = spec.weight_sum
-    kstar = spec.kstar
+    kstar = max((t.weight for t in folds), default=spec.kstar)
     # ln((L+1)/L) = log1p(1/L), which stays accurate for large L.
     alpha = 1.0 / math.log1p(1.0 / L)
     ratio = s1 * L * L / kstar  # exact rational, >= 4 since s1 >= k* and L >= 2

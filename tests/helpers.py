@@ -185,3 +185,60 @@ def violations_submulti(table, slack: float = 0.0) -> int:
         pairs = lnS[: n + 1] + lnS[n::-1]
         bad += int((pairs < lhs).sum())
     return bad
+
+
+# -- closed-form rate oracle ---------------------------------------------
+#
+# Every max fold of s is s_m (engine docstring), so a max term of weight k
+# acts as k * s_{n-1} and S(z) = sum s_n z^n solves S = 1 + z P(S) with
+#
+#     P(y) = sum over sum terms of k * y^arity + (sum of max weights) * y.
+#
+# The rate is then read off P alone, by the smooth implicit-function
+# schema (Flajolet & Sedgewick, Analytic Combinatorics, ch. VII): when
+# deg P >= 2 the singularity of S sits where z = (y - 1) / P(y) peaks, at
+# the unique root tau > 1 of f(y) = (y - 1) P'(y) - P(y), and the rate is
+# P(tau) / (tau - 1) = min over y > 1 of P(y) / (y - 1).  When deg P = 1,
+# s_n = P(1)^n.  Nothing here calls the package: exact Fractions only.
+
+
+def rate_polynomial(spec: RecurrenceSpec) -> dict[int, Fraction]:
+    """P's coefficients keyed by degree."""
+    coeffs: dict[int, Fraction] = {}
+    for t in spec.terms:
+        degree = t.arity if t.op.value == "sum" else 1
+        coeffs[degree] = coeffs.get(degree, Fraction(0)) + t.weight
+    return coeffs
+
+
+def _poly(coeffs, y: Fraction) -> Fraction:
+    return sum((c * y ** d for d, c in coeffs.items()), Fraction(0))
+
+
+def oracle_rate_interval(spec: RecurrenceSpec, width: Fraction = Fraction(1, 10 ** 30)):
+    """Rational (lo, hi) with lo <= rate <= hi, from P alone.
+
+    For deg P >= 2, bisection keeps a < tau < b until b - a <= width, and
+    as P increases, P(a) / (b - 1) <= P(tau) / (tau - 1) <= P(b) / (b - 1),
+    the right side holding because tau minimises P(y) / (y - 1).
+    """
+    coeffs = rate_polynomial(spec)
+    if max(coeffs) == 1:
+        rate = _poly(coeffs, Fraction(1))
+        return rate, rate
+    deriv = {d - 1: d * c for d, c in coeffs.items()}
+
+    def f(y):
+        return (y - 1) * _poly(deriv, y) - _poly(coeffs, y)
+
+    # f(1) = -P(1) < 0, f' = (y - 1) P'' > 0 on y > 1, and f grows without bound
+    a, b = Fraction(1), Fraction(2)
+    while f(b) < 0:
+        a, b = b, 2 * b
+    while b - a > width:
+        mid = (a + b) / 2
+        if f(mid) < 0:
+            a = mid
+        else:
+            b = mid
+    return _poly(coeffs, a) / (b - 1), _poly(coeffs, b) / (b - 1)

@@ -1,6 +1,8 @@
 """Growth-rate sandwich: bound formulas, refinement loop, known fixtures."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,16 +17,19 @@ from foldrate import (
     parse_spec,
     refine,
 )
+from helpers import MIXED_EXAMPLE, oracle_rate_interval, random_spec
 
 CATALAN = parse_spec("sum 2 1")
 MAX22 = parse_spec("max 2 2")
+MIX = parse_spec(MIXED_EXAMPLE)
+HIGHMAX = parse_spec("sum 2 1\nmax 48 1")
 
 
-def test_catalan_lower_bound_at_two_is_one():
-    # (1/2) * [ln 1 - ln(2*1*1) + ln 2] = 0, so the bound is e^0 = 1
+def test_catalan_fekete_lower_at_two_is_sqrt_two():
+    # s_2 = 2, so the bound is ln(s_2) / 2 = ln 2 / 2
     table = compute_sequence(CATALAN, 2, domain="exact")
     (entry,) = evaluate_bounds(table, ns=[2]).entries
-    assert entry.ln_lower == pytest.approx(0.0, abs=1e-15)
+    assert entry.ln_lower == pytest.approx(math.log(2) / 2, abs=1e-15)
 
 
 def test_catalan_upper_coefficient():
@@ -42,8 +47,7 @@ def test_catalan_upper_coefficient():
 
 
 def test_sup_lower_is_flat_for_pure_max():
-    # s_n = 2^n makes (kstar * s_{n-1})^(1/n) = 2 at every n, and the other
-    # lower bound never exceeds it
+    # s_n = 2^n makes the Fekete bound s_n^(1/n) = 2 at every n
     table = compute_sequence(MAX22, 64, domain="exact")
     report = evaluate_bounds(table, ns=range(2, 65))
     for entry in report.entries:
@@ -121,6 +125,20 @@ def test_refine_stops_inside_its_time_budget():
     assert report.max_n < 1 << 20
 
 
+def _inject_clock(monkeypatch, cost):
+    """A clock that only moves while the table extends, by cost(n, old n)."""
+    clock = [0.0]
+    real_extend = SequenceTable.extend
+
+    def extend(self, n):
+        clock[0] += cost(n, self.n)
+        return real_extend(self, n)
+
+    monkeypatch.setattr(bounds.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(SequenceTable, "extend", extend)
+    return clock
+
+
 @pytest.mark.parametrize("cost, seconds, stop_n", [
     # a 7.5x spike at n = 4: the 4x rule would start n = 8 at 8.5 s,
     # predicting 38.5 s, and finish it at 64.75 s
@@ -130,20 +148,56 @@ def test_refine_stops_inside_its_time_budget():
     ({2: 1.0, 4: 2.0, 8: 4.0, 16: 8.0}, 10.0, 4),
 ])
 def test_refine_predicts_with_the_largest_step_ratio(monkeypatch, cost, seconds, stop_n):
-    # an injected clock that only moves while the table extends
-    clock = [0.0]
-    real_extend = SequenceTable.extend
-
-    def extend(self, n):
-        clock[0] += cost[n]
-        return real_extend(self, n)
-
-    monkeypatch.setattr(bounds.time, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(SequenceTable, "extend", extend)
+    clock = _inject_clock(monkeypatch, lambda n, _: cost[n])
     report = refine(CATALAN, epsilon=1e-9, max_n=1 << 10, seconds=seconds)
     assert report.reason == "time budget exhausted"
     assert report.max_n == stop_n
     assert report.elapsed == clock[0] <= seconds
+
+
+def test_refine_predicts_a_short_last_step_by_its_cells(monkeypatch):
+    # time proportional to cells: 1 s reaches n = 1024, the doubling to
+    # 2048 would take 3 s more, but the last step, to n* = 1851, takes
+    # (1851^2 - 1024^2) / 2^20 = 2.27 s and fits in the 3.5 s budget
+    clock = _inject_clock(monkeypatch, lambda n, old: (n * n - old * old) / 2 ** 20)
+    report = refine(CATALAN, epsilon=0.5, max_n=1 << 14, seconds=3.5)
+    assert report.converged
+    assert report.max_n == 1851
+    assert report.elapsed == clock[0] <= 3.5
+
+
+def test_refine_predicts_a_doubling_after_a_short_step_by_its_cells(monkeypatch):
+    # an n* at which the ratio is still short, as rounding can leave it:
+    # the doubling 1100 -> 2200 that follows takes 3.46 s, which a
+    # prediction from the short step's 0.15 s at a doubling's price misses
+    monkeypatch.setattr(bounds, "_last_step", lambda consts, epsilon, max_n: 1100)
+    clock = _inject_clock(monkeypatch, lambda n, old: (n * n - old * old) / 2 ** 20)
+    report = refine(CATALAN, epsilon=0.5, max_n=1 << 14, seconds=4.0)
+    assert report.reason == "time budget exhausted"
+    assert [e.n for e in report.entries][-2:] == [1024, 1100]
+    assert report.elapsed == clock[0] <= 4.0
+
+
+def test_refine_stops_at_the_first_certified_n():
+    report = refine(MIX, epsilon=0.5)
+    assert report.converged
+    assert report.max_n == 4290
+    assert report.ratio <= 1.5
+    assert [e.n for e in report.entries][-2:] == [4096, 4290]
+    # one index earlier the sandwich is not yet within 1.5
+    assert evaluate_bounds(compute_sequence(MIX, 4289), max_n=4289).ratio > 1.5
+
+
+def test_refine_doubles_while_n_star_is_out_of_reach():
+    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 10)
+    assert [e.n for e in report.entries] == [2 ** k for k in range(1, 11)]
+
+
+def test_refine_converges_on_highmax():
+    report = refine(HIGHMAX, epsilon=0.5)
+    assert report.converged
+    assert report.max_n == 1902
+    assert report.best_ln_lower <= math.log(3 + 2 * math.sqrt(2)) <= report.best_ln_upper
 
 
 def test_refine_argument_guards():
@@ -201,3 +255,36 @@ def test_report_renders_overflowing_linear_values():
     assert doc["entries"][0]["ln_upper"] == 1000.0
     assert doc["best"]["lower"] == pytest.approx(math.exp(0.5), rel=1e-11)
     assert report.csv_rows()[1][4:] == [math.inf, math.inf]
+
+
+# -- the closed-form rate oracle (tests/helpers.py) ----------------------
+
+
+def test_oracle_named_rates():
+    lo, hi = oracle_rate_interval(MIX)
+    assert hi - lo < Fraction(1, 10 ** 20)
+    assert float(lo) == pytest.approx(101.9497188727, abs=1e-9)
+    # HIGHMAX's rate is 3 + 2*sqrt(2): (lo - 3)^2 <= 8 <= (hi - 3)^2
+    lo, hi = oracle_rate_interval(HIGHMAX)
+    assert 3 < lo <= hi and (lo - 3) ** 2 <= 8 <= (hi - 3) ** 2
+    assert hi - lo < Fraction(1, 10 ** 20)
+    lo, hi = oracle_rate_interval(CATALAN)
+    assert lo <= 4 <= hi and hi - lo < Fraction(1, 10 ** 20)
+    assert oracle_rate_interval(MAX22) == (2, 2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bounds_bracket_the_oracle_rate(seed):
+    spec = random_spec(random.Random(seed), kind=("mixed", "sum", "max")[seed % 3])
+    lo, hi = oracle_rate_interval(spec)
+    ln_lo, ln_hi = math.log(lo), math.log(hi)
+    # exact-domain bounds are exact up to the final rounding of their
+    # double: on s_n = w^n the lower lands 2 ulps above ln w
+    for domain, n, slack in (("exact", 64, 4 * math.ulp(ln_hi)), ("log", 512, 1e-12)):
+        report = evaluate_bounds(compute_sequence(spec, n, domain=domain))
+        assert report.best_ln_lower <= ln_hi + slack
+        assert report.best_ln_upper >= ln_lo - slack
+    report = refine(spec, epsilon=0.5)
+    assert report.converged
+    assert report.best_ln_lower <= ln_lo + 1e-12
+    assert report.best_ln_upper >= ln_hi - 1e-12

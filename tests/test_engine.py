@@ -278,6 +278,28 @@ def test_log_memory_budget_holds_after_a_load(tmp_path):
     assert np.array_equal(back.ln_values(), fresh.ln_values())
 
 
+@pytest.mark.parametrize("domain", ["exact", "log"])
+def test_load_refuses_a_table_beyond_its_memory_budget(tmp_path, domain):
+    path = str(tmp_path / "cat.seq")
+    save_cache(compute_sequence(CATALAN, 1000, domain=domain), path)
+    with pytest.raises(MemoryBudgetError, match=r"n=1000"):
+        load_cache(path, CATALAN, memory_limit=64)
+    assert load_cache(path, CATALAN).n == 1000
+
+
+def test_exact_load_admits_exactly_what_extend_reaches(tmp_path):
+    limit = 4096
+    whole = SequenceTable(CATALAN, domain="exact", memory_limit=limit)
+    with pytest.raises(MemoryBudgetError):
+        whole.extend(100_000)
+    path = str(tmp_path / "cat.seq")
+    save_cache(whole, path)
+    assert load_cache(path, CATALAN, memory_limit=limit).n == whole.n
+    save_cache(compute_sequence(CATALAN, whole.n + 1, domain="exact"), path)
+    with pytest.raises(MemoryBudgetError):
+        load_cache(path, CATALAN, memory_limit=limit)
+
+
 def test_refine_reports_memory_budget():
     report = refine(MIX, memory_limit=20000, max_n=4096)
     assert not report.converged

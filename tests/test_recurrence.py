@@ -171,10 +171,23 @@ def test_constants_catalan():
 
 def test_constants_mixed_example():
     c = derive_constants(parse_spec("sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"))
-    assert c.s1 == 20 and c.kstar == 6 and c.max_arity == 6
-    assert c.log_base == pytest.approx(7 / 6)
+    # max 5 5 and max 6 6 count as arity 1: L and k* come from sum 4 4
+    assert c.s1 == 20 and c.kstar == 4 and c.max_arity == 4
+    assert c.log_base == pytest.approx(5 / 4)
     assert c.beta_prime == pytest.approx(
-        math.log(20 * 36 / 6) / math.log(7 / 6), rel=1e-12
+        math.log(20 * 16 / 4) / math.log(5 / 4), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("text", ["max 2 2", "sum 1 1\nmax 2 3"])
+def test_constants_of_a_geometric_reduced_spec_are_the_spec_as_written(text):
+    # no sum term of arity >= 2 is left to reduce to, so nothing changes
+    spec = parse_spec(text)
+    c = derive_constants(spec)
+    assert (c.max_arity, c.kstar) == (spec.max_arity, spec.kstar)
+    assert c.alpha == 1.0 / math.log1p(1.0 / spec.max_arity)
+    assert c.beta_prime == pytest.approx(
+        c.alpha * math.log(spec.weight_sum * spec.max_arity ** 2 / spec.kstar), rel=1e-15
     )
 
 
