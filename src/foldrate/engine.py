@@ -25,49 +25,70 @@ splits, is s_m.
 
 The plan is resolved once, when a table is built: columns s, then the sum
 ranks 2.. (the cache's record order), each rank folding s with the rank
-below; and (weight, column) pairs for the weighted sum, each sum arity
-reading its rank (arity 1 reads s), then each max arity reading s.  The
-value domain, _ExactDomain (exact integers) or _LogDomain (natural log
-doubles), is the table's storage: it holds the columns and the memory
-budget's byte count, reads values and ln values off them, encodes them
-for the cache, and runs the one loop that extends them: per n, every
-rank's cell and then s_n.  SequenceTable holds the plan and n, and its
-extend only runs that loop and records the n reached.  A table restored
-from the binary cache and extended is bit-identical to an uninterrupted
-run.
+below; and (weight, column) pairs for the weighted sum, one per arity,
+each reading its rank: max weights add to the arity-1 weight, which reads
+s.  The value domain, _ExactDomain (exact integers) or _LogDomain
+(natural log doubles), is the table's storage: it holds the columns and
+the memory budget's byte count, reads values and ln values off them,
+encodes them for the cache, and runs the loop that extends them.
+SequenceTable holds the plan and n, and its extend only runs that loop
+and records the n reached.  A table restored from the binary cache and
+extended is bit-identical to an uninterrupted run.
 
-The exact domain computes on Python ints.  With D the lcm of the plan's
-weight denominators, t_m = D^m s_m is an integer sequence: a split of m
+The exact domain computes on Python ints.  With D the lcm of the weight
+denominators (_merged_plan), t_m = D^m s_m is an integer sequence: a split of m
 has s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
 at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
 with t_0 = 1.  Fraction appears only at the API boundary: values, fold
 cells and ln values go through the reduced t / D^m, and the cache stores
 t itself.
 
-Log-domain columns store ln values, and sum cells are computed in a
-scaled linear domain.  Cell indices are cut into power-of-two chunks,
-m in [2^(k-1), 2^k) with k = m.bit_length(), and each chunk has one
-scale theta_k: the slope of the stored ln s over [m0/2, m0],
-m0 = 2^(k-1) (ln s_1 for k = 1, 0 for m = 0).  Every column that feeds a
-sum rank (s, and sum ranks 2..L-1) keeps a mirror
-u_x = exp(ln v_x - theta_k * x); since the theta factors of a split
-x + (m - x) = m multiply to exp(theta_k * m), a sum cell is
+Log-domain columns store ln values, and cells are solved a block at a
+time in a scaled linear domain.  Cell indices are cut into power-of-two
+chunks, m in [2^(k-1), 2^k) with k = m.bit_length(), and each chunk has
+one scale theta: the slope of the stored ln s over [m0/2, m0],
+m0 = 2^(k-1) (ln s_1 for k = 1).  Every column that feeds a sum rank (s
+and ranks 2..top-1) gets a mirror u_x = exp(ln s_x - theta*x), or
+g_j[x] = exp(ln fold_j[x] - theta*x); the theta factors of a split of m
+multiply to exp(theta*m), so g_j[m] = sum_x u_x g_{j-1}[m-x] and
+u_{m+1} = e^-theta sum_pairs w g_col[m].  m = 0 is the base case.
 
-    ln(dot(u^s[0..m], u^prev[m..0])) + theta_k * m
+A chunk is cut into blocks of B = min(2^(k-1), 128) cells, [M, M+B)
+with M = m0, m0 + B, ..., so B <= M.  Then in every split of a cell of
+the block at most one part is >= M, and the block's unknowns,
+U = u_{M+1..M+B} and G_j = g_j[M..M+B-1] as polynomials in t, satisfy a
+causal linear system (all products mod t^B, ell_j = g_j[0..B-1], known):
 
-with the reversed mirror making u^prev[m..0] one contiguous slice.  The
-mirrors are rebuilt from the stored ln values when a chunk starts and
-after load_cache; otherwise the extend loop appends each new cell's entry
-inline, s's before the ranks run and each rank's right after its cell.
-Resuming stays bit-identical because the rebuild and the inline append
-evaluate the same math.exp(v - theta*x) on the same double v.  While
-every mirror entry satisfies |ln v_x - theta_k * x| <= 340, all products
-are normal doubles and the dot product cannot overflow for N below
-~10^7.  A cell whose inputs leave that window, or whose dot product is
-not a normal double, is computed by the ln kernel (scalars.log_sum_vec)
-instead; ``fallback_cells`` counts those.  Neither kernel carries a
-rigorous rounding radius: the float domain's bounds are certified only
-up to float rounding.
+    G_1 = u_M + t U
+    G_j = K_j + G_1 ell_{j-1} + ell_1 G_{j-1}
+    U   = e^-theta sum_pairs w G_col
+
+K_j[r] = sum u_x g_{j-1}[M+r-x] over x < M and M+r-x < M is the
+known x known part: one np.convolve per rank and block, over mirror rows
+whose entries >= M are zeroed, so it reads indices < M only.  Writing
+G_j = P_j + Q_j U, the Q_j, A = e^-theta sum w Q_col and
+(1 - A)^-1 = prod_i (1 + A^(2^i)) depend on ell and theta alone and are
+computed once per chunk; A has no constant term, so A^B = 0 and
+ceil(log2 B) factors suffice.  A block then takes the P_j,
+U = (e^-theta sum w P_col) (1 - A)^-1 and G_j = P_j + Q_j U.  Every
+coefficient is nonnegative and no step subtracts or uses an FFT, so the
+rounding error of each value is relative to the value itself.  The ln
+values are np.log(.) + theta * index.
+
+Mirrors are derived from the stored ln rows by one vectorised
+np.exp(ln - theta*x) when an extend call or a chunk starts and after
+each block, never from the solved values, and np.exp gives every
+element the same result wherever it sits in the array.  A block that
+new_n cuts through is solved whole from the same inputs and stored only
+through new_n, and the next call solves it again; so stepped, resumed and
+one-shot tables are bit-identical.  While every mirror entry and weight
+factor e^-theta * w lies in [e^-340, e^340], each product of two lies in
+[e^-680, e^680].  A block that reads an entry outside that window, or
+whose solved values are not all positive normal doubles, is computed
+cell by cell by the ln kernel instead (scalars.log_sum_vec for each rank
+cell, then for s); ``fallback_cells`` counts its rank cells.  Neither
+kernel carries a rigorous rounding radius: the float domain's bounds are
+certified only up to float rounding.
 """
 
 from __future__ import annotations
@@ -123,6 +144,10 @@ class CacheCorruptError(CacheError):
 # [e^-340, e^340], each product of two in [e^-680, e^680], and a dot
 # product of fewer than ~10^7 such products is a normal double.
 _WINDOW = 340.0
+_LO, _HI = math.exp(-_WINDOW), math.exp(_WINDOW)
+# the log domain's largest block: chunk k is cut into blocks of
+# B = min(2^(k-1), _BLOCK) cells
+_BLOCK = 128
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
@@ -142,10 +167,10 @@ def _chunk_scale(ln_s: np.ndarray, k: int) -> float:
     return float((ln_s[m0] - ln_s[half]) / (m0 - half))
 
 
-def _widened(rows: np.ndarray, total: int, at: int) -> np.ndarray:
-    """``rows`` copied into new rows of ``total`` entries, starting at ``at``."""
+def _widened(rows: np.ndarray, total: int) -> np.ndarray:
+    """``rows`` copied into the start of new rows of ``total`` entries."""
     out = np.empty((len(rows), total))
-    out[:, at : at + rows.shape[1]] = rows
+    out[:, : rows.shape[1]] = rows
     return out
 
 
@@ -249,47 +274,28 @@ class _LogDomain:
     """ln values in float64 rows, 8 bytes per value and mirror entry.
 
     Row i of ``data`` is column i: s, holding ln s_0 = 0, then the sum
-    ranks 2..top.  Columns 0..top-2 feed a sum rank and keep the scaled
-    linear mirror u_x = exp(ln v_x - theta*x) that sum cells read (see the
-    module docstring): row i of ``rev`` holds column i's u_x at index
-    cap-1-x, so the reversed prefix u_m..u_0 a cell needs is the
-    contiguous tail ``rev[i, cap-1-m:]``, and the one row of ``fwd`` holds
-    s's u_x at index x.  Every row has the same capacity; the record
-    counts come from the table's n.  Fallback cells work on the ln rows
-    directly.  Each instance owns its chunk state, carried across extend
-    calls, so tables never share it.  The scale D is not needed: ln
-    values carry no lattice.
+    ranks 2..top.  Columns 0..top-2 feed a sum rank, and an extend call
+    keeps a scaled linear mirror row u_x = exp(ln v_x - theta*x) for each
+    of them (see the module docstring), re-derived from the ln rows at
+    every chunk start and after every block; no solver state outlives the
+    call.  Every row has the same capacity; the record counts come from
+    the table's n.  The scale D is not needed: ln values carry no lattice.
     """
 
     tag = 1
 
     def __init__(self, scale: int, top: int):
-        feeds = max(top - 1, 0)
         self.data = np.zeros((max(top, 1), 1))
-        self.rev = np.empty((feeds, 1))
-        self.fwd = np.empty((min(feeds, 1), 1))
-        # the chunk whose theta the mirrors hold (-1: none), and per column
-        # whether its mirror is usable for the rest of that chunk
-        self._chunk = -1
-        self._theta = 0.0
-        self._ok: list[bool] = []
+        self.feeds = max(top - 1, 0)
         self.fallback_cells = 0
 
     @staticmethod
     def weight(w: Fraction) -> float:
         return ln_fraction(w)
 
-    def _grow(self, total: int) -> None:
-        """Give every row room for ``total`` entries, keeping what it holds."""
-        cap = self.data.shape[1]
-        if total > cap:
-            self.data = _widened(self.data, total, 0)
-            self.rev = _widened(self.rev, total, total - cap)
-            self.fwd = _widened(self.fwd, total, 0)
-
     def _projected(self, n: int) -> int:
         """Bytes of a table at n: 8 per index for each ln value and mirror entry."""
-        return (len(self.data) + len(self.rev) + len(self.fwd)) * (n + 1) * 8
+        return (len(self.data) + self.feeds) * (n + 1) * 8
 
     def _reserve(self, n0: int, new_n: int, limit: int) -> None:
         """Reject an extension the budget cannot hold before doing any work."""
@@ -299,91 +305,122 @@ class _LogDomain:
                 f"extending to {new_n} needs ~{projected} bytes, "
                 f"budget is {limit}; table still valid at n={n0}"
             )
-        self._grow(new_n + 1)
-
-    def _rebuild(self, i: int, count: int, theta: float) -> bool:
-        """Mirror entries 0..count-1 of column i under ``theta``; False at
-        the first entry that leaves the window.
-
-        Each entry is math.exp(v - theta*x) of the stored value v as a
-        Python float, the expression the extend loop appends a new cell's
-        entry with, so a rebuilt mirror equals an appended one bit for bit.
-        """
-        rev, fwd = self.rev[i], self.fwd[0] if i == 0 else None
-        top = len(rev) - 1
-        for x, v in enumerate(self.data[i, :count].tolist()):
-            a = v - theta * x
-            if not abs(a) <= _WINDOW:
-                return False
-            u = math.exp(a)
-            rev[top - x] = u
-            if fwd is not None:
-                fwd[x] = u
-        return True
+        if new_n + 1 > self.data.shape[1]:
+            self.data = _widened(self.data, new_n + 1)
 
     def extend(self, pairs, n0: int, new_n: int, limit: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return new_n.
 
-        The budget is checked for all of them before any work.  For each
-        n, with m = n - 1: a new chunk sets theta and rebuilds every mirror
-        through m - 1; s's mirror gains entry m; each rank's cell is one
-        dot product (or the ln kernel), and its mirror gains entry m right
-        after it; s_n is the log-add of the weighted cells in pair order.
+        The budget is checked for all of them before any work.  m = 0 is
+        the base case; from m = 1 on, cells go block by block, each block
+        solved whole and stored from the first new cell through new_n, or
+        computed cell by cell by the ln kernel where the solver's
+        conditions fail.
         """
         self._reserve(n0, new_n, limit)
-        datas, revs = list(self.data), list(self.rev)
-        sdata, ranks, feeds = datas[0], range(1, len(datas)), len(revs)
-        fwd = self.fwd[0] if feeds else None
-        top = self.data.shape[1] - 1
-        (w0, i0), rest = pairs[0], pairs[1:]
-        cells = [0.0] * len(datas)
-        chunk, theta, ok = self._chunk, self._theta, self._ok
-        self._chunk = -1  # if the loop is cut short, rebuild next time
-        exp, log, log1p, dot = math.exp, math.log, math.log1p, np.dot
-        fallback = 0
-        sm = float(sdata[n0])
-        for n in range(n0 + 1, new_n + 1):
-            m = n - 1
-            cells[0] = sm
-            if ranks:
-                k = m.bit_length()
-                if k != chunk:
-                    chunk, theta = k, _chunk_scale(sdata, k)
-                    ok = [i < feeds and self._rebuild(i, m, theta) for i in range(len(datas))]
-                tm = theta * m
-                if ok[0]:
-                    a = sm - tm
-                    if abs(a) <= _WINDOW:
-                        fwd[m] = revs[0][top - m] = exp(a)
-                    else:
-                        ok[0] = False
-                head = fwd[: m + 1]
-                for i in ranks:
-                    j, v = i - 1, None
-                    if ok[0] and ok[j]:
-                        d = float(dot(head, revs[j][top - m :]))
-                        if _TINY <= d <= _HUGE:
-                            v = log(d) + tm
-                    if v is None:
-                        fallback += 1
-                        v = log_sum_vec(sdata[: m + 1] + datas[j][m::-1])
-                    datas[i][m] = cells[i] = v
-                    if ok[i]:
-                        a = v - tm
-                        if abs(a) <= _WINDOW:
-                            revs[i][top - m] = exp(a)
-                        else:
-                            ok[i] = False
-            # log_add(total, term) on finite operands, inline
-            total = w0 + cells[i0]
-            for w, i in rest:
-                term = w + cells[i]
-                d = total - term
-                total = total + log1p(exp(-d)) if d >= 0.0 else term + log1p(exp(d))
-            sdata[n] = sm = total
-        self._chunk, self._theta, self._ok = chunk, theta, ok
+        lnw = np.array([w for w, _ in pairs])
+        cols = [i for _, i in pairs]
+        # _BLOCK entries of room past new_n for the zeroed tail of a block
+        mirror = np.empty((self.feeds, new_n + 1 + _BLOCK))
+        fallback, k, m = 0, 0, n0
+        if m == 0:
+            self._ln_cell(0, lnw, cols)
+            m = 1
+        with np.errstate(all="ignore"):
+            while m < new_n:
+                if m.bit_length() != k:
+                    k = m.bit_length()
+                    chunk = self._chunk(k, lnw, cols, mirror, m)
+                theta, B = chunk[:2]
+                M = m - (m - (1 << (k - 1))) % B
+                end = min(M + B, new_n)
+                if not self._block(chunk, mirror, M, m, end):
+                    for x in range(m, end):
+                        self._ln_cell(x, lnw, cols)
+                    fallback += self.feeds * (end - m)
+                self._derive(mirror, theta, M, end)
+                m = end
         self.fallback_cells += fallback
         return new_n
+
+    def _derive(self, mirror: np.ndarray, theta: float, lo: int, n: int) -> None:
+        """Mirror entries from the stored ln rows: s's at lo..n, each other
+        feeding column's at lo..n-1."""
+        if len(mirror):
+            x = np.arange(lo, n + 1)
+            mirror[0, lo : n + 1] = np.exp(self.data[0, lo : n + 1] - theta * x)
+            mirror[1:, lo:n] = np.exp(self.data[1 : len(mirror), lo:n] - theta * x[:-1])
+
+    def _chunk(self, k: int, lnw: np.ndarray, cols: list, mirror: np.ndarray,
+               n: int) -> tuple:
+        """Set chunk k's theta, derive the mirrors through n under it, and
+        return the chunk's solver constants (module docstring): theta, the
+        block length B, the low mirror entries ell = mirror[:, :B], each
+        column's Q, the (e^-theta * w, column) pairs, R = (1 - A)^-1, and
+        whether every weight factor e^-theta * w lies in the window."""
+        theta = _chunk_scale(self.data[0], k)
+        self._derive(mirror, theta, 0, n)
+        B = min(1 << (k - 1), _BLOCK)
+        ell = mirror[:, :B]
+        # Q for s is t; rank c + 1 adds t * ell[c-1] to ell[0] * Q[c-1]
+        Q = [np.zeros(B)]
+        Q[0][1:2] = 1.0  # t, which is 0 mod t^1
+        for c in range(1, len(self.data)):
+            q = np.convolve(ell[0], Q[c - 1])[:B]
+            q[1:] += ell[c - 1, :-1]
+            Q.append(q)
+        weights = list(zip(np.exp(lnw - theta), cols))
+        A = sum(w * Q[c] for w, c in weights)
+        # (1 - A)^-1 = prod_i (1 + A^(2^i)); A^B = 0 mod t^B
+        R = np.zeros(B)
+        R[0] = 1.0
+        for _ in range((B - 1).bit_length()):
+            R = R + np.convolve(R, A)[:B]
+            A = np.convolve(A, A)[:B]
+        ok = bool(np.abs(lnw - theta).max() <= _WINDOW)
+        return theta, B, ell, Q, weights, R, ok
+
+    def _block(self, chunk: tuple, mirror: np.ndarray, M: int, lo: int, end: int) -> bool:
+        """Solve the block of cells M..M+B-1 and store those in lo..end-1;
+        False, with nothing stored, where an input mirror entry or weight
+        factor leaves the window or a solved value is not a positive
+        normal double."""
+        data, (theta, B, ell, Q, weights, R, ok) = self.data, chunk
+        a, low = data[0, M] - theta * M, mirror[:, :M]
+        if not (ok and abs(a) <= _WINDOW
+                and (not low.size or _LO <= low.min() and low.max() <= _HI)):
+            return False
+        um = float(np.exp(a))
+        # the known x known part reads indices < M only, also when this
+        # block was computed before, by a call that stopped inside it
+        mirror[:, M : M + B] = 0.0
+        conv = np.convolve
+        P = [np.zeros(B)]
+        P[0][0] = um
+        for c in range(1, len(data)):
+            p = conv(mirror[c - 1, 1 : M + B], mirror[0, :M], "valid")
+            p += um * ell[c - 1]
+            p += conv(ell[0], P[c - 1])[:B]
+            P.append(p)
+        sol = np.empty((len(data), B))
+        sol[0] = conv(sum(w * P[c] for w, c in weights), R)[:B]
+        for c in range(1, len(data)):
+            sol[c] = P[c] + conv(Q[c], sol[0])[:B]
+        if not (_TINY <= sol.min() and sol.max() <= _HUGE):
+            return False
+        ln = np.log(sol)
+        ln[0] += theta * np.arange(M + 1, M + B + 1)
+        ln[1:] += theta * np.arange(M, M + B)
+        data[0, lo + 1 : end + 1] = ln[0, lo - M : end - M]
+        data[1:, lo:end] = ln[1:, lo - M : end - M]
+        return True
+
+    def _ln_cell(self, m: int, lnw: np.ndarray, cols: list) -> None:
+        """The ln kernel: each rank's cell at m, then s_{m+1}, from the ln rows."""
+        data = self.data
+        for c in range(1, len(data)):
+            data[c, m] = log_sum_vec(data[0, : m + 1] + data[c - 1, m::-1])
+        data[0, m + 1] = log_sum_vec(lnw + data[cols, m])
 
     def ln(self, i: int, m: int) -> float:
         return float(self.data[i, m])
@@ -408,7 +445,7 @@ class _LogDomain:
             raise MemoryBudgetError(
                 f"a table at n={n} needs ~{projected} bytes, budget is {limit}"
             )
-        self._grow(n + 1)
+        self.data = _widened(self.data, n + 1)
         for i, count in enumerate(counts):
             reader.record(count)
             self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
@@ -419,18 +456,21 @@ _DOMAIN_BY_TAG = {d.tag: name for name, d in _DOMAINS.items()}
 
 
 def _merged_plan(spec: RecurrenceSpec):
-    """Per-family weight totals keyed by arity.
+    """Weight totals keyed by arity, each max term counting as arity 1
+    (module docstring), and the exact domain's scale D.
 
-    Equal-arity terms of a family share one fold, so their weights add.
-    Max totals all weight s but stay one per arity, not merged into the
-    arity-1 sum weight, so the log-add of s_n sees the operands it saw
-    when max folds had columns."""
-    sums: dict[int, Fraction] = {}
-    maxes: dict[int, Fraction] = {}
+    D is the lcm of the denominators of the totals per family and arity,
+    as when max weights were kept apart from the arity-1 sum weight, so a
+    cached exact t_m = D^m s_m keeps its meaning.  It is a multiple of
+    every merged total's denominator."""
+    totals: dict[tuple, Fraction] = {}
     for t in spec.terms:
-        bucket = sums if t.op is Op.SUM else maxes
-        bucket[t.arity] = bucket.get(t.arity, Fraction(0)) + t.weight
-    return sums, maxes
+        totals[t.op, t.arity] = totals.get((t.op, t.arity), Fraction(0)) + t.weight
+    weights: dict[int, Fraction] = {}
+    for (op, arity), w in totals.items():
+        a = arity if op is Op.SUM else 1
+        weights[a] = weights.get(a, Fraction(0)) + w
+    return weights, math.lcm(*(w.denominator for w in totals.values()))
 
 
 class SequenceTable:
@@ -443,18 +483,14 @@ class SequenceTable:
         self.spec = spec
         self.domain_name = domain
         self.memory_limit = memory_limit
-        sums, maxes = _merged_plan(spec)
-        weights = [*sums.values(), *maxes.values()]
+        weights, scale = _merged_plan(spec)
         # Each needed sum arity j requires every rank 2..j as an
         # intermediate, so the ranks are 2..top (top 0: none); rank j is
         # column j - 1 and folds s with column j - 2.
-        self._top = max((a for a in sums if a >= 2), default=0)
-        dom = self._dom = _DOMAINS[domain](math.lcm(*(w.denominator for w in weights)),
-                                           self._top)
-        # (weight, column): each sum arity reads its rank (arity 1 reads
-        # s), then each max arity reads s
-        self._pairs = [(dom.weight(w), a - 1) for a, w in sorted(sums.items())]
-        self._pairs += [(dom.weight(w), 0) for _, w in sorted(maxes.items())]
+        self._top = max((a for a in weights if a >= 2), default=0)
+        dom = self._dom = _DOMAINS[domain](scale, self._top)
+        # (weight, column): each arity reads its rank; arity 1 reads s
+        self._pairs = [(dom.weight(w), a - 1) for a, w in sorted(weights.items())]
         self.n = 0
 
     # -- extension --------------------------------------------------------

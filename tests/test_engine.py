@@ -6,6 +6,8 @@ import operator
 import os
 import random
 import struct
+import subprocess
+import sys
 import zlib
 from fractions import Fraction
 
@@ -155,28 +157,29 @@ def test_max_folds_are_the_sequence_by_brute_force():
 
 
 @pytest.mark.parametrize("text, n, digest", [
-    (MIXED_EXAMPLE, 2048, "1b4a1dd9f27df3a694b808a2132dd126580d982d0df6add765d56cdbf23f289b"),
+    (MIXED_EXAMPLE, 2048, "11a33dda4d3fbafbb709af09914cf38acfa194d9fa87bfaa226316d8b28b7fe0"),
     ("sum 2 1\nmax 48 1", 1024,
-     "3e45355e45779d2c4b6a7470e990d1a8c68d38614a5818ce7c7ca82fa18344d0"),
+     "c18a56f0167de6b0e70de98ec51b2a56a5c1aa8b24d9cad5ee1aeeea956c1b7c"),
 ])
 def test_log_values_are_pinned(text, n, digest):
-    # recorded while every max rank still had a fold column of its own;
-    # digests of float64 bytes from numpy's dot product on x86-64
+    # digests of float64 bytes from the block solver's numpy convolutions
+    # on x86-64, with max weights merged into the arity-1 weight
     ln = compute_sequence(parse_spec(text), n, domain="log").ln_values()
     assert hashlib.sha256(ln.tobytes()).hexdigest() == digest
 
 
 def test_log_sequence_is_the_log_add_of_its_weighted_cells():
-    # the extend loop inlines scalars.log_add over the (weight, column)
-    # pairs: sum arities 2, 3, 4, then max arities 5, 6 reading s
+    # the (weight, column) pairs: the max weights 5 and 6 merge into the
+    # arity-1 weight, 11, then sum arities 2, 3, 4; the block solver finds
+    # s_n with its fold cells, not from them, so the two agree to rounding
     table = compute_sequence(MIX, 300, domain="log")
     ln_s = table.ln_values()
     for n in range(1, 301):
         total = None
-        for rank, w in ((2, 2), (3, 3), (4, 4), (1, 5), (1, 6)):
+        for rank, w in ((1, 11), (2, 2), (3, 3), (4, 4)):
             term = ln_fraction(Fraction(w)) + table.sum_fold(rank, n - 1).ln_value
             total = term if total is None else log_add(total, term)
-        assert total == ln_s[n], n
+        assert abs(total - ln_s[n]) <= 4 * math.ulp(ln_s[n]), n
 
 
 def test_fold_rank_one_is_the_sequence():
@@ -241,12 +244,12 @@ def test_log_memory_budget_rejects_upfront():
 
 
 def test_log_memory_budget_counts_the_sum_mirrors():
-    # Catalan keeps 2 ln columns plus 2 mirror columns (forward and
-    # reversed s); a budget that fits only the ln columns must refuse
+    # Catalan keeps 2 ln columns plus s's mirror row; a budget that fits
+    # only the ln columns must refuse
     n = 1000
     with pytest.raises(MemoryBudgetError):
-        SequenceTable(CATALAN, domain="log", memory_limit=3 * (n + 1) * 8).extend(n)
-    table = SequenceTable(CATALAN, domain="log", memory_limit=4 * (n + 1) * 8).extend(n)
+        SequenceTable(CATALAN, domain="log", memory_limit=2 * (n + 1) * 8).extend(n)
+    table = SequenceTable(CATALAN, domain="log", memory_limit=3 * (n + 1) * 8).extend(n)
     assert table.n == n
 
 
@@ -267,11 +270,11 @@ def test_exact_memory_budget_holds_after_a_load(tmp_path):
 
 
 def test_log_memory_budget_holds_after_a_load(tmp_path):
-    # the budget fits the loaded n = 100 (2 ln rows, 2 mirror rows) and no more
+    # the budget fits the loaded n = 100 (2 ln rows, 1 mirror row) and no more
     path = str(tmp_path / "cat.seq")
     fresh = compute_sequence(CATALAN, 100, domain="log")
     save_cache(fresh, path)
-    back = load_cache(path, CATALAN, memory_limit=4 * 101 * 8)
+    back = load_cache(path, CATALAN, memory_limit=3 * 101 * 8)
     with pytest.raises(MemoryBudgetError, match=r"still valid at n=100$"):
         back.extend(101)
     assert back.n == 100
@@ -316,6 +319,34 @@ def test_log_sum_kernel_matches_exact(text):
     assert err.max() <= 1e-12
 
 
+def test_log_matches_exact_on_random_specs():
+    rng = random.Random(20240)
+    for _ in range(40):
+        spec = random_spec(rng, kind=rng.choice(("sum", "mixed", "mixed")))
+        exact = compute_sequence(spec, 200, domain="exact").ln_values()
+        table = compute_sequence(spec, 200, domain="log")
+        err = np.abs(table.ln_values() - exact) / np.maximum(1.0, np.abs(exact))
+        assert err.max() <= 1e-12, spec.render()
+        assert table.fallback_cells == 0, spec.render()
+
+
+def test_extend_imports_numpy_only():
+    # scipy's import would add to every run's start-up time and memory
+    code = ("import sys\n"
+            "import foldrate.cli\n"
+            "from foldrate import compute_sequence, parse_spec\n"
+            f"spec = parse_spec({MIXED_EXAMPLE!r})\n"
+            "compute_sequence(spec, 300, domain='log')\n"
+            "compute_sequence(spec, 40, domain='exact')\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 6 1"])
 def test_log_resume_mid_chunk_is_bit_identical(tmp_path, text):
     spec = parse_spec(text)
@@ -341,40 +372,49 @@ def _saved(table, path) -> bytes:
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1", "sum 9 1/7\nmax 5 50"])
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1", "sum 9 1/7\nmax 5 50",
+                                  "sum 2 1", "max 2 2"])
 def test_log_extend_across_chunk_boundaries_is_bit_identical(tmp_path, text):
-    # the chunk's theta and mirror state carry across extend calls and
-    # are rebuilt after load_cache; each n below sits on, before or after
-    # a chunk start m = 2^(k-1)
+    # each extend call derives its mirrors from the ln rows, and a block
+    # it stops inside is solved whole again by the next call; each n below
+    # sits on, before or after a chunk start m = 2^(k-1) or, from m = 128
+    # on, a start M of a block of 128 cells (M = 256: 383, 384, 385), or
+    # inside a block (300, 700, 1025)
     spec = parse_spec(text)
     fresh = compute_sequence(spec, 1500, domain="log")
     stepped = SequenceTable(spec, domain="log")
-    for n in (1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 1024, 1025, 1500):
+    for n in (1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 300, 383, 384, 385, 700, 1024, 1025,
+              1500):
         stepped.extend(n)
-    # saved at n = 128, so the first cell after loading, m = 128, starts a chunk
-    path = tmp_path / "first.seq"
-    save_cache(compute_sequence(spec, 128, domain="log"), str(path))
-    resumed = load_cache(str(path), spec).extend(1500)
+    # saved at n = 128, where the first cell after loading starts a chunk,
+    # and at n = 300, inside block [256, 384)
+    resumed = []
+    for n in (128, 300):
+        path = tmp_path / f"at{n}.seq"
+        save_cache(compute_sequence(spec, n, domain="log"), str(path))
+        resumed.append(load_cache(str(path), spec).extend(1500))
     want = _saved(fresh, tmp_path / "fresh.seq")
-    for table in (stepped, resumed):
+    for table in (stepped, *resumed):
         assert np.array_equal(table.ln_values(), fresh.ln_values())
         assert _saved(table, tmp_path / "other.seq") == want
 
 
 @pytest.mark.parametrize("domain, module, name, call", [
-    # rows m = 40..65 take one dot per rank; then rank 2's, and rank 3's fails
-    ("log", np, "dot", 3 * (66 - 40) + 1),
+    # chunk [32, 64)'s constants take 13 convolutions and its one block 10,
+    # chunk [64, 128)'s constants 15; then block [64, 128) takes rank 2's
+    # two, and rank 3's first fails
+    ("log", np, "convolve", 13 + 10 + 15 + 2),
     # row m takes m + 1 products per rank; then rank 2's 67, and rank 3's
     # 11th product fails
     ("exact", operator, "mul", 3 * sum(range(41, 67)) + 67 + 10),
 ])
 def test_extend_cut_short_keeps_the_table_valid(tmp_path, monkeypatch, domain, module,
                                                 name, call):
-    # an error in row m = 66, after rank 2's cell and, in the log domain,
-    # after the mirrors were rebuilt for chunk [64, 128), leaves the table
-    # at n = 40 as a fresh run saves it; the next extend matches an
-    # uninterrupted run, so the log loop rebuilt the mirrors for chunk
-    # [32, 64) instead of reading them
+    # an error in row m = 66 after rank 2's cell or, in the log domain,
+    # inside block [64, 128) after block [32, 64) was stored through
+    # m = 63, leaves the table at n = 40 as a fresh run saves it; the next
+    # extend, which solves block [32, 64) again, matches an uninterrupted
+    # run
     table = compute_sequence(MIX, 40, domain=domain)
     calls, real = iter(range(10**6)), getattr(module, name)
 
@@ -405,7 +445,7 @@ def test_table_count_is_one_column_per_rank(text, count):
 
 
 def test_mix_needs_no_fallback_cells():
-    assert compute_sequence(MIX, 2048, domain="log").fallback_cells == 0
+    assert compute_sequence(MIX, 4096, domain="log").fallback_cells == 0
     assert compute_sequence(MIX, 8, domain="exact").fallback_cells == 0
 
 
@@ -420,10 +460,9 @@ def _kernel_cells(table, cells):
 
 
 def test_out_of_window_cells_use_the_ln_kernel():
-    # white-box: no public spec reaches the fallback, so a +1000 spike is
-    # written into rank 3's stored ln value at x = 5 inside chunk [32, 64)
-    # (whose mirror keeps the old entry), and the table is extended across
-    # the chunk start m = 64, where the rebuilt mirror leaves the window
+    # white-box: no public spec reaches the fallback, so a spike is added
+    # to rank 3's stored ln value at x = 5, and the table at n = 40 is
+    # extended through blocks [32, 64) and [64, 128)
     def extended(spike):
         table = compute_sequence(MIX, 40, domain="log")
         table._dom.data[2, 5] += spike
@@ -432,12 +471,15 @@ def test_out_of_window_cells_use_the_ln_kernel():
     clean = extended(0.0)
     assert clean.fallback_cells == 0
     _kernel_cells(clean, [(j, m) for m in range(40, 80) for j in (2, 3, 4)])
-    # rank 4 reads the spiked entry at m = 64; s_65 then carries it and
-    # leaves the window itself, so every rank reads it from m = 65 on
-    spiked = extended(1000.0)
-    read = [(4, 64)] + [(j, m) for m in range(65, 80) for j in (2, 3, 4)]
-    assert spiked.fallback_cells == len(read)
-    _kernel_cells(spiked, read)
+    # both blocks read the spiked entry, so every cell from the first new
+    # one on is the ln kernel's, block by block: +1000 leaves the window,
+    # -1000 underflows to 0, which only the window check sees, and +200
+    # stays inside it but makes the solved values overflow
+    read = [(j, m) for m in range(40, 80) for j in (2, 3, 4)]
+    for spike in (1000.0, -1000.0, 200.0):
+        spiked = extended(spike)
+        assert spiked.fallback_cells == len(read), spike
+        _kernel_cells(spiked, read)
 
 
 def test_duplicate_terms_merge_additively():
@@ -520,6 +562,15 @@ def test_exact_cache_is_read_as_the_layout_documents(tmp_path):
     fresh = compute_sequence(spec, 5, domain="exact")
     assert back.extend(5).value(5).value == fresh.value(5).value == Fraction(42, 32)
     assert _saved(back, tmp_path / "a.seq") == _saved(fresh, tmp_path / "b.seq")
+
+
+def test_merged_max_weights_keep_the_cache_scale(tmp_path):
+    # the max weights merge into the arity-1 weight, 1/2 + 1/2 = 1, but the
+    # cache still stores t_m = 2^m s_m, as before the merge: s = 1, 2, 6, 22
+    spec = parse_spec("sum 2 1\nmax 3 1/2\nmax 4 1/2")
+    path = tmp_path / "merged.seq"
+    save_cache(compute_sequence(spec, 3, domain="exact"), str(path))
+    assert path.read_bytes() == _exact_cache(spec, [1, 4, 24, 176], [1, 8, 64])
 
 
 def test_failed_cache_write_names_the_file_and_cleans_up(tmp_path, monkeypatch):
