@@ -28,14 +28,9 @@ from .recurrence import (
 from .scalars import ExactScalar, LogScalar, ln_fraction, ln_int
 from .engine import (
     DEFAULT_MEMORY_LIMIT,
-    CacheCorruptError,
-    CacheError,
-    CacheMismatchError,
     MemoryBudgetError,
     SequenceTable,
     compute_sequence,
-    load_cache,
-    save_cache,
 )
 from .bounds import (
     BoundsEntry,
@@ -54,6 +49,18 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+_CACHE_NAMES = ("CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
+                "save_cache")
+
+
+def __getattr__(name):
+    # foldrate.cache is imported on first use, not at start-up
+    if name in _CACHE_NAMES:
+        from . import cache
+
+        return getattr(cache, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundsEntry",

@@ -62,10 +62,16 @@ _LN3 = math.log(3.0)
 
 DEFAULT_EPSILON = 0.25
 DEFAULT_MAX_N = 1 << 14
+# e(n) grows with alpha and beta', and every term is positive.  Past
+# beta's log, which is rounded up (derive_constants), it is made of about
+# 30 roundings, each within an ulp (libm's log and log1p included), so its
+# relative error is below 2^-48; this factor covers it four times over.
+_EXCESS_UP = 1.0 + 2.0 ** -46
 
 
-def _excess(consts: GrowthConstants, n: int) -> float:
-    """e(n) = upper(n) - ln s_n / n, from the constants alone.
+def _excess(consts: GrowthConstants, n: int, up: bool = False) -> float:
+    """e(n) = upper(n) - ln s_n / n, from the constants alone; with up,
+    raised by _EXCESS_UP to a double at least e(n).
 
     The log of n is a scalar math.log call: np.log differs from math.log
     in the last bit on some integers, which would move reported digits.
@@ -73,16 +79,25 @@ def _excess(consts: GrowthConstants, n: int) -> float:
     ln_n = math.log(n)
     a = 18.0 * consts.alpha * _LN3 + 2.0 * consts.beta_prime
     b = 3.0 * consts.alpha * ln_n + 12.0 * consts.alpha * _LN3 + consts.beta_prime
-    return (a * _LN3 + b * ln_n) / n
+    e = (a * _LN3 + b * ln_n) / n
+    return e * _EXCESS_UP if up else e
 
 
-def _bracket(ln_s: np.ndarray, consts: GrowthConstants, n: int, lo: int):
-    """(ln lower, ln upper) read off ln s_0..s_n at n >= 2.
+def _bracket(ln_lo: np.ndarray, ln_hi: np.ndarray, consts: GrowthConstants, n: int,
+             lo: int):
+    """(ln lower, ln upper) at n >= 2, read off lower and upper bounds on
+    ln s_0..s_n (equal in the log domain, whose values carry no rounding
+    radius yet).
 
     The lower is the best Fekete bound ln s_k / k at any k in [lo, n].
+    Each division and the final sum are rounded outward by an ulp (for
+    the lower, after the max, as stepping down commutes with it), and
+    e(n) is rounded up (_excess).
     """
-    fekete = float((ln_s[lo : n + 1] / np.arange(lo, n + 1, dtype=np.float64)).max())
-    return fekete, float(ln_s[n]) / n + _excess(consts, n)
+    k = np.arange(lo, n + 1, dtype=np.float64)
+    fekete = math.nextafter(float((ln_lo[lo : n + 1] / k).max()), -math.inf)
+    upper = math.nextafter(float(ln_hi[n]) / n, math.inf) + _excess(consts, n, True)
+    return fekete, math.nextafter(upper, math.inf)
 
 
 def _last_step(consts: GrowthConstants, epsilon: float, max_n: int) -> int:
@@ -199,14 +214,14 @@ def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
     if ns is None:
         ns = _powers_of_two(max_n)
     report = BoundsReport(spec_text=table.spec.render(), epsilon=epsilon)
-    ln_s = table.ln_values()
+    ln_s = table.ln_values(-1), table.ln_values(1)
     for n in sorted(set(ns)):
         if n < 2:
             raise ValueError(f"bound needs n >= 2, got {n}")
         if n > max_n:
             raise ValueError(f"bounds read up to {max_n}, cannot evaluate at {n}")
-        report.add(n, *_bracket(ln_s, consts, n, n))
-    report.best_ln_lower = max(report.best_ln_lower, _bracket(ln_s, consts, max_n, 1)[0])
+        report.add(n, *_bracket(*ln_s, consts, n, n))
+    report.best_ln_lower = max(report.best_ln_lower, _bracket(*ln_s, consts, max_n, 1)[0])
     report.max_n = max_n
     if epsilon is not None:
         report.converged = report.ratio <= 1.0 + epsilon
@@ -263,7 +278,7 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
             report.reason = "memory budget exhausted"
             break
         step = time.perf_counter() - step
-        report.add(n, *_bracket(table.ln_values(), consts, n, prev + 1))
+        report.add(n, *_bracket(table.ln_values(-1), table.ln_values(1), consts, n, prev + 1))
         report.max_n = n
         log.info("refine n=%d lower=%.9g upper=%.9g ratio=%.6g",
                  n, exp_ln(report.best_ln_lower), exp_ln(report.best_ln_upper),

@@ -1,0 +1,168 @@
+"""Sequence cache files: the record layout, save_cache and load_cache.
+
+Layout of version 4, little-endian:
+
+    magic "FRSQ" | u16 version | 32 bytes spec digest | u8 domain tag
+    | u64 n | u16 max sum rank (0 = none) | u8 path
+    | path 1: the recurrence record
+    | record for s (n+1 values) | path 0: records for sum ranks 2..
+    | u32 crc32 of everything above
+
+Path 0 is a table on the engine, path 1 an exact table on a proved
+recurrence (holonomic), which holds no fold columns.  A record is u64
+count followed by the values as the domain encodes them: per value a u64
+byte length and the little-endian bytes of t_m (exact), or the
+little-endian float64 ln value (log).  The recurrence record is u16
+order r, u16 degree e, u64 start n0, u64 window W, then the n^0..n^e
+coefficients of p_0, ..., p_r, each a u64 byte length and little-endian
+two's complement bytes.  load_cache proves the recurrence again, so a
+resumed table skips the search and never trusts the file for it.
+Version 3 had no path byte and always held the fold records; version 1
+also held max ranks, and versions 1 and 2 stored each exact value as a
+reduced Fraction.  Versions 1 to 3 are refused.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+import zlib
+
+from .engine import _DOMAINS, DEFAULT_MEMORY_LIMIT, SequenceTable
+from .recurrence import RecurrenceSpec
+
+__all__ = ["CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
+           "save_cache"]
+
+_MAGIC = b"FRSQ"
+_VERSION = 4
+_HEADER = struct.Struct("<BQHB")  # domain tag, n, max sum rank, path
+_RECURRENCE = struct.Struct("<HHQQ")  # order, degree, start, window
+
+
+class CacheError(RuntimeError):
+    """Problem with a sequence cache file."""
+
+
+class CacheMismatchError(CacheError):
+    """Cache file belongs to a different recurrence than the one given."""
+
+
+class CacheCorruptError(CacheError):
+    """Cache file is truncated, checksum-broken, or not a cache at all."""
+
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, k: int) -> bytes:
+        if self.pos + k > len(self.data):
+            raise CacheCorruptError("cache file is truncated")
+        chunk = self.data[self.pos : self.pos + k]
+        self.pos += k
+        return chunk
+
+    def u(self, fmt: str) -> int:
+        (v,) = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return v
+
+    def record(self, expected: int) -> int:
+        """Read a record's value count, which must be ``expected``."""
+        count = self.u("<Q")
+        if count != expected:
+            raise CacheCorruptError(f"record has {count} values, expected {expected}")
+        return count
+
+
+def save_cache(table: SequenceTable, path) -> None:
+    """Write a table (sequence and fold columns, or its recurrence) to a cache file."""
+    dom, rec = table._dom, table.recurrence
+    buf = bytearray(_MAGIC)
+    buf += struct.pack("<H", _VERSION)
+    buf += table.spec.digest()
+    buf += _HEADER.pack(dom.tag, table.n, table._top, rec is not None)
+    if rec:
+        buf += _RECURRENCE.pack(len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.start,
+                                rec.window)
+        for c in (c for p in rec.coeffs for c in p):
+            b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
+            buf += struct.pack("<Q", len(b))
+            buf += b
+    for i, count in enumerate(table._record_counts()):
+        buf += struct.pack("<Q", count)
+        buf += dom.encode(i, count)
+    buf += struct.pack("<I", zlib.crc32(buf))
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf)
+        os.replace(tmp, path)
+    except OSError as exc:
+        # name the cache file, not the temporary one
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+
+
+def _read_recurrence(reader: _Reader, n: int):
+    from . import holonomic  # only exact tables past their window load it
+
+    r, e, start, window = _RECURRENCE.unpack(reader.take(_RECURRENCE.size))
+    if (r + 1) * (e + 1) > holonomic.CAP or window not in holonomic.WINDOWS \
+            or not r <= start <= window <= n:
+        raise CacheCorruptError("recurrence record is out of range")
+    coeffs = tuple(tuple(int.from_bytes(reader.take(reader.u("<Q")), "little", signed=True)
+                         for _ in range(e + 1)) for _ in range(r + 1))
+    return holonomic.Recurrence(coeffs, start, window)
+
+
+def load_cache(path, spec: RecurrenceSpec,
+               memory_limit: int = DEFAULT_MEMORY_LIMIT) -> SequenceTable:
+    """Restore a table for ``spec`` from a cache file written by save_cache.
+
+    Raises MemoryBudgetError if extending a fresh table under
+    ``memory_limit`` could not have reached the cached n, and
+    CacheCorruptError if a cached recurrence fails its proof.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < len(_MAGIC) + 2 + 32 + _HEADER.size + 4:
+        raise CacheCorruptError("cache file is too short")
+    body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
+    if zlib.crc32(body) != crc:
+        raise CacheCorruptError("cache checksum mismatch")
+    reader = _Reader(body)
+    if reader.take(4) != _MAGIC:
+        raise CacheCorruptError("not a sequence cache file")
+    version = reader.u("<H")
+    if version != _VERSION:
+        raise CacheCorruptError(f"unsupported cache version {version}")
+    if reader.take(32) != spec.digest():
+        raise CacheMismatchError("cache file was written for a different recurrence")
+    tag, n, top, path_kind = _HEADER.unpack(reader.take(_HEADER.size))
+    domain = next((name for name, d in _DOMAINS.items() if d.tag == tag), None)
+    if domain is None:
+        raise CacheCorruptError(f"unknown domain tag {tag}")
+    table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
+    if top != table._top:
+        raise CacheCorruptError("fold table layout does not match the recurrence")
+    if path_kind > (domain == "exact"):
+        raise CacheCorruptError(f"unknown table path {path_kind}")
+    dom = table._dom
+    if path_kind:
+        dom.rec = _read_recurrence(reader, n)
+    # log mirrors are rebuilt from the loaded ln values on the first new cell
+    table.n = n
+    dom.decode(reader, table._record_counts(), memory_limit)
+    if reader.pos != len(body):
+        raise CacheCorruptError("trailing bytes after the last record")
+    if path_kind:
+        from .holonomic import proved
+
+        rec = dom.rec
+        if not (any(rec.coeffs[0]) and proved(rec.coeffs, rec.start, dom.cols[0], dom.pairs)):
+            raise CacheCorruptError("the cached recurrence does not hold for this spec")
+    return table

@@ -23,14 +23,7 @@ from .bounds import (
     known_rate_check,
     refine,
 )
-from .engine import (
-    DEFAULT_MEMORY_LIMIT,
-    CacheError,
-    MemoryBudgetError,
-    SequenceTable,
-    load_cache,
-    save_cache,
-)
+from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import RecurrenceSpec, SpecError, parse_spec, parse_spec_json
 from .scalars import exp_ln, round12
 from .trees import DEFAULT_SIZE_CAP, check_subtree_lemma, oracle_summary
@@ -103,6 +96,9 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
     one is used, when it is new or the table had to grow."""
     cache = getattr(args, "cache", None)
     if cache:
+        # loaded here, not at start-up, which runs without a cache more often
+        from .cache import CacheError, load_cache, save_cache
+
         cache = _resolve_cache(cache)
         cached = os.path.exists(cache)
         if cached:
@@ -110,6 +106,8 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
                 table = load_cache(cache, spec)
             except OSError as exc:
                 raise _UsageError(f"cannot read cache file {cache!r}: {exc.strerror}") from None
+            except CacheError as exc:
+                raise _UsageError(str(exc)) from None
             if table.domain_name != args.domain:
                 raise _UsageError(
                     f"cache {cache!r} holds a {table.domain_name}-domain table "
@@ -143,31 +141,42 @@ def _print_report(report, fmt: str) -> None:
 # -- eval ----------------------------------------------------------------
 
 
+def _print_exact(spec: RecurrenceSpec, table: SequenceTable, n: int, fmt: str) -> None:
+    values = [table.value(i).value for i in range(n + 1)]
+    if fmt == "text":
+        print(" ".join(map(str, values)))
+    elif fmt == "json":
+        print(json.dumps(
+            {
+                "spec": spec.render(),
+                "domain": "exact",
+                "n": n,
+                "values": [str(v) for v in values],
+            },
+            indent=2,
+        ))
+    elif fmt == "csv":
+        _write_csv([["n", "value"]] + [[i, str(v)] for i, v in enumerate(values)])
+    elif fmt == "bfile":
+        if any(v.denominator != 1 for v in values):
+            raise _UsageError("bfile output needs integer values; this sequence has fractions")
+        for i, v in enumerate(values):
+            print(f"{i} {v.numerator}")
+
+
 def cmd_eval(args) -> int:
     spec = _load_spec(args)
     table = _obtain_table(spec, args, args.n)
     fmt = args.format
     if table.domain_name == "exact":
-        values = [table.value(n).value for n in range(args.n + 1)]
-        if fmt == "text":
-            print(" ".join(map(str, values)))
-        elif fmt == "json":
-            print(json.dumps(
-                {
-                    "spec": spec.render(),
-                    "domain": "exact",
-                    "n": args.n,
-                    "values": [str(v) for v in values],
-                },
-                indent=2,
-            ))
-        elif fmt == "csv":
-            _write_csv([["n", "value"]] + [[i, str(v)] for i, v in enumerate(values)])
-        elif fmt == "bfile":
-            if any(v.denominator != 1 for v in values):
-                raise _UsageError("bfile output needs integer values; this sequence has fractions")
-            for i, v in enumerate(values):
-                print(f"{i} {v.numerator}")
+        # exact values may pass CPython's default limit of 4,300 digits on
+        # str(int); it is lifted for the output alone
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            _print_exact(spec, table, args.n, fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
         return EXIT_OK
     # log domain
     if fmt == "bfile":
@@ -364,7 +373,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SpecError, CacheError) as exc:
+    except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryBudgetError as exc:

@@ -36,12 +36,19 @@ and records the n reached.  A table restored from the binary cache and
 extended is bit-identical to an uninterrupted run.
 
 The exact domain computes on Python ints.  With D the lcm of the weight
-denominators (_merged_plan), t_m = D^m s_m is an integer sequence: a split of m
-has s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
+denominators (RecurrenceSpec.merged_weights), t_m = D^m s_m is an
+integer sequence: a split of m has
+s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
 at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
 with t_0 = 1.  Fraction appears only at the API boundary: values, fold
 cells and ln values go through the reduced t / D^m, and the cache stores
-t itself.
+t itself.  The engine loop computes t through a window W
+(holonomic.WINDOWS); an extend past W searches once for a linear
+recurrence with polynomial coefficients, proves it, and from then on
+computes each t_n with r products and one exact division, holding s
+alone (holonomic docstring).  Where no recurrence is found the engine
+loop goes on.  Fold cells of a table on a recurrence come from an
+engine-only copy built on first use.
 
 Log-domain columns store ln values, and cells are solved a block at a
 time in a scaled linear domain.  Cell indices are cut into power-of-two
@@ -95,22 +102,17 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import struct
 import sys
-import zlib
 from fractions import Fraction
 
 import numpy as np
 
 from .recurrence import Op, RecurrenceSpec
-from .scalars import ExactScalar, LogScalar, ln_fraction, log_sum_vec
+from .scalars import ExactScalar, LogScalar, ln_fraction, ln_ratio, log_sum_vec
 
 __all__ = [
     "DEFAULT_MEMORY_LIMIT",
-    "CacheCorruptError",
-    "CacheError",
-    "CacheMismatchError",
     "MemoryBudgetError",
     "SequenceTable",
     "compute_sequence",
@@ -126,18 +128,6 @@ class MemoryBudgetError(RuntimeError):
 
     The table that raised this is still valid at the length it reached.
     """
-
-
-class CacheError(RuntimeError):
-    """Problem with a sequence cache file."""
-
-
-class CacheMismatchError(CacheError):
-    """Cache file belongs to a different recurrence than the one given."""
-
-
-class CacheCorruptError(CacheError):
-    """Cache file is truncated, checksum-broken, or not a cache at all."""
 
 
 # Mirror entries satisfy |ln v - theta*x| <= _WINDOW, so each lies in
@@ -181,62 +171,102 @@ class _ExactDomain:
     ``scale`` is D, the lcm of the plan's weight denominators, and each
     plan weight k enters as the integer D*k; the boundary methods take a
     stored cell with its index m back to the reduced Fraction t / D^m.
-    ``nbytes`` is the sum of ``sys.getsizeof`` over the stored ints; there
-    is no upfront budget, since the size of an int is not known before it
-    is computed.
+    ``rec`` is the proved recurrence (holonomic) the domain runs on past
+    its window, or None.  A domain on a recurrence holds s alone, and an
+    engine-only copy of every column, built on first use (_engine_cols),
+    gives its fold cells and t_n where p_0(n) = 0.  ``nbytes`` is the sum
+    of ``sys.getsizeof`` over the stored ints; there is no upfront budget,
+    since the size of an int is not known before it is computed.
     """
 
     tag = 0
     fallback_cells = 0
 
-    def __init__(self, scale: int, top: int):
-        self.scale = scale
+    def __init__(self, scale: int, top: int, weights: dict):
+        self.scale, self._plan = scale, (scale, top, weights)
+        self.pairs = [(w.numerator * (scale // w.denominator), a - 1)
+                      for a, w in sorted(weights.items())]
         self.cols = [[1]] + [[] for _ in range(2, top + 1)]
         self.nbytes = sys.getsizeof(1)
+        self.rec = self._eng = None
 
-    def weight(self, w: Fraction) -> int:
-        return w.numerator * (self.scale // w.denominator)
-
-    def extend(self, pairs, n0: int, new_n: int, limit: int) -> int:
+    def extend(self, n0: int, new_n: int, limit: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return the n reached.
 
         Stops, with the table valid, before any n that would start with
-        more than ``limit`` bytes stored.
+        more than ``limit`` bytes stored.  Without a recurrence, the
+        engine computes each n through a window W (holonomic.WINDOWS),
+        and an extend past W searches once; a proved recurrence computes
+        the rest, and the fold columns are dropped.  A call cut short by
+        any other exception leaves the table at n0.
         """
+        from . import holonomic  # only exact extends past a window use it
+
+        s, nbytes0 = self.cols[0], self.nbytes
+        rec, n = self.rec, n0
+        try:
+            for w in holonomic.WINDOWS:
+                if rec is None and n <= w < new_n:
+                    n = self._engine(n, w, limit)
+                    if n < w:
+                        return n
+                    rec = holonomic.find(s, self.pairs, w)
+            if rec is None:
+                return self._engine(n, new_n, limit)
+            nbytes = nbytes0 if self.rec else sum(map(sys.getsizeof, s))
+            n, nbytes = holonomic.run(rec, s, n, new_n, limit, nbytes, self._engine_cols)
+        except BaseException:
+            del s[n0 + 1 :]
+            for col in self.cols[1:]:
+                del col[n0:]
+            self.nbytes = nbytes0
+            raise
+        self.rec, self.cols, self.nbytes = rec, [s], nbytes
+        return n
+
+    def _engine(self, n0: int, new_n: int, limit: int) -> int:
+        """The engine loop: each rank's cell at n - 1, then s_n."""
         cols, nbytes = self.cols, self.nbytes
         s, steps = cols[0], list(zip(cols[1:], cols))
         mul, getsizeof = operator.mul, sys.getsizeof
-        try:
-            for n in range(n0 + 1, new_n + 1):
-                if nbytes > limit:
-                    new_n = n - 1
-                    break
-                m = n - 1
-                for col, source in steps:
-                    # s holds s_0..s_m until the ranks are done
-                    v = sum(map(mul, s, source[m::-1]))
-                    col.append(v)
-                    nbytes += getsizeof(v)
-                v = sum(w * cols[i][m] for w, i in pairs)
-                s.append(v)
+        for n in range(n0 + 1, new_n + 1):
+            if nbytes > limit:
+                new_n = n - 1
+                break
+            m = n - 1
+            for col, source in steps:
+                # s holds s_0..s_m until the ranks are done
+                v = sum(map(mul, s, source[m::-1]))
+                col.append(v)
                 nbytes += getsizeof(v)
-        except BaseException:
-            # a call cut short leaves the table at n0
-            del s[n0 + 1 :]
-            for col in cols[1:]:
-                del col[n0:]
-            raise
+            v = sum(w * cols[i][m] for w, i in self.pairs)
+            s.append(v)
+            nbytes += getsizeof(v)
         self.nbytes = nbytes
         return new_n
 
+    def _engine_cols(self, n: int) -> list:
+        """The columns of an engine-only copy of this domain through n."""
+        eng, self._eng = self._eng or _ExactDomain(*self._plan), None
+        eng._engine(len(eng.cols[0]) - 1, n, math.inf)
+        self._eng = eng
+        return eng.cols
+
+    def _cell(self, i: int, m: int) -> int:
+        """Column i's int at m; a domain on a recurrence reads its ranks
+        from the engine-only copy."""
+        cols = self.cols if i < len(self.cols) else self._engine_cols(m + 1)
+        return cols[i][m]
+
     def rational(self, i: int, m: int) -> Fraction:
-        return Fraction(self.cols[i][m], self.scale ** m)
+        return Fraction(self._cell(i, m), self.scale ** m)
 
-    def ln(self, i: int, m: int) -> float:
-        return ln_fraction(self.rational(i, m))
+    def ln(self, i: int, m: int, side: int = 0) -> float:
+        # t / D^m unreduced: a gcd of two big ints costs more than the log
+        return ln_ratio(self._cell(i, m), self.scale ** m, side)
 
-    def ln_values(self, n: int) -> np.ndarray:
-        return np.array([self.ln(0, m) for m in range(n + 1)], dtype=np.float64)
+    def ln_values(self, n: int, side: int = 0) -> np.ndarray:
+        return np.array([self.ln(0, m, side) for m in range(n + 1)], dtype=np.float64)
 
     def wrap(self, i: int, m: int) -> ExactScalar:
         return ExactScalar(self.rational(i, m))
@@ -250,19 +280,27 @@ class _ExactDomain:
             out += b
         return out
 
-    def decode(self, reader: "_Reader", counts: list[int], limit: int) -> None:
-        """Fill every column from its record, then refuse a table that an
-        uninterrupted extend under ``limit`` would have stopped short of:
-        one whose bytes before its last n exceed the limit."""
-        for i, count in enumerate(counts):
-            reader.record(count)
-            self.cols[i] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
-                            for _ in range(count)]
+    def decode(self, reader, counts: list[int], limit: int) -> None:
+        """Fill each column that has a record, then refuse a table that
+        an uninterrupted extend under ``limit`` would have stopped short
+        of: one whose bytes before its last n exceed the limit or, on a
+        recurrence, whose engine columns did before its last step to the
+        window W."""
+        self.cols = [[int.from_bytes(reader.take(reader.u("<Q")), "little")
+                      for _ in range(reader.record(count))] for count in counts]
         getsizeof = sys.getsizeof
         self.nbytes = sum(sum(map(getsizeof, col)) for col in self.cols)
         n = counts[0] - 1
         # the last n added s_n and each rank's cell at n - 1: every column's last value
         before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols) if n else 0
+        if self.rec and before <= limit:
+            w = self.rec.window
+            # a rank's cell at m is at most the top rank's (t_0 = 1), which
+            # times its integer weight is a term of t_{m+1}
+            sizes = list(map(getsizeof, self.cols[0][:w]))
+            if sum(sizes) + max(self._plan[1] - 1, 0) * sum(sizes[1:]) > limit:
+                self._engine_cols(w - 1)
+                before = self._eng.nbytes
         if before > limit:
             raise MemoryBudgetError(
                 f"a table at n={n} holds {before} bytes before its last step, "
@@ -283,15 +321,13 @@ class _LogDomain:
     """
 
     tag = 1
+    rec = None
 
-    def __init__(self, scale: int, top: int):
+    def __init__(self, scale: int, top: int, weights: dict):
+        self.pairs = [(ln_fraction(w), a - 1) for a, w in sorted(weights.items())]
         self.data = np.zeros((max(top, 1), 1))
         self.feeds = max(top - 1, 0)
         self.fallback_cells = 0
-
-    @staticmethod
-    def weight(w: Fraction) -> float:
-        return ln_fraction(w)
 
     def _projected(self, n: int) -> int:
         """Bytes of a table at n: 8 per index for each ln value and mirror entry."""
@@ -308,7 +344,7 @@ class _LogDomain:
         if new_n + 1 > self.data.shape[1]:
             self.data = _widened(self.data, new_n + 1)
 
-    def extend(self, pairs, n0: int, new_n: int, limit: int) -> int:
+    def extend(self, n0: int, new_n: int, limit: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return new_n.
 
         The budget is checked for all of them before any work.  m = 0 is
@@ -318,8 +354,8 @@ class _LogDomain:
         conditions fail.
         """
         self._reserve(n0, new_n, limit)
-        lnw = np.array([w for w, _ in pairs])
-        cols = [i for _, i in pairs]
+        lnw = np.array([w for w, _ in self.pairs])
+        cols = [i for _, i in self.pairs]
         # _BLOCK entries of room past new_n for the zeroed tail of a block
         mirror = np.empty((self.feeds, new_n + 1 + _BLOCK))
         fallback, k, m = 0, 0, n0
@@ -425,7 +461,7 @@ class _LogDomain:
     def ln(self, i: int, m: int) -> float:
         return float(self.data[i, m])
 
-    def ln_values(self, n: int) -> np.ndarray:
+    def ln_values(self, n: int, side: int = 0) -> np.ndarray:
         return self.data[0, : n + 1].copy()
 
     def wrap(self, i: int, m: int) -> LogScalar:
@@ -435,7 +471,7 @@ class _LogDomain:
         """Raw little-endian float64 ln values."""
         return self.data[i, :count].astype("<f8").tobytes()
 
-    def decode(self, reader: "_Reader", counts: list[int], limit: int) -> None:
+    def decode(self, reader, counts: list[int], limit: int) -> None:
         """Fill every column from its record, unless a table that long
         could not have been reached under ``limit``: that is refused
         before anything is decoded."""
@@ -452,25 +488,6 @@ class _LogDomain:
 
 
 _DOMAINS = {"exact": _ExactDomain, "log": _LogDomain}
-_DOMAIN_BY_TAG = {d.tag: name for name, d in _DOMAINS.items()}
-
-
-def _merged_plan(spec: RecurrenceSpec):
-    """Weight totals keyed by arity, each max term counting as arity 1
-    (module docstring), and the exact domain's scale D.
-
-    D is the lcm of the denominators of the totals per family and arity,
-    as when max weights were kept apart from the arity-1 sum weight, so a
-    cached exact t_m = D^m s_m keeps its meaning.  It is a multiple of
-    every merged total's denominator."""
-    totals: dict[tuple, Fraction] = {}
-    for t in spec.terms:
-        totals[t.op, t.arity] = totals.get((t.op, t.arity), Fraction(0)) + t.weight
-    weights: dict[int, Fraction] = {}
-    for (op, arity), w in totals.items():
-        a = arity if op is Op.SUM else 1
-        weights[a] = weights.get(a, Fraction(0)) + w
-    return weights, math.lcm(*(w.denominator for w in totals.values()))
 
 
 class SequenceTable:
@@ -483,14 +500,14 @@ class SequenceTable:
         self.spec = spec
         self.domain_name = domain
         self.memory_limit = memory_limit
-        weights, scale = _merged_plan(spec)
+        weights, scale = spec.merged_weights()
         # Each needed sum arity j requires every rank 2..j as an
         # intermediate, so the ranks are 2..top (top 0: none); rank j is
         # column j - 1 and folds s with column j - 2.
         self._top = max((a for a in weights if a >= 2), default=0)
-        dom = self._dom = _DOMAINS[domain](scale, self._top)
-        # (weight, column): each arity reads its rank; arity 1 reads s
-        self._pairs = [(dom.weight(w), a - 1) for a, w in sorted(weights.items())]
+        # the domain's (weight, column) pairs: each arity reads its rank;
+        # arity 1 reads s
+        self._dom = _DOMAINS[domain](scale, self._top, weights)
         self.n = 0
 
     # -- extension --------------------------------------------------------
@@ -509,13 +526,19 @@ class SequenceTable:
             raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
         if new_n == self.n:
             return self
-        self.n = self._dom.extend(self._pairs, self.n, new_n, self.memory_limit)
+        self.n = self._dom.extend(self.n, new_n, self.memory_limit)
         if self.n < new_n:
             raise MemoryBudgetError(
                 f"memory budget {self.memory_limit} bytes exhausted at n={self.n}; "
                 f"table still valid there"
             )
         return self
+
+    @property
+    def recurrence(self):
+        """The proved recurrence (holonomic.Recurrence) an exact table runs
+        on past its window, or None: the table is the engine's."""
+        return self._dom.rec
 
     @property
     def fallback_cells(self) -> int:
@@ -545,9 +568,10 @@ class SequenceTable:
         self._check_index(n)
         return self._dom.ln(0, n)
 
-    def ln_values(self) -> np.ndarray:
-        """Vector of ln s_0 .. ln s_n."""
-        return self._dom.ln_values(self.n)
+    def ln_values(self, side: int = 0) -> np.ndarray:
+        """Vector of ln s_0 .. ln s_n; side -1 or 1 gives exact-domain
+        values rounded down or up (scalars.ln_ratio)."""
+        return self._dom.ln_values(self.n, side)
 
     def sum_fold(self, j: int, m: int):
         """j-fold sum-convolution cell at index m, as a domain scalar."""
@@ -566,8 +590,9 @@ class SequenceTable:
         return self.value(m)
 
     def _record_counts(self) -> list[int]:
-        """Values per stored column: n + 1 for s, n for each sum rank."""
-        return [self.n + 1] + [self.n] * (self.table_count - 1)
+        """Values per stored column: n + 1 for s, n for each sum rank (no
+        rank on a recurrence)."""
+        return [self.n + 1] + [self.n] * (0 if self.recurrence else self.table_count - 1)
 
     def __repr__(self):
         return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
@@ -580,106 +605,10 @@ def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log",
     return SequenceTable(spec, domain=domain, memory_limit=memory_limit).extend(n)
 
 
-# -- cache persistence ---------------------------------------------------
-#
-# Layout of version 3, little-endian (version 1 also held max ranks, and
-# versions 1 and 2 stored each exact value as a reduced Fraction):
-#   magic "FRSQ" | u16 version | 32 bytes spec digest | u8 domain tag
-#   | u64 n | u16 max sum rank (0 = none)
-#   | record for s (n+1 values) | records for sum ranks 2..
-#   | u32 crc32 of everything above
-# A record is u64 count followed by the values as the domain encodes them:
-# per value a u64 byte length and the little-endian bytes of t_m (exact),
-# or the little-endian float64 ln value (log).
+def __getattr__(name):
+    # save_cache and load_cache live in foldrate.cache, imported on first use
+    if name in ("load_cache", "save_cache"):
+        from . import cache
 
-_MAGIC = b"FRSQ"
-_VERSION = 3
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, k: int) -> bytes:
-        if self.pos + k > len(self.data):
-            raise CacheCorruptError("cache file is truncated")
-        chunk = self.data[self.pos : self.pos + k]
-        self.pos += k
-        return chunk
-
-    def u(self, fmt: str) -> int:
-        (v,) = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-        return v
-
-    def record(self, expected: int) -> None:
-        """Read a record's value count, which must be ``expected``."""
-        count = self.u("<Q")
-        if count != expected:
-            raise CacheCorruptError(f"record has {count} values, expected {expected}")
-
-
-def save_cache(table: SequenceTable, path) -> None:
-    """Write a table (sequence and fold columns) to a cache file."""
-    dom = table._dom
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<H", _VERSION)
-    buf += table.spec.digest()
-    buf += struct.pack("<BQ", dom.tag, table.n)
-    buf += struct.pack("<H", table._top)
-    for i, count in enumerate(table._record_counts()):
-        buf += struct.pack("<Q", count)
-        buf += dom.encode(i, count)
-    buf += struct.pack("<I", zlib.crc32(buf))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(buf)
-        os.replace(tmp, path)
-    except OSError as exc:
-        # name the cache file, not the temporary one
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
-    finally:
-        if os.path.isfile(tmp):
-            os.remove(tmp)
-
-
-def load_cache(path, spec: RecurrenceSpec,
-               memory_limit: int = DEFAULT_MEMORY_LIMIT) -> SequenceTable:
-    """Restore a table for ``spec`` from a cache file written by save_cache.
-
-    Raises MemoryBudgetError if extending a fresh table under
-    ``memory_limit`` could not have reached the cached n.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(_MAGIC) + 2 + 32 + 1 + 8 + 2 + 4:
-        raise CacheCorruptError("cache file is too short")
-    body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(body) != crc:
-        raise CacheCorruptError("cache checksum mismatch")
-    reader = _Reader(body)
-    if reader.take(4) != _MAGIC:
-        raise CacheCorruptError("not a sequence cache file")
-    version = reader.u("<H")
-    if version != _VERSION:
-        raise CacheCorruptError(f"unsupported cache version {version}")
-    digest = reader.take(32)
-    if digest != spec.digest():
-        raise CacheMismatchError("cache file was written for a different recurrence")
-    tag = reader.u("<B")
-    if tag not in _DOMAIN_BY_TAG:
-        raise CacheCorruptError(f"unknown domain tag {tag}")
-    n = reader.u("<Q")
-    top = reader.u("<H")
-
-    table = SequenceTable(spec, domain=_DOMAIN_BY_TAG[tag], memory_limit=memory_limit)
-    if top != table._top:
-        raise CacheCorruptError("fold table layout does not match the recurrence")
-    # log mirrors are rebuilt from the loaded ln values on the first new cell
-    table.n = n
-    table._dom.decode(reader, table._record_counts(), memory_limit)
-    if reader.pos != len(body):
-        raise CacheCorruptError("trailing bytes after the last record")
-    return table
+        return getattr(cache, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

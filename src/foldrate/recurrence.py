@@ -119,6 +119,23 @@ class RecurrenceSpec:
         """Sum of all weights; this always equals s_1."""
         return sum((t.weight for t in self.terms), Fraction(0))
 
+    def merged_weights(self) -> tuple[dict[int, Fraction], int]:
+        """Weight totals keyed by arity, each max term counting as arity 1
+        (engine docstring), and the exact domain's scale D.
+
+        D is the lcm of the denominators of the totals per family and
+        arity, as when max weights were kept apart from the arity-1 sum
+        weight, so a cached exact t_m = D^m s_m keeps its meaning.  It is
+        a multiple of every merged total's denominator."""
+        totals: dict[tuple, Fraction] = {}
+        for t in self.terms:
+            totals[t.op, t.arity] = totals.get((t.op, t.arity), Fraction(0)) + t.weight
+        weights: dict[int, Fraction] = {}
+        for (op, arity), w in totals.items():
+            a = arity if op is Op.SUM else 1
+            weights[a] = weights.get(a, Fraction(0)) + w
+        return weights, math.lcm(*(w.denominator for w in totals.values()))
+
     def render(self) -> str:
         return "\n".join(t.render() for t in self.terms) + "\n"
 
@@ -249,7 +266,9 @@ class GrowthConstants:
     max_arity is L, the largest arity of a sum term with arity >= 2, and
     kstar is k*, the largest weight among those terms.  log_base is
     (L+1)/L, alpha = 1/ln(log_base) converts natural logs into
-    base-(L+1)/L logs, and beta_prime = alpha * ln(s1*L^2/k*).
+    base-(L+1)/L logs, and beta_prime = alpha * ln(s1*L^2/k*), with the
+    log rounded up, since it may lose digits to cancellation and the
+    upper bound grows with beta_prime.
     """
 
     s1: Fraction
@@ -279,7 +298,7 @@ def derive_constants(spec: RecurrenceSpec) -> GrowthConstants:
     # ln((L+1)/L) = log1p(1/L), which stays accurate for large L.
     alpha = 1.0 / math.log1p(1.0 / L)
     ratio = s1 * L * L / kstar  # exact rational, >= 4 since s1 >= k* and L >= 2
-    beta_prime = alpha * ln_fraction(ratio)
+    beta_prime = alpha * ln_fraction(ratio, 1)
     return GrowthConstants(
         s1=s1,
         kstar=kstar,

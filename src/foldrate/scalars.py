@@ -35,13 +35,38 @@ def ln_int(n: int) -> float:
     return shift * _LN2 + math.log(n >> shift)
 
 
-def ln_fraction(q) -> float:
-    """Natural log of a positive int or Fraction of any size."""
+def _ln_int_error(n: int, v: float) -> float:
+    """A bound on |ln_int(n) - ln n| for v = ln_int(n), taking libm's log
+    as accurate to 1 ulp.  Below 2^53, n converts to a double exactly, and
+    the error is libm's.  From there on, rounding n (or n >> shift) to a
+    double, the shift times math.log(2) and the sum add at most 2.5 ulps
+    of v, and libm's error on the log of a 64-bit mantissa at most
+    2^-47."""
+    return math.ulp(v) if n < 1 << 53 else 4 * math.ulp(v) + 2.0 ** -46
+
+
+def ln_ratio(num: int, den: int = 1, side: int = 0) -> float:
+    """Natural log of num / den, for positive ints of any size.
+
+    side -1 or 1 rounds the result outward: a double at most, or at
+    least, the true log.  The allowance is the two terms' ln_int errors
+    and an ulp of the difference, doubled for the rounding of the sum.
+    """
+    if num <= 0 or den <= 0:
+        raise ValueError(f"ln of non-positive value {num}/{den}")
+    a, b = ln_int(num), ln_int(den)
+    v = a - b
+    if side:
+        err = 2 * (_ln_int_error(num, a) + _ln_int_error(den, b) + math.ulp(v))
+        v = math.nextafter(v + side * err, side * math.inf)
+    return v
+
+
+def ln_fraction(q, side: int = 0) -> float:
+    """Natural log of a positive int or Fraction of any size (ln_ratio)."""
     if isinstance(q, int):
-        return ln_int(q)
-    if q <= 0:
-        raise ValueError(f"ln of non-positive value {q}")
-    return ln_int(q.numerator) - ln_int(q.denominator)
+        return ln_ratio(q, 1, side)
+    return ln_ratio(q.numerator, q.denominator, side)
 
 
 def log_add(a: float, b: float) -> float:

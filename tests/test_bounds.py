@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -273,17 +274,34 @@ def test_oracle_named_rates():
     assert oracle_rate_interval(MAX22) == (2, 2)
 
 
+def _ln50(q: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+
+def test_exact_bounds_do_not_overstate_a_geometric_rate():
+    # s_n = (23/4)^n: the rate is 23/4, and the lower bound read off exact
+    # values once sat 2 ulps above its log
+    for text, rate in (("max 4 23/4", Fraction(23, 4)), ("max 2 2", Fraction(2))):
+        report = evaluate_bounds(compute_sequence(parse_spec(text), 64, domain="exact"))
+        assert Decimal(report.best_ln_lower) <= _ln50(rate) <= Decimal(report.best_ln_upper)
+        assert report.best_ln_lower >= math.log(rate) - 16 * math.ulp(math.log(rate))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_bounds_bracket_the_oracle_rate(seed):
     spec = random_spec(random.Random(seed), kind=("mixed", "sum", "max")[seed % 3])
     lo, hi = oracle_rate_interval(spec)
     ln_lo, ln_hi = math.log(lo), math.log(hi)
-    # exact-domain bounds are exact up to the final rounding of their
-    # double: on s_n = w^n the lower lands 2 ulps above ln w
-    for domain, n, slack in (("exact", 64, 4 * math.ulp(ln_hi)), ("log", 512, 1e-12)):
-        report = evaluate_bounds(compute_sequence(spec, n, domain=domain))
-        assert report.best_ln_lower <= ln_hi + slack
-        assert report.best_ln_upper >= ln_lo - slack
+    # exact-domain bounds are rounded outward: they bracket the 50-digit
+    # log of the oracle's interval with no slack
+    report = evaluate_bounds(compute_sequence(spec, 64, domain="exact"))
+    assert Decimal(report.best_ln_lower) <= _ln50(hi)
+    assert Decimal(report.best_ln_upper) >= _ln50(lo)
+    report = evaluate_bounds(compute_sequence(spec, 512, domain="log"))
+    assert report.best_ln_lower <= ln_hi + 1e-12
+    assert report.best_ln_upper >= ln_lo - 1e-12
     report = refine(spec, epsilon=0.5)
     assert report.converged
     assert report.best_ln_lower <= ln_lo + 1e-12

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import sys
 import zlib
 
 import pytest
@@ -120,14 +121,15 @@ MIX = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
 
 # sha256 of the exact-domain `bounds --n 256` stdout; the log domain is not
 # pinned because its sum cells go through BLAS dot products, whose rounding
-# may differ between machines
+# may differ between machines.  Re-pinned when the bounds were rounded
+# outward: three linear uppers at n = 2 and 4 moved up in their 12th digit.
 BOUNDS_EXACT_256_SHA256 = {
     (MIX, "json"): "fd283f3667a14cf6a4a705b0aa1d4667e2c8de651dc6aa9805e60fe85ea4194e",
-    (MIX, "csv"): "02f5c282f20c4468faf7fa4d7ff67f98ac65d3178ca1bca215612529423dfaa5",
+    (MIX, "csv"): "e30f909b7c52dc867bd024883c39d0cdb450f9568424a1d4d11fdd4588a5a946",
     ("sum 2 1/2\nmax 3 7/3", "json"):
-        "4fed149a42882bf0c89d5426bf78628172707a641592d9ec6eefa5002684ed77",
+        "3edeabddcbb630073752362b71a663ab8170b86e064dac40b8a5c62cf0c7fe89",
     ("sum 2 1/2\nmax 3 7/3", "csv"):
-        "e0fd85994525edbaa87a8040de1ea4779837303ebb3954ab8511f25f4faa6126",
+        "ba372586f3e0fb0da92152607f461416e5edeaff9d1282f3fad3b171b6146095",
 }
 
 
@@ -301,11 +303,12 @@ def test_cache_rejects_different_spec(tmp_path, capsys):
     assert "different recurrence" in err
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_cache_version_is_refused(tmp_path, capsys, version):
-    # version 1 also held max-fold records and version 2 stored exact
-    # values as Fractions; the header differs only in the version field
-    # and the trailing checksum as far as the reader gets
+    # version 1 also held max-fold records, version 2 stored exact values
+    # as Fractions and version 3 had no path byte; the header differs only
+    # in the version field and the trailing checksum as far as the reader
+    # gets
     cache = tmp_path / "cat.seq"
     run(capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", str(cache))
     data = bytearray(cache.read_bytes())
@@ -317,6 +320,23 @@ def test_old_cache_version_is_refused(tmp_path, capsys, version):
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: unsupported cache version {version}\n"
+
+
+def test_corrupt_recurrence_record_is_a_usage_error(tmp_path, capsys):
+    # past the window the cache holds MIX's recurrence; one coefficient
+    # changed under a valid checksum fails the proof on loading
+    cache = tmp_path / "mix.seq"
+    argv = ["eval", "--spec-text", MIX, "--domain", "exact", "--n", "60", "--cache", str(cache)]
+    code, cold, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    data = bytearray(cache.read_bytes())
+    at = 4 + 2 + 32 + 12 + 20 + 8  # header, recurrence header, first length
+    data[at] ^= 2
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    cache.write_bytes(bytes(data))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: the cached recurrence does not hold for this spec\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,3 +422,25 @@ def test_eval_log_beyond_double_range(capsys):
     code, out, _ = run(capsys, "eval", "--spec-text", mix, "--n", "200", "--format", "csv")
     assert code == EXIT_OK
     assert out.splitlines()[-1].endswith(",inf")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "bfile"])
+def test_eval_exact_prints_values_past_the_int_digit_limit(capsys, fmt):
+    # s_1300 = 1000^1300 C_1300 has 4,680 digits, past CPython's default
+    # int_max_str_digits of 4,300, which is restored after the output
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eval", "--spec-text", "sum 2 1000", "--domain", "exact",
+                         "--n", "1300", "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(1000 ** 1300 * (math.comb(2600, 1300) // 1301))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    if fmt == "json":
+        last = json.loads(out)["values"][-1]
+    else:
+        last = out.split()[-1].split(",")[-1]
+    assert last == want

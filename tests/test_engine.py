@@ -331,20 +331,25 @@ def test_log_matches_exact_on_random_specs():
 
 
 def test_extend_imports_numpy_only():
-    # scipy's import would add to every run's start-up time and memory
+    # scipy's or sympy's import would add to every run's start-up time and
+    # memory; the exact extend passes the window, so it searches, proves
+    # and runs MIX's recurrence.  Start-up and building a table load
+    # neither the cache module nor the recurrence search.
     code = ("import sys\n"
             "import foldrate.cli\n"
-            "from foldrate import compute_sequence, parse_spec\n"
+            "from foldrate import SequenceTable, compute_sequence, parse_spec\n"
             f"spec = parse_spec({MIXED_EXAMPLE!r})\n"
+            "SequenceTable(spec, domain='exact')\n"
+            "print('foldrate.cache' in sys.modules or 'foldrate.holonomic' in sys.modules)\n"
             "compute_sequence(spec, 300, domain='log')\n"
-            "compute_sequence(spec, 40, domain='exact')\n"
-            "print('scipy' in sys.modules)\n")
+            "assert compute_sequence(spec, 120, domain='exact').recurrence\n"
+            "print('scipy' in sys.modules or 'sympy' in sys.modules)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 6 1"])
@@ -404,17 +409,20 @@ def test_log_extend_across_chunk_boundaries_is_bit_identical(tmp_path, text):
     # chunk [64, 128)'s constants 15; then block [64, 128) takes rank 2's
     # two, and rank 3's first fails
     ("log", np, "convolve", 13 + 10 + 15 + 2),
-    # row m takes m + 1 products per rank; then rank 2's 67, and rank 3's
-    # 11th product fails
-    ("exact", operator, "mul", 3 * sum(range(41, 67)) + 67 + 10),
+    # the engine runs to the window, 48: row m takes m + 1 products per
+    # rank; then rank 2's 45, and rank 3's 11th product fails
+    ("exact", operator, "mul", 3 * sum(range(41, 45)) + 45 + 10),
+    # past the window, on MIX's recurrence: each engine step from 41 to 48
+    # sizes 4 ints and the switch sizes s_0..s_48; then t_58 fails
+    ("exact", sys, "getsizeof", 4 * 8 + 49 + 9),
 ])
 def test_extend_cut_short_keeps_the_table_valid(tmp_path, monkeypatch, domain, module,
                                                 name, call):
-    # an error in row m = 66 after rank 2's cell or, in the log domain,
-    # inside block [64, 128) after block [32, 64) was stored through
-    # m = 63, leaves the table at n = 40 as a fresh run saves it; the next
-    # extend, which solves block [32, 64) again, matches an uninterrupted
-    # run
+    # an error in row m = 44 after rank 2's cell, or in the run of the
+    # recurrence at n = 58 or, in the log domain, inside block [64, 128)
+    # after block [32, 64) was stored through m = 63, leaves the table at
+    # n = 40 as a fresh run saves it; the next extend, which solves block
+    # [32, 64) again, matches an uninterrupted run
     table = compute_sequence(MIX, 40, domain=domain)
     calls, real = iter(range(10**6)), getattr(module, name)
 
@@ -518,12 +526,16 @@ def test_cache_round_trip(tmp_path, domain):
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
-    # digest of the version 3 layout, which stores each t_m = D^m s_m
+    # digest of the version 4 layout, which stores each t_m = D^m s_m and,
+    # past the window, the recurrence of order 2 and degree 1 in place of
+    # the fold records
     spec = parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7")
     path = tmp_path / "frac.seq"
-    save_cache(compute_sequence(spec, 60, domain="exact"), str(path))
+    table = compute_sequence(spec, 60, domain="exact")
+    assert [len(table.recurrence.coeffs), len(table.recurrence.coeffs[0])] == [3, 2]
+    save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "585676511120463569394441ab839d903538f22747e563a6047c6462832a7168"
+        "a5d6e3ed29dd223dbf7cc1c0b2d01a6f06011290b4b7fb1c8b53bef11c551df7"
     )
     # the reloaded Fractions, as printed when the cache still held max records
     back = load_cache(str(path), spec)
@@ -534,8 +546,8 @@ def test_exact_cache_bytes_are_stable(tmp_path):
 
 
 def _exact_cache(spec, s_values, fold_values) -> bytes:
-    """A version 3 exact cache for a spec with a single rank-2 sum table,
-    from the integers t_m it stores."""
+    """A version 4 exact cache on the engine for a spec with a single
+    rank-2 sum table, from the integers t_m it stores."""
     def record(values):
         out = struct.pack("<Q", len(values))
         for t in values:
@@ -543,8 +555,8 @@ def _exact_cache(spec, s_values, fold_values) -> bytes:
             out += struct.pack("<Q", len(tb)) + tb
         return out
 
-    body = (b"FRSQ" + struct.pack("<H", 3) + spec.digest()
-            + struct.pack("<BQH", 0, len(s_values) - 1, 2)
+    body = (b"FRSQ" + struct.pack("<H", 4) + spec.digest()
+            + struct.pack("<BQHB", 0, len(s_values) - 1, 2, 0)
             + record(s_values) + record(fold_values))
     return body + struct.pack("<I", zlib.crc32(body))
 

@@ -1,0 +1,198 @@
+"""Exact tables on a proved recurrence: search, proof, run and persistence."""
+
+import random
+import struct
+import sys
+import zlib
+
+import pytest
+
+from foldrate import (
+    CacheCorruptError,
+    MemoryBudgetError,
+    SequenceTable,
+    compute_sequence,
+    load_cache,
+    parse_spec,
+    save_cache,
+)
+from foldrate import holonomic
+from helpers import MIXED_EXAMPLE, random_spec
+
+MIX = parse_spec(MIXED_EXAMPLE)
+
+
+def _engine_table(monkeypatch, spec, n):
+    """The table the engine alone computes: the search finds nothing."""
+    with monkeypatch.context() as m:
+        m.setattr(holonomic, "find", lambda *args: None)
+        return compute_sequence(spec, n, domain="exact")
+
+
+def _values(table):
+    return [table.value(n).value for n in range(table.n + 1)]
+
+
+def test_recurrence_matches_the_engine_on_random_specs(monkeypatch):
+    rng = random.Random(11)
+    specs = [random_spec(rng, max_terms=3, max_arity=4, kind=rng.choice(("mixed", "sum")))
+             for _ in range(20)]
+    assert sum(spec.merged_weights()[1] > 1 for spec in specs) >= 10
+    assert sum(any(t.op.value == "max" for t in spec.terms) for spec in specs) >= 5
+    for spec in specs:
+        table = compute_sequence(spec, 300, domain="exact")
+        assert table.recurrence is not None, spec.render()
+        assert _values(table) == _values(_engine_table(monkeypatch, spec, 300)), spec.render()
+
+
+def test_mix_recurrence_has_order_5_and_degree_4():
+    rec = compute_sequence(MIX, 60, domain="exact").recurrence
+    assert (len(rec.coeffs), len(rec.coeffs[0]), rec.start, rec.window) == (6, 5, 5, 48)
+    assert max(abs(c) for p in rec.coeffs for c in p).bit_length() <= 96
+
+
+def test_perturbed_recurrence_fails_the_proof(monkeypatch):
+    table = compute_sequence(MIX, 60, domain="exact")
+    rec, t, pairs = table.recurrence, table._dom.cols[0], table._dom.pairs
+    assert holonomic.proved(rec.coeffs, rec.start, t, pairs)
+    for i, p in enumerate(rec.coeffs):
+        for j in range(len(p)):
+            for delta in (-1, 1):
+                coeffs = [list(q) for q in rec.coeffs]
+                coeffs[i][j] += delta
+                assert not holonomic.proved(coeffs, rec.start, t, pairs), (i, j, delta)
+    # a recurrence that fails its proof is not used: the table stays on the engine
+    reference = _values(compute_sequence(MIX, 120, domain="exact"))
+    monkeypatch.setattr(holonomic, "proved", lambda *args: False)
+    fallback = compute_sequence(MIX, 120, domain="exact")
+    assert fallback.recurrence is None and len(fallback._dom.cols) == 4
+    assert _values(fallback) == reference
+
+
+def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):
+    # MIX's recurrence times (n - 150) is a recurrence too, and proved; its
+    # p_0 vanishes at n = 150, where the run takes t_150 from the engine
+    rec = compute_sequence(MIX, 60, domain="exact").recurrence
+    times = tuple(tuple(b - 150 * a for a, b in zip(p + (0,), (0,) + p)) for p in rec.coeffs)
+    real_find = holonomic.find
+
+    def find(t, pairs, window):
+        found = real_find(t, pairs, window)
+        assert holonomic.proved(times, found.start, t, pairs)
+        return holonomic.Recurrence(times, found.start, found.window)
+
+    monkeypatch.setattr(holonomic, "find", find)
+    table = compute_sequence(MIX, 300, domain="exact")
+    assert table.recurrence.coeffs == times
+    assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
+
+
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1/2\nmax 3 2/3\nsum 1 5/7",
+                                  "sum 5 1\nsum 2 3"])
+def test_stepped_resumed_and_one_shot_tables_are_identical(tmp_path, text):
+    # the last spec's recurrence is found at the second window, 104
+    spec = parse_spec(text)
+    fresh = compute_sequence(spec, 300, domain="exact")
+    want = tmp_path / "fresh.seq"
+    save_cache(fresh, str(want))
+    stepped = SequenceTable(spec, domain="exact")
+    for n in (3, 47, 48, 49, 100, 104, 105, 300):
+        stepped.extend(n)
+    tables = [stepped]
+    for n in (40, 48, 60, 104, 200):
+        path = str(tmp_path / f"at{n}.seq")
+        save_cache(compute_sequence(spec, n, domain="exact"), path)
+        tables.append(load_cache(path, spec).extend(300))
+    for table in tables:
+        assert table.recurrence == fresh.recurrence
+        assert _values(table) == _values(fresh)
+        assert table.sum_fold(2, 299) == fresh.sum_fold(2, 299)
+        save_cache(table, str(tmp_path / "other.seq"))
+        assert (tmp_path / "other.seq").read_bytes() == want.read_bytes()
+
+
+def test_fold_cells_of_a_table_on_a_recurrence_come_from_the_engine(monkeypatch):
+    table = compute_sequence(MIX, 120, domain="exact")
+    assert table.recurrence is not None
+    engine = _engine_table(monkeypatch, MIX, 120)
+    for j in (2, 3, 4):
+        assert [table.sum_fold(j, m) for m in range(120)] == [
+            engine.sum_fold(j, m) for m in range(120)]
+    with pytest.raises(IndexError):
+        table.sum_fold(4, 120)
+
+
+def test_load_reproves_the_recurrence(tmp_path):
+    # the coefficient bytes are rewritten with a valid checksum: the proof,
+    # not the checksum, refuses them
+    path = tmp_path / "mix.seq"
+    save_cache(compute_sequence(MIX, 60, domain="exact"), str(path))
+    data = bytearray(path.read_bytes())
+    at = 4 + 2 + 32 + 12 + 20  # header, then the first coefficient's length
+    assert struct.unpack_from("<Q", data, at)[0] >= 1
+    data[at + 8] ^= 1
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheCorruptError, match="does not hold"):
+        load_cache(str(path), MIX)
+
+
+def test_load_refuses_a_recurrence_the_engine_could_not_reach(tmp_path):
+    # a budget that holds s through n = 60 but not the engine's four
+    # columns before its last step to the window 48: extend stops before
+    # the window, and a table on the recurrence at 60 is refused
+    table = compute_sequence(MIX, 60, domain="exact")
+    limit = sum(map(sys.getsizeof, table._dom.cols[0])) + 64
+    short = SequenceTable(MIX, domain="exact", memory_limit=limit)
+    with pytest.raises(MemoryBudgetError):
+        short.extend(60)
+    assert short.n < 48 and short.recurrence is None
+    path = str(tmp_path / "mix.seq")
+    save_cache(table, path)
+    with pytest.raises(MemoryBudgetError):
+        load_cache(path, MIX, memory_limit=limit)
+    assert load_cache(path, MIX, memory_limit=4 * limit).n == 60
+
+
+def test_memory_budget_stops_on_the_recurrence_and_the_load_agrees(tmp_path):
+    # past the window only s is stored, so the same budget reaches further
+    # than on the engine; a table saved where it stopped loads under it,
+    # one step more does not
+    limit = 40_000
+    table = SequenceTable(MIX, domain="exact", memory_limit=limit)
+    with pytest.raises(MemoryBudgetError):
+        table.extend(10_000)
+    assert table.recurrence is not None and table.n > 48
+    assert table.value(table.n) == compute_sequence(MIX, table.n, domain="exact").value(table.n)
+    path = str(tmp_path / "mix.seq")
+    save_cache(table, path)
+    assert load_cache(path, MIX, memory_limit=limit).n == table.n
+    save_cache(compute_sequence(MIX, table.n + 1, domain="exact"), path)
+    with pytest.raises(MemoryBudgetError):
+        load_cache(path, MIX, memory_limit=limit)
+
+
+def test_specs_over_the_cap_stay_on_the_engine(monkeypatch):
+    # sum 40 1 has order 1 but degree 39: 80 unknowns; the mixed spec of
+    # degree 6 has none within 64 unknowns
+    for text in ("sum 40 1", "sum 6 1\nsum 2 1"):
+        spec = parse_spec(text)
+        table = compute_sequence(spec, 110, domain="exact")
+        assert table.recurrence is None, text
+        assert _values(table) == _values(_engine_table(monkeypatch, spec, 110))
+
+
+@pytest.mark.parametrize("text, found", [
+    ("sum 2 2097143", True),                          # the first search prime
+    ("sum 2 2097143\nsum 3 1", True),
+    ("sum 2 2147483647\nsum 3 2147483629", True),     # two lifting primes
+    ("sum 2 2097143\nsum 3 2097133\nsum 1 2097131", False),  # every search prime
+])
+def test_weights_that_a_prime_divides(monkeypatch, text, found):
+    # a prime dividing a weight of P can make the columns vanish or drop
+    # rank mod that prime; the search takes another, the lifting skips it,
+    # and with no prime left the table stays on the engine
+    spec = parse_spec(text)
+    table = compute_sequence(spec, 120, domain="exact")
+    assert (table.recurrence is not None) == found
+    assert _values(table) == _values(_engine_table(monkeypatch, spec, 120))

@@ -1,6 +1,7 @@
 """Log-domain helpers against exact rationals, and the read-only records."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -131,3 +132,38 @@ def test_mul_distributes_over_max_exactly(a, b, c):
     assert a * max(b, c) == max(a * b, a * c)
     la, lb, lc = (ln_fraction(x) for x in (a, b, c))
     assert la + max(lb, lc) == max(la + lb, la + lc)
+
+
+def _ln50(q: Fraction) -> Decimal:
+    """ln q to 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+
+def _assert_outward(q):
+    lo, mid, hi = ln_fraction(q, -1), ln_fraction(q), ln_fraction(q, 1)
+    assert lo <= mid <= hi
+    assert Decimal(lo) <= _ln50(Fraction(q)) <= Decimal(hi), q
+    return lo, hi
+
+
+@pytest.mark.parametrize("q", [
+    Fraction(23, 4), Fraction(23, 4) ** 64, 2, 3, 2**53 - 1, 2**53 + 1, 2**64 - 1, 2**64 + 1,
+    10**500 + 12345, Fraction(10**30 + 1, 10**30), Fraction(2**200 + 1, 2**200 - 1),
+    Fraction(1, 7**300), 1,
+])
+def test_ln_fraction_rounds_outward(q):
+    # checked against a 50-digit decimal log; where no digits cancel, the
+    # two sides are a few dozen ulps apart at most
+    lo, hi = _assert_outward(q)
+    if q == 1:
+        assert lo < 0.0 < hi
+    elif abs(_ln50(Fraction(q))) > 1:
+        assert hi - lo <= 2.0 ** -40 * abs(ln_fraction(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2**300), st.integers(min_value=1, max_value=2**300))
+def test_ln_fraction_rounds_outward_on_random_fractions(num, den):
+    _assert_outward(Fraction(num, den))
