@@ -11,7 +11,12 @@ sequences exactly (on Python ints, scaled by the lcm of the weight
 denominators) or in a log-domain float representation, derives certified
 lower/upper bounds on lim s_n^(1/n), and cross-checks the machinery against
 an exhaustive tree enumeration oracle.
+
+Importing the package loads neither numpy nor the bounds, tree, cache
+and log-domain modules: each loads when first used.
 """
+
+import importlib
 
 from .recurrence import (
     GrowthConstants,
@@ -32,35 +37,38 @@ from .engine import (
     SequenceTable,
     compute_sequence,
 )
-from .bounds import (
-    BoundsEntry,
-    BoundsReport,
-    KnownRateResult,
-    evaluate_bounds,
-    known_rate_check,
-    refine,
-)
-from .trees import (
-    DEFAULT_SIZE_CAP,
-    check_subtree_lemma,
-    oracle_summary,
-    subtree_size_interval,
-    tree_values,
-)
 
 __version__ = "0.1.0"
 
-_CACHE_NAMES = ("CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
-                "save_cache")
+# The defaults of refine (bounds) and of the tree oracle (trees).  They
+# live here so that the command line's parser reads them without loading
+# either module.
+DEFAULT_EPSILON = 0.25
+DEFAULT_MAX_N = 1 << 14
+DEFAULT_SIZE_CAP = 9
+
+# Names resolved on first use, with the module that defines them: each
+# module is imported only when one of its names is asked for.
+_LAZY = {name: module for module, names in (
+    ("bounds", ("BoundsEntry", "BoundsReport", "KnownRateResult", "evaluate_bounds",
+                "known_rate_check", "refine")),
+    ("cache", ("CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
+               "save_cache")),
+    ("trees", ("check_subtree_lemma", "oracle_summary", "subtree_size_interval",
+               "tree_values")),
+) for name in names}
 
 
 def __getattr__(name):
-    # foldrate.cache is imported on first use, not at start-up
-    if name in _CACHE_NAMES:
-        from . import cache
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
-        return getattr(cache, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BoundsEntry",

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_EPSILON, DEFAULT_MAX_N
 from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants, parse_spec
 from .scalars import exp_ln, round12
@@ -60,8 +61,6 @@ log = logging.getLogger(__name__)
 
 _LN3 = math.log(3.0)
 
-DEFAULT_EPSILON = 0.25
-DEFAULT_MAX_N = 1 << 14
 # e(n) grows with alpha and beta', and every term is positive.  Past
 # beta's log, which is rounded up (derive_constants), it is made of about
 # 30 roundings, each within an ulp (libm's log and log1p included), so its

@@ -82,7 +82,8 @@ def save_cache(table: SequenceTable, path) -> None:
     buf = bytearray(_MAGIC)
     buf += struct.pack("<H", _VERSION)
     buf += table.spec.digest()
-    buf += _HEADER.pack(dom.tag, table.n, table._top, rec is not None)
+    buf += _HEADER.pack(_DOMAINS.index(table.domain_name), table.n, table._top,
+                        rec is not None)
     if rec:
         buf += _RECURRENCE.pack(len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.start,
                                 rec.window)
@@ -143,9 +144,9 @@ def load_cache(path, spec: RecurrenceSpec,
     if reader.take(32) != spec.digest():
         raise CacheMismatchError("cache file was written for a different recurrence")
     tag, n, top, path_kind = _HEADER.unpack(reader.take(_HEADER.size))
-    domain = next((name for name, d in _DOMAINS.items() if d.tag == tag), None)
-    if domain is None:
+    if tag >= len(_DOMAINS):
         raise CacheCorruptError(f"unknown domain tag {tag}")
+    domain = _DOMAINS[tag]
     table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
     if top != table._top:
         raise CacheCorruptError("fold table layout does not match the recurrence")

@@ -4,29 +4,24 @@ Subcommands: eval (print sequence values), bounds (per-index sandwich and
 best envelope), refine (doubling loop to a target ratio), oracle (tree
 enumeration cross-checks), known (fixtures with known rates).  Exit
 codes: 0 success, 1 a check failed, 2 usage or input error, 3 resource
-budget exceeded.
+budget exceeded.  Each subcommand imports the modules it runs, so
+bounds, trees and numpy load only for the subcommands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
 import sys
 
-from .bounds import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_N,
-    evaluate_bounds,
-    known_rate_check,
-    refine,
-)
+from . import DEFAULT_EPSILON, DEFAULT_MAX_N, DEFAULT_SIZE_CAP
 from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import RecurrenceSpec, SpecError, parse_spec, parse_spec_json
 from .scalars import exp_ln, round12
-from .trees import DEFAULT_SIZE_CAP, check_subtree_lemma, oracle_summary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -209,6 +204,8 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     if args.n < 2:
         raise _UsageError("bounds need --n at least 2")
+    from .bounds import evaluate_bounds
+
     spec = _load_spec(args)
     table = _obtain_table(spec, args, args.n)
     _print_report(evaluate_bounds(table, max_n=args.n), args.format)
@@ -216,6 +213,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    from .bounds import refine
+
     spec = _load_spec(args)
     report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds,
                     memory_limit=args.memory_limit)
@@ -233,6 +232,8 @@ def cmd_oracle(args) -> int:
         raise _UsageError(
             f"--max-n {args.max_n} exceeds --size-cap {args.size_cap}"
         )
+    from .trees import check_subtree_lemma, oracle_summary
+
     spec = _load_spec(args)
     table = SequenceTable(spec, domain="exact").extend(args.max_n)
     all_sum = all(t.op.value == "sum" for t in spec.terms)
@@ -262,6 +263,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_known(args) -> int:
+    from .bounds import known_rate_check
+
     name = args.name
     k = None
     if name.startswith("kfold:"):
@@ -356,10 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it as it is."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     level = logging.WARNING

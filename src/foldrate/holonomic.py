@@ -25,7 +25,9 @@ grow with e, and the recurrences seen all have e = d - 1 or d,
 d = deg P (sum k 1: order 1, degree k - 1), so e = d is searched, or
 e = d - 1 where no shift is left for e = d (sum 32 1).  A spec with
 d >= 33 is never searched, and a recurrence missed here only leaves the
-table on the engine.
+table on the engine.  The search's three helpers are the only code here
+that uses numpy, and each imports it: proving, running and resuming a
+cached recurrence load none.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
 theta = z d/dz,
@@ -59,8 +61,6 @@ import operator
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["CAP", "WINDOWS", "Recurrence", "find", "proved", "run"]
 
 # At each window W that an extend crosses, a table still on the engine
@@ -91,6 +91,8 @@ class Recurrence:
 
 def _matrix(t, cols, rows, p):
     """Column (i, j) is t_{n-i} n^j mod p over the rows n."""
+    import numpy as np
+
     n = np.array(rows, dtype=np.int64)
     i, j = np.array(cols, dtype=np.int64).T
     powers = np.ones((len(rows), j.max() + 1), dtype=np.int64)
@@ -106,6 +108,8 @@ def _first_dependent(M, p):
     None if the columns are independent.  M is overwritten.  Only the
     pivot column and row are reduced mod p: with p < 2^21, each step adds
     less than 2^42 to an entry, so 64 steps stay inside an int64."""
+    import numpy as np
+
     order = list(range(len(M)))
     for k in range(M.shape[1]):
         col = M[k:, k] % p
@@ -125,6 +129,8 @@ def _solutions(t, cols, rows):
     """For each prime p: x with sum_{c<k} x_c col_c = col_k mod p on the
     k = len(rows) rows, or None where a pivot vanishes mod p; by
     Gauss-Jordan elimination on 8 primes at a time."""
+    import numpy as np
+
     k = len(rows)
     for b in range(0, len(_PRIMES), 8):
         primes = _PRIMES[b : b + 8]

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 LN_ZERO = float("-inf")
 
 _LN2 = math.log(2.0)
@@ -81,8 +79,10 @@ def log_add(a: float, b: float) -> float:
     return b + math.log1p(math.exp(d))
 
 
-def log_sum_vec(values: np.ndarray) -> float:
-    """Stable log-sum-exp reduction of a vector of ln-values."""
+def log_sum_vec(values) -> float:
+    """Stable log-sum-exp reduction of a numpy vector of ln-values."""
+    import numpy as np  # only log tables call this; exact ones need no numpy
+
     m = float(values.max())
     if m == LN_ZERO or math.isinf(m):
         return m

@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from . import DEFAULT_SIZE_CAP
 from .recurrence import RecurrenceSpec
 
 __all__ = [
@@ -29,8 +30,6 @@ __all__ = [
     "subtree_size_interval",
     "tree_values",
 ]
-
-DEFAULT_SIZE_CAP = 9
 
 
 def _compositions(total: int, parts: int):

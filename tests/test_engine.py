@@ -1,6 +1,7 @@
 """Sequence tables: values, fold cells, budgets and cache round trips."""
 
 import hashlib
+import json
 import math
 import operator
 import os
@@ -330,26 +331,73 @@ def test_log_matches_exact_on_random_specs():
         assert table.fallback_cells == 0, spec.render()
 
 
-def test_extend_imports_numpy_only():
-    # scipy's or sympy's import would add to every run's start-up time and
-    # memory; the exact extend passes the window, so it searches, proves
-    # and runs MIX's recurrence.  Start-up and building a table load
-    # neither the cache module nor the recurrence search.
-    code = ("import sys\n"
-            "import foldrate.cli\n"
-            "from foldrate import SequenceTable, compute_sequence, parse_spec\n"
-            f"spec = parse_spec({MIXED_EXAMPLE!r})\n"
-            "SequenceTable(spec, domain='exact')\n"
-            "print('foldrate.cache' in sys.modules or 'foldrate.holonomic' in sys.modules)\n"
-            "compute_sequence(spec, 300, domain='log')\n"
-            "assert compute_sequence(spec, 120, domain='exact').recurrence\n"
-            "print('scipy' in sys.modules or 'sympy' in sys.modules)\n")
+# Run in a fresh interpreter by test_extend_imports_numpy_only, with a
+# spec and the path of a cache of it on a recurrence as arguments.  Each
+# step records which of the lazily loaded modules it finds loaded.
+_IMPORTS_CODE = """\
+import contextlib, io, json, sys
+spec_text, cache = sys.argv[1:]
+LAZY = ("numpy", "foldrate.bounds", "foldrate.trees", "foldrate.logdomain")
+steps = {}
+
+
+def step(name, *more):
+    steps[name] = [m for m in LAZY + more if m in sys.modules]
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+import foldrate
+step("import foldrate", "foldrate.cache", "foldrate.holonomic")
+import foldrate.cli
+from foldrate.cli import main
+step("import foldrate.cli", "foldrate.cache", "foldrate.holonomic")
+assert run("--help") == 0
+step("--help", "foldrate.cache", "foldrate.holonomic")
+assert run("eval", "--spec-text", "sum 0 1", "--n", "3") == 2
+step("bad spec", "foldrate.cache", "foldrate.holonomic")
+spec = foldrate.parse_spec(spec_text)
+foldrate.SequenceTable(spec, domain="exact")
+step("exact table", "foldrate.cache", "foldrate.holonomic")
+assert run("eval", "--spec-text", spec_text, "--domain", "exact", "--n", "40") == 0
+step("exact eval")
+assert run("eval", "--spec-text", spec_text, "--domain", "exact", "--n", "256",
+           "--cache", cache) == 0
+step("exact resume")
+foldrate.compute_sequence(spec, 300, domain="log")
+step("log table")
+assert foldrate.compute_sequence(spec, 120, domain="exact").recurrence
+step("exact search")
+steps["scipy or sympy"] = [m for m in ("scipy", "sympy") if m in sys.modules]
+print(json.dumps(steps))
+"""
+
+
+def test_extend_imports_numpy_only(tmp_path):
+    # Start-up, usage errors and exact tables load neither numpy nor the
+    # bounds, tree and log-domain modules, and start-up and building a
+    # table load neither the cache module nor the recurrence search: each
+    # would add to the start-up time of runs that do not use it.  The
+    # resume runs on MIX's cached recurrence, with no search; a log table
+    # and a search load numpy, and scipy or sympy never load.
+    table = compute_sequence(MIX, 120, domain="exact")
+    assert table.recurrence
+    cache = str(tmp_path / "mix.seq")
+    save_cache(table, cache)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    out = subprocess.run([sys.executable, "-c", _IMPORTS_CODE, MIXED_EXAMPLE, cache],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = ["numpy", "foldrate.logdomain"]
+    assert json.loads(out.stdout) == {
+        "import foldrate": [], "import foldrate.cli": [], "--help": [], "bad spec": [],
+        "exact table": [], "exact eval": [], "exact resume": [], "log table": loaded,
+        "exact search": loaded, "scipy or sympy": [],
+    }
 
 
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 6 1"])
@@ -643,6 +691,17 @@ def test_cache_rejects_unknown_version(tmp_path):
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     path.write_bytes(bytes(data))
     with pytest.raises(CacheCorruptError):
+        load_cache(str(path), CATALAN)
+
+
+def test_cache_rejects_unknown_domain_tag(tmp_path):
+    path = tmp_path / "cat.seq"
+    save_cache(compute_sequence(CATALAN, 10, domain="exact"), str(path))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<B", data, 38, 2)  # the tag follows magic, version and digest
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheCorruptError, match="unknown domain tag 2"):
         load_cache(str(path), CATALAN)
 
 
