@@ -14,7 +14,7 @@ g_j[x] = exp(ln fold_j[x] - theta*x); the theta factors of a split of m
 multiply to exp(theta*m), so g_j[m] = sum_x u_x g_{j-1}[m-x] and
 u_{m+1} = e^-theta sum_pairs w g_col[m].  m = 0 is the base case.
 
-A chunk is cut into blocks of B = min(2^(k-1), 128) cells, [M, M+B)
+A chunk is cut into blocks of B = min(2^(k-1), 256) cells, [M, M+B)
 with M = m0, m0 + B, ..., so B <= M.  Then in every split of a cell of
 the block at most one part is >= M, and the block's unknowns,
 U = u_{M+1..M+B} and G_j = g_j[M..M+B-1] as polynomials in t, satisfy a
@@ -25,16 +25,28 @@ causal linear system (all products mod t^B, ell_j = g_j[0..B-1], known):
     U   = e^-theta sum_pairs w G_col
 
 K_j[r] = sum u_x g_{j-1}[M+r-x] over x < M and M+r-x < M is the
-known x known part: one np.convolve per rank and block, over mirror rows
-whose entries >= M are zeroed, so it reads indices < M only.  Writing
+known x known part.  It is summed over tap pieces x in [a0, a1) of at
+most _TAPS = 2048 entries, one np.convolve(..., "valid") per rank and
+piece, over mirror rows whose entries >= M are zeroed, so it reads
+indices < M only.  A piece's two operand streams, 32 KiB, stay in a
+48 KiB L1d cache; one call over all M taps falls out of it once M passes
+about 3000 (1.4 to 1.7 times slower than the pieces at M = 4096..16384,
+on a Xeon with 48 KiB L1d per core).  Writing
 G_j = P_j + Q_j U, the Q_j, A = e^-theta sum w Q_col and
 (1 - A)^-1 = prod_i (1 + A^(2^i)) depend on ell and theta alone and are
 computed once per chunk; A has no constant term, so A^B = 0 and
 ceil(log2 B) factors suffice.  A block then takes the P_j,
-U = (e^-theta sum w P_col) (1 - A)^-1 and G_j = P_j + Q_j U.  Every
-coefficient is nonnegative and no step subtracts or uses an FFT, so the
-rounding error of each value is relative to the value itself.  The ln
-values are np.log(.) + theta * index.
+U = (e^-theta sum w P_col) (1 - A)^-1 and G_j = P_j + Q_j U.  Each
+product mod t^B is _low: one "valid" np.convolve against an operand
+padded with B - 1 zeros, which computes the B kept outputs only; the
+chunk pads ell_1, the Q_j and (1 - A)^-1 once.  The weight factors
+e^-theta * w form one column vector, so each weighted sum is one
+product and one sum, and the offsets theta * x are computed once per
+chunk.
+Every coefficient is nonnegative and no step subtracts or uses an FFT,
+so the rounding error of each value is relative to the value itself, in
+whatever order its terms are summed (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 3).  The ln values are np.log(.) + theta * x.
 
 Mirrors are derived from the stored ln rows by one vectorised
 np.exp(ln - theta*x) when an extend call or a chunk starts and after
@@ -47,9 +59,12 @@ factor e^-theta * w lies in [e^-340, e^340], each product of two lies in
 [e^-680, e^680].  A block that reads an entry outside that window, or
 whose solved values are not all positive normal doubles, is computed
 cell by cell by the ln kernel instead (scalars.log_sum_vec for each rank
-cell, then for s); ``fallback_cells`` counts its rank cells.  Neither
-kernel carries a rigorous rounding radius: the float domain's bounds are
-certified only up to float rounding.
+cell, then for s); ``fallback_cells`` counts its rank cells.  Mirror
+entries below a block start never change within a chunk, so the window
+test reads each once per chunk: those below the chunk's first block at
+that block, then before each later block those the block before it
+derived.  Neither kernel carries a rigorous rounding radius: the float
+domain's bounds are certified only up to float rounding.
 """
 
 from __future__ import annotations
@@ -69,31 +84,23 @@ _WINDOW = 340.0
 _LO, _HI = math.exp(-_WINDOW), math.exp(_WINDOW)
 # the log domain's largest block: chunk k is cut into blocks of
 # B = min(2^(k-1), _BLOCK) cells
-_BLOCK = 128
+_BLOCK = 256
+# the most taps one np.convolve of the known x known part reads: its two
+# operand streams, 2 * 8 * _TAPS bytes, fit a 48 KiB L1d cache
+_TAPS = 2048
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
 
-def _chunk_scale(ln_s: np.ndarray, k: int) -> float:
-    """The scale theta for cells m with m.bit_length() == k.
-
-    Read off stored ln s only: the slope of ln s over the previous
-    half-chunk, [m0/2, m0] with m0 = 2^(k-1).
-    """
-    if k == 0:
-        return 0.0
-    m0 = 1 << (k - 1)
-    if m0 == 1:
-        return float(ln_s[1])
-    half = m0 // 2
-    return float((ln_s[m0] - ln_s[half]) / (m0 - half))
+def _padded(x: np.ndarray) -> np.ndarray:
+    """The B entries of x after B - 1 zeros: the first operand of _low."""
+    return np.concatenate((np.zeros(len(x) - 1), x))
 
 
-def _widened(rows: np.ndarray, total: int) -> np.ndarray:
-    """``rows`` copied into the start of new rows of ``total`` entries."""
-    out = np.empty((len(rows), total))
-    out[:, : rows.shape[1]] = rows
-    return out
+def _low(xp: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y mod t^B for xp = _padded(x) and y of B entries: the B kept
+    outputs of np.convolve(x, y)[:B] only, in one call."""
+    return np.convolve(xp, y, "valid")
 
 
 class _LogDomain:
@@ -111,25 +118,27 @@ class _LogDomain:
     rec = None
 
     def __init__(self, scale: int, top: int, weights: dict):
-        self.pairs = [(ln_fraction(w), a - 1) for a, w in sorted(weights.items())]
+        # the (ln weight, column) pairs of the weighted sum, as a vector and
+        # a list
+        self.lnw = np.array([ln_fraction(weights[a]) for a in sorted(weights)])
+        self.wcols = [a - 1 for a in sorted(weights)]
         self.data = np.zeros((max(top, 1), 1))
         self.feeds = max(top - 1, 0)
         self.fallback_cells = 0
 
-    def _projected(self, n: int) -> int:
-        """Bytes of a table at n: 8 per index for each ln value and mirror entry."""
-        return (len(self.data) + self.feeds) * (n + 1) * 8
-
-    def _reserve(self, n0: int, new_n: int, limit: int) -> None:
-        """Reject an extension the budget cannot hold before doing any work."""
-        projected = self._projected(new_n)
+    def _reserve(self, n: int, limit: int, what: str, after: str = "") -> None:
+        """Widen the rows to hold a table at n, or refuse it before any work
+        with MemoryBudgetError, naming it ``what`` and adding ``after``,
+        where the budget cannot hold its bytes: 8 per index for each ln
+        value and mirror entry, and the mirror rows' _BLOCK entries of room
+        past n, which an extend call to n allocates."""
+        projected = ((len(self.data) + self.feeds) * (n + 1) + self.feeds * _BLOCK) * 8
         if projected > limit:
-            raise MemoryBudgetError(
-                f"extending to {new_n} needs ~{projected} bytes, "
-                f"budget is {limit}; table still valid at n={n0}"
-            )
-        if new_n + 1 > self.data.shape[1]:
-            self.data = _widened(self.data, new_n + 1)
+            raise MemoryBudgetError(f"{what} needs ~{projected} bytes, budget is {limit}{after}")
+        if n + 1 > self.data.shape[1]:
+            data = np.empty((len(self.data), n + 1))
+            data[:, : self.data.shape[1]] = self.data
+            self.data = data
 
     def extend(self, n0: int, new_n: int, limit: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return new_n.
@@ -140,110 +149,126 @@ class _LogDomain:
         computed cell by cell by the ln kernel where the solver's
         conditions fail.
         """
-        self._reserve(n0, new_n, limit)
-        lnw = np.array([w for w, _ in self.pairs])
-        cols = [i for _, i in self.pairs]
+        self._reserve(new_n, limit, f"extending to {new_n}", f"; table still valid at n={n0}")
         # _BLOCK entries of room past new_n for the zeroed tail of a block
         mirror = np.empty((self.feeds, new_n + 1 + _BLOCK))
         fallback, k, m = 0, 0, n0
         if m == 0:
-            self._ln_cell(0, lnw, cols)
+            self._ln_cell(0)
             m = 1
         with np.errstate(all="ignore"):
             while m < new_n:
                 if m.bit_length() != k:
                     k = m.bit_length()
-                    chunk = self._chunk(k, lnw, cols, mirror, m)
-                theta, B = chunk[:2]
+                    chunk = self._chunk(k, mirror, m, new_n)
+                    inside, seen = chunk[-1], 0
+                off, B = chunk[:2]
                 M = m - (m - (1 << (k - 1))) % B
                 end = min(M + B, new_n)
-                if not self._block(chunk, mirror, M, m, end):
+                low = mirror[:, seen:M]
+                inside = inside and (not low.size or _LO <= low.min() and low.max() <= _HI)
+                seen = M
+                if not (inside and self._block(chunk, mirror, M, m, end)):
                     for x in range(m, end):
-                        self._ln_cell(x, lnw, cols)
+                        self._ln_cell(x)
                     fallback += self.feeds * (end - m)
-                self._derive(mirror, theta, M, end)
+                self._derive(mirror, off, M, end)
                 m = end
         self.fallback_cells += fallback
         return new_n
 
-    def _derive(self, mirror: np.ndarray, theta: float, lo: int, n: int) -> None:
-        """Mirror entries from the stored ln rows: s's at lo..n, each other
-        feeding column's at lo..n-1."""
+    def _derive(self, mirror: np.ndarray, off: np.ndarray, lo: int, n: int) -> None:
+        """Mirror entries from the stored ln rows and the offsets
+        theta * x: s's at lo..n, each other feeding column's at lo..n-1,
+        computed in place, with no temporary rows."""
         if len(mirror):
-            x = np.arange(lo, n + 1)
-            mirror[0, lo : n + 1] = np.exp(self.data[0, lo : n + 1] - theta * x)
-            mirror[1:, lo:n] = np.exp(self.data[1 : len(mirror), lo:n] - theta * x[:-1])
+            for u, v, x in ((mirror[:1, lo : n + 1], self.data[:1, lo : n + 1], off[lo : n + 1]),
+                            (mirror[1:, lo:n], self.data[1 : len(mirror), lo:n], off[lo:n])):
+                np.exp(np.subtract(v, x, out=u), out=u)
 
-    def _chunk(self, k: int, lnw: np.ndarray, cols: list, mirror: np.ndarray,
-               n: int) -> tuple:
+    def _chunk(self, k: int, mirror: np.ndarray, n: int, new_n: int) -> tuple:
         """Set chunk k's theta, derive the mirrors through n under it, and
-        return the chunk's solver constants (module docstring): theta, the
+        return the chunk's solver constants (module docstring): the
+        offsets theta * x for x up to the chunk's last solved index, the
         block length B, the low mirror entries ell = mirror[:, :B], each
-        column's Q, the (e^-theta * w, column) pairs, R = (1 - A)^-1, and
-        whether every weight factor e^-theta * w lies in the window."""
-        theta = _chunk_scale(self.data[0], k)
-        self._derive(mirror, theta, 0, n)
-        B = min(1 << (k - 1), _BLOCK)
+        column's Q, the weight factors e^-theta * w by column, R =
+        (1 - A)^-1, ell_1, Q and R zero-padded for _low, and whether every
+        weight factor lies in the window."""
+        m0, L, ln_s = 1 << (k - 1), len(self.data), self.data[0]
+        # read off stored ln s only: its slope over [m0/2, m0] (ln s_0 = 0)
+        theta = float((ln_s[m0] - ln_s[m0 // 2]) / (m0 - m0 // 2))
+        off = theta * np.arange(min(2 * m0, new_n + _BLOCK) + 1)
+        self._derive(mirror, off, 0, n)
+        B = min(m0, _BLOCK)
         ell = mirror[:, :B]
-        # Q for s is t; rank c + 1 adds t * ell[c-1] to ell[0] * Q[c-1]
-        Q = [np.zeros(B)]
-        Q[0][1:2] = 1.0  # t, which is 0 mod t^1
-        for c in range(1, len(self.data)):
-            q = np.convolve(ell[0], Q[c - 1])[:B]
-            q[1:] += ell[c - 1, :-1]
-            Q.append(q)
-        weights = list(zip(np.exp(lnw - theta), cols))
-        A = sum(w * Q[c] for w, c in weights)
+        ell1 = _padded(ell[0]) if len(ell) else None
+        # Q for s is t; rank c + 1 adds t * ell[c-1] to ell[0] * Q[c-1];
+        # Q is the part of Qp past B - 1 zeros, so Qp[c] is Q[c] padded
+        Qp = np.zeros((L, 2 * B - 1))
+        Q = Qp[:, B - 1 :]
+        Q[0, 1:2] = 1.0  # t, which is 0 mod t^1
+        for c in range(1, L):
+            Q[c] = _low(ell1, Q[c - 1])
+            Q[c, 1:] += ell[c - 1, :-1]
+        # the weight factors as a column: (wc * X).sum(0) weighs the rows
+        # of X; wc @ X or np.einsum would each load library code, BLAS's
+        # with a buffer, that adds 0.1-0.2 MB to a short run's peak RSS
+        wc = np.zeros((L, 1))
+        wc[self.wcols, 0] = np.exp(self.lnw - theta)
+        A = (wc * Q).sum(0)
         # (1 - A)^-1 = prod_i (1 + A^(2^i)); A^B = 0 mod t^B
         R = np.zeros(B)
         R[0] = 1.0
         for _ in range((B - 1).bit_length()):
-            R = R + np.convolve(R, A)[:B]
-            A = np.convolve(A, A)[:B]
-        ok = bool(np.abs(lnw - theta).max() <= _WINDOW)
-        return theta, B, ell, Q, weights, R, ok
+            Ap = _padded(A)
+            R = R + _low(Ap, R)
+            A = _low(Ap, A)
+        return off, B, ell, wc, ell1, Qp, _padded(R), np.abs(self.lnw - theta).max() <= _WINDOW
 
     def _block(self, chunk: tuple, mirror: np.ndarray, M: int, lo: int, end: int) -> bool:
         """Solve the block of cells M..M+B-1 and store those in lo..end-1;
-        False, with nothing stored, where an input mirror entry or weight
-        factor leaves the window or a solved value is not a positive
-        normal double."""
-        data, (theta, B, ell, Q, weights, R, ok) = self.data, chunk
-        a, low = data[0, M] - theta * M, mirror[:, :M]
-        if not (ok and abs(a) <= _WINDOW
-                and (not low.size or _LO <= low.min() and low.max() <= _HI)):
+        False, with nothing stored, where u_M leaves the window or a
+        solved value is not a positive normal double (the caller tests
+        the other inputs)."""
+        data, (off, B, ell, wc, ell1, Qp, Rp, _) = self.data, chunk
+        a = data[0, M] - off[M]
+        if not abs(a) <= _WINDOW:
             return False
         um = float(np.exp(a))
         # the known x known part reads indices < M only, also when this
         # block was computed before, by a call that stopped inside it
         mirror[:, M : M + B] = 0.0
-        conv = np.convolve
-        P = [np.zeros(B)]
-        P[0][0] = um
-        for c in range(1, len(data)):
-            p = conv(mirror[c - 1, 1 : M + B], mirror[0, :M], "valid")
-            p += um * ell[c - 1]
-            p += conv(ell[0], P[c - 1])[:B]
-            P.append(p)
-        sol = np.empty((len(data), B))
-        sol[0] = conv(sum(w * P[c] for w, c in weights), R)[:B]
-        for c in range(1, len(data)):
-            sol[c] = P[c] + conv(Q[c], sol[0])[:B]
-        if not (_TINY <= sol.min() and sol.max() <= _HUGE):
+        L = len(data)
+        P = np.zeros((L, B))
+        P[0, 0] = um
+        for c in range(1, L):
+            # K_c, summed over tap pieces u_x, x in [a0, a1), of <= _TAPS entries
+            for a0 in range(0, M, _TAPS):
+                a1 = min(a0 + _TAPS, M)
+                P[c] += np.convolve(mirror[c - 1, M - a1 + 1 : M - a0 + B], mirror[0, a0:a1],
+                                    "valid")
+            P[c] += um * ell[c - 1]
+            P[c] += _low(ell1, P[c - 1])
+        # the solution, in place: U, then G_j = P_j + Q_j U
+        U = _low(Rp, (wc * P).sum(0))
+        for c in range(1, L):
+            P[c] += _low(Qp[c], U)
+        P[0] = U
+        if not (_TINY <= P.min() and P.max() <= _HUGE):
             return False
-        ln = np.log(sol)
-        ln[0] += theta * np.arange(M + 1, M + B + 1)
-        ln[1:] += theta * np.arange(M, M + B)
+        ln = np.log(P)
+        ln[0] += off[M + 1 : M + B + 1]
+        ln[1:] += off[M : M + B]
         data[0, lo + 1 : end + 1] = ln[0, lo - M : end - M]
         data[1:, lo:end] = ln[1:, lo - M : end - M]
         return True
 
-    def _ln_cell(self, m: int, lnw: np.ndarray, cols: list) -> None:
+    def _ln_cell(self, m: int) -> None:
         """The ln kernel: each rank's cell at m, then s_{m+1}, from the ln rows."""
         data = self.data
         for c in range(1, len(data)):
             data[c, m] = log_sum_vec(data[0, : m + 1] + data[c - 1, m::-1])
-        data[0, m + 1] = log_sum_vec(lnw + data[cols, m])
+        data[0, m + 1] = log_sum_vec(self.lnw + data[self.wcols, m])
 
     def ln(self, i: int, m: int) -> float:
         return float(self.data[i, m])
@@ -263,12 +288,7 @@ class _LogDomain:
         could not have been reached under ``limit``: that is refused
         before anything is decoded."""
         n = counts[0] - 1
-        projected = self._projected(n)
-        if projected > limit:
-            raise MemoryBudgetError(
-                f"a table at n={n} needs ~{projected} bytes, budget is {limit}"
-            )
-        self.data = _widened(self.data, n + 1)
+        self._reserve(n, limit, f"a table at n={n}")
         for i, count in enumerate(counts):
             reader.record(count)
             self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")

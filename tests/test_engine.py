@@ -158,13 +158,14 @@ def test_max_folds_are_the_sequence_by_brute_force():
 
 
 @pytest.mark.parametrize("text, n, digest", [
-    (MIXED_EXAMPLE, 2048, "11a33dda4d3fbafbb709af09914cf38acfa194d9fa87bfaa226316d8b28b7fe0"),
+    (MIXED_EXAMPLE, 2048, "7a435cdb83c4173933be901750107237b4a80e255c6d4b8863e093ff7980c87a"),
     ("sum 2 1\nmax 48 1", 1024,
-     "c18a56f0167de6b0e70de98ec51b2a56a5c1aa8b24d9cad5ee1aeeea956c1b7c"),
+     "2b7057fa952b3db780df006a175af04d6e529b639ac7089b13f7ee55911cafb2"),
 ])
 def test_log_values_are_pinned(text, n, digest):
     # digests of float64 bytes from the block solver's numpy convolutions
-    # on x86-64, with max weights merged into the arity-1 weight
+    # on x86-64 (blocks of up to 256 cells, tap pieces of 2048 entries),
+    # with max weights merged into the arity-1 weight
     ln = compute_sequence(parse_spec(text), n, domain="log").ln_values()
     assert hashlib.sha256(ln.tobytes()).hexdigest() == digest
 
@@ -245,12 +246,14 @@ def test_log_memory_budget_rejects_upfront():
 
 
 def test_log_memory_budget_counts_the_sum_mirrors():
-    # Catalan keeps 2 ln columns plus s's mirror row; a budget that fits
-    # only the ln columns must refuse
+    # Catalan keeps 2 ln columns plus s's mirror row, which has 256 entries
+    # of room past n for a block's zeroed tail; a budget that fits only
+    # the ln columns and the mirror row through n must refuse
     n = 1000
     with pytest.raises(MemoryBudgetError):
-        SequenceTable(CATALAN, domain="log", memory_limit=2 * (n + 1) * 8).extend(n)
-    table = SequenceTable(CATALAN, domain="log", memory_limit=3 * (n + 1) * 8).extend(n)
+        SequenceTable(CATALAN, domain="log", memory_limit=3 * (n + 1) * 8).extend(n)
+    limit = (3 * (n + 1) + 256) * 8
+    table = SequenceTable(CATALAN, domain="log", memory_limit=limit).extend(n)
     assert table.n == n
 
 
@@ -271,11 +274,14 @@ def test_exact_memory_budget_holds_after_a_load(tmp_path):
 
 
 def test_log_memory_budget_holds_after_a_load(tmp_path):
-    # the budget fits the loaded n = 100 (2 ln rows, 1 mirror row) and no more
+    # the budget fits the loaded n = 100 (2 ln rows, 1 mirror row with its
+    # 256-entry tail) and no more
     path = str(tmp_path / "cat.seq")
     fresh = compute_sequence(CATALAN, 100, domain="log")
     save_cache(fresh, path)
-    back = load_cache(path, CATALAN, memory_limit=3 * 101 * 8)
+    with pytest.raises(MemoryBudgetError, match=r"n=100"):
+        load_cache(path, CATALAN, memory_limit=(3 * 101 + 255) * 8)
+    back = load_cache(path, CATALAN, memory_limit=(3 * 101 + 256) * 8)
     with pytest.raises(MemoryBudgetError, match=r"still valid at n=100$"):
         back.extend(101)
     assert back.n == 100
@@ -320,7 +326,7 @@ def test_log_sum_kernel_matches_exact(text):
     assert err.max() <= 1e-12
 
 
-def test_log_matches_exact_on_random_specs():
+def _matches_exact_on_random_specs():
     rng = random.Random(20240)
     for _ in range(40):
         spec = random_spec(rng, kind=rng.choice(("sum", "mixed", "mixed")))
@@ -329,6 +335,46 @@ def test_log_matches_exact_on_random_specs():
         err = np.abs(table.ln_values() - exact) / np.maximum(1.0, np.abs(exact))
         assert err.max() <= 1e-12, spec.render()
         assert table.fallback_cells == 0, spec.render()
+
+
+def test_log_matches_exact_on_random_specs():
+    _matches_exact_on_random_specs()
+
+
+def test_log_matches_exact_with_many_tap_pieces(monkeypatch):
+    # from M = 32 on, every block's known x known part is a sum of
+    # several tap pieces, some shorter than the block
+    from foldrate import logdomain
+
+    monkeypatch.setattr(logdomain, "_TAPS", 24)
+    _matches_exact_on_random_specs()
+
+
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1"])
+def test_log_matches_exact_across_the_tap_split(text):
+    # blocks past M = 2048 cut the known x known part into tap pieces;
+    # the exact values past the engine's window come from the proved
+    # recurrence, which shares no kernel with the log domain
+    spec = parse_spec(text)
+    exact = compute_sequence(spec, 4300, domain="exact").ln_values()
+    table = compute_sequence(spec, 4300, domain="log")
+    err = np.abs(table.ln_values() - exact) / np.maximum(1.0, np.abs(exact))
+    assert err.max() <= 1e-12
+    assert table.fallback_cells == 0
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 64, 128, 256])
+def test_truncated_product_keeps_the_low_outputs(B):
+    # B = 1 pads with no zeros; each output sums at most B nonnegative
+    # products, in another order than the reference's
+    from foldrate.logdomain import _low, _padded
+
+    rng = np.random.default_rng(B)
+    for _ in range(20):
+        a, b = rng.random(B) * rng.choice([1e-3, 1.0, 1e3]), rng.random(B)
+        got = _low(_padded(a), b)
+        assert got.shape == (B,)
+        assert np.allclose(got, np.convolve(a, b)[:B], rtol=1e-13, atol=0.0)
 
 
 # Run in a fresh interpreter by test_extend_imports_numpy_only, with a
@@ -428,19 +474,30 @@ def _saved(table, path) -> bytes:
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1", "sum 9 1/7\nmax 5 50",
                                   "sum 2 1", "max 2 2"])
 def test_log_extend_across_chunk_boundaries_is_bit_identical(tmp_path, text):
+    _steps_and_loads_are_bit_identical(tmp_path, parse_spec(text))
+
+
+@pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 9 1/7\nmax 5 50"])
+def test_log_extend_with_many_tap_pieces_is_bit_identical(tmp_path, monkeypatch, text):
+    from foldrate import logdomain
+
+    monkeypatch.setattr(logdomain, "_TAPS", 24)
+    _steps_and_loads_are_bit_identical(tmp_path, parse_spec(text))
+
+
+def _steps_and_loads_are_bit_identical(tmp_path, spec):
     # each extend call derives its mirrors from the ln rows, and a block
     # it stops inside is solved whole again by the next call; each n below
-    # sits on, before or after a chunk start m = 2^(k-1) or, from m = 128
-    # on, a start M of a block of 128 cells (M = 256: 383, 384, 385), or
-    # inside a block (300, 700, 1025)
-    spec = parse_spec(text)
+    # sits on, before or after a chunk start m = 2^(k-1) or, from m = 256
+    # on, a start M of a block of 256 cells (M = 768: 767, 768, 769), or
+    # inside a block (300, 383, 384, 385, 700, 1025)
     fresh = compute_sequence(spec, 1500, domain="log")
     stepped = SequenceTable(spec, domain="log")
-    for n in (1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 300, 383, 384, 385, 700, 1024, 1025,
-              1500):
+    for n in (1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 300, 383, 384, 385, 700, 767, 768,
+              769, 1024, 1025, 1500):
         stepped.extend(n)
     # saved at n = 128, where the first cell after loading starts a chunk,
-    # and at n = 300, inside block [256, 384)
+    # and at n = 300, inside block [256, 512)
     resumed = []
     for n in (128, 300):
         path = tmp_path / f"at{n}.seq"
@@ -536,6 +593,19 @@ def test_out_of_window_cells_use_the_ln_kernel():
         spiked = extended(spike)
         assert spiked.fallback_cells == len(read), spike
         _kernel_cells(spiked, read)
+
+
+def test_window_test_reads_the_entries_each_block_derives():
+    # a spike at x = 560, inside block [512, 768) of the table at n = 600,
+    # is read by no input of that block, which is solved again from cell
+    # 600 on, but by every later block: the entries a block derives are
+    # tested before the next block, not only at a chunk start
+    for spike in (1000.0, -1000.0):
+        table = compute_sequence(MIX, 600, domain="log")
+        table._dom.data[2, 560] += spike
+        table.extend(1100)
+        assert table.fallback_cells == 3 * (1100 - 768), spike
+        _kernel_cells(table, [(j, m) for m in range(768, 1100, 83) for j in (2, 3, 4)])
 
 
 def test_duplicate_terms_merge_additively():
