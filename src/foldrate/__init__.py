@@ -50,8 +50,8 @@ DEFAULT_SIZE_CAP = 9
 # Names resolved on first use, with the module that defines them: each
 # module is imported only when one of its names is asked for.
 _LAZY = {name: module for module, names in (
-    ("bounds", ("BoundsEntry", "BoundsReport", "KnownRateResult", "evaluate_bounds",
-                "known_rate_check", "refine")),
+    ("bounds", ("BoundsEntry", "BoundsReport", "evaluate_bounds", "rate_interval",
+                "refine")),
     ("cache", ("CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
                "save_cache")),
     ("trees", ("check_subtree_lemma", "oracle_summary", "subtree_size_interval",
@@ -80,7 +80,6 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "ExactScalar",
     "GrowthConstants",
-    "KnownRateResult",
     "LogScalar",
     "MemoryBudgetError",
     "Op",
@@ -94,13 +93,13 @@ __all__ = [
     "compute_sequence",
     "derive_constants",
     "evaluate_bounds",
-    "known_rate_check",
     "ln_fraction",
     "ln_int",
     "load_cache",
     "oracle_summary",
     "parse_spec",
     "parse_spec_json",
+    "rate_interval",
     "refine",
     "save_cache",
     "subtree_size_interval",

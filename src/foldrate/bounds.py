@@ -32,6 +32,13 @@ Convergence is still read off the sandwich itself, never off n*, and a
 run that rounding leaves short of the target at n* keeps doubling.
 refine() stops on convergence or when a budget runs out; an unconverged
 run is reported, not raised.
+
+The rate itself has a closed form, which rate_interval brackets and
+neither bound reads.  In the reduced spec, S(z) = sum s_n z^n solves
+S = 1 + z P(S) with P(y) = sum of k y^arity over the merged weights, so
+the rate is min over y > 1 of P(y) / (y-1) (Flajolet and Sedgewick,
+Analytic Combinatorics, ch. VII): P(1) when deg P = 1, and otherwise
+P(tau) / (tau-1) at the unique root tau > 1 of f(y) = (y-1) P'(y) - P(y).
 """
 
 from __future__ import annotations
@@ -40,20 +47,20 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import DEFAULT_EPSILON, DEFAULT_MAX_N
 from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
-from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants, parse_spec
-from .scalars import exp_ln, round12
+from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants
+from .scalars import exp_ln, ln_fraction, round12
 
 __all__ = [
     "BoundsEntry",
     "BoundsReport",
-    "KnownRateResult",
     "evaluate_bounds",
-    "known_rate_check",
+    "rate_interval",
     "refine",
 ]
 
@@ -307,59 +314,58 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     return report
 
 
-# -- sanity fixtures with known rates ------------------------------------
+# -- the closed-form rate -------------------------------------------------
 
-# Closed-form growth rates used to calibrate the machinery end to end.
-# Each entry: spec text, exact-ish rate as a float, soft ratio threshold.
-
-
-def _kfold_rate(k: int) -> float:
-    return math.exp(k * math.log(k) - (k - 1) * math.log(k - 1))
+# rate_interval bisects until its two bounds on the rate are within this
+# relative distance of each other
+_RATE_WIDTH = Fraction(1, 1 << 42)
 
 
-@dataclass(frozen=True)
-class KnownRateResult:
-    name: str
-    spec_text: str
-    rate: float
-    report: BoundsReport
-    contained: bool
-    ratio: float
-    ratio_threshold: float
-    ratio_ok: bool
+def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
+    """(ln lower, ln upper) around ln of the rate, from P alone (module
+    docstring), in exact Fractions.
 
-
-def known_rate_check(name: str, k: int | None = None, max_n: int = 4096) -> KnownRateResult:
-    """Run refine on a sequence with a known growth rate and check the
-    sandwich contains it.  Containment is the hard requirement; the ratio
-    threshold is a quality target the caller may treat as a warning.
+    For deg P >= 2, bisection on f keeps a <= tau <= b, and as P
+    increases and tau minimises P(y) / (y-1),
+    P(a) / (b-1) <= rate <= P(b) / (b-1).  It stops once these are within
+    _RATE_WIDTH relative, and their logs are rounded outward.
     """
-    if name == "catalan":
-        text, rate, threshold = "sum 2 1\n", 4.0, 1.5
-    elif name == "schroeder":
-        text, rate, threshold = "sum 1 1\nsum 2 1\n", 3.0 + 2.0 * math.sqrt(2.0), 1.6
-    elif name == "kfold":
-        if k is None or k < 2:
-            raise ValueError("kfold needs k >= 2")
-        text, rate, threshold = f"sum {k} 1\n", _kfold_rate(k), 1.8
+    P = spec.merged_weights()[0]
+
+    def at(y, c=P):
+        return sum(w * y ** a for a, w in c.items())
+
+    if max(P) == 1:
+        lo = hi = at(1)
     else:
-        raise ValueError(f"unknown fixture {name!r} (catalan, schroeder, kfold)")
-    spec = parse_spec(text)
-    # A tiny epsilon pushes refine through the whole length budget so the
-    # sandwich is as tight as the budget allows.
-    report = refine(spec, epsilon=1e-9, max_n=max_n)
-    ln_rate = math.log(rate)
-    contained = (
-        report.best_ln_lower - 1e-12 <= ln_rate <= report.best_ln_upper + 1e-12
-    )
-    ratio = report.ratio
-    return KnownRateResult(
-        name=name,
-        spec_text=text,
-        rate=rate,
-        report=report,
-        contained=contained,
-        ratio=ratio,
-        ratio_threshold=threshold,
-        ratio_ok=ratio <= threshold,
-    )
+        dP = {a - 1: a * w for a, w in P.items()}
+        # f(1) = -P(1) < 0, f' = (y-1) P'' > 0 on y > 1, and f grows
+        # without bound
+        a, b = Fraction(1), Fraction(2)
+        while (b - 1) * at(b, dP) < at(b):
+            a, b = b, 2 * b
+        while True:
+            lo, hi = at(a) / (b - 1), at(b) / (b - 1)
+            if hi - lo <= _RATE_WIDTH * lo:
+                break
+            mid = (a + b) / 2
+            if (mid - 1) * at(mid, dP) < at(mid):
+                a = mid
+            else:
+                b = mid
+    return _ln_outward(lo, -1), _ln_outward(hi, 1)
+
+
+def _ln_outward(q: Fraction, side: int) -> float:
+    """A double at most (side -1) or at least (side 1) ln q, for q > 0.
+
+    Well inside the double range, q rounds to a double x with
+    |ln q - ln x| < 2^-52, and libm's log of x is taken as accurate to an
+    ulp of ln x, at most 2 ulps of the result v; the sum's rounding is
+    covered by the final step.  Elsewhere ln_fraction rounds outward,
+    with an allowance that grows with the size of q's terms.
+    """
+    if not 1e-300 < q < 1e300:
+        return ln_fraction(q, side)
+    v = math.log(q)
+    return math.nextafter(v + side * (2 * math.ulp(v) + 2.0 ** -52), side * math.inf)

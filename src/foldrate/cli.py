@@ -2,7 +2,7 @@
 
 Subcommands: eval (print sequence values), bounds (per-index sandwich and
 best envelope), refine (doubling loop to a target ratio), oracle (tree
-enumeration cross-checks), known (fixtures with known rates).  Exit
+enumeration cross-checks), rate (the closed-form rate's interval).  Exit
 codes: 0 success, 1 a check failed, 2 usage or input error, 3 resource
 budget exceeded.  Each subcommand imports the modules it runs, so
 bounds, trees and numpy load only for the subcommands that use them.
@@ -259,34 +259,18 @@ def cmd_oracle(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-# -- known ---------------------------------------------------------------
+# -- rate ----------------------------------------------------------------
 
 
-def cmd_known(args) -> int:
-    from .bounds import known_rate_check
+def cmd_rate(args) -> int:
+    from .bounds import rate_interval
 
-    name = args.name
-    k = None
-    if name.startswith("kfold:"):
-        name, _, ktext = name.partition(":")
-        try:
-            k = int(ktext, 10)
-        except ValueError:
-            raise _UsageError(f"bad kfold argument {ktext!r}; use e.g. kfold:3") from None
-    try:
-        result = known_rate_check(name, k=k, max_n=args.max_n)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    lo = exp_ln(result.report.best_ln_lower)
-    hi = exp_ln(result.report.best_ln_upper)
-    verdict = "PASS" if result.contained else "FAIL"
-    print(f"{result.name}: rate {round12(result.rate)} inside "
-          f"[{round12(lo)}, {round12(hi)}]: {verdict}")
-    if result.ratio_ok:
-        print(f"ratio {round12(result.ratio)} <= {result.ratio_threshold}")
-    else:
-        print(f"WARN ratio {round12(result.ratio)} > {result.ratio_threshold}")
-    return EXIT_OK if result.contained else EXIT_CHECK_FAILED
+    spec = _load_spec(args)
+    lo, hi = rate_interval(spec)
+    # printed unrounded: round12 rounds to nearest and could move them inward
+    print(json.dumps({"spec": spec.render(), "ln_lower": lo, "ln_upper": hi,
+                      "lower": exp_ln(lo, None), "upper": exp_ln(hi, None)}, indent=2))
+    return EXIT_OK
 
 
 # -- parser --------------------------------------------------------------
@@ -351,10 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"enumeration size cap (default {DEFAULT_SIZE_CAP})")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("known", help="check fixtures with known growth rates")
-    p.add_argument("name", help="catalan, schroeder, or kfold:K")
-    p.add_argument("--max-n", type=_nonneg_int, default=4096)
-    p.set_defaults(func=cmd_known)
+    p = sub.add_parser("rate", help="the growth rate in closed form, rounded outward")
+    add_spec_args(p)
+    p.set_defaults(func=cmd_rate)
 
     return parser
 

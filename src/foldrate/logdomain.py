@@ -160,6 +160,8 @@ class _LogDomain:
             while m < new_n:
                 if m.bit_length() != k:
                     k = m.bit_length()
+                    # the last chunk's arrays go before the next one's are built
+                    chunk = off = None
                     chunk = self._chunk(k, mirror, m, new_n)
                     inside, seen = chunk[-1], 0
                 off, B = chunk[:2]
@@ -197,7 +199,9 @@ class _LogDomain:
         m0, L, ln_s = 1 << (k - 1), len(self.data), self.data[0]
         # read off stored ln s only: its slope over [m0/2, m0] (ln s_0 = 0)
         theta = float((ln_s[m0] - ln_s[m0 // 2]) / (m0 - m0 // 2))
-        off = theta * np.arange(min(2 * m0, new_n + _BLOCK) + 1)
+        # scaled in place, with no integer arange alongside
+        off = np.arange(min(2 * m0, new_n + _BLOCK) + 1, dtype=float)
+        off *= theta
         self._derive(mirror, off, 0, n)
         B = min(m0, _BLOCK)
         ell = mirror[:, :B]

@@ -1,4 +1,4 @@
-"""Growth-rate sandwich: bound formulas, refinement loop, known fixtures."""
+"""Growth-rate sandwich: bound formulas, refinement loop, closed-form rate."""
 
 import math
 import random
@@ -14,8 +14,8 @@ from foldrate import (
     SequenceTable,
     compute_sequence,
     evaluate_bounds,
-    known_rate_check,
     parse_spec,
+    rate_interval,
     refine,
 )
 from helpers import MIXED_EXAMPLE, oracle_rate_interval, random_spec
@@ -221,31 +221,6 @@ def test_report_serialisation():
     assert all(len(r) == 6 for r in rows)
 
 
-def test_known_rate_catalan_contained_at_moderate_length():
-    result = known_rate_check("catalan", max_n=256)
-    assert result.contained
-    assert result.rate == 4.0
-    # 256 steps cannot reach the quality threshold yet; that is reported,
-    # not failed
-    assert not result.ratio_ok
-    assert result.ratio > result.ratio_threshold
-
-
-def test_known_rate_kfold_two_is_catalan_rate():
-    result = known_rate_check("kfold", k=2, max_n=128)
-    assert result.rate == pytest.approx(4.0, rel=1e-12)
-    assert result.contained
-
-
-def test_known_rate_bad_names():
-    with pytest.raises(ValueError):
-        known_rate_check("fibonacci")
-    with pytest.raises(ValueError):
-        known_rate_check("kfold")
-    with pytest.raises(ValueError):
-        known_rate_check("kfold", k=1)
-
-
 def test_report_renders_overflowing_linear_values():
     report = BoundsReport(spec_text="sum 2 1\n", epsilon=None,
                           entries=[BoundsEntry(2, 0.5, 1000.0)],
@@ -306,3 +281,35 @@ def test_bounds_bracket_the_oracle_rate(seed):
     assert report.converged
     assert report.best_ln_lower <= ln_lo + 1e-12
     assert report.best_ln_upper >= ln_hi - 1e-12
+
+
+def _contains_oracle(spec) -> bool:
+    # the whole oracle interval, in 50-digit logs, inside rate_interval's
+    lo, hi = oracle_rate_interval(spec)
+    ln_lo, ln_hi = rate_interval(spec)
+    return Decimal(ln_lo) <= _ln50(Fraction(lo)) and _ln50(Fraction(hi)) <= Decimal(ln_hi)
+
+
+def test_rate_interval_contains_the_oracle():
+    for spec in (MIX, HIGHMAX, CATALAN, MAX22):
+        assert _contains_oracle(spec), spec.render()
+    rng = random.Random(0x12A7E)
+    for _ in range(20):
+        spec = random_spec(rng, kind=rng.choice(("mixed", "sum", "max")))
+        assert _contains_oracle(spec), spec.render()
+
+
+def test_rate_interval_is_narrow():
+    for spec in (MIX, HIGHMAX, CATALAN, parse_spec("sum 1000 1")):
+        ln_lo, ln_hi = rate_interval(spec)
+        assert 0.0 < math.expm1(ln_hi - ln_lo) <= 1e-12, spec.render()
+    ln_lo, ln_hi = rate_interval(MAX22)
+    assert ln_lo < math.log(2) < ln_hi
+
+
+def test_rate_interval_past_the_double_range():
+    # the rate 4e400 has no double: its logs round outward through
+    # ln_fraction, and nothing overflows
+    ln_lo, ln_hi = rate_interval(parse_spec("sum 2 1e400"))
+    assert math.isfinite(ln_lo) and math.isfinite(ln_hi)
+    assert Decimal(ln_lo) <= _ln50(Fraction(4 * 10 ** 400)) <= Decimal(ln_hi)

@@ -183,20 +183,29 @@ def test_oracle_rejects_n_beyond_cap(capsys):
     assert "size-cap" in err
 
 
-def test_known_catalan(capsys):
-    code, out, _ = run(capsys, "known", "catalan", "--max-n", "512")
+def test_rate_mix(capsys):
+    mix = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
+    code, out, _ = run(capsys, "rate", "--spec-text", mix)
     assert code == EXIT_OK
-    assert "PASS" in out
+    doc = json.loads(out)
+    assert set(doc) == {"spec", "ln_lower", "ln_upper", "lower", "upper"}
+    assert doc["spec"] == mix + "\n"
+    # the rate is 101.94971887276305507...
+    assert doc["lower"] < 101.94971887276305 < doc["upper"]
+    assert doc["ln_lower"] < math.log(101.94971887276305) < doc["ln_upper"]
+    assert doc["ln_upper"] - doc["ln_lower"] <= 1e-12
 
 
-def test_known_bad_kfold_argument(capsys):
-    code, _, err = run(capsys, "known", "kfold:x")
+def test_rate_bad_spec_is_usage_error(capsys):
+    code, out, err = run(capsys, "rate", "--spec-text", "sum 1 1")
     assert code == EXIT_USAGE
+    assert out == "" and "arity" in err
 
 
-def test_known_unknown_name(capsys):
-    code, _, err = run(capsys, "known", "motzkin")
+def test_known_subcommand_is_gone(capsys):
+    code, out, _ = run(capsys, "known", "catalan")
     assert code == EXIT_USAGE
+    assert out == ""
 
 
 def test_negative_n_is_usage_error(capsys):

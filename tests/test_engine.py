@@ -9,6 +9,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -255,6 +256,23 @@ def test_log_memory_budget_counts_the_sum_mirrors():
     limit = (3 * (n + 1) + 256) * 8
     table = SequenceTable(CATALAN, domain="log", memory_limit=limit).extend(n)
     assert table.n == n
+
+
+def test_log_extend_stays_near_its_projected_bytes():
+    # the budget projects the ln and mirror rows; the transients of an
+    # extend add to them, so a chunk start must not hold two chunks'
+    # offsets, or an integer arange beside the float one
+    n = 16384
+    table = compute_sequence(MIX, 8, domain="log")
+    dom = table._dom
+    projected = ((len(dom.data) + dom.feeds) * (n + 1) + dom.feeds * 256) * 8
+    tracemalloc.start()
+    try:
+        table.extend(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * projected, (peak, projected)
 
 
 def test_exact_memory_budget_holds_after_a_load(tmp_path):
