@@ -49,8 +49,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import DEFAULT_EPSILON, DEFAULT_MAX_N
 from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants
@@ -89,17 +87,18 @@ def _excess(consts: GrowthConstants, n: int, up: bool = False) -> float:
     return e * _EXCESS_UP if up else e
 
 
-def _bracket(ln_lo: np.ndarray, ln_hi: np.ndarray, consts: GrowthConstants, n: int,
-             lo: int):
-    """(ln lower, ln upper) at n >= 2, read off lower and upper bounds on
-    ln s_0..s_n (equal in the log domain, whose values carry no rounding
-    radius yet).
+def _bracket(ln_lo, ln_hi, consts: GrowthConstants, n: int, lo: int):
+    """(ln lower, ln upper) at n >= 2, read off numpy vectors of lower and
+    upper bounds on ln s_0..s_n (equal in the log domain, whose values
+    carry no rounding radius yet).
 
     The lower is the best Fekete bound ln s_k / k at any k in [lo, n].
     Each division and the final sum are rounded outward by an ulp (for
     the lower, after the max, as stepping down commutes with it), and
     e(n) is rounded up (_excess).
     """
+    import numpy as np  # the rate and the CLI's start-up need none
+
     k = np.arange(lo, n + 1, dtype=np.float64)
     fekete = math.nextafter(float((ln_lo[lo : n + 1] / k).max()), -math.inf)
     upper = math.nextafter(float(ln_hi[n]) / n, math.inf) + _excess(consts, n, True)

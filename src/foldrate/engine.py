@@ -24,11 +24,21 @@ splits, is s_m.
     over any split of m by s_m, which the split (m, 0, ..., 0) attains.
 
 The plan is resolved once, when a table is built: columns s, then the sum
-ranks 2.. (the cache's record order), each rank folding s with the rank
-below; and (weight, column) pairs for the weighted sum, one per arity,
-each reading its rank: max weights add to the arity-1 weight, which reads
-s.  The value domain, _ExactDomain (exact integers, below) or _LogDomain
-(natural log doubles, foldrate.logdomain), is the table's storage: it
+ranks 2.. (the cache's record order); a pair of source columns per rank,
+its recipe; and (weight, column) pairs for the weighted sum, one per
+arity, each reading its rank: max weights add to the arity-1 weight,
+which reads s.  A fold of a + b parts is the fold of a parts convolved
+with that of b, so an even rank 2h squares rank h and an odd rank j
+folds s with rank j - 1:
+
+    fold[2h][m] = 2 sum_{x < ceil(m/2)} fold[h][x] fold[h][m-x]
+                  + (fold[h][m/2]^2 if m is even)
+
+which takes about half the products of s with rank 2h - 1.  Both value
+domains read the recipes; the log domain keeps a mirror row only for s
+and the columns some recipe reads (logdomain docstring).  The value
+domain, _ExactDomain (exact integers, below) or _LogDomain (natural log
+doubles, foldrate.logdomain), is the table's storage: it
 holds the columns and the memory budget's byte count, reads values and
 ln values off them, encodes them for the cache, and runs the loop that
 extends them.  SequenceTable holds the plan and n, and its extend only
@@ -89,7 +99,8 @@ class MemoryBudgetError(RuntimeError):
 
 class _ExactDomain:
     """Python ints t_m = D^m s_m in one list per column: s, holding
-    t_0 = 1, then the sum ranks 2..top.
+    t_0 = 1, then the sum ranks 2..top, rank c + 1 (column c) folding the
+    source columns src[c - 1] (SequenceTable).
 
     ``scale`` is D, the lcm of the plan's weight denominators, and each
     plan weight k enters as the integer D*k; the boundary methods take a
@@ -104,11 +115,11 @@ class _ExactDomain:
 
     fallback_cells = 0
 
-    def __init__(self, scale: int, top: int, weights: dict):
-        self.scale, self._plan = scale, (scale, top, weights)
+    def __init__(self, scale: int, src: list, weights: dict):
+        self.scale, self._plan = scale, (scale, src, weights)
         self.pairs = [(w.numerator * (scale // w.denominator), a - 1)
                       for a, w in sorted(weights.items())]
-        self.cols = [[1]] + [[] for _ in range(2, top + 1)]
+        self.cols = [[1]] + [[] for _ in src]
         self.nbytes = sys.getsizeof(1)
         self.rec = self._eng = None
 
@@ -147,18 +158,29 @@ class _ExactDomain:
         return n
 
     def _engine(self, n0: int, new_n: int, limit: int) -> int:
-        """The engine loop: each rank's cell at n - 1, then s_n."""
+        """The engine loop: each rank's cell at n - 1 from its recipe, then s_n."""
         cols, nbytes = self.cols, self.nbytes
-        s, steps = cols[0], list(zip(cols[1:], cols))
+        s = cols[0]
+        steps = [(col, cols[a], cols[b]) for col, (a, b) in zip(cols[1:], self._plan[1])]
         mul, getsizeof = operator.mul, sys.getsizeof
         for n in range(n0 + 1, new_n + 1):
             if nbytes > limit:
                 new_n = n - 1
                 break
             m = n - 1
-            for col, source in steps:
-                # s holds s_0..s_m until the ranks are done
-                v = sum(map(mul, s, source[m::-1]))
+            h = (m + 1) // 2
+            for col, f, g in steps:
+                # each source holds 0..m: s until the ranks are done, and a
+                # rank before the ranks that read it
+                if f is g:
+                    # a square: the splits (i, m - i) with i < h and their
+                    # mirrors once, the middle i = m/2 alone
+                    v = sum(map(mul, f, f[m : m - h : -1]))
+                    v += v
+                    if not m & 1:
+                        v += f[h] * f[h]
+                else:
+                    v = sum(map(mul, f, g[m::-1]))
                 col.append(v)
                 nbytes += getsizeof(v)
             v = sum(w * cols[i][m] for w, i in self.pairs)
@@ -222,7 +244,7 @@ class _ExactDomain:
             # a rank's cell at m is at most the top rank's (t_0 = 1), which
             # times its integer weight is a term of t_{m+1}
             sizes = list(map(getsizeof, self.cols[0][:w]))
-            if sum(sizes) + max(self._plan[1] - 1, 0) * sum(sizes[1:]) > limit:
+            if sum(sizes) + len(self._plan[1]) * sum(sizes[1:]) > limit:
                 self._engine_cols(w - 1)
                 before = self._eng.nbytes
         if before > limit:
@@ -258,13 +280,16 @@ class SequenceTable:
         self.domain_name = domain
         self.memory_limit = memory_limit
         weights, scale = spec.merged_weights()
-        # Each needed sum arity j requires every rank 2..j as an
-        # intermediate, so the ranks are 2..top (top 0: none); rank j is
-        # column j - 1 and folds s with column j - 2.
+        # The ranks are 2..top (top 0: none), rank j in column j - 1; the
+        # recipe of rank j, its source columns, squares rank j/2 for even j
+        # and folds s with rank j - 1 for odd j: every rank 2..top is
+        # stored, and the cache records each.
         self._top = max((a for a in weights if a >= 2), default=0)
+        self._src = [(j // 2 - 1,) * 2 if j % 2 == 0 else (0, j - 2)
+                     for j in range(2, self._top + 1)]
         # the domain's (weight, column) pairs: each arity reads its rank;
         # arity 1 reads s
-        self._dom = _domain(domain)(scale, self._top, weights)
+        self._dom = _domain(domain)(scale, self._src, weights)
         self.n = 0
 
     # -- extension --------------------------------------------------------

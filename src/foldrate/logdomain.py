@@ -1,18 +1,22 @@
 """The log value domain: ln values of the table's columns, in float64.
 
 SequenceTable (engine docstring) loads this module the first time it
-builds a log-domain table; it is the only part of a table that imports
-numpy, so exact-domain runs never load it.
+builds a log-domain table; it and foldrate.series, which it imports,
+are the only parts of a table that import numpy, so exact-domain runs
+never load them.
 
 The columns store ln values, and cells are solved a block at a
 time in a scaled linear domain.  Cell indices are cut into power-of-two
 chunks, m in [2^(k-1), 2^k) with k = m.bit_length(), and each chunk has
 one scale theta: the slope of the stored ln s over [m0/2, m0],
-m0 = 2^(k-1) (ln s_1 for k = 1).  Every column that feeds a sum rank (s
-and ranks 2..top-1) gets a mirror u_x = exp(ln s_x - theta*x), or
+m0 = 2^(k-1) (ln s_1 for k = 1).  s and every column a rank's recipe
+reads (engine docstring: rank 2h squares rank h, odd rank j folds s with
+rank j - 1) get a mirror u_x = exp(ln s_x - theta*x), or
 g_j[x] = exp(ln fold_j[x] - theta*x); the theta factors of a split of m
-multiply to exp(theta*m), so g_j[m] = sum_x u_x g_{j-1}[m-x] and
-u_{m+1} = e^-theta sum_pairs w g_col[m].  m = 0 is the base case.
+multiply to exp(theta*m), so g_{a+b}[m] = sum_x g_a[x] g_b[m-x] and
+u_{m+1} = e^-theta sum_pairs w g_col[m].  A column no recipe reads, such
+as rank 3 where the top rank is 4 (rank 4 squares rank 2), has no
+mirror row.  m = 0 is the base case.
 
 A chunk is cut into blocks of B = min(2^(k-1), 256) cells, [M, M+B)
 with M = m0, m0 + B, ..., so B <= M.  Then in every split of a cell of
@@ -20,33 +24,39 @@ the block at most one part is >= M, and the block's unknowns,
 U = u_{M+1..M+B} and G_j = g_j[M..M+B-1] as polynomials in t, satisfy a
 causal linear system (all products mod t^B, ell_j = g_j[0..B-1], known):
 
-    G_1 = u_M + t U
-    G_j = K_j + G_1 ell_{j-1} + ell_1 G_{j-1}
-    U   = e^-theta sum_pairs w G_col
+    G_1    = u_M + t U
+    G_j    = K_j + G_1 ell_{j-1} + ell_1 G_{j-1}      (odd j)
+    G_{2h} = K_{2h} + 2 ell_h G_h
+    U      = e^-theta sum_pairs w G_col
 
-K_j[r] = sum u_x g_{j-1}[M+r-x] over x < M and M+r-x < M is the
+K_{a+b}[r] = sum g_a[x] g_b[M+r-x] over x < M and M+r-x < M is the
 known x known part.  It is summed over tap pieces x in [a0, a1) of at
 most _TAPS = 2048 entries, one np.convolve(..., "valid") per rank and
 piece, over mirror rows whose entries >= M are zeroed, so it reads
 indices < M only.  A piece's two operand streams, 32 KiB, stay in a
 48 KiB L1d cache; one call over all M taps falls out of it once M passes
 about 3000 (1.4 to 1.7 times slower than the pieces at M = 4096..16384,
-on a Xeon with 48 KiB L1d per core).  Writing
-G_j = P_j + Q_j U, the Q_j, A = e^-theta sum w Q_col and
-(1 - A)^-1 = prod_i (1 + A^(2^i)) depend on ell and theta alone and are
-computed once per chunk; A has no constant term, so A^B = 0 and
-ceil(log2 B) factors suffice.  A block then takes the P_j,
+on a Xeon with 48 KiB L1d per core).  A square's K is symmetric: it is
+2 sum_{x < M/2} g_h[x] g_h[M+r-x] plus the square of g_h[M/2 : M/2+B]
+mod t^B, M B / 2 + B^2 products against M B, so it is taken that way
+where M > 2B.  Writing G_j = P_j + Q_j U, the Q_j (Q_1 = t,
+Q_j = ell_1 Q_{j-1} + t ell_{j-1}, Q_{2h} = 2 ell_h Q_h),
+A = e^-theta sum w Q_col and (1 - A)^-1 depend on ell and theta alone
+and are computed once per chunk; A has no constant term, and
+foldrate.series forms (1 - A)^-1 mod t^B by doubling in about 2 B^2 / 3
+products.  A block then takes the P_j (P_1 = u_M,
+P_j = K_j + u_M ell_{j-1} + ell_1 P_{j-1}, P_{2h} = K_{2h} + 2 ell_h P_h),
 U = (e^-theta sum w P_col) (1 - A)^-1 and G_j = P_j + Q_j U.  Each
-product mod t^B is _low: one "valid" np.convolve against an operand
-padded with B - 1 zeros, which computes the B kept outputs only; the
-chunk pads ell_1, the Q_j and (1 - A)^-1 once.  The weight factors
-e^-theta * w form one column vector, so each weighted sum is one
-product and one sum, and the offsets theta * x are computed once per
-chunk.
-Every coefficient is nonnegative and no step subtracts or uses an FFT,
-so the rounding error of each value is relative to the value itself, in
-whatever order its terms are summed (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 3).  The ln values are np.log(.) + theta * x.
+product mod t^B is series._low, which computes the B kept outputs only;
+the chunk pads each rank's lever (ell_1, or 2 ell_h for a square), the
+Q_j and (1 - A)^-1 once.  The weight factors e^-theta * w form one
+column vector, so each weighted sum is one product and one sum, and the
+offsets theta * x are computed once per chunk.
+Every coefficient is nonnegative, the doubling 2 * x is exact, and no
+step subtracts or uses an FFT, so the rounding error of each value is
+relative to the value itself, in whatever order its terms are summed
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  The
+ln values are np.log(.) + theta * x.
 
 Mirrors are derived from the stored ln rows by one vectorised
 np.exp(ln - theta*x) when an extend call or a chunk starts and after
@@ -59,7 +69,8 @@ factor e^-theta * w lies in [e^-340, e^340], each product of two lies in
 [e^-680, e^680].  A block that reads an entry outside that window, or
 whose solved values are not all positive normal doubles, is computed
 cell by cell by the ln kernel instead (scalars.log_sum_vec for each rank
-cell, then for s); ``fallback_cells`` counts its rank cells.  Mirror
+cell from its recipe's ln rows, then for s); ``fallback_cells`` counts
+its rank cells.  Mirror
 entries below a block start never change within a chunk, so the window
 test reads each once per chunk: those below the chunk's first block at
 that block, then before each later block those the block before it
@@ -76,6 +87,7 @@ import numpy as np
 
 from .engine import MemoryBudgetError
 from .scalars import LogScalar, ln_fraction, log_sum_vec
+from .series import _inverse, _low, _padded
 
 # Mirror entries satisfy |ln v - theta*x| <= _WINDOW, so each lies in
 # [e^-340, e^340], each product of two in [e^-680, e^680], and a dot
@@ -92,47 +104,41 @@ _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
 
-def _padded(x: np.ndarray) -> np.ndarray:
-    """The B entries of x after B - 1 zeros: the first operand of _low."""
-    return np.concatenate((np.zeros(len(x) - 1), x))
-
-
-def _low(xp: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y mod t^B for xp = _padded(x) and y of B entries: the B kept
-    outputs of np.convolve(x, y)[:B] only, in one call."""
-    return np.convolve(xp, y, "valid")
-
-
 class _LogDomain:
     """ln values in float64 rows, 8 bytes per value and mirror entry.
 
     Row i of ``data`` is column i: s, holding ln s_0 = 0, then the sum
-    ranks 2..top.  Columns 0..top-2 feed a sum rank, and an extend call
-    keeps a scaled linear mirror row u_x = exp(ln v_x - theta*x) for each
-    of them (see the module docstring), re-derived from the ln rows at
-    every chunk start and after every block; no solver state outlives the
-    call.  Every row has the same capacity; the record counts come from
-    the table's n.  The scale D is not needed: ln values carry no lattice.
+    ranks 2..top, rank c + 1 folding the source columns src[c - 1]
+    (SequenceTable).  ``reads`` lists s, whose u_M starts each block, and
+    the columns a recipe reads, and an extend call keeps a scaled linear
+    mirror row u_x = exp(ln v_x - theta*x) for each of them in that order
+    (see the module docstring), re-derived from the ln rows at every chunk
+    start and after every block; no solver state outlives the call.
+    ``plan`` holds each rank's source columns and their mirror rows.
+    Every row has the same capacity; the record counts come from the
+    table's n.  The scale D is not needed: ln values carry no lattice.
     """
 
     rec = None
 
-    def __init__(self, scale: int, top: int, weights: dict):
+    def __init__(self, scale: int, src: list, weights: dict):
         # the (ln weight, column) pairs of the weighted sum, as a vector and
         # a list
         self.lnw = np.array([ln_fraction(weights[a]) for a in sorted(weights)])
         self.wcols = [a - 1 for a in sorted(weights)]
-        self.data = np.zeros((max(top, 1), 1))
-        self.feeds = max(top - 1, 0)
+        self.data = np.zeros((len(src) + 1, 1))
+        self.reads = sorted({0, *sum(src, ())})
+        self.plan = [(a, b, self.reads.index(a), self.reads.index(b)) for a, b in src]
         self.fallback_cells = 0
 
     def _reserve(self, n: int, limit: int, what: str, after: str = "") -> None:
         """Widen the rows to hold a table at n, or refuse it before any work
         with MemoryBudgetError, naming it ``what`` and adding ``after``,
         where the budget cannot hold its bytes: 8 per index for each ln
-        value and mirror entry, and the mirror rows' _BLOCK entries of room
-        past n, which an extend call to n allocates."""
-        projected = ((len(self.data) + self.feeds) * (n + 1) + self.feeds * _BLOCK) * 8
+        value, mirror entry and offset theta * x, and the _BLOCK entries of
+        room past n of the mirror rows and the offsets row, which an extend
+        call to n allocates."""
+        projected = (len(self.data) * (n + 1) + (len(self.reads) + 1) * (n + 1 + _BLOCK)) * 8
         if projected > limit:
             raise MemoryBudgetError(f"{what} needs ~{projected} bytes, budget is {limit}{after}")
         if n + 1 > self.data.shape[1]:
@@ -151,7 +157,7 @@ class _LogDomain:
         """
         self._reserve(new_n, limit, f"extending to {new_n}", f"; table still valid at n={n0}")
         # _BLOCK entries of room past new_n for the zeroed tail of a block
-        mirror = np.empty((self.feeds, new_n + 1 + _BLOCK))
+        mirror = np.empty((len(self.reads), new_n + 1 + _BLOCK))
         fallback, k, m = 0, 0, n0
         if m == 0:
             self._ln_cell(0)
@@ -165,7 +171,7 @@ class _LogDomain:
                     chunk = self._chunk(k, mirror, m, new_n)
                     inside, seen = chunk[-1], 0
                 off, B = chunk[:2]
-                M = m - (m - (1 << (k - 1))) % B
+                M = m - m % B
                 end = min(M + B, new_n)
                 low = mirror[:, seen:M]
                 inside = inside and (not low.size or _LO <= low.min() and low.max() <= _HI)
@@ -173,7 +179,7 @@ class _LogDomain:
                 if not (inside and self._block(chunk, mirror, M, m, end)):
                     for x in range(m, end):
                         self._ln_cell(x)
-                    fallback += self.feeds * (end - m)
+                    fallback += (len(self.data) - 1) * (end - m)
                 self._derive(mirror, off, M, end)
                 m = end
         self.fallback_cells += fallback
@@ -181,21 +187,21 @@ class _LogDomain:
 
     def _derive(self, mirror: np.ndarray, off: np.ndarray, lo: int, n: int) -> None:
         """Mirror entries from the stored ln rows and the offsets
-        theta * x: s's at lo..n, each other feeding column's at lo..n-1,
+        theta * x: s's at lo..n, each other read column's at lo..n-1,
         computed in place, with no temporary rows."""
-        if len(mirror):
-            for u, v, x in ((mirror[:1, lo : n + 1], self.data[:1, lo : n + 1], off[lo : n + 1]),
-                            (mirror[1:, lo:n], self.data[1 : len(mirror), lo:n], off[lo:n])):
-                np.exp(np.subtract(v, x, out=u), out=u)
+        for u, c in zip(mirror, self.reads):
+            hi = n + (c == 0)
+            np.exp(np.subtract(self.data[c, lo:hi], off[lo:hi], out=u[lo:hi]), out=u[lo:hi])
 
     def _chunk(self, k: int, mirror: np.ndarray, n: int, new_n: int) -> tuple:
         """Set chunk k's theta, derive the mirrors through n under it, and
         return the chunk's solver constants (module docstring): the
         offsets theta * x for x up to the chunk's last solved index, the
-        block length B, the low mirror entries ell = mirror[:, :B], each
-        column's Q, the weight factors e^-theta * w by column, R =
-        (1 - A)^-1, ell_1, Q and R zero-padded for _low, and whether every
-        weight factor lies in the window."""
+        block length B, the low mirror entries ell = mirror[:, :B], the
+        weight factors e^-theta * w by column, each rank's zero-padded
+        lever (ell of its first source, doubled for a square), each
+        column's Q and R = (1 - A)^-1 zero-padded for _low, and whether
+        every weight factor lies in the window."""
         m0, L, ln_s = 1 << (k - 1), len(self.data), self.data[0]
         # read off stored ln s only: its slope over [m0/2, m0] (ln s_0 = 0)
         theta = float((ln_s[m0] - ln_s[m0 // 2]) / (m0 - m0 // 2))
@@ -205,54 +211,55 @@ class _LogDomain:
         self._derive(mirror, off, 0, n)
         B = min(m0, _BLOCK)
         ell = mirror[:, :B]
-        ell1 = _padded(ell[0]) if len(ell) else None
-        # Q for s is t; rank c + 1 adds t * ell[c-1] to ell[0] * Q[c-1];
-        # Q is the part of Qp past B - 1 zeros, so Qp[c] is Q[c] padded
+        lever = [_padded(ell[ra] * (1 + (a == b))) for a, b, ra, _ in self.plan]
+        # Q for s is t; rank c of sources (a, b) is lever * Q[b], plus
+        # t * ell_b for a = 0, whose Q is t; Q is the part of Qp past B - 1
+        # zeros, so Qp[c] is Q[c] padded
         Qp = np.zeros((L, 2 * B - 1))
         Q = Qp[:, B - 1 :]
         Q[0, 1:2] = 1.0  # t, which is 0 mod t^1
-        for c in range(1, L):
-            Q[c] = _low(ell1, Q[c - 1])
-            Q[c, 1:] += ell[c - 1, :-1]
+        for c, (a, b, _, rb) in enumerate(self.plan, 1):
+            Q[c] = _low(lever[c - 1], Q[b])
+            if a != b:
+                Q[c, 1:] += ell[rb, :-1]
         # the weight factors as a column: (wc * X).sum(0) weighs the rows
         # of X; wc @ X or np.einsum would each load library code, BLAS's
         # with a buffer, that adds 0.1-0.2 MB to a short run's peak RSS
         wc = np.zeros((L, 1))
         wc[self.wcols, 0] = np.exp(self.lnw - theta)
-        A = (wc * Q).sum(0)
-        # (1 - A)^-1 = prod_i (1 + A^(2^i)); A^B = 0 mod t^B
-        R = np.zeros(B)
-        R[0] = 1.0
-        for _ in range((B - 1).bit_length()):
-            Ap = _padded(A)
-            R = R + _low(Ap, R)
-            A = _low(Ap, A)
-        return off, B, ell, wc, ell1, Qp, _padded(R), np.abs(self.lnw - theta).max() <= _WINDOW
+        return (off, B, ell, wc, lever, Qp, _padded(_inverse((wc * Q).sum(0))),
+                np.abs(self.lnw - theta).max() <= _WINDOW)
 
     def _block(self, chunk: tuple, mirror: np.ndarray, M: int, lo: int, end: int) -> bool:
         """Solve the block of cells M..M+B-1 and store those in lo..end-1;
         False, with nothing stored, where u_M leaves the window or a
         solved value is not a positive normal double (the caller tests
         the other inputs)."""
-        data, (off, B, ell, wc, ell1, Qp, Rp, _) = self.data, chunk
-        a = data[0, M] - off[M]
-        if not abs(a) <= _WINDOW:
+        data, (off, B, ell, wc, lever, Qp, Rp, _) = self.data, chunk
+        um = mirror[0, M]
+        if not _LO <= um <= _HI:
             return False
-        um = float(np.exp(a))
         # the known x known part reads indices < M only, also when this
         # block was computed before, by a call that stopped inside it
         mirror[:, M : M + B] = 0.0
         L = len(data)
         P = np.zeros((L, B))
         P[0, 0] = um
-        for c in range(1, L):
-            # K_c, summed over tap pieces u_x, x in [a0, a1), of <= _TAPS entries
-            for a0 in range(0, M, _TAPS):
-                a1 = min(a0 + _TAPS, M)
-                P[c] += np.convolve(mirror[c - 1, M - a1 + 1 : M - a0 + B], mirror[0, a0:a1],
+        for c, (a, b, ra, rb) in enumerate(self.plan, 1):
+            # K_c over taps x < h, a square's over x < M/2 where that is
+            # fewer products, summed over pieces [a0, a1) of <= _TAPS taps
+            h = M // 2 if a == b and M > 2 * B else M
+            for a0 in range(0, h, _TAPS):
+                a1 = min(a0 + _TAPS, h)
+                P[c] += np.convolve(mirror[rb, M - a1 + 1 : M - a0 + B], mirror[ra, a0:a1],
                                     "valid")
-            P[c] += um * ell[c - 1]
-            P[c] += _low(ell1, P[c - 1])
+            if h < M:
+                # each split and its mirror, then the splits x, m - x >= M/2
+                P[c] += P[c]
+                P[c] += _low(_padded(mirror[ra, h : h + B]), mirror[ra, h : h + B])
+            if a != b:
+                P[c] += um * ell[rb]
+            P[c] += _low(lever[c - 1], P[b])
         # the solution, in place: U, then G_j = P_j + Q_j U
         U = _low(Rp, (wc * P).sum(0))
         for c in range(1, L):
@@ -268,10 +275,11 @@ class _LogDomain:
         return True
 
     def _ln_cell(self, m: int) -> None:
-        """The ln kernel: each rank's cell at m, then s_{m+1}, from the ln rows."""
+        """The ln kernel: each rank's cell at m from its recipe, then
+        s_{m+1}, from the ln rows."""
         data = self.data
-        for c in range(1, len(data)):
-            data[c, m] = log_sum_vec(data[0, : m + 1] + data[c - 1, m::-1])
+        for c, (a, b, _, _) in enumerate(self.plan, 1):
+            data[c, m] = log_sum_vec(data[a, : m + 1] + data[b, m::-1])
         data[0, m + 1] = log_sum_vec(self.lnw + data[self.wcols, m])
 
     def ln(self, i: int, m: int) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import zlib
 
@@ -194,6 +195,22 @@ def test_rate_mix(capsys):
     assert doc["lower"] < 101.94971887276305 < doc["upper"]
     assert doc["ln_lower"] < math.log(101.94971887276305) < doc["ln_upper"]
     assert doc["ln_upper"] - doc["ln_lower"] <= 1e-12
+
+
+def test_rate_imports_no_numpy():
+    # the rate is exact Fraction arithmetic: a fresh interpreter that runs
+    # it loads the bounds module but not numpy (about 90 ms of start-up)
+    code = ("import contextlib, io, sys\n"
+            "from foldrate.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['rate', '--spec-text', 'sum 2 1']) == 0\n"
+            "print('foldrate.bounds' in sys.modules, 'numpy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_rate_bad_spec_is_usage_error(capsys):

@@ -140,6 +140,20 @@ def test_fold_accessors_read_each_family_rank():
         assert all(t.max_fold(j, m) == t.value(m) for j in range(1, 5) for m in range(12))
 
 
+def test_exact_values_match_brute_force_up_to_arity_six():
+    # the engine squares rank 2 into rank 4 and rank 3 into rank 6, and
+    # folds s with ranks 2 and 4 into ranks 3 and 5; brute_force_values
+    # reduces over every split, with no fold tables
+    rng = random.Random(7106)
+    specs = [random_spec(rng, max_arity=6) for _ in range(10)]
+    assert {5, 6} <= {max(spec.merged_weights()[0]) for spec in specs}  # the top ranks
+    for spec in specs:
+        table = compute_sequence(spec, 14, domain="exact")
+        assert [table.value(n).value for n in range(15)] == brute_force_values(spec, 14), (
+            spec.render()
+        )
+
+
 def test_max_folds_are_the_sequence_by_brute_force():
     # the engine docstring's theorem on values built from the definition,
     # sharing no code with the engine: s_a * s_b <= s_{a+b}, and every
@@ -159,14 +173,15 @@ def test_max_folds_are_the_sequence_by_brute_force():
 
 
 @pytest.mark.parametrize("text, n, digest", [
-    (MIXED_EXAMPLE, 2048, "7a435cdb83c4173933be901750107237b4a80e255c6d4b8863e093ff7980c87a"),
+    (MIXED_EXAMPLE, 2048, "54be4b52c606cdb6bc7a9a91f81c27e8b175cc9d950192471364b7069e2d483d"),
     ("sum 2 1\nmax 48 1", 1024,
-     "2b7057fa952b3db780df006a175af04d6e529b639ac7089b13f7ee55911cafb2"),
+     "9e5992459c35d453ef464c97ec52159b05e7b1722c787fc838f6ff75b6a79445"),
 ])
 def test_log_values_are_pinned(text, n, digest):
     # digests of float64 bytes from the block solver's numpy convolutions
-    # on x86-64 (blocks of up to 256 cells, tap pieces of 2048 entries),
-    # with max weights merged into the arity-1 weight
+    # on x86-64 (blocks of up to 256 cells, tap pieces of 2048 entries,
+    # even ranks as squares, (1 - A)^-1 by doubling), with max weights
+    # merged into the arity-1 weight
     ln = compute_sequence(parse_spec(text), n, domain="log").ln_values()
     assert hashlib.sha256(ln.tobytes()).hexdigest() == digest
 
@@ -247,32 +262,34 @@ def test_log_memory_budget_rejects_upfront():
 
 
 def test_log_memory_budget_counts_the_sum_mirrors():
-    # Catalan keeps 2 ln columns plus s's mirror row, which has 256 entries
-    # of room past n for a block's zeroed tail; a budget that fits only
-    # the ln columns and the mirror row through n must refuse
+    # Catalan keeps 2 ln columns plus s's mirror row and the offsets row,
+    # which each have 256 entries of room past n, for a block's zeroed tail
+    # and its last offsets; a budget that fits only the four rows through
+    # n, or one byte less than all of it, must refuse
     n = 1000
-    with pytest.raises(MemoryBudgetError):
-        SequenceTable(CATALAN, domain="log", memory_limit=3 * (n + 1) * 8).extend(n)
-    limit = (3 * (n + 1) + 256) * 8
+    limit = (4 * (n + 1) + 2 * 256) * 8
+    for short in (4 * (n + 1) * 8, limit - 1):
+        with pytest.raises(MemoryBudgetError):
+            SequenceTable(CATALAN, domain="log", memory_limit=short).extend(n)
     table = SequenceTable(CATALAN, domain="log", memory_limit=limit).extend(n)
     assert table.n == n
 
 
 def test_log_extend_stays_near_its_projected_bytes():
-    # the budget projects the ln and mirror rows; the transients of an
-    # extend add to them, so a chunk start must not hold two chunks'
+    # the budget projects the ln, mirror and offsets rows; the transients
+    # of an extend add to them, so a chunk start must not hold two chunks'
     # offsets, or an integer arange beside the float one
     n = 16384
     table = compute_sequence(MIX, 8, domain="log")
     dom = table._dom
-    projected = ((len(dom.data) + dom.feeds) * (n + 1) + dom.feeds * 256) * 8
+    projected = (len(dom.data) * (n + 1) + (len(dom.reads) + 1) * (n + 1 + 256)) * 8
     tracemalloc.start()
     try:
         table.extend(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * projected, (peak, projected)
+    assert peak < 1.1 * projected, (peak, projected)
 
 
 def test_exact_memory_budget_holds_after_a_load(tmp_path):
@@ -292,14 +309,14 @@ def test_exact_memory_budget_holds_after_a_load(tmp_path):
 
 
 def test_log_memory_budget_holds_after_a_load(tmp_path):
-    # the budget fits the loaded n = 100 (2 ln rows, 1 mirror row with its
-    # 256-entry tail) and no more
+    # the budget fits the loaded n = 100 (2 ln rows, s's mirror row and the
+    # offsets row, each with a 256-entry tail) and no more
     path = str(tmp_path / "cat.seq")
     fresh = compute_sequence(CATALAN, 100, domain="log")
     save_cache(fresh, path)
     with pytest.raises(MemoryBudgetError, match=r"n=100"):
-        load_cache(path, CATALAN, memory_limit=(3 * 101 + 255) * 8)
-    back = load_cache(path, CATALAN, memory_limit=(3 * 101 + 256) * 8)
+        load_cache(path, CATALAN, memory_limit=(4 * 101 + 2 * 256 - 1) * 8)
+    back = load_cache(path, CATALAN, memory_limit=(4 * 101 + 2 * 256) * 8)
     with pytest.raises(MemoryBudgetError, match=r"still valid at n=100$"):
         back.extend(101)
     assert back.n == 100
@@ -368,6 +385,25 @@ def test_log_matches_exact_with_many_tap_pieces(monkeypatch):
     _matches_exact_on_random_specs()
 
 
+@pytest.mark.parametrize("block", [256, 16])
+def test_log_matches_exact_on_high_arity_specs(monkeypatch, block):
+    # arities up to 7: squares of ranks 2 and 3, and s folded with ranks
+    # 2, 4 and 6; at 16-cell blocks every square past M = 32 takes its
+    # known x known part as the half sum and the middle square
+    from foldrate import logdomain
+
+    monkeypatch.setattr(logdomain, "_BLOCK", block)
+    rng = random.Random(7007)
+    specs = [random_spec(rng, max_arity=7, kind=rng.choice(("sum", "mixed"))) for _ in range(8)]
+    assert {6, 7} <= {max(spec.merged_weights()[0]) for spec in specs}  # the top ranks
+    for spec in specs:
+        exact = compute_sequence(spec, 300, domain="exact").ln_values()
+        table = compute_sequence(spec, 300, domain="log")
+        err = np.abs(table.ln_values() - exact) / np.maximum(1.0, np.abs(exact))
+        assert err.max() <= 1e-12, spec.render()
+        assert table.fallback_cells == 0, spec.render()
+
+
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1"])
 def test_log_matches_exact_across_the_tap_split(text):
     # blocks past M = 2048 cut the known x known part into tap pieces;
@@ -393,6 +429,23 @@ def test_truncated_product_keeps_the_low_outputs(B):
         got = _low(_padded(a), b)
         assert got.shape == (B,)
         assert np.allclose(got, np.convolve(a, b)[:B], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("B", [1, 2, 4, 256])
+def test_doubling_inverse_solves_one_minus_a(B):
+    # R = (1 - A)^-1 mod t^B means R = 1 + A * R mod t^B, which compares
+    # nonnegative series with no cancellation
+    from foldrate.series import _inverse
+
+    rng = np.random.default_rng(B)
+    for scale in (1e-3, 0.1, 1.0):
+        A = rng.random(B) * scale
+        A[0] = 0.0
+        R = _inverse(A)
+        assert R.shape == (B,) and R[0] == 1.0
+        want = np.convolve(A, R)[:B]
+        want[0] += 1.0
+        assert np.allclose(R, want, rtol=1e-12, atol=0.0), scale
 
 
 # Run in a fresh interpreter by test_extend_imports_numpy_only, with a
@@ -490,7 +543,7 @@ def _saved(table, path) -> bytes:
 
 
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1\nmax 48 1", "sum 9 1/7\nmax 5 50",
-                                  "sum 2 1", "max 2 2"])
+                                  "sum 2 1", "max 2 2", "sum 6 1/3\nsum 5 2\nmax 3 1"])
 def test_log_extend_across_chunk_boundaries_is_bit_identical(tmp_path, text):
     _steps_and_loads_are_bit_identical(tmp_path, parse_spec(text))
 
@@ -532,16 +585,19 @@ def _steps_and_loads_are_bit_identical(tmp_path, spec):
     # chunk [64, 128)'s constants 15; then block [64, 128) takes rank 2's
     # two, and rank 3's first fails
     ("log", np, "convolve", 13 + 10 + 15 + 2),
-    # the engine runs to the window, 48: row m takes m + 1 products per
-    # rank; then rank 2's 45, and rank 3's 11th product fails
-    ("exact", operator, "mul", 3 * sum(range(41, 45)) + 45 + 10),
+    # the engine runs to the window, 48: row m takes m + 1 products for
+    # rank 3 and (m + 1) // 2 for each square, ranks 2 and 4, whose middle
+    # term is no call; then rank 2's 23 in row 46, and rank 3's 24th
+    # product fails
+    ("exact", operator, "mul",
+     sum(2 * ((m + 1) // 2) + m + 1 for m in range(40, 46)) + 23 + 23),
     # past the window, on MIX's recurrence: each engine step from 41 to 48
     # sizes 4 ints and the switch sizes s_0..s_48; then t_58 fails
     ("exact", sys, "getsizeof", 4 * 8 + 49 + 9),
 ])
 def test_extend_cut_short_keeps_the_table_valid(tmp_path, monkeypatch, domain, module,
                                                 name, call):
-    # an error in row m = 44 after rank 2's cell, or in the run of the
+    # an error in row m = 46 after rank 2's cell, or in the run of the
     # recurrence at n = 58 or, in the log domain, inside block [64, 128)
     # after block [32, 64) was stored through m = 63, leaves the table at
     # n = 40 as a fresh run saves it; the next extend, which solves block
@@ -582,21 +638,23 @@ def test_mix_needs_no_fallback_cells():
 
 def _kernel_cells(table, cells):
     """Each (rank, m) cell of ``table`` against scalars.log_sum_vec of its
-    stored inputs, ln s_0..s_m and the rank below at m..0."""
-    ln_s = table.ln_values()
+    stored inputs at 0..m and m..0: rank j/2 twice for an even rank j,
+    else s and rank j - 1."""
     for j, m in cells:
-        below = np.array([table.sum_fold(j - 1, x).ln_value for x in range(m + 1)])
-        want = log_sum_vec(ln_s[: m + 1] + below[::-1])
+        a, b = (j // 2, j // 2) if j % 2 == 0 else (1, j - 1)
+        first, second = (np.array([table.sum_fold(i, x).ln_value for x in range(m + 1)])
+                         for i in (a, b))
+        want = log_sum_vec(first + second[::-1])
         assert np.isclose(table.sum_fold(j, m).ln_value, want, rtol=1e-12, atol=0.0), (j, m)
 
 
 def test_out_of_window_cells_use_the_ln_kernel():
     # white-box: no public spec reaches the fallback, so a spike is added
-    # to rank 3's stored ln value at x = 5, and the table at n = 40 is
+    # to rank 2's stored ln value at x = 5, and the table at n = 40 is
     # extended through blocks [32, 64) and [64, 128)
-    def extended(spike):
+    def extended(spike, row=1):
         table = compute_sequence(MIX, 40, domain="log")
-        table._dom.data[2, 5] += spike
+        table._dom.data[row, 5] += spike
         return table.extend(80)
 
     clean = extended(0.0)
@@ -611,6 +669,13 @@ def test_out_of_window_cells_use_the_ln_kernel():
         spiked = extended(spike)
         assert spiked.fallback_cells == len(read), spike
         _kernel_cells(spiked, read)
+        # rank 3 feeds no recipe (rank 4 squares rank 2), so it has no
+        # mirror row and nothing reads its stored values: a spike there
+        # changes no other value and causes no fallback
+        unread = extended(spike, row=2)
+        assert unread.fallback_cells == 0, spike
+        assert np.array_equal(unread.ln_values(), clean.ln_values())
+        assert np.array_equal(unread._dom.data[[0, 1, 3], :80], clean._dom.data[[0, 1, 3], :80])
 
 
 def test_window_test_reads_the_entries_each_block_derives():
@@ -620,7 +685,7 @@ def test_window_test_reads_the_entries_each_block_derives():
     # tested before the next block, not only at a chunk start
     for spike in (1000.0, -1000.0):
         table = compute_sequence(MIX, 600, domain="log")
-        table._dom.data[2, 560] += spike
+        table._dom.data[1, 560] += spike
         table.extend(1100)
         assert table.fallback_cells == 3 * (1100 - 768), spike
         _kernel_cells(table, [(j, m) for m in range(768, 1100, 83) for j in (2, 3, 4)])
@@ -659,6 +724,21 @@ def test_cache_round_trip(tmp_path, domain):
         assert back.sum_fold(2, 79).value == fresh.sum_fold(2, 79).value
     else:
         assert np.array_equal(back.ln_values(), fresh.ln_values())
+
+
+def test_exact_engine_cache_bytes_are_stable(tmp_path):
+    # a spec with no recurrence under the cap stays on the engine and its
+    # cache holds every rank; squaring the even ranks changes no stored
+    # int, so the bytes are those of the engine that folded s with each
+    # rank below
+    spec = parse_spec("sum 2 1/2\nsum 6 1/3\nmax 3 2\nsum 5 1\nsum 7 1/5")
+    path = tmp_path / "seven.seq"
+    table = compute_sequence(spec, 110, domain="exact")
+    assert table.recurrence is None
+    save_cache(table, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1bfb738bbd1091cc3bff90056ad6f93257bac0ad6dfb3f55a1ee292ac419e4d8"
+    )
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
