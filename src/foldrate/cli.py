@@ -3,9 +3,10 @@
 Subcommands: eval (print sequence values), bounds (per-index sandwich and
 best envelope), refine (doubling loop to a target ratio), oracle (tree
 enumeration cross-checks), rate (the closed-form rate's interval).  Exit
-codes: 0 success, 1 a check failed, 2 usage or input error, 3 resource
-budget exceeded.  Each subcommand imports the modules it runs, so
-bounds, trees and numpy load only for the subcommands that use them.
+codes: 0 success, 1 a check failed or the reader closed stdout early (as
+``| head`` does), 2 usage or input error, 3 resource budget exceeded.
+Each subcommand imports the modules it runs, so bounds, trees and numpy
+load only for the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def cmd_oracle(args) -> int:
         else:
             value_ok = best <= s_n <= total
             kind = "max<=s_n<=sum"
-        lemma_ok = check_subtree_lemma(spec, n, size_cap=args.size_cap)
+        lemma_ok = check_subtree_lemma(spec, n)
         ok = value_ok and lemma_ok
         failed = failed or not ok
         print(f"n={n} trees={count} {kind}={'ok' if value_ok else 'FAIL'} "
@@ -373,7 +374,15 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the unflushed rest to devnull, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_CHECK_FAILED
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -67,18 +67,6 @@ def ln_fraction(q, side: int = 0) -> float:
     return ln_ratio(q.numerator, q.denominator, side)
 
 
-def log_add(a: float, b: float) -> float:
-    """ln(e^a + e^b) without overflow; LN_ZERO is the additive identity."""
-    if a == LN_ZERO:
-        return b
-    if b == LN_ZERO:
-        return a
-    d = a - b
-    if d >= 0.0:
-        return a + math.log1p(math.exp(-d))
-    return b + math.log1p(math.exp(d))
-
-
 def log_sum_vec(values) -> float:
     """Stable log-sum-exp reduction of a numpy vector of ln-values."""
     import numpy as np  # only log tables call this; exact ones need no numpy

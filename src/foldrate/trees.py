@@ -8,17 +8,18 @@ vertices reproduces s_n exactly when every term is a sum term, and the
 maximum over values reproduces s_n when the recurrence is a single max
 term; for mixed recurrences the two aggregates bracket s_n.
 
-Everything here is deliberately brute force - streamed enumeration with no
-memoisation - so that agreement with the convolution engine is evidence,
-not circularity.  A size cap keeps accidental combinatorial explosions
-from hanging a test run; pass a bigger cap explicitly to go past it.
+The value oracle is deliberately brute force - streamed enumeration with
+no memoisation - so that agreement with the convolution engine is
+evidence, not circularity.  A size cap keeps the enumerators (tree_values,
+oracle_summary) from hanging a test run; pass a bigger cap explicitly to
+go past it.  The subtree lemma depends on subtree sizes alone, and
+check_subtree_lemma decides it by a dynamic programme over sizes, uncapped.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import DEFAULT_SIZE_CAP
 from .recurrence import RecurrenceSpec
@@ -42,7 +43,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _check_cap(n: int, size_cap: int):
+def _check_size(n: int, size_cap: float = math.inf):
     if n < 1:
         raise ValueError(f"tree size must be >= 1, got {n}")
     if n > size_cap:
@@ -58,7 +59,7 @@ def _scaled_values(spec: RecurrenceSpec, n: int, size_cap: int):
     D is the lcm of the weight denominators, so every vertex weight enters
     as the integer D*k and a tree's product never needs a Fraction.
     """
-    _check_cap(n, size_cap)
+    _check_size(n, size_cap)
     scale = math.lcm(*(t.weight.denominator for t in spec.terms))
     plan = [(t.arity, t.weight.numerator * (scale // t.weight.denominator))
             for t in spec.terms]
@@ -118,85 +119,32 @@ def subtree_size_interval(spec: RecurrenceSpec, n: int) -> tuple[Fraction, Fract
     return Fraction(n - 1, L + 1), Fraction(L * n + 1, L + 1)
 
 
-def _partitions(total: int, parts: int, largest: int):
-    """Partitions of total into exactly ``parts`` parts, descending, <= largest."""
-    if parts == 1:
-        if 1 <= total <= largest:
-            yield (total,)
-        return
-    # first part is the largest; at least ceil(total/parts), at most min(largest, total-parts+1)
-    lo = -(-total // parts)
-    for first in range(min(largest, total - parts + 1), lo - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+def _lemma_holds(L: int, n: int, lo, hi) -> bool:
+    """check_subtree_lemma on the closed interval [lo, hi], for trees with
+    n >= 1 vertices and at most L children per vertex.
 
-
-def _shapes(n: int, max_children: int, memo: dict) -> tuple:
-    """All unordered rooted trees with n vertices and degree <= max_children.
-
-    A shape is a sorted tuple of child shapes.  Term labels, branch order
-    and empty slots do not change subtree sizes, so checking size
-    properties over shapes covers every labelled tree.
+    Let A be the sizes m of trees whose every subtree size, their own
+    included, lies outside [lo, hi].  m is in A iff m lies outside and
+    m - 1 is a sum of at most L members of A (of none for a leaf).  The
+    lemma fails at n >= 2 iff n - 1 is such a sum.  Bit t of sums[k] marks
+    t as a sum of k members, and each member costs L shifts: O(L*n).
     """
-    key = n
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if n == 1:
-        memo[key] = ((),)
-        return memo[key]
-    out = []
-    for k in range(1, min(max_children, n - 1) + 1):
-        for sizes in _partitions(n - 1, k, n - 1):
-            groups = []
-            run_start = 0
-            for i in range(1, k + 1):
-                if i == k or sizes[i] != sizes[run_start]:
-                    size = sizes[run_start]
-                    copies = i - run_start
-                    pool = _shapes(size, max_children, memo)
-                    groups.append(list(combinations_with_replacement(pool, copies)))
-                    run_start = i
-            out.extend(_cross(groups))
-    memo[key] = tuple(out)
-    return memo[key]
-
-
-def _cross(groups):
-    if not groups:
-        yield ()
-        return
-    for head in groups[0]:
-        for tail in _cross(groups[1:]):
-            yield head + tail
-
-
-def _shape_sizes(shape, out):
-    size = 1
-    for child in shape:
-        size += _shape_sizes(child, out)
-    out.append(size)
-    return size
-
-
-def check_subtree_lemma(spec: RecurrenceSpec, n: int,
-                        size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Every tree with n vertices has a subtree whose size falls in
-    subtree_size_interval; for n >= 2 that subtree is automatically proper.
-
-    Verified exhaustively over the unordered shapes trees can take: the
-    check depends only on subtree sizes, never on labels or branch order,
-    so the shape quotient covers all trees while staying enumerable even
-    where the labelled count explodes.
-    """
-    _check_cap(n, size_cap)
-    lo, hi = subtree_size_interval(spec, n)
     if n == 1:
         return lo <= 1 <= hi
-    L = spec.max_arity
-    for shape in _shapes(n, L, {}):
-        sizes: list[int] = []
-        _shape_sizes(shape, sizes)
-        if not any(lo <= size <= hi and size < n for size in sizes):
-            return False
-    return True
+    mask = (1 << n) - 1
+    sums = [1] + [0] * L
+    reach = 1  # the union of sums
+    for m in range(1, n):
+        if reach >> (m - 1) & 1 and not lo <= m <= hi:
+            for k in range(1, L + 1):  # k ascending: sums[k - 1] may hold m already
+                sums[k] |= sums[k - 1] << m & mask
+                reach |= sums[k]
+    return not reach >> (n - 1) & 1
+
+
+def check_subtree_lemma(spec: RecurrenceSpec, n: int) -> bool:
+    """Every tree with n vertices has a subtree whose size falls in
+    subtree_size_interval, proper for n >= 2 (decided by _lemma_holds)."""
+    _check_size(n)
+    lo, hi = subtree_size_interval(spec, n)
+    return _lemma_holds(spec.max_arity, n, lo, hi)

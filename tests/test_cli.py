@@ -213,6 +213,24 @@ def test_rate_imports_no_numpy():
     assert out.stdout.split() == ["True", "False"]
 
 
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # s_0..s_3000 of Catalan fill megabytes, far past a pipe's buffer, so
+    # the write after the reader closes the pipe certainly fails (EPIPE)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "foldrate.cli", "eval", "--domain", "exact",
+             "--n", "3000", "--spec-text", "sum 2 1"],
+            env=env, stdout=subprocess.PIPE, stderr=err)
+        assert proc.stdout.read(10) == b"1 1 2 5 14"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert b"Traceback" not in err.read()
+
+
 def test_rate_bad_spec_is_usage_error(capsys):
     code, out, err = run(capsys, "rate", "--spec-text", "sum 1 1")
     assert code == EXIT_USAGE

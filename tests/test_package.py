@@ -1,5 +1,7 @@
-"""The package as a whole: its public names and the size of its modules."""
+"""The package as a whole: its public names, the size of its modules and
+what the tree oracle imports."""
 
+import ast
 import pathlib
 import tokenize
 
@@ -35,3 +37,21 @@ def test_every_module_parses_to_fewer_than_4096_tokens():
             count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
                         for tok in tokenize.generate_tokens(fh.readline))
         assert count < 4096, (path.name, count)
+
+
+def test_tree_oracle_shares_no_code_with_the_engine():
+    # foldrate.trees reads the parsed spec and the root constants and
+    # nothing else from the package, so its agreement with the engine is
+    # evidence, not circularity
+    path = pathlib.Path(foldrate.__file__).parent / "trees.py"
+    relative, absolute = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {alias.name for alias in node.names}
+    assert not any(name.startswith("foldrate") for name in absolute), absolute
+    assert {module for module, _ in relative} <= {None, "recurrence"}, relative
+    assert all(name.isupper() for module, name in relative if module is None), relative

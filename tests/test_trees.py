@@ -1,5 +1,6 @@
 """Tree enumeration oracle: counts, values, and the subtree-size check."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from foldrate import (
     subtree_size_interval,
     tree_values,
 )
-from foldrate.trees import DEFAULT_SIZE_CAP
+from foldrate.trees import DEFAULT_SIZE_CAP, _lemma_holds
+from helpers import splits
 
 CATALAN = parse_spec("sum 2 1")
 MAX22 = parse_spec("max 2 2")
@@ -128,7 +130,50 @@ def test_subtree_lemma_on_fixtures():
     for spec in (CATALAN, MAX22, MIXED, parse_spec("max 4 3")):
         for n in range(2, 9):
             assert check_subtree_lemma(spec, n)
+    for L in (2, 6, 48):  # the size DP needs no cap
+        assert check_subtree_lemma(parse_spec(f"sum {L} 1"), 1000)
 
 
 def test_subtree_lemma_trivial_at_one():
     assert check_subtree_lemma(CATALAN, 1)
+    with pytest.raises(ValueError):
+        check_subtree_lemma(CATALAN, 0)
+
+
+def _size_sets(m: int, L: int, memo: dict) -> set:
+    """The set of subtree sizes, root included, of each ordered tree with
+    m >= 1 vertices and L slots per vertex, each slot empty or a subtree."""
+    if m not in memo:
+        memo[m] = {
+            frozenset().union(*parts) | {m}
+            for split in splits(m - 1, L)
+            for parts in itertools.product(*(_size_sets(x, L, memo) if x else [frozenset()]
+                                             for x in split))
+        }
+    return memo[m]
+
+
+def _lemma_by_brute_force(size_sets, n: int, lo, hi) -> bool:
+    # every tree has a subtree in [lo, hi] that is proper, unless n = 1
+    return all(any(lo <= size <= hi and (size < n or n == 1) for size in sizes)
+               for sizes in size_sets)
+
+
+def test_subtree_lemma_matches_brute_force():
+    # the lemma's interval, and every interval with endpoints on the half
+    # integers in [0, n + 1], most of them narrowed or shifted until some
+    # tree avoids them
+    falses = 0
+    for L in range(1, 5):
+        memo = {}
+        for n in range(1, 9):
+            size_sets = _size_sets(n, L, memo)
+            own = (Fraction(n - 1, L + 1), Fraction(L * n + 1, L + 1))
+            assert _lemma_holds(L, n, *own) and _lemma_by_brute_force(size_sets, n, *own)
+            ends = [Fraction(x, 2) for x in range(2 * n + 3)]
+            for lo, hi in itertools.combinations_with_replacement(ends, 2):
+                expected = _lemma_by_brute_force(size_sets, n, lo, hi)
+                assert _lemma_holds(L, n, lo, hi) == expected, (L, n, lo, hi)
+                falses += not expected
+    assert falses > 1000
+
