@@ -12,8 +12,8 @@ denominators) or in a log-domain float representation, derives certified
 lower/upper bounds on lim s_n^(1/n), and cross-checks the machinery against
 an exhaustive tree enumeration oracle.
 
-Importing the package loads neither numpy nor the bounds, tree, cache
-and log-domain modules: each loads when first used.
+Importing the package loads neither numpy nor the bounds, tree, cache,
+Lagrange and log-domain modules: each loads when first used.
 """
 
 import importlib

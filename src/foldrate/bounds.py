@@ -25,13 +25,16 @@ running max of lowers and min of uppers form a shrinking sandwich.  As
 lower(n) sits inside it, its width at n is at most e(n), which depends
 on the constants alone and strictly decreases for n >= 1 (beta' > 0).
 So refine() works out, before computing anything, the least n* with
-e(n*) <= ln(1 + epsilon), and doubles the table length as before but
-stops at n* instead of the next power of two past it: no table shorter
-than n* is certified by this argument, and one of length n* is.
-Convergence is still read off the sandwich itself, never off n*, and a
-run that rounding leaves short of the target at n* keeps doubling.
-refine() stops on convergence or when a budget runs out; an unconverged
-run is reported, not raised.
+e(n*) <= ln(1 + epsilon), and doubles the index n but stops at n*
+instead of the next power of two past it: no n below n* is certified by
+this argument, and n* is.  It reads s_n at those points alone, as a
+certified bracket on ln s_n from Lagrange inversion (lagrange docstring),
+so its lower(n) and upper(n) hold with every rounding accounted for;
+evaluate_bounds reads a table, and in the log domain its values carry
+no rounding radius.  Convergence is still read off the sandwich itself,
+never off n*, and a run that rounding leaves short of the target at n*
+keeps doubling.  refine() stops on convergence or when a budget runs
+out; an unconverged run is reported, not raised.
 
 The rate itself has a closed form, which rate_interval brackets and
 neither bound reads.  In the reduced spec, S(z) = sum s_n z^n solves
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import DEFAULT_EPSILON, DEFAULT_MAX_N
-from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
+from .engine import DEFAULT_MEMORY_LIMIT, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants
 from .scalars import exp_ln, ln_fraction, round12
 
@@ -101,8 +104,14 @@ def _bracket(ln_lo, ln_hi, consts: GrowthConstants, n: int, lo: int):
 
     k = np.arange(lo, n + 1, dtype=np.float64)
     fekete = math.nextafter(float((ln_lo[lo : n + 1] / k).max()), -math.inf)
-    upper = math.nextafter(float(ln_hi[n]) / n, math.inf) + _excess(consts, n, True)
-    return fekete, math.nextafter(upper, math.inf)
+    return fekete, _upper(float(ln_hi[n]), consts, n)
+
+
+def _upper(ln_s: float, consts: GrowthConstants, n: int) -> float:
+    """upper(n) from a double at least ln s_n: the division rounded up
+    by an ulp, e(n) rounded up (_excess), and the sum by an ulp."""
+    upper = math.nextafter(ln_s / n, math.inf) + _excess(consts, n, True)
+    return math.nextafter(upper, math.inf)
 
 
 def _last_step(consts: GrowthConstants, epsilon: float, max_n: int) -> int:
@@ -245,45 +254,49 @@ def _powers_of_two(limit: int):
 
 def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
            max_n: int = DEFAULT_MAX_N, seconds: float | None = None,
-           domain: str = "log",
            memory_limit: int = DEFAULT_MEMORY_LIMIT) -> BoundsReport:
-    """Grow the table until the sandwich ratio is <= 1 + epsilon.
+    """Evaluate the sandwich at more indices until its ratio is <= 1 + epsilon.
 
-    Evaluation happens at each table length in the schedule 2, 4, 8, ...,
-    each step doubling n but stopping at max_n and at n*, the least n
-    whose excess e(n) is within ln(1 + epsilon) (module docstring).
+    Evaluation happens at each index in the schedule 2, 4, 8, ..., each
+    step doubling n but stopping at max_n and at n*, the least n whose
+    excess e(n) is within ln(1 + epsilon) (module docstring).  Each point
+    reads a certified bracket on ln s_n from lagrange.ln_point, in
+    O(n d^3) work for d = deg P, and builds no table.
     Stops on convergence or when the max_n, wall clock or memory budget
-    runs out; the latter yields converged=False in the report, with the
-    budget named in ``reason``, rather than an exception.  The wall
-    clock budget is checked before each step, so a step predicted to
-    overrun it is never started.  A step from n to n' is predicted at
-    its n'^2 - n^2 cells times the last step's time per cell, times the
-    largest step-to-step rise in that time seen so far (at least 1).
-    After a doubling that is the last step's time times the largest
-    step ratio, at least 4, scaled by (n'^2 - n^2) / (3 n^2), the new
-    step's cells relative to a doubling's.
+    runs out, or when a point's float range guard fails; each yields
+    converged=False in the report, with the reason named in ``reason``,
+    rather than an exception.  Both the memory budget, on the projected
+    working set of one point (lagrange.point_bytes), and the wall clock
+    budget are checked before each point, so a point projected or
+    predicted to overrun one is never started.  A point at n' is
+    predicted at n' times the last point's time per index, times the
+    largest point-to-point rise in that time seen so far (at least 1): a
+    doubling at twice the last point's time.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
+    from . import lagrange  # numpy loads with the point evaluator only
+
     start = time.perf_counter()
     consts = derive_constants(spec)
     n_star = _last_step(consts, epsilon, max_n)
-    table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
 
     n, slowdown, last_rate = 2, 1.0, None
     while True:
-        prev = table.n
-        step = time.perf_counter()
-        try:
-            table.extend(n)
-        except MemoryBudgetError:
+        if lagrange.point_bytes(spec, n) > memory_limit:
             report.reason = "memory budget exhausted"
             break
+        step = time.perf_counter()
+        try:
+            ln_lo, ln_hi = lagrange.ln_point(spec, n)
+        except FloatingPointError:
+            report.reason = "float range exceeded"
+            break
         step = time.perf_counter() - step
-        report.add(n, *_bracket(table.ln_values(-1), table.ln_values(1), consts, n, prev + 1))
+        report.add(n, math.nextafter(ln_lo / n, -math.inf), _upper(ln_hi, consts, n))
         report.max_n = n
         log.info("refine n=%d lower=%.9g upper=%.9g ratio=%.6g",
                  n, exp_ln(report.best_ln_lower), exp_ln(report.best_ln_upper),
@@ -297,14 +310,14 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
             break
         # past n* (rounding left the ratio short) the doubling goes on
         nxt = min(2 * n, max_n if n >= n_star else n_star)
-        # a step to n' costs ~n'^2 - n^2 cells; the time per cell is the
-        # last step's, times its largest rise between steps so far, since
-        # the host can slow down
-        rate = step / (n * n - prev * prev)
+        # a point costs ~n steps; the time per step is the last point's,
+        # times its largest rise between points so far, since the host
+        # can slow down
+        rate = step / n
         if last_rate:
             slowdown = max(slowdown, rate / last_rate)
         last_rate = rate
-        predicted = slowdown * rate * (nxt * nxt - n * n)
+        predicted = slowdown * rate * nxt
         if seconds is not None and time.perf_counter() - start + predicted > seconds:
             report.reason = "time budget exhausted"
             break

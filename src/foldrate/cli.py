@@ -319,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_positive_float, default=DEFAULT_EPSILON,
                    help=f"stop once upper/lower <= 1 + epsilon (default {DEFAULT_EPSILON})")
     p.add_argument("--max-n", type=_int_at_least(2, "an integer >= 2"), default=DEFAULT_MAX_N,
-                   help=f"table length budget (default {DEFAULT_MAX_N})")
+                   help=f"length budget: the largest n evaluated (default {DEFAULT_MAX_N})")
     p.add_argument("--seconds", type=_positive_float, default=None,
                    help="wall clock budget")
     p.add_argument("--memory-limit", metavar="BYTES", type=_int_at_least(1, "a positive integer"),
                    default=DEFAULT_MEMORY_LIMIT,
-                   help=f"table memory budget (default {DEFAULT_MEMORY_LIMIT})")
+                   help=f"working-set budget of one point (default {DEFAULT_MEMORY_LIMIT})")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_refine)
 

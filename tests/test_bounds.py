@@ -7,11 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from foldrate import bounds
+from foldrate import bounds, lagrange
 from foldrate import (
     BoundsEntry,
     BoundsReport,
-    SequenceTable,
     compute_sequence,
     evaluate_bounds,
     parse_spec,
@@ -119,64 +118,66 @@ def test_refine_reports_exhausted_time_budget():
 
 
 def test_refine_stops_inside_its_time_budget():
-    # the next doubling is predicted from the last one before it starts
-    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 20, seconds=0.5)
+    # the next point is predicted from the last one before it starts; the
+    # length budget is out of reach, so the time budget ends the run
+    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 30, seconds=0.5)
     assert report.reason == "time budget exhausted"
     assert report.elapsed <= 0.5
-    assert report.max_n < 1 << 20
+    assert report.max_n < 1 << 30
 
 
 def _inject_clock(monkeypatch, cost):
-    """A clock that only moves while the table extends, by cost(n, old n)."""
+    """A clock that only moves while a point is evaluated, by cost(n)."""
     clock = [0.0]
-    real_extend = SequenceTable.extend
+    real_point = lagrange.ln_point
 
-    def extend(self, n):
-        clock[0] += cost(n, self.n)
-        return real_extend(self, n)
+    def ln_point(spec, n):
+        clock[0] += cost(n)
+        return real_point(spec, n)
 
     monkeypatch.setattr(bounds.time, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(SequenceTable, "extend", extend)
+    monkeypatch.setattr(lagrange, "ln_point", ln_point)
     return clock
 
 
 @pytest.mark.parametrize("cost, seconds, stop_n", [
-    # a 7.5x spike at n = 4: the 4x rule would start n = 8 at 8.5 s,
-    # predicting 38.5 s, and finish it at 64.75 s
+    # a 7.5x spike at n = 4, 3.75x per index: twice n = 4's time would
+    # start n = 8 at 8.5 s, predicting 15 s, and finish it at 64.75 s;
+    # the largest rise predicts 56.25 s
     ({2: 1.0, 4: 7.5, 8: 56.25, 16: 421.875}, 40.0, 4),
-    # steps that only double are still predicted at 4x: n = 8 would end
-    # at 7 s, but 3 s + 4 * 2 s passes the budget
-    ({2: 1.0, 4: 2.0, 8: 4.0, 16: 8.0}, 10.0, 4),
+    # points that only double are predicted at 2x: n = 8 starts at 3 s,
+    # predicted 4 s, and ends at 7 s, but n = 16 would end at 15 s
+    ({2: 1.0, 4: 2.0, 8: 4.0, 16: 8.0}, 10.0, 8),
 ])
 def test_refine_predicts_with_the_largest_step_ratio(monkeypatch, cost, seconds, stop_n):
-    clock = _inject_clock(monkeypatch, lambda n, _: cost[n])
+    clock = _inject_clock(monkeypatch, lambda n: cost[n])
     report = refine(CATALAN, epsilon=1e-9, max_n=1 << 10, seconds=seconds)
     assert report.reason == "time budget exhausted"
     assert report.max_n == stop_n
     assert report.elapsed == clock[0] <= seconds
 
 
-def test_refine_predicts_a_short_last_step_by_its_cells(monkeypatch):
-    # time proportional to cells: 1 s reaches n = 1024, the doubling to
-    # 2048 would take 3 s more, but the last step, to n* = 1851, takes
-    # (1851^2 - 1024^2) / 2^20 = 2.27 s and fits in the 3.5 s budget
-    clock = _inject_clock(monkeypatch, lambda n, old: (n * n - old * old) / 2 ** 20)
-    report = refine(CATALAN, epsilon=0.5, max_n=1 << 14, seconds=3.5)
+def test_refine_predicts_a_short_last_step_by_its_length(monkeypatch):
+    # time proportional to n: the points 2..1024 take 3.996 s, the
+    # doubling to 2048 would take 4 s more, but the last point, n* = 1851,
+    # takes 1851 / 512 = 3.615 s and fits in the 7.8 s budget
+    clock = _inject_clock(monkeypatch, lambda n: n / 512)
+    report = refine(CATALAN, epsilon=0.5, max_n=1 << 14, seconds=7.8)
     assert report.converged
     assert report.max_n == 1851
-    assert report.elapsed == clock[0] <= 3.5
+    assert report.elapsed == clock[0] <= 7.8
 
 
-def test_refine_predicts_a_doubling_after_a_short_step_by_its_cells(monkeypatch):
+def test_refine_predicts_a_doubling_after_a_short_step_by_its_length(monkeypatch):
     # an n* at which the ratio is still short, as rounding can leave it:
-    # the doubling 1100 -> 2200 that follows takes 3.46 s, which a
-    # prediction from the short step's 0.15 s at a doubling's price misses
+    # the short point 1100 ends at 6.145 s, and the doubling to 2200 that
+    # follows is predicted at twice its 2.148 s, past the 8 s budget
     monkeypatch.setattr(bounds, "_last_step", lambda consts, epsilon, max_n: 1100)
-    clock = _inject_clock(monkeypatch, lambda n, old: (n * n - old * old) / 2 ** 20)
-    report = refine(CATALAN, epsilon=0.5, max_n=1 << 14, seconds=4.0)
+    clock = _inject_clock(monkeypatch, lambda n: n / 512)
+    report = refine(CATALAN, epsilon=0.5, max_n=1 << 14, seconds=8.0)
     assert report.reason == "time budget exhausted"
     assert [e.n for e in report.entries][-2:] == [1024, 1100]
-    assert report.elapsed == clock[0] <= 4.0
+    assert report.elapsed == clock[0] <= 8.0
 
 
 def test_refine_stops_at_the_first_certified_n():

@@ -1,8 +1,11 @@
 """The package as a whole: its public names, the size of its modules and
-what the tree oracle imports."""
+what the tree oracle and refine import."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import pytest
@@ -55,3 +58,25 @@ def test_tree_oracle_shares_no_code_with_the_engine():
     assert not any(name.startswith("foldrate") for name in absolute), absolute
     assert {module for module, _ in relative} <= {None, "recurrence"}, relative
     assert all(name.isupper() for module, name in relative if module is None), relative
+
+
+def test_refine_builds_no_table_and_the_cli_loads_no_point_evaluator():
+    # a fresh interpreter, so that no other test has loaded the modules
+    code = """
+import contextlib, io, sys
+import foldrate.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert foldrate.cli.main(["rate", "--spec-text", "sum 2 2"]) == 0
+loaded = {"numpy", "foldrate.lagrange"} & set(sys.modules)
+assert not loaded, loaded
+from foldrate import parse_spec, refine
+report = refine(parse_spec("sum 2 2\\nsum 3 3\\nsum 4 4\\nmax 5 5\\nmax 6 6"), epsilon=0.5)
+assert report.converged and report.max_n == 4290, report
+assert "foldrate.lagrange" in sys.modules
+assert "foldrate.logdomain" not in sys.modules
+"""
+    src = str(pathlib.Path(foldrate.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
