@@ -141,7 +141,7 @@ def ln_point(spec: RecurrenceSpec, n: int) -> tuple[float, float]:
     size, carry = _chunk(d)
     j = np.arange(1, d + 1)
     shift = np.eye(d)[:-1]
-    b, e, stack, exponents = 1.0, 0, None, []
+    stack, exponents = None, []
     for k0 in range(1, n, size):
         k = np.arange(k0, min(k0 + size, n))[:, None]
         a = np.empty((len(k), d, d))
@@ -150,10 +150,8 @@ def ln_point(spec: RecurrenceSpec, n: int) -> tuple[float, float]:
         if stack is not None:
             a = np.concatenate((stack, a))
         stack = _reduce(a, carry if k0 + size < n else 1, exponents)
-    if stack is not None:
-        b = float(stack[0, 0, 0])
-    if exponents:
-        e = int(np.concatenate(exponents).sum())
+    b = 1.0 if stack is None else float(stack[0, 0, 0])
+    e = int(np.concatenate(exponents).sum()) if exponents else 0
     m = n - 1
     rho = (3 * m + d * max(m - 1, 0)) * 2.0 ** -53 * (1 + 2.0 ** -16)
     terms = (math.log(b), e * _LN2, -math.log(n))
