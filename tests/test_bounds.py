@@ -112,7 +112,7 @@ def test_refine_reports_exhausted_length_budget():
 
 
 def test_refine_reports_exhausted_time_budget():
-    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 20, seconds=0.05)
+    report = refine(CATALAN, epsilon=1e-9, max_n=1 << 30, seconds=0.05)
     assert not report.converged
     assert report.reason == "time budget exhausted"
 
