@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -138,26 +139,36 @@ def _print_report(report, fmt: str) -> None:
 
 
 def _print_exact(spec: RecurrenceSpec, table: SequenceTable, n: int, fmt: str) -> None:
-    values = [table.value(i).value for i in range(n + 1)]
+    # s_m = t_m / D^m reduced by one gcd, as Fraction reduces it (1 if D = 1)
+    t, scale = table.scaled_values(n)
+    nums, dens, den = [], [], 1
+    for v in t:
+        g = math.gcd(v, den)
+        nums.append(v // g)
+        dens.append(den // g)
+        den *= scale
+    if fmt == "bfile":
+        if any(d != 1 for d in dens):
+            raise _UsageError("bfile output needs integer values; this sequence has fractions")
+        for i, v in enumerate(nums):
+            print(f"{i} {v}")
+        return
+    # str(Fraction): the numerator alone when the denominator is 1
+    values = [f"{a}/{b}" if b != 1 else str(a) for a, b in zip(nums, dens)]
     if fmt == "text":
-        print(" ".join(map(str, values)))
+        print(" ".join(values))
     elif fmt == "json":
         print(json.dumps(
             {
                 "spec": spec.render(),
                 "domain": "exact",
                 "n": n,
-                "values": [str(v) for v in values],
+                "values": values,
             },
             indent=2,
         ))
     elif fmt == "csv":
-        _write_csv([["n", "value"]] + [[i, str(v)] for i, v in enumerate(values)])
-    elif fmt == "bfile":
-        if any(v.denominator != 1 for v in values):
-            raise _UsageError("bfile output needs integer values; this sequence has fractions")
-        for i, v in enumerate(values):
-            print(f"{i} {v.numerator}")
+        _write_csv([["n", "value"]] + list(enumerate(values)))
 
 
 def cmd_eval(args) -> int:
@@ -233,9 +244,13 @@ def cmd_oracle(args) -> int:
         raise _UsageError(
             f"--max-n {args.max_n} exceeds --size-cap {args.size_cap}"
         )
-    from .trees import check_subtree_lemma, oracle_summary
+    from .trees import TREE_BUDGET, check_subtree_lemma, oracle_summary, tree_counts
 
     spec = _load_spec(args)
+    total = sum(tree_counts(spec, args.max_n)[1:])
+    if total > TREE_BUDGET:
+        raise _UsageError(f"--max-n {args.max_n} would enumerate {total:,} trees, "
+                          f"over the budget of {TREE_BUDGET:,}")
     table = SequenceTable(spec, domain="exact").extend(args.max_n)
     all_sum = all(t.op.value == "sum" for t in spec.terms)
     pure_max = len(spec.terms) == 1 and spec.terms[0].op.value == "max"

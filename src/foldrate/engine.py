@@ -345,6 +345,14 @@ class SequenceTable:
         self._check_index(n)
         return self._dom.wrap(0, n)
 
+    def scaled_values(self, n: int) -> tuple[list, int]:
+        """(t_0..t_n, D) of an exact table: s_m = t_m / D^m, unreduced
+        (module docstring); a log table raises ValueError."""
+        if self.domain_name != "exact":
+            raise ValueError("scaled values are stored by exact tables only")
+        self._check_index(n)
+        return self._dom.cols[0][: n + 1], self._dom.scale
+
     def value_ln(self, n: int) -> float:
         """Natural log of s_n."""
         self._check_index(n)

@@ -46,9 +46,21 @@ N_{k+1} = A (N_k' B - 2k N_k B'), and (E) times P^n0 B^(2e) reads
     sum_{i<=n0} (y-1)^i P^(n0-i) (H_i - q_i B^(2e)) = 0  in Z[y],
 
 with H_i = sum_k d_ik N_k B^(2(e-k)), p_i(x + i) = sum_k d_ik x^k, and
-H_i = 0 for i > r.  This is exact integer polynomial arithmetic, with
-no bound on how many terms to check.  A relation that fails it is never
-used.
+H_i = 0 for i > r.  The left side is checked at one point y = Y = 2^K,
+with no product of polynomials (Kronecker substitution; von zur Gathen
+and Gerhard, Modern Computer Algebra, 8.4).  The l1 norm ||a||, the sum
+of the |coefficients|, is submultiplicative and ||y - 1|| = 2, so
+
+    W = sum_i 2^i ||P||^(n0-i) (sum_k |d_ik| ||N_k|| ||B||^(2(e-k))
+                                + |q_i| ||B||^(2e))
+
+bounds every coefficient of the left side, and K is taken with Y > 2W.
+If the left side is not zero, let c_m be its lowest nonzero coefficient:
+its value at Y is Y^m (c_m + Y R) with R an integer, and
+0 < |c_m| <= W < Y, so Y does not divide c_m and the value is not zero.
+So the identity holds iff its value at Y is 0: exact integer
+arithmetic, with no bound on how many terms to check.  A relation that
+fails it is never used.
 
 Run.  t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n); a nonzero remainder
 raises ArithmeticError.  Where p_0(n) = 0 the engine supplies t_n.
@@ -273,35 +285,49 @@ def _deriv(a):
     return [i * x for i, x in enumerate(a)][1:] or [0]
 
 
+def _norm(a):
+    return sum(map(abs, a))
+
+
 def proved(coeffs, start, t, pairs):
     """Whether (R) with these coefficients holds for every n >= start
     (module docstring), given t_0..t_{start-1} and P from the pairs."""
     poly, r, e = _poly(pairs), len(coeffs) - 1, len(coeffs[0]) - 1
     ym1 = [-1, 1]
     A, B = _mul(ym1, poly), _add(poly, _mul(ym1, _deriv(poly)), -1)
-    dB, B2 = _deriv(B), _mul(B, B)
+    dB = _deriv(B)
     N = [[0, 1]]
     for k in range(e):
         N.append(_mul(A, _add(_mul(_deriv(N[k]), B), _mul(N[k], dB), -2 * k)))
-    F, B2e = [None] * (e + 1), [1]  # F_k = N_k B^(2(e-k)); B2e ends at B^(2e)
-    for k in range(e, -1, -1):
-        F[k] = _mul(N[k], B2e)
-        if k:
-            B2e = _mul(B2e, B2)
-    acc, power = [0], [1]  # power = (y-1)^i
+    # d[i][k] = d_ik, the x^k coefficients of p_i(x + i), and q[i] = q_i
+    d = [[sum(c * math.comb(j, k) * i ** (j - k) for j, c in enumerate(coeffs[i]) if j >= k)
+          for k in range(e + 1)] if i <= r else [] for i in range(start + 1)]
+    q = [_residual(coeffs, t, i) for i in range(start)] + [0]
+    # W (module docstring) from the l1 norms, then Y = 2^K > 2W
+    nP, nB2 = _norm(poly), _norm(B) ** 2
+    nF = [_norm(N[k]) * nB2 ** (e - k) for k in range(e + 1)]
+    W, nB2e = 0, nB2 ** e
     for i in range(start + 1):
-        G = [0]
-        if i <= r:
-            # d_ik: the x^k coefficients of p_i(x + i)
-            for k in range(e + 1):
-                d_ik = sum(c * math.comb(j, k) * i ** (j - k)
-                           for j, c in enumerate(coeffs[i]) if j >= k)
-                G = _add(G, F[k], d_ik)
-        if i < start:
-            G = _add(G, B2e, -_residual(coeffs, t, i))
-        acc = _add(_mul(acc, poly), _mul(G, power))
-        power = _mul(power, ym1)
-    return not any(acc)
+        W = W * nP + ((sum(map(abs, map(operator.mul, d[i], nF))) + abs(q[i]) * nB2e) << i)
+    K = W.bit_length() + 1
+
+    def at(a):
+        v = 0
+        for c in reversed(a):
+            v = (v << K) + c
+        return v
+
+    Pv, B2, Ym1 = at(poly), at(B) ** 2, (1 << K) - 1
+    F, B2e = [0] * (e + 1), 1  # F_k = N_k B^(2(e-k)) at Y; B2e ends at B^(2e)
+    for k in range(e, -1, -1):
+        F[k] = at(N[k]) * B2e
+        if k:
+            B2e *= B2
+    acc, power = 0, 1  # power = (Y-1)^i
+    for i in range(start + 1):
+        acc = acc * Pv + (sum(map(operator.mul, d[i], F)) - q[i] * B2e) * power
+        power *= Ym1
+    return not acc
 
 
 def run(rec, t, n0, new_n, limit, nbytes, engine_cols):

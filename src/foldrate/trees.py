@@ -12,8 +12,12 @@ The value oracle is deliberately brute force - streamed enumeration with
 no memoisation - so that agreement with the convolution engine is
 evidence, not circularity.  A size cap keeps the enumerators (tree_values,
 oracle_summary) from hanging a test run; pass a bigger cap explicitly to
-go past it.  The subtree lemma depends on subtree sizes alone, and
-check_subtree_lemma decides it by a dynamic programme over sizes, uncapped.
+go past it.  The cap bounds the tree size, not the tree count, which
+grows exponentially: tree_counts gives the count for each size before
+any tree is built, and the command line's oracle refuses a run of more
+than TREE_BUDGET trees.  The subtree lemma depends on subtree sizes
+alone, and check_subtree_lemma decides it by a dynamic programme over
+sizes, uncapped.
 """
 
 from __future__ import annotations
@@ -26,11 +30,19 @@ from .recurrence import RecurrenceSpec
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
+    "TREE_BUDGET",
     "check_subtree_lemma",
     "oracle_summary",
     "subtree_size_interval",
+    "tree_counts",
     "tree_values",
 ]
+
+# The most trees the command line's oracle enumerates in one run: about a
+# minute and a half at the 1.2 * 10^5 trees per second that oracle_summary
+# reaches on the paper's mixed spec (2-core Xeon, Python 3.11), whose
+# sizes 1..5 (3,669,230 trees) it admits and 1..6 (142,956,730) refuses.
+TREE_BUDGET = 10 ** 7
 
 
 def _compositions(total: int, parts: int):
@@ -108,6 +120,23 @@ def oracle_summary(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CA
         if v > best:
             best = v
     return count, Fraction(total, den), Fraction(best, den)
+
+
+def tree_counts(spec: RecurrenceSpec, n: int) -> list[int]:
+    """[c_0, ..., c_n]: c_m trees with m vertices, c_0 = 1 the empty branch.
+
+    A vertex of arity l has l ordered branches whose sizes add to m - 1,
+    so c is the spec's recurrence with every weight 1 and every term a
+    sum: c_m is the sum over the terms of c's l-fold convolution at m - 1.
+    """
+    arities = [t.arity for t in spec.terms]
+    c = [1]
+    folds = [c] + [[] for _ in range(max(arities) - 1)]  # folds[j]: j + 1 factors
+    for m in range(1, n + 1):
+        for j in range(1, len(folds)):
+            folds[j].append(sum(c[x] * folds[j - 1][m - 1 - x] for x in range(m)))
+        c.append(sum(folds[a - 1][m - 1] for a in arities))
+    return c
 
 
 # -- subtree size interval ----------------------------------------------

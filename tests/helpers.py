@@ -242,3 +242,60 @@ def oracle_rate_interval(spec: RecurrenceSpec, width: Fraction = Fraction(1, 10 
         else:
             b = mid
     return _poly(coeffs, a) / (b - 1), _poly(coeffs, b) / (b - 1)
+
+
+# -- the recurrence proof by polynomial products ---------------------------
+
+
+def proved_by_lists(coeffs, start, t, pairs) -> bool:
+    """holonomic.proved's identity built coefficient by coefficient: the
+    left side of the holonomic docstring's identity in Z[y] as an int
+    list, from y^0 up, by schoolbook products, then tested for zero.  It
+    shares no code with the package."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def add(a, b, c=1):
+        out = a + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += c * y
+        return out
+
+    def deriv(a):
+        return [i * x for i, x in enumerate(a)][1:] or [0]
+
+    def residual(n):
+        return sum(sum(c * n ** j for j, c in enumerate(p)) * t[n - i]
+                   for i, p in enumerate(coeffs) if i <= n)
+
+    poly = [0] * (pairs[-1][1] + 2)
+    for w, i in pairs:
+        poly[i + 1] = w
+    r, e, ym1 = len(coeffs) - 1, len(coeffs[0]) - 1, [-1, 1]
+    A, B = mul(ym1, poly), add(poly, mul(ym1, deriv(poly)), -1)
+    dB, B2 = deriv(B), mul(B, B)
+    N = [[0, 1]]
+    for k in range(e):
+        N.append(mul(A, add(mul(deriv(N[k]), B), mul(N[k], dB), -2 * k)))
+    F, B2e = [None] * (e + 1), [1]  # F_k = N_k B^(2(e-k)); B2e ends at B^(2e)
+    for k in range(e, -1, -1):
+        F[k] = mul(N[k], B2e)
+        if k:
+            B2e = mul(B2e, B2)
+    acc, power = [0], [1]  # power = (y-1)^i
+    for i in range(start + 1):
+        G = [0]
+        if i <= r:
+            for k in range(e + 1):
+                d_ik = sum(c * math.comb(j, k) * i ** (j - k)
+                           for j, c in enumerate(coeffs[i]) if j >= k)
+                G = add(G, F[k], d_ik)
+        if i < start:
+            G = add(G, B2e, -residual(i))
+        acc = add(mul(acc, poly), mul(G, power))
+        power = mul(power, ym1)
+    return not any(acc)

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -142,6 +143,36 @@ def test_bounds_exact_output_is_pinned(capsys, spec, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_EXACT_256_SHA256[spec, fmt]
 
 
+# sha256 of the `eval --domain exact` stdout, recorded when each value
+# was printed through a Fraction: past the window 48 the first spec runs
+# on its recurrence, with D = 6
+FRAC = "sum 2 1/2\nsum 3 1/3"
+EVAL_EXACT_SHA256 = {
+    (FRAC, 200, "text"): "70c4a89329af6619d3937f8f5e0801444e811cfcbd9e19bb9c9865a7fefa4d8f",
+    (FRAC, 200, "json"): "c66149f7f55c4bf8c5382bfc76671a6d9e416b9cb71363bd73ebcbfaad57042a",
+    (FRAC, 200, "csv"): "b40ee1908b96d1b6e5a3be8b700a07de4852367eca1463d134c94e692d033673",
+    (MIX, 256, "text"): "733c73b518e8e096828286b7409880fbb9ba81be362ac78bd6a7d791ff6d5988",
+    (MIX, 256, "json"): "6378f20892c46d99fd058a631ec82a617ae483422fd21b55442206a65fb84fa3",
+    (MIX, 256, "csv"): "6f3955c10d1e88325075856665a2aea691e98008e0a7bfa3bf36314d7247f168",
+    (MIX, 256, "bfile"): "c34a55afa2cc27e862f7444a5a519745cad71a936d364342dff1dcab08a011d3",
+}
+
+
+@pytest.mark.parametrize("spec,n,fmt", sorted(EVAL_EXACT_SHA256))
+def test_eval_exact_output_is_pinned(capsys, spec, n, fmt):
+    code, out, err = run(capsys, "eval", "--spec-text", spec, "--domain", "exact",
+                         "--n", str(n), "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_EXACT_SHA256[spec, n, fmt]
+
+
+def test_bfile_of_fractions_past_the_window_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--spec-text", FRAC, "--domain", "exact",
+                         "--n", "200", "--format", "bfile")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: bfile output needs integer values; this sequence has fractions\n"
+
+
 def test_bounds_rejects_tiny_n(capsys):
     code, _, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", "1")
     assert code == EXIT_USAGE
@@ -182,6 +213,17 @@ def test_oracle_rejects_n_beyond_cap(capsys):
     code, _, err = run(capsys, "oracle", "--spec-text", "sum 2 1", "--max-n", "40")
     assert code == EXIT_USAGE
     assert "size-cap" in err
+
+
+def test_oracle_refuses_more_trees_than_its_budget(capsys):
+    # MIX has 236,683,046,875 trees of size 8: counted before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--spec-text", MIX, "--max-n", "8")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "242,483,519,230 trees" in err and "budget" in err
+    code, _, err = run(capsys, "oracle", "--spec-text", MIX, "--max-n", "6")
+    assert code == EXIT_USAGE and "142,956,730 trees" in err
 
 
 def test_rate_mix(capsys):

@@ -17,7 +17,7 @@ from foldrate import (
     save_cache,
 )
 from foldrate import holonomic
-from helpers import MIXED_EXAMPLE, random_spec
+from helpers import MIXED_EXAMPLE, proved_by_lists, random_spec
 
 MIX = parse_spec(MIXED_EXAMPLE)
 
@@ -52,21 +52,68 @@ def test_mix_recurrence_has_order_5_and_degree_4():
 
 
 def test_perturbed_recurrence_fails_the_proof(monkeypatch):
+    # each coefficient, or each t_i with i < start, moved by one; the
+    # polynomial products of tests/helpers.py agree
     table = compute_sequence(MIX, 60, domain="exact")
     rec, t, pairs = table.recurrence, table._dom.cols[0], table._dom.pairs
     assert holonomic.proved(rec.coeffs, rec.start, t, pairs)
+    assert proved_by_lists(rec.coeffs, rec.start, t, pairs)
     for i, p in enumerate(rec.coeffs):
         for j in range(len(p)):
             for delta in (-1, 1):
                 coeffs = [list(q) for q in rec.coeffs]
                 coeffs[i][j] += delta
                 assert not holonomic.proved(coeffs, rec.start, t, pairs), (i, j, delta)
+                assert not proved_by_lists(coeffs, rec.start, t, pairs), (i, j, delta)
+    for i in range(rec.start):
+        for delta in (-1, 1):
+            moved = list(t)
+            moved[i] += delta
+            assert not holonomic.proved(rec.coeffs, rec.start, moved, pairs), (i, delta)
+            assert not proved_by_lists(rec.coeffs, rec.start, moved, pairs), (i, delta)
     # a recurrence that fails its proof is not used: the table stays on the engine
     reference = _values(compute_sequence(MIX, 120, domain="exact"))
     monkeypatch.setattr(holonomic, "proved", lambda *args: False)
     fallback = compute_sequence(MIX, 120, domain="exact")
     assert fallback.recurrence is None and len(fallback._dom.cols) == 4
     assert _values(fallback) == reference
+
+
+def test_the_proof_at_one_point_agrees_with_the_polynomial_products():
+    # proved evaluates the identity at y = 2^K; the reference builds it
+    # coefficient by coefficient.  The relations found for 56 random specs
+    # hold, and each fails with its last coefficient moved by one
+    rng = random.Random(18)
+    found = 0
+    for _ in range(56):
+        spec = random_spec(rng, max_terms=3, max_arity=4, kind=rng.choice(("mixed", "sum")))
+        table = compute_sequence(spec, 49, domain="exact")
+        if table.recurrence is None:
+            continue
+        found += 1
+        rec, t, pairs = table.recurrence, table._dom.cols[0], table._dom.pairs
+        moved = [list(p) for p in rec.coeffs]
+        moved[-1][-1] += 1
+        for coeffs, want in ((rec.coeffs, True), (moved, False)):
+            assert holonomic.proved(coeffs, rec.start, t, pairs) is want, spec.render()
+            assert proved_by_lists(coeffs, rec.start, t, pairs) is want, spec.render()
+    assert found >= 50
+
+
+def test_the_proof_point_is_past_every_root_it_could_hit():
+    # left sides that are not zero but vanish at y = 2^k: a proof point
+    # Y = 2^K with K too small for the bound W would meet that root for
+    # some k.  With P = y, B = 1 and N_1 = y(y - 1), the relation
+    # (m n + m - m 2^k) t_n = 0 from n = 0 has the left side m y (y - 2^k).
+    # With P = y (y - 2^k), the relation c t_n = 0 from n = 1 has
+    # c (y - 1) P, whose bound W carries the factor ||P|| = 2^k + 1.
+    cases = [(((m - m * 2 ** k, m),), 0, [1], [(1, 0)])
+             for k in range(80) for m in (1, 5, 1000)]
+    cases += [(((2 ** j,),), 1, [1], [(-(2 ** k), 0), (1, 1)])
+              for k in range(64) for j in range(k)]
+    for case in cases:
+        assert not holonomic.proved(*case), case
+        assert not proved_by_lists(*case), case
 
 
 def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from foldrate import (
     subtree_size_interval,
     tree_values,
 )
-from foldrate.trees import DEFAULT_SIZE_CAP, _lemma_holds
-from helpers import splits
+from foldrate.trees import DEFAULT_SIZE_CAP, _lemma_holds, tree_counts
+from helpers import random_spec, splits, tree_count_total
 
 CATALAN = parse_spec("sum 2 1")
 MAX22 = parse_spec("max 2 2")
@@ -30,6 +31,19 @@ def test_tree_counts_follow_catalan():
     for n in range(1, 9):
         assert oracle_summary(CATALAN, n)[0] == catalan_closed(n)
         assert sum(1 for _ in tree_values(CATALAN, n)) == catalan_closed(n)
+
+
+def test_tree_counts_match_the_enumeration_and_the_engine():
+    # the engine counts trees as the all-weight-1, all-sum exact table
+    assert tree_counts(CATALAN, 12) == [catalan_closed(n) for n in range(13)]
+    assert tree_counts(MIXED, 8)[1:] == [5, 100, 2875, 96875, 3569375, 139287500,
+                                         5657515625, 236683046875]
+    rng = random.Random(4)
+    for _ in range(10):
+        spec = random_spec(rng, max_terms=4, max_arity=4)
+        counts = tree_counts(spec, 30)
+        assert sum(counts[1:]) == tree_count_total(spec, 30), spec.render()
+        assert counts[:5] == [1] + [oracle_summary(spec, n)[0] for n in range(1, 5)]
 
 
 def test_size_one_trees_are_the_terms():
