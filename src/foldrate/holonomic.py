@@ -309,24 +309,17 @@ def proved(coeffs, start, t, pairs):
     W, nB2e = 0, nB2 ** e
     for i in range(start + 1):
         W = W * nP + ((sum(map(abs, map(operator.mul, d[i], nF))) + abs(q[i]) * nB2e) << i)
-    K = W.bit_length() + 1
-
-    def at(a):
-        v = 0
-        for c in reversed(a):
-            v = (v << K) + c
-        return v
-
-    Pv, B2, Ym1 = at(poly), at(B) ** 2, (1 << K) - 1
+    Y = 1 << (W.bit_length() + 1)
+    Pv, B2 = _value(poly, Y), _value(B, Y) ** 2
     F, B2e = [0] * (e + 1), 1  # F_k = N_k B^(2(e-k)) at Y; B2e ends at B^(2e)
     for k in range(e, -1, -1):
-        F[k] = at(N[k]) * B2e
+        F[k] = _value(N[k], Y) * B2e
         if k:
             B2e *= B2
     acc, power = 0, 1  # power = (Y-1)^i
     for i in range(start + 1):
         acc = acc * Pv + (sum(map(operator.mul, d[i], F)) - q[i] * B2e) * power
-        power *= Ym1
+        power *= Y - 1
     return not acc
 
 
