@@ -90,21 +90,10 @@ def _excess(consts: GrowthConstants, n: int, up: bool = False) -> float:
     return e * _EXCESS_UP if up else e
 
 
-def _bracket(ln_lo, ln_hi, consts: GrowthConstants, n: int, lo: int):
-    """(ln lower, ln upper) at n >= 2, read off numpy vectors of lower and
-    upper bounds on ln s_0..s_n (equal in the log domain, whose values
-    carry no rounding radius yet).
-
-    The lower is the best Fekete bound ln s_k / k at any k in [lo, n].
-    Each division and the final sum are rounded outward by an ulp (for
-    the lower, after the max, as stepping down commutes with it), and
-    e(n) is rounded up (_excess).
-    """
-    import numpy as np  # the rate and the CLI's start-up need none
-
-    k = np.arange(lo, n + 1, dtype=np.float64)
-    fekete = math.nextafter(float((ln_lo[lo : n + 1] / k).max()), -math.inf)
-    return fekete, _upper(float(ln_hi[n]), consts, n)
+def _sandwich(ln_lo_n: float, ln_hi_n: float, consts: GrowthConstants, n: int):
+    """(ln lower, ln upper) at n >= 2 from doubles at most and at least
+    ln s_n: ln s_n / n rounded down by an ulp, and upper(n)."""
+    return math.nextafter(ln_lo_n / n, -math.inf), _upper(ln_hi_n, consts, n)
 
 
 def _upper(ln_s: float, consts: GrowthConstants, n: int) -> float:
@@ -228,14 +217,17 @@ def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
     if ns is None:
         ns = _powers_of_two(max_n)
     report = BoundsReport(spec_text=table.spec.render(), epsilon=epsilon)
-    ln_s = table.ln_values(-1), table.ln_values(1)
+    # equal in the log domain, whose values carry no rounding radius yet
+    ln_lo, ln_hi = table.ln_values(-1), table.ln_values(1)
     for n in sorted(set(ns)):
         if n < 2:
             raise ValueError(f"bound needs n >= 2, got {n}")
         if n > max_n:
             raise ValueError(f"bounds read up to {max_n}, cannot evaluate at {n}")
-        report.add(n, *_bracket(*ln_s, consts, n, n))
-    report.best_ln_lower = max(report.best_ln_lower, _bracket(*ln_s, consts, max_n, 1)[0])
+        report.add(n, *_sandwich(ln_lo[n], ln_hi[n], consts, n))
+    # the best ln s_k / k at any k <= max_n; stepping down commutes with the max
+    fekete = math.nextafter(float((ln_lo[1 : max_n + 1] / range(1, max_n + 1)).max()), -math.inf)
+    report.best_ln_lower = max(report.best_ln_lower, fekete)
     report.max_n = max_n
     if epsilon is not None:
         report.converged = report.ratio <= 1.0 + epsilon
@@ -296,7 +288,7 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
             report.reason = "float range exceeded"
             break
         step = time.perf_counter() - step
-        report.add(n, math.nextafter(ln_lo / n, -math.inf), _upper(ln_hi, consts, n))
+        report.add(n, *_sandwich(ln_lo, ln_hi, consts, n))
         report.max_n = n
         log.info("refine n=%d lower=%.9g upper=%.9g ratio=%.6g",
                  n, exp_ln(report.best_ln_lower), exp_ln(report.best_ln_upper),

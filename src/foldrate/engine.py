@@ -58,18 +58,26 @@ s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
 at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
 with t_0 = 1.  Fraction appears only at the API boundary: values, fold
 cells and ln values go through the reduced t / D^m, and the cache stores
-t itself.  The engine loop computes t through a window W
+t itself.  The engine computes t through a window W
 (holonomic.WINDOWS); an extend past W searches once for a linear
-recurrence with polynomial coefficients, proves it, and from then on
-computes each t_n with r products and one exact division, holding s
-alone (holonomic docstring).  Where no recurrence is found the engine
-loop goes on.  Fold cells of a table on a recurrence come from an
-engine-only copy built on first use.
+recurrence (R) with polynomial coefficients and proves it (holonomic
+docstring).  Where none is found the engine goes on.
+
+Run.  One loop computes each t_n.  On a proved recurrence,
+
+    t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n),
+
+r products and one exact division, and a nonzero remainder raises
+ArithmeticError.  On the engine, and where p_0(n) = 0, t_n is the
+weighted sum of the ranks' cells at n - 1, which one filler brings up
+from the stored s by their recipes.  A table on a recurrence stores s
+alone: the ranks are emptied once the switch succeeds, and the filler
+rebuilds them from s, outside the byte count, for a fold cell, a root
+of p_0 or the load's budget check.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import struct
 import sys
@@ -106,22 +114,26 @@ class _ExactDomain:
     plan weight k enters as the integer D*k; the boundary methods take a
     stored cell with its index m back to the reduced Fraction t / D^m.
     ``rec`` is the proved recurrence (holonomic) the domain runs on past
-    its window, or None.  A domain on a recurrence holds s alone, and an
-    engine-only copy of every column, built on first use (_engine_cols),
-    gives its fold cells and t_n where p_0(n) = 0.  ``nbytes`` is the sum
-    of ``sys.getsizeof`` over the stored ints; there is no upfront budget,
-    since the size of an int is not known before it is computed.
+    its window, or None.  One loop, _run, extends the domain, and _fill
+    brings the ranks up from s (module docstring, "Run.").  ``nbytes`` is
+    the sum of ``sys.getsizeof`` over the counted ints; there is no
+    upfront budget, since the size of an int is not known before it is
+    computed.
     """
 
     fallback_cells = 0
 
     def __init__(self, scale: int, src: list, weights: dict):
-        self.scale, self._plan = scale, (scale, src, weights)
+        self.scale = scale
         self.pairs = [(w.numerator * (scale // w.denominator), a - 1)
                       for a, w in sorted(weights.items())]
         self.cols = [[1]] + [[] for _ in src]
+        # each rank's column and its recipe's two source columns; decode
+        # refills the same lists
+        self._steps = [(col, self.cols[a], self.cols[b])
+                       for col, (a, b) in zip(self.cols[1:], src)]
         self.nbytes = sys.getsizeof(1)
-        self.rec = self._eng = None
+        self.rec = None
 
     def extend(self, n0: int, new_n: int, limit: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return the n reached.
@@ -130,77 +142,100 @@ class _ExactDomain:
         more than ``limit`` bytes stored.  Without a recurrence, the
         engine computes each n through a window W (holonomic.WINDOWS),
         and an extend past W searches once; a proved recurrence computes
-        the rest, and the fold columns are dropped.  A call cut short by
-        any other exception leaves the table at n0.
+        the rest, and the ranks are emptied.  A call cut short by any
+        other exception leaves the table at n0, on the path it was on.
         """
         from . import holonomic  # only exact extends past a window use it
 
-        s, nbytes0 = self.cols[0], self.nbytes
-        rec, n = self.rec, n0
+        cols, rec0, nbytes0, n = self.cols, self.rec, self.nbytes, n0
         try:
             for w in holonomic.WINDOWS:
-                if rec is None and n <= w < new_n:
-                    n = self._engine(n, w, limit)
+                if self.rec is None and n <= w < new_n:
+                    n = self._run(n, w, limit)
                     if n < w:
                         return n
-                    rec = holonomic.find(s, self.pairs, w)
-            if rec is None:
-                return self._engine(n, new_n, limit)
-            nbytes = nbytes0 if self.rec else sum(map(sys.getsizeof, s))
-            n, nbytes = holonomic.run(rec, s, n, new_n, limit, nbytes, self._engine_cols)
+                    self.rec = holonomic.find(cols[0], self.pairs, w)
+                    if self.rec:
+                        self.nbytes = sum(map(sys.getsizeof, cols[0]))
+            n = self._run(n, new_n, limit)
         except BaseException:
-            del s[n0 + 1 :]
-            for col in self.cols[1:]:
+            del cols[0][n0 + 1 :]
+            for col in cols[1:]:
                 del col[n0:]
-            self.nbytes = nbytes0
+            self.rec, self.nbytes = rec0, nbytes0
             raise
-        self.rec, self.cols, self.nbytes = rec, [s], nbytes
+        if self.rec and not rec0:
+            for col in cols[1:]:
+                col.clear()
         return n
 
-    def _engine(self, n0: int, new_n: int, limit: int) -> int:
-        """The engine loop: each rank's cell at n - 1 from its recipe, then s_n."""
-        cols, nbytes = self.cols, self.nbytes
-        s = cols[0]
-        steps = [(col, cols[a], cols[b]) for col, (a, b) in zip(cols[1:], self._plan[1])]
-        mul, getsizeof = operator.mul, sys.getsizeof
+    def _run(self, n0: int, new_n: int, limit: int) -> int:
+        """Append t_{n0+1}..t_{new_n} to s (module docstring, "Run.") and
+        return the n reached, stopping before any n that would start with
+        more than ``limit`` bytes counted; rank cells count on the engine
+        alone."""
+        cols, pairs, fill, rec, nbytes = self.cols, self.pairs, self._fill, self.rec, self.nbytes
+        s, mul, getsizeof = cols[0], operator.mul, sys.getsizeof
+        # from the top power down; on the engine, p_0 = 0
+        p = [c[::-1] for c in rec.coeffs] if rec else [()]
+        # p_r .. p_1 line up with t_{n-r} .. t_{n-1}
+        lead, rest, r = p[0], p[:0:-1], len(p) - 1
         for n in range(n0 + 1, new_n + 1):
             if nbytes > limit:
                 new_n = n - 1
                 break
-            m = n - 1
-            h = (m + 1) // 2
-            for col, f, g in steps:
-                # each source holds 0..m: s until the ranks are done, and a
-                # rank before the ranks that read it
-                if f is g:
-                    # a square: the splits (i, m - i) with i < h and their
-                    # mirrors once, the middle i = m/2 alone
-                    v = sum(map(mul, f, f[m : m - h : -1]))
-                    v += v
-                    if not m & 1:
-                        v += f[h] * f[h]
-                else:
-                    v = sum(map(mul, f, g[m::-1]))
-                col.append(v)
-                nbytes += getsizeof(v)
-            v = sum(w * cols[i][m] for w, i in self.pairs)
+            den = 0
+            for a in lead:
+                den = den * n + a
+            if den:
+                c = []
+                for q in rest:
+                    v = 0
+                    for a in q:
+                        v = v * n + a
+                    c.append(v)
+                v, rem = divmod(-sum(map(mul, c, s[n - r : n])), den)
+                if rem:
+                    raise ArithmeticError(f"t_{n} is not an integer: the recurrence does not "
+                                          f"hold on the stored values")
+            else:
+                added = fill(n - 1)
+                nbytes += 0 if rec else added
+                v = sum(w * cols[i][n - 1] for w, i in pairs)
             s.append(v)
             nbytes += getsizeof(v)
         self.nbytes = nbytes
         return new_n
 
-    def _engine_cols(self, n: int) -> list:
-        """The columns of an engine-only copy of this domain through n."""
-        eng, self._eng = self._eng or _ExactDomain(*self._plan), None
-        eng._engine(len(eng.cols[0]) - 1, n, math.inf)
-        self._eng = eng
-        return eng.cols
+    def _fill(self, m: int) -> int:
+        """Bring every rank through index m from the stored s, by its
+        recipe; return the bytes added."""
+        mul, getsizeof, added = operator.mul, sys.getsizeof, 0
+        # the top rank, filled last, is the shortest (a cut-short fill leaves
+        # those below a cell ahead); with no rank, s already holds 0..m
+        for x in range(len(self.cols[-1]), m + 1):
+            h = (x + 1) // 2
+            for col, f, g in self._steps:
+                # each source holds 0..x: s, and a rank before the ranks that read it
+                if f is g:
+                    # a square: the splits (i, x - i) with i < h and their
+                    # mirrors once, the middle i = x/2 alone
+                    v = sum(map(mul, f, f[x : x - h : -1]))
+                    v += v
+                    if not x & 1:
+                        v += f[h] * f[h]
+                else:
+                    v = sum(map(mul, f, g[x::-1]))
+                col[x:] = (v,)
+                added += getsizeof(v)
+        return added
 
     def _cell(self, i: int, m: int) -> int:
-        """Column i's int at m; a domain on a recurrence reads its ranks
-        from the engine-only copy."""
-        cols = self.cols if i < len(self.cols) else self._engine_cols(m + 1)
-        return cols[i][m]
+        """Column i's int at m; a rank of a domain on a recurrence is
+        filled from s on first use."""
+        if i:
+            self._fill(m)
+        return self.cols[i][m]
 
     def rational(self, i: int, m: int) -> Fraction:
         return Fraction(self._cell(i, m), self.scale ** m)
@@ -232,27 +267,26 @@ class _ExactDomain:
         of: one whose bytes before its last n exceed the limit or, on a
         recurrence, whose engine columns did before its last step to the
         window W."""
-        self.cols = [[int.from_bytes(reader.take(reader.u("<Q")), "little")
-                      for _ in range(reader.record(count))] for count in counts]
+        for col, count in zip(self.cols, counts):
+            col[:] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
+                      for _ in range(reader.record(count))]
         getsizeof = sys.getsizeof
         self.nbytes = sum(sum(map(getsizeof, col)) for col in self.cols)
         n = counts[0] - 1
-        # the last n added s_n and each rank's cell at n - 1: every column's last value
-        before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols) if n else 0
+        # the last n added s_n and each stored rank's cell at n - 1
+        before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols if col) if n else 0
         if self.rec and before <= limit:
             w = self.rec.window
             # a rank's cell at m is at most the top rank's (t_0 = 1), which
             # times its integer weight is a term of t_{m+1}
             sizes = list(map(getsizeof, self.cols[0][:w]))
-            if sum(sizes) + len(self._plan[1]) * sum(sizes[1:]) > limit:
-                self._engine_cols(w - 1)
-                before = self._eng.nbytes
+            if sum(sizes) + len(self._steps) * sum(sizes[1:]) > limit:
+                before = sum(sizes) + self._fill(w - 2)
         if before > limit:
             raise MemoryBudgetError(
                 f"a table at n={n} holds {before} bytes before its last step, "
                 f"budget is {limit}"
             )
-
 
 
 # the value domains; a cache file's domain tag is the index of the name

@@ -8,9 +8,8 @@ D-finite (Stanley 1980; Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
 
     sum_{i=0..r} p_i(n) t_{n-i} = 0     for every n >= n0 >= r        (R)
 
-with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W,
-proves it, and runs it: each new t_n takes r products and one exact
-division by p_0(n).
+with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W
+and proves it; the exact domain runs it (engine docstring).
 
 Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
 j <= e.  Elimination mod a 21-bit prime that divides no weight of P
@@ -61,19 +60,15 @@ its value at Y is Y^m (c_m + Y R) with R an integer, and
 So the identity holds iff its value at Y is 0: exact integer
 arithmetic, with no bound on how many terms to check.  A relation that
 fails it is never used.
-
-Run.  t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n); a nonzero remainder
-raises ArithmeticError.  Where p_0(n) = 0 the engine supplies t_n.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
-__all__ = ["CAP", "WINDOWS", "Recurrence", "find", "proved", "run"]
+__all__ = ["CAP", "WINDOWS", "Recurrence", "find", "proved"]
 
 # At each window W that an extend crosses, a table still on the engine
 # holds t_0..t_W and searches once.  48 admits MIX's order 5 and degree 4
@@ -321,37 +316,3 @@ def proved(coeffs, start, t, pairs):
         acc = acc * Pv + (sum(map(operator.mul, d[i], F)) - q[i] * B2e) * power
         power *= Y - 1
     return not acc
-
-
-def run(rec, t, n0, new_n, limit, nbytes, engine_cols):
-    """Append t_{n0+1}..t_{new_n} to t by rec; return (n reached, nbytes).
-
-    Stops, with t valid, before any n that would start with more than
-    ``limit`` bytes stored; nbytes counts them.  Where p_0(n) = 0, t_n is
-    read off engine_cols(n), the engine's columns through n.
-    """
-    p = [c[::-1] for c in rec.coeffs]  # from the top power down
-    lead, rest = p[0], p[:0:-1]  # p_r .. p_1 line up with t_{n-r} .. t_{n-1}
-    r, mul, getsizeof = len(p) - 1, operator.mul, sys.getsizeof
-    for n in range(n0 + 1, new_n + 1):
-        if nbytes > limit:
-            return n - 1, nbytes
-        c = []
-        for q in rest:
-            v = 0
-            for a in q:
-                v = v * n + a
-            c.append(v)
-        den = 0
-        for a in lead:
-            den = den * n + a
-        if den:
-            v, rem = divmod(-sum(map(mul, c, t[n - r : n])), den)
-            if rem:
-                raise ArithmeticError(f"t_{n} is not an integer: the recurrence does not "
-                                      f"hold on the stored values")
-        else:
-            v = engine_cols(n)[0][n]
-        t.append(v)
-        nbytes += getsizeof(v)
-    return new_n, nbytes

@@ -72,7 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import _ln_outward
-from .recurrence import Op, RecurrenceSpec
+from .recurrence import RecurrenceSpec
 
 __all__ = ["ln_point", "point_bytes"]
 
@@ -105,7 +105,7 @@ def _chunk(d: int) -> tuple[int, int]:
 def point_bytes(spec: RecurrenceSpec, n: int) -> int:
     """Projected working set of ln_point(spec, n): the chunk's stack and
     the pairwise products and scaled copies made from it."""
-    d = max(t.arity if t.op is Op.SUM else 1 for t in spec.terms)  # deg P
+    d = max(spec.merged_weights()[0])  # deg P
     return 24 * d * d * min(n, sum(_chunk(d)))
 
 

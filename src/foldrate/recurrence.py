@@ -127,13 +127,16 @@ class RecurrenceSpec:
         arity, as when max weights were kept apart from the arity-1 sum
         weight, so a cached exact t_m = D^m s_m keeps its meaning.  It is
         a multiple of every merged total's denominator."""
+        # a Fraction sum costs microseconds, so only a repeated key adds one
+        # (lagrange.point_bytes asks at every refine step)
         totals: dict[tuple, Fraction] = {}
         for t in self.terms:
-            totals[t.op, t.arity] = totals.get((t.op, t.arity), Fraction(0)) + t.weight
+            k = t.op, t.arity
+            totals[k] = totals[k] + t.weight if k in totals else t.weight
         weights: dict[int, Fraction] = {}
         for (op, arity), w in totals.items():
             a = arity if op is Op.SUM else 1
-            weights[a] = weights.get(a, Fraction(0)) + w
+            weights[a] = weights[a] + w if a in weights else w
         return weights, math.lcm(*(w.denominator for w in totals.values()))
 
     def render(self) -> str:

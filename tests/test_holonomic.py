@@ -116,9 +116,9 @@ def test_the_proof_point_is_past_every_root_it_could_hit():
         assert not proved_by_lists(*case), case
 
 
-def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):
-    # MIX's recurrence times (n - 150) is a recurrence too, and proved; its
-    # p_0 vanishes at n = 150, where the run takes t_150 from the engine
+def _times_n_minus_150(monkeypatch):
+    """Have the search return MIX's recurrence times (n - 150), a proved
+    recurrence too, whose p_0 vanishes at n = 150; return its coefficients."""
     rec = compute_sequence(MIX, 60, domain="exact").recurrence
     times = tuple(tuple(b - 150 * a for a, b in zip(p + (0,), (0,) + p)) for p in rec.coeffs)
     real_find = holonomic.find
@@ -129,8 +129,26 @@ def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):
         return holonomic.Recurrence(times, found.start, found.window)
 
     monkeypatch.setattr(holonomic, "find", find)
+    return times
+
+
+def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):
+    # at n = 150 the run takes t_150 from the ranks' cells at 149
+    times = _times_n_minus_150(monkeypatch)
     table = compute_sequence(MIX, 300, domain="exact")
     assert table.recurrence.coeffs == times
+    assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
+
+
+def test_a_root_of_p0_after_a_resume(tmp_path, monkeypatch):
+    # a table saved on the recurrence at n = 100 loads with s alone, and
+    # at n = 150 its ranks are rebuilt from the loaded s
+    times = _times_n_minus_150(monkeypatch)
+    path = str(tmp_path / "mix.seq")
+    save_cache(compute_sequence(MIX, 100, domain="exact"), path)
+    table = load_cache(path, MIX)
+    assert table.recurrence.coeffs == times and not any(table._dom.cols[1:])
+    table.extend(300)
     assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
 
 
@@ -167,6 +185,23 @@ def test_fold_cells_of_a_table_on_a_recurrence_come_from_the_engine(monkeypatch)
             engine.sum_fold(j, m) for m in range(120)]
     with pytest.raises(IndexError):
         table.sum_fold(4, 120)
+
+
+def test_fold_cell_reads_on_a_recurrence_are_not_counted(tmp_path):
+    # the ranks that sum_fold fills from s hold no budget bytes: a table
+    # that read them stops where one that did not stops, and saves the
+    # same bytes
+    tables = [compute_sequence(MIX, 200, domain="exact") for _ in range(2)]
+    for j in (2, 3, 4):
+        tables[0].sum_fold(j, 199)
+    saved = []
+    for i, table in enumerate(tables):
+        table.memory_limit = 40_000
+        with pytest.raises(MemoryBudgetError):
+            table.extend(10_000)
+        save_cache(table, str(tmp_path / f"{i}.seq"))
+        saved.append((table.n, (tmp_path / f"{i}.seq").read_bytes()))
+    assert saved[0] == saved[1] and saved[0][0] > 200
 
 
 def test_load_reproves_the_recurrence(tmp_path):
