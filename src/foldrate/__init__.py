@@ -10,7 +10,8 @@ and s_n is the sum of the per-term contributions.  The package computes such
 sequences exactly (on Python ints, scaled by the lcm of the weight
 denominators) or in a log-domain float representation, derives certified
 lower/upper bounds on lim s_n^(1/n), and cross-checks the machinery against
-an exhaustive tree enumeration oracle.
+an exhaustive tree enumeration oracle, which refuses any run of more than
+trees.TREE_BUDGET trees before it builds one.
 
 Importing the package loads neither numpy nor the bounds, tree, cache,
 Lagrange and log-domain modules: each loads when first used.
@@ -40,12 +41,10 @@ from .engine import (
 
 __version__ = "0.1.0"
 
-# The defaults of refine (bounds) and of the tree oracle (trees).  They
-# live here so that the command line's parser reads them without loading
-# either module.
+# The defaults of refine (bounds).  They live here so that the command
+# line's parser reads them without loading that module.
 DEFAULT_EPSILON = 0.25
 DEFAULT_MAX_N = 1 << 14
-DEFAULT_SIZE_CAP = 9
 
 # Names resolved on first use, with the module that defines them: each
 # module is imported only when one of its names is asked for.
@@ -77,7 +76,6 @@ __all__ = [
     "CacheError",
     "CacheMismatchError",
     "DEFAULT_MEMORY_LIMIT",
-    "DEFAULT_SIZE_CAP",
     "ExactScalar",
     "GrowthConstants",
     "LogScalar",

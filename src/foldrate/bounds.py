@@ -55,7 +55,7 @@ from fractions import Fraction
 from . import DEFAULT_EPSILON, DEFAULT_MAX_N
 from .engine import DEFAULT_MEMORY_LIMIT, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants
-from .scalars import exp_ln, ln_fraction, round12
+from .scalars import _ln_outward, exp_ln, round12
 
 __all__ = [
     "BoundsEntry",
@@ -358,18 +358,3 @@ def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
             else:
                 b = mid
     return _ln_outward(lo, -1), _ln_outward(hi, 1)
-
-
-def _ln_outward(q: Fraction, side: int) -> float:
-    """A double at most (side -1) or at least (side 1) ln q, for q > 0.
-
-    Well inside the double range, q rounds to a double x with
-    |ln q - ln x| < 2^-52, and libm's log of x is taken as accurate to an
-    ulp of ln x, at most 2 ulps of the result v; the sum's rounding is
-    covered by the final step.  Elsewhere ln_fraction rounds outward,
-    with an allowance that grows with the size of q's terms.
-    """
-    if not 1e-300 < q < 1e300:
-        return ln_fraction(q, side)
-    v = math.log(q)
-    return math.nextafter(v + side * (2 * math.ulp(v) + 2.0 ** -52), side * math.inf)

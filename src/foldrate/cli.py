@@ -19,10 +19,11 @@ import logging
 import math
 import os
 import sys
+from fractions import Fraction
 
-from . import DEFAULT_EPSILON, DEFAULT_MAX_N, DEFAULT_SIZE_CAP
+from . import DEFAULT_EPSILON, DEFAULT_MAX_N
 from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
-from .recurrence import RecurrenceSpec, SpecError, parse_spec, parse_spec_json
+from .recurrence import Op, RecurrenceSpec, SpecError, parse_spec, parse_spec_json
 from .scalars import exp_ln, round12
 
 EXIT_OK = 0
@@ -188,7 +189,7 @@ def cmd_eval(args) -> int:
     # log domain
     if fmt == "bfile":
         raise _UsageError("bfile output needs the exact domain (--domain exact)")
-    lns = [table.value_ln(n) for n in range(args.n + 1)]
+    lns = table.ln_values()[: args.n + 1].tolist()
     # linear values that overflow a double print as inf (null in JSON)
     if fmt == "text":
         for i, ln in enumerate(lns):
@@ -240,36 +241,25 @@ def cmd_refine(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.max_n > args.size_cap:
-        raise _UsageError(
-            f"--max-n {args.max_n} exceeds --size-cap {args.size_cap}"
-        )
-    from .trees import TREE_BUDGET, check_subtree_lemma, oracle_summary, tree_counts
+    from .trees import check_subtree_lemma, check_tree_budget, oracle_summary
 
     spec = _load_spec(args)
-    total = sum(tree_counts(spec, args.max_n)[1:])
-    if total > TREE_BUDGET:
-        raise _UsageError(f"--max-n {args.max_n} would enumerate {total:,} trees, "
-                          f"over the budget of {TREE_BUDGET:,}")
-    table = SequenceTable(spec, domain="exact").extend(args.max_n)
-    all_sum = all(t.op.value == "sum" for t in spec.terms)
-    pure_max = len(spec.terms) == 1 and spec.terms[0].op.value == "max"
+    try:
+        check_tree_budget(spec, args.max_n)
+    except ValueError as exc:
+        raise _UsageError(f"--max-n {args.max_n}: {exc}") from None
+    t, scale = SequenceTable(spec, domain="exact").extend(args.max_n).scaled_values(args.max_n)
+    all_sum = all(term.op is Op.SUM for term in spec.terms)
+    pure_max = len(spec.terms) == 1 and spec.terms[0].op is Op.MAX
+    kind = "sum=s_n" if all_sum else "max=s_n" if pure_max else "max<=s_n<=sum"
     failed = False
     for n in range(1, args.max_n + 1):
-        count, total, best = oracle_summary(spec, n, size_cap=args.size_cap)
-        s_n = table.value(n).value
-        if all_sum:
-            value_ok = total == s_n
-            kind = "sum=s_n"
-        elif pure_max:
-            value_ok = best == s_n
-            kind = "max=s_n"
-        else:
-            value_ok = best <= s_n <= total
-            kind = "max<=s_n<=sum"
+        count, total, best = oracle_summary(spec, n)
+        s_n = Fraction(t[n], scale ** n)
+        value_ok = (total == s_n if all_sum else best == s_n if pure_max
+                    else best <= s_n <= total)
         lemma_ok = check_subtree_lemma(spec, n)
-        ok = value_ok and lemma_ok
-        failed = failed or not ok
+        failed = failed or not (value_ok and lemma_ok)
         print(f"n={n} trees={count} {kind}={'ok' if value_ok else 'FAIL'} "
               f"subtree-interval={'ok' if lemma_ok else 'FAIL'}")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -346,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="tree-enumeration cross-checks against the engine")
     add_spec_args(p)
     p.add_argument("--max-n", type=_nonneg_int, default=6,
-                   help="check sizes 1..max_n (default 6)")
-    p.add_argument("--size-cap", type=_nonneg_int, default=DEFAULT_SIZE_CAP,
-                   help=f"enumeration size cap (default {DEFAULT_SIZE_CAP})")
+                   help="check sizes 1..max_n (default 6); refused when those sizes "
+                        "hold more trees than the oracle's budget")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("rate", help="the growth rate in closed form, rounded outward")

@@ -46,7 +46,7 @@ The radius, a priori.  Let u = 2^-53 and gamma_d = d u / (1 - d u).
 So |ln b - e ln 2 - ln b_(n-1)| <= rho = 3m (-ln(1-u)) +
 (m-1) (-ln(1-gamma_d)), below (3m + d(m-1)) u (1 + 2^-17) while
 d u < 2^-20.  The last terms round outward: ln Phi_0 through
-bounds._ln_outward, |e| 2^-53 for the rounding of ln 2, and 16 ulps of
+scalars._ln_outward, |e| 2^-53 for the rounding of ln 2, and 16 ulps of
 the sum of the terms' magnitudes for two libm logs (an ulp each) and
 five roundings (half an ulp each), with a factor 2 in case that sum
 itself rounds below a power of two.
@@ -71,8 +71,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import _ln_outward
 from .recurrence import RecurrenceSpec
+from .scalars import _ln_outward
 
 __all__ = ["ln_point", "point_bytes"]
 

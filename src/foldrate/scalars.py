@@ -67,6 +67,21 @@ def ln_fraction(q, side: int = 0) -> float:
     return ln_ratio(q.numerator, q.denominator, side)
 
 
+def _ln_outward(q, side: int) -> float:
+    """A double at most (side -1) or at least (side 1) ln q, for q > 0.
+
+    Well inside the double range, q rounds to a double x with
+    |ln q - ln x| < 2^-52, and libm's log of x is taken as accurate to an
+    ulp of ln x, at most 2 ulps of the result v; the sum's rounding is
+    covered by the final step.  Elsewhere ln_fraction rounds outward,
+    with an allowance that grows with the size of q's terms.
+    """
+    if not 1e-300 < q < 1e300:
+        return ln_fraction(q, side)
+    v = math.log(q)
+    return math.nextafter(v + side * (2 * math.ulp(v) + 2.0 ** -52), side * math.inf)
+
+
 def log_sum_vec(values) -> float:
     """Stable log-sum-exp reduction of a numpy vector of ln-values."""
     import numpy as np  # only log tables call this; exact ones need no numpy

@@ -10,38 +10,38 @@ term; for mixed recurrences the two aggregates bracket s_n.
 
 The value oracle is deliberately brute force - streamed enumeration with
 no memoisation - so that agreement with the convolution engine is
-evidence, not circularity.  A size cap keeps the enumerators (tree_values,
-oracle_summary) from hanging a test run; pass a bigger cap explicitly to
-go past it.  The cap bounds the tree size, not the tree count, which
-grows exponentially: tree_counts gives the count for each size before
-any tree is built, and the command line's oracle refuses a run of more
-than TREE_BUDGET trees.  The subtree lemma depends on subtree sizes
+evidence, not circularity.  Its cost is the number of trees, which grows
+exponentially with their size, so one budget bounds every enumeration:
+check_tree_budget refuses sizes 1..n that hold more than TREE_BUDGET trees
+before any tree is built, and tree_values, oracle_summary and the command
+line's oracle all call it.  The subtree lemma depends on subtree sizes
 alone, and check_subtree_lemma decides it by a dynamic programme over
-sizes, uncapped.
+sizes, unbudgeted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from . import DEFAULT_SIZE_CAP
 from .recurrence import RecurrenceSpec
 
 __all__ = [
-    "DEFAULT_SIZE_CAP",
     "TREE_BUDGET",
     "check_subtree_lemma",
+    "check_tree_budget",
     "oracle_summary",
     "subtree_size_interval",
     "tree_counts",
     "tree_values",
 ]
 
-# The most trees the command line's oracle enumerates in one run: about a
-# minute and a half at the 1.2 * 10^5 trees per second that oracle_summary
-# reaches on the paper's mixed spec (2-core Xeon, Python 3.11), whose
-# sizes 1..5 (3,669,230 trees) it admits and 1..6 (142,956,730) refuses.
+# The most trees that sizes 1..n may hold for an enumeration through size n,
+# read by check_tree_budget at each call: about a minute and a half at the
+# 1.2 * 10^5 trees per second that oracle_summary reaches on the paper's
+# mixed spec (2-core Xeon, Python 3.11), whose sizes 1..5 (3,669,230
+# trees) it admits and 1..6 (142,956,730) refuses.
 TREE_BUDGET = 10 ** 7
 
 
@@ -55,23 +55,34 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _check_size(n: int, size_cap: float = math.inf):
+def _check_size(n: int):
     if n < 1:
         raise ValueError(f"tree size must be >= 1, got {n}")
-    if n > size_cap:
-        raise ValueError(
-            f"tree size {n} exceeds the enumeration cap {size_cap}; "
-            f"pass size_cap={n} explicitly to force it"
-        )
 
 
-def _scaled_values(spec: RecurrenceSpec, n: int, size_cap: int):
+def check_tree_budget(spec: RecurrenceSpec, n: int) -> None:
+    """Raise ValueError if sizes 1..n hold more than TREE_BUDGET trees.
+
+    Every spec has a term of arity >= 2 (RecurrenceSpec checks it), so
+    c_m >= 2 c_(m-1) for m >= 2 and sizes 1..m hold at least 2^m - 1
+    trees, past the budget from m = TREE_BUDGET.bit_length() + 1 on: the
+    count goes no further, whatever n is.
+    """
+    counts = tree_counts(spec, min(n, TREE_BUDGET.bit_length() + 1))
+    for m, total in enumerate(itertools.accumulate(counts[1:]), 1):
+        if total > TREE_BUDGET:
+            raise ValueError(f"sizes 1..{m} hold {total:,} trees, "
+                             f"over the budget of {TREE_BUDGET:,}")
+
+
+def _scaled_values(spec: RecurrenceSpec, n: int):
     """(D**n, iterator over D**n times each tree value) for trees of size n.
 
     D is the lcm of the weight denominators, so every vertex weight enters
     as the integer D*k and a tree's product never needs a Fraction.
     """
-    _check_size(n, size_cap)
+    _check_size(n)
+    check_tree_budget(spec, n)
     scale = math.lcm(*(t.weight.denominator for t in spec.terms))
     plan = [(t.arity, t.weight.numerator * (scale // t.weight.denominator))
             for t in spec.terms]
@@ -95,24 +106,24 @@ def _scaled_values(spec: RecurrenceSpec, n: int, size_cap: int):
     return scale ** n, values(n)
 
 
-def tree_values(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
+def tree_values(spec: RecurrenceSpec, n: int):
     """Yield the value of every tree with n vertices, one per tree.
 
     Order: root term index ascending, then the branch-size split
     lexicographically, then recursively the same within each branch.
     """
-    den, values = _scaled_values(spec, n, size_cap)
+    den, values = _scaled_values(spec, n)
     for v in values:
         yield Fraction(v, den)
 
 
-def oracle_summary(spec: RecurrenceSpec, n: int, size_cap: int = DEFAULT_SIZE_CAP):
+def oracle_summary(spec: RecurrenceSpec, n: int):
     """(count, sum of values, max of values) over all trees with n vertices.
 
     The sum equals s_n for all-sum recurrences, the max equals s_n for a
     single max term, and for anything else the two bracket s_n.
     """
-    den, values = _scaled_values(spec, n, size_cap)
+    den, values = _scaled_values(spec, n)
     count = total = best = 0
     for v in values:
         count += 1

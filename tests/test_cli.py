@@ -1,9 +1,12 @@
 """Command line front end: outputs, formats, exit codes, cache plumbing."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -209,19 +212,67 @@ def test_oracle_small(capsys):
     assert all("sum=s_n=ok" in line and "subtree-interval=ok" in line for line in lines)
 
 
-def test_oracle_rejects_n_beyond_cap(capsys):
-    code, _, err = run(capsys, "oracle", "--spec-text", "sum 2 1", "--max-n", "40")
-    assert code == EXIT_USAGE
-    assert "size-cap" in err
+# sha256 of the `oracle` stdout, recorded while the command read s_n through
+# the table's scalar records; max 4 3 at --max-n 8 (8 s) and MIX at 5 (28 s)
+# gave the same bytes before and after that change, but are too slow here
+ORACLE_SHA256 = {
+    ("sum 2 1", 8): "cb40a2e9faaf178b130b74775a126fac7b791be504d532c48952d9c2b7de72eb",
+    ("max 2 2", 8): "7214262d82a8242b7f9afab76464229bdd6e39bdc381755a16eb23a9c34448f2",
+    ("max 4 3", 7): "aebe3cb8b3c235e087f08d2cfa52aaa5fb14152d053086cddd81b0acac982860",
+    (MIX, 4): "b1f19bc942bfd005ae51abb8d9adf5d07e14c78908ef5c38539f4a72dc9c267c",
+}
+
+
+@pytest.mark.parametrize("spec,n", sorted(ORACLE_SHA256))
+def test_oracle_output_is_pinned(capsys, spec, n):
+    code, out, err = run(capsys, "oracle", "--spec-text", spec, "--max-n", str(n))
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_SHA256[spec, n]
+
+
+def test_oracle_max_n_zero_prints_nothing(capsys):
+    assert run(capsys, "oracle", "--spec-text", MIX, "--max-n", "0") == (EXIT_OK, "", "")
+
+
+# sha256 of the `eval --domain log` stdout of MIX to 300, the same cold and
+# from a log cache written at 400: float64 values from numpy convolutions
+# on x86-64, as in test_engine's test_log_values_are_pinned
+EVAL_LOG_SHA256 = {
+    "text": "54c32865744b7ec5874dd7712b2bef13d5753d60dca490f0c098d15ca8522f43",
+    "json": "8b6cb548e050a63999c9599a18040220b1c8b0fcfaec3b6338e332b440cf628d",
+    "csv": "c1c8e398d663dc45cfd80ea8797c917778ca05e0bfa263406801de0f1cbcd662",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_LOG_SHA256))
+def test_eval_log_output_is_pinned(tmp_path, capsys, fmt):
+    cache = str(tmp_path / "mix.cache")
+    assert run(capsys, "eval", "--spec-text", MIX, "--n", "400", "--cache", cache)[0] == EXIT_OK
+    for argv in ([], ["--cache", cache]):
+        code, out, err = run(capsys, "eval", "--spec-text", MIX, "--n", "300",
+                             "--format", fmt, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == EVAL_LOG_SHA256[fmt], argv
+
+
+def test_oracle_refuses_a_huge_max_n_at_once(capsys):
+    # Catalan's sizes 1..15 already hold more than 10^7 trees: the count
+    # stops there, well before size 10^6
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--spec-text", "sum 2 1", "--max-n", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: --max-n 1000000: ") and "budget" in err
 
 
 def test_oracle_refuses_more_trees_than_its_budget(capsys):
-    # MIX has 236,683,046,875 trees of size 8: counted before any is built
+    # MIX's sizes 1..6 hold 142,956,730 trees: counted before any is built,
+    # and the count stops there
     start = time.perf_counter()
     code, out, err = run(capsys, "oracle", "--spec-text", MIX, "--max-n", "8")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (EXIT_USAGE, "")
-    assert "242,483,519,230 trees" in err and "budget" in err
+    assert "142,956,730 trees" in err and "budget" in err
     code, _, err = run(capsys, "oracle", "--spec-text", MIX, "--max-n", "6")
     assert code == EXIT_USAGE and "142,956,730 trees" in err
 
@@ -343,6 +394,19 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == EXIT_OK
     assert "eval" in out and "refine" in out
+
+
+def test_readme_names_every_long_option():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    parsers, options = [cli.build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(o for o in action.option_strings if o.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    missing = [o for o in sorted(options)
+               if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme)]
+    assert not missing, missing
 
 
 def test_spec_files_text_and_json(tmp_path, capsys):

@@ -43,9 +43,8 @@ def test_every_module_parses_to_fewer_than_4096_tokens():
 
 
 def test_tree_oracle_shares_no_code_with_the_engine():
-    # foldrate.trees reads the parsed spec and the root constants and
-    # nothing else from the package, so its agreement with the engine is
-    # evidence, not circularity
+    # foldrate.trees reads the parsed spec and nothing else from the
+    # package, so its agreement with the engine is evidence, not circularity
     path = pathlib.Path(foldrate.__file__).parent / "trees.py"
     relative, absolute = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -56,8 +55,19 @@ def test_tree_oracle_shares_no_code_with_the_engine():
         elif isinstance(node, ast.Import):
             absolute |= {alias.name for alias in node.names}
     assert not any(name.startswith("foldrate") for name in absolute), absolute
-    assert {module for module, _ in relative} <= {None, "recurrence"}, relative
-    assert all(name.isupper() for module, name in relative if module is None), relative
+    assert {module for module, _ in relative} <= {"recurrence"}, relative
+
+
+def test_point_evaluator_imports_nothing_from_bounds():
+    # foldrate.lagrange rounds ln Phi_0 outward with scalars._ln_outward;
+    # bounds loads lagrange, never the other way round
+    path = pathlib.Path(foldrate.__file__).parent / "lagrange.py"
+    imported = set()  # module and imported names: "from . import bounds" names it
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {getattr(node, "module", None)} | {alias.name for alias in node.names}
+    assert not {"bounds", "foldrate.bounds"} & imported, imported
+    assert "scalars" in imported, imported
 
 
 def test_refine_builds_no_table_and_the_cli_loads_no_point_evaluator():

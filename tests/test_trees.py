@@ -15,7 +15,8 @@ from foldrate import (
     subtree_size_interval,
     tree_values,
 )
-from foldrate.trees import DEFAULT_SIZE_CAP, _lemma_holds, tree_counts
+from foldrate import trees
+from foldrate.trees import _lemma_holds, check_tree_budget, tree_counts
 from helpers import random_spec, splits, tree_count_total
 
 CATALAN = parse_spec("sum 2 1")
@@ -120,17 +121,29 @@ def test_multi_term_max_specs_only_bracket():
     assert oracle_summary(spec, 1)[2] == 1
 
 
-def test_size_cap_guard():
-    with pytest.raises(ValueError) as exc:
-        list(tree_values(CATALAN, DEFAULT_SIZE_CAP + 1))
-    assert "size_cap" in str(exc.value)
-    with pytest.raises(ValueError):
-        oracle_summary(CATALAN, DEFAULT_SIZE_CAP + 1)
-    # explicit override works
-    n = DEFAULT_SIZE_CAP + 1
-    assert oracle_summary(CATALAN, n, size_cap=n)[1] == catalan_closed(n)
-    with pytest.raises(ValueError):
-        list(tree_values(CATALAN, 0))
+def test_tree_budget_guard():
+    # the budget counts trees, not sizes: MIXED's sizes 1..9 hold more than
+    # 10^13 trees and are refused before the first is built, while Catalan
+    # at 10 (16,796 trees) runs
+    with pytest.raises(ValueError, match="budget"):
+        next(tree_values(MIXED, 9))
+    with pytest.raises(ValueError, match="sizes 1..6 hold 142,956,730 trees"):
+        oracle_summary(MIXED, 6)
+    assert oracle_summary(CATALAN, 10)[1] == catalan_closed(10)
+    check_tree_budget(MIXED, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="tree size"):
+            list(tree_values(CATALAN, n))
+
+
+def test_tree_budget_is_read_at_each_call(monkeypatch):
+    # Catalan's sizes 1..5 hold 64 trees and 1..6 hold 196
+    monkeypatch.setattr(trees, "TREE_BUDGET", 100)
+    assert oracle_summary(CATALAN, 5)[0] == 42
+    with pytest.raises(ValueError, match="sizes 1..6 hold 196 trees"):
+        oracle_summary(CATALAN, 6)
+    with pytest.raises(ValueError, match="budget of 100"):
+        next(tree_values(CATALAN, 7))
 
 
 def test_subtree_size_interval_values():
