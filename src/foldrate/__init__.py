@@ -14,7 +14,8 @@ an exhaustive tree enumeration oracle, which refuses any run of more than
 trees.TREE_BUDGET trees before it builds one.
 
 Importing the package loads neither numpy nor the bounds, tree, cache,
-Lagrange and log-domain modules: each loads when first used.
+Lagrange, log-domain and recurrence-search modules, nor json, csv,
+logging, hashlib or dataclasses: each loads when first used.
 """
 
 import importlib

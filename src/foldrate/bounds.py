@@ -276,14 +276,18 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     n_star = _last_step(consts, epsilon, max_n)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
 
+    # deg P now, the taps at the first point: a point over the memory
+    # budget never computes them
+    d, taps = max(spec.merged_weights()[0]), None
     n, slowdown, last_rate = 2, 1.0, None
     while True:
-        if lagrange.point_bytes(spec, n) > memory_limit:
+        if lagrange._point_bytes(d, n) > memory_limit:
             report.reason = "memory budget exhausted"
             break
         step = time.perf_counter()
         try:
-            ln_lo, ln_hi = lagrange.ln_point(spec, n)
+            taps = taps or lagrange._taps(spec)
+            ln_lo, ln_hi = lagrange._ln_point(taps, n)
         except FloatingPointError:
             report.reason = "float range exceeded"
             break

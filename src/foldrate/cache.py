@@ -28,7 +28,7 @@ import os
 import struct
 import zlib
 
-from .engine import _DOMAINS, DEFAULT_MEMORY_LIMIT, SequenceTable
+from .engine import _DOMAINS, DEFAULT_MEMORY_LIMIT, WINDOWS, SequenceTable
 from .recurrence import RecurrenceSpec
 
 __all__ = ["CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
@@ -112,7 +112,7 @@ def _read_recurrence(reader: _Reader, n: int):
     from . import holonomic  # only exact tables past their window load it
 
     r, e, start, window = _RECURRENCE.unpack(reader.take(_RECURRENCE.size))
-    if (r + 1) * (e + 1) > holonomic.CAP or window not in holonomic.WINDOWS \
+    if (r + 1) * (e + 1) > holonomic.CAP or window not in WINDOWS \
             or not r <= start <= window <= n:
         raise CacheCorruptError("recurrence record is out of range")
     coeffs = tuple(tuple(int.from_bytes(reader.take(reader.u("<Q")), "little", signed=True)

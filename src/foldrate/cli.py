@@ -6,16 +6,14 @@ enumeration cross-checks), rate (the closed-form rate's interval).  Exit
 codes: 0 success, 1 a check failed or the reader closed stdout early (as
 ``| head`` does), 2 usage or input error, 3 resource budget exceeded.
 Each subcommand imports the modules it runs, so bounds, trees and numpy
-load only for the subcommands that use them.
+load only for the subcommands that use them, and json, csv and logging
+only for the output and the logging that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
-import logging
 import math
 import os
 import sys
@@ -32,8 +30,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 CACHE_DIR_ENV = "FOLDRATE_CACHE_DIR"
-
-log = logging.getLogger(__name__)
 
 
 class _UsageError(Exception):
@@ -125,15 +121,22 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
 
 
 def _write_csv(rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+    import csv
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
+def _print_json(doc) -> None:
+    import json
+
+    print(json.dumps(doc, indent=2))
 
 
 def _print_report(report, fmt: str) -> None:
     if fmt == "csv":
         _write_csv(report.csv_rows())
     else:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
 
 
 # -- eval ----------------------------------------------------------------
@@ -159,15 +162,7 @@ def _print_exact(spec: RecurrenceSpec, table: SequenceTable, n: int, fmt: str) -
     if fmt == "text":
         print(" ".join(values))
     elif fmt == "json":
-        print(json.dumps(
-            {
-                "spec": spec.render(),
-                "domain": "exact",
-                "n": n,
-                "values": values,
-            },
-            indent=2,
-        ))
+        _print_json({"spec": spec.render(), "domain": "exact", "n": n, "values": values})
     elif fmt == "csv":
         _write_csv([["n", "value"]] + list(enumerate(values)))
 
@@ -195,16 +190,9 @@ def cmd_eval(args) -> int:
         for i, ln in enumerate(lns):
             print(f"{i}\t{round12(ln)}\t{round12(exp_ln(ln))}")
     elif fmt == "json":
-        print(json.dumps(
-            {
-                "spec": spec.render(),
-                "domain": "log",
-                "n": args.n,
-                "ln_values": [round12(v) for v in lns],
-                "values": [round12(exp_ln(v, None)) for v in lns],
-            },
-            indent=2,
-        ))
+        _print_json({"spec": spec.render(), "domain": "log", "n": args.n,
+                     "ln_values": [round12(v) for v in lns],
+                     "values": [round12(exp_ln(v, None)) for v in lns]})
     elif fmt == "csv":
         _write_csv([["n", "ln_value", "value"]]
                    + [[i, round12(v), round12(exp_ln(v))] for i, v in enumerate(lns)])
@@ -226,14 +214,30 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    import logging  # refine is the one command that logs
+
     from .bounds import refine
 
     spec = _load_spec(args)
-    report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds,
-                    memory_limit=args.memory_limit)
-    _print_report(report, args.format)
-    if not report.converged:
-        log.warning("not converged: %s (ratio %.6g)", report.reason, report.ratio)
+    # this call's records, at the level its -v asks for, go to the stderr
+    # it runs with, as bare message lines (the default format), and only
+    # there; the logger is as it was once the call returns
+    log = logging.getLogger("foldrate")
+    saved = log.level, log.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    log.addHandler(handler)
+    log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+    log.propagate = False
+    try:
+        report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds,
+                        memory_limit=args.memory_limit)
+        _print_report(report, args.format)
+        if not report.converged:
+            log.warning("not converged: %s (ratio %.6g)", report.reason, report.ratio)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
     return EXIT_OK
 
 
@@ -274,8 +278,8 @@ def cmd_rate(args) -> int:
     spec = _load_spec(args)
     lo, hi = rate_interval(spec)
     # printed unrounded: round12 rounds to nearest and could move them inward
-    print(json.dumps({"spec": spec.render(), "ln_lower": lo, "ln_upper": hi,
-                      "lower": exp_ln(lo, None), "upper": exp_ln(hi, None)}, indent=2))
+    _print_json({"spec": spec.render(), "ln_lower": lo, "ln_upper": hi,
+                 "lower": exp_ln(lo, None), "upper": exp_ln(hi, None)})
     return EXIT_OK
 
 
@@ -358,12 +362,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -58,10 +58,11 @@ s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
 at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
 with t_0 = 1.  Fraction appears only at the API boundary: values, fold
 cells and ln values go through the reduced t / D^m, and the cache stores
-t itself.  The engine computes t through a window W
-(holonomic.WINDOWS); an extend past W searches once for a linear
-recurrence (R) with polynomial coefficients and proves it (holonomic
-docstring).  Where none is found the engine goes on.
+t itself.  The engine computes t through a window W in
+WINDOWS; an extend past W searches once for a linear recurrence (R)
+with polynomial coefficients and proves it (holonomic docstring), and
+only such an extend loads that module.  Where none is found the engine
+goes on.
 
 Run.  One loop computes each t_n.  On a proved recurrence,
 
@@ -96,12 +97,20 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_LIMIT = 8 << 30  # bytes of table payload, not process RSS
+# the n at which a table still on the engine searches for a recurrence
+# (holonomic docstring)
+WINDOWS = (48, 104)
+# the least a sum rank holds before any value: its 8-byte slot in the
+# exact domain's list of columns, or the float64 of its row in the log
+# domain (recipes and lists add about 220 more)
+_RANK_BYTES = 8
 
 
 class MemoryBudgetError(RuntimeError):
-    """Extending further would exceed the configured memory budget.
+    """Building or extending a table would exceed its memory budget.
 
-    The table that raised this is still valid at the length it reached.
+    A table that raised this in extend is still valid at the length it
+    reached.
     """
 
 
@@ -140,20 +149,20 @@ class _ExactDomain:
 
         Stops, with the table valid, before any n that would start with
         more than ``limit`` bytes stored.  Without a recurrence, the
-        engine computes each n through a window W (holonomic.WINDOWS),
-        and an extend past W searches once; a proved recurrence computes
-        the rest, and the ranks are emptied.  A call cut short by any
-        other exception leaves the table at n0, on the path it was on.
+        engine computes each n through a window W in WINDOWS, and an
+        extend past W searches once; a proved recurrence computes the
+        rest, and the ranks are emptied.  A call cut short by any other
+        exception leaves the table at n0, on the path it was on.
         """
-        from . import holonomic  # only exact extends past a window use it
-
         cols, rec0, nbytes0, n = self.cols, self.rec, self.nbytes, n0
         try:
-            for w in holonomic.WINDOWS:
+            for w in WINDOWS:
                 if self.rec is None and n <= w < new_n:
                     n = self._run(n, w, limit)
                     if n < w:
                         return n
+                    from . import holonomic  # loaded by the first search
+
                     self.rec = holonomic.find(cols[0], self.pairs, w)
                     if self.rec:
                         self.nbytes = sum(map(sys.getsizeof, cols[0]))
@@ -319,6 +328,10 @@ class SequenceTable:
         # and folds s with rank j - 1 for odd j: every rank 2..top is
         # stored, and the cache records each.
         self._top = max((a for a in weights if a >= 2), default=0)
+        if (self._top - 1) * _RANK_BYTES > memory_limit:
+            raise MemoryBudgetError(
+                f"{self._top - 1} sum ranks need over {(self._top - 1) * _RANK_BYTES} "
+                f"bytes before any value, budget is {memory_limit}")
         self._src = [(j // 2 - 1,) * 2 if j % 2 == 0 else (0, j - 2)
                      for j in range(2, self._top + 1)]
         # the domain's (weight, column) pairs: each arity reads its rank;

@@ -66,15 +66,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
-__all__ = ["CAP", "WINDOWS", "Recurrence", "find", "proved"]
+from .scalars import _Record
 
-# At each window W that an extend crosses, a table still on the engine
-# holds t_0..t_W and searches once.  48 admits MIX's order 5 and degree 4
-# (30 unknowns); 104 admits every (r+1)(e+1) <= CAP with e >= 1.
+__all__ = ["CAP", "Recurrence", "find", "proved"]
+
+# At each window W in engine.WINDOWS that an extend crosses, a table
+# still on the engine holds t_0..t_W and searches once.  48 admits MIX's
+# order 5 and degree 4 (30 unknowns); 104 admits every (r+1)(e+1) <= CAP
+# with e >= 1.
 CAP = 64
-WINDOWS = (48, 104)
 _MARGIN = 8
 # the search's primes, below 2^21 (_first_dependent), and the lifting
 # primes, below 2^31: a product of two residues fits an int64.  The
@@ -86,14 +88,11 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 214748354
            2147483353, 2147483323, 2147483269, 2147483249)
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
     """(R): coeffs[i][j] is the n^j coefficient of p_i.  It holds for
     n >= start, and the engine supplied t_0..t_window."""
 
-    coeffs: tuple
-    start: int
-    window: int
+    __slots__ = ()
 
 
 def _matrix(t, cols, rows, p):

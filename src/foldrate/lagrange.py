@@ -67,7 +67,6 @@ failed guard raises FloatingPointError instead of returning a bracket.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,16 +82,15 @@ _RATIO = 2.0 ** 200  # bound on r_j and 1 / r_j
 _LN2 = math.log(2.0)
 
 
-@lru_cache(maxsize=16)
 def _taps(spec: RecurrenceSpec):
-    """(Phi_0, its ln rounded down and up, read-only r_1..r_d)."""
+    """(ln Phi_0 rounded down and up, r_1..r_d): what _ln_point reads of
+    a spec, resolved once per refine."""
     weights = spec.merged_weights()[0]
     phi = [sum(w * math.comb(a, j) for a, w in weights.items() if a >= j)
            for j in range(max(weights) + 1)]
     r = np.array([float(p / phi[0]) for p in phi[1:]])
     if not ((1 / _RATIO <= r) & (r <= _RATIO)).all():
         raise FloatingPointError("Phi_j / Phi_0 outside [2^-200, 2^200]")
-    r.flags.writeable = False
     return _ln_outward(phi[0], -1), _ln_outward(phi[0], 1), r
 
 
@@ -103,9 +101,13 @@ def _chunk(d: int) -> tuple[int, int]:
 
 
 def point_bytes(spec: RecurrenceSpec, n: int) -> int:
-    """Projected working set of ln_point(spec, n): the chunk's stack and
-    the pairwise products and scaled copies made from it."""
-    d = max(spec.merged_weights()[0])  # deg P
+    """Projected working set of ln_point(spec, n) (_point_bytes)."""
+    return _point_bytes(max(spec.merged_weights()[0]), n)
+
+
+def _point_bytes(d: int, n: int) -> int:
+    """Projected working set of a point at n for d = deg P: the chunk's
+    stack and the pairwise products and scaled copies made from it."""
     return 24 * d * d * min(n, sum(_chunk(d)))
 
 
@@ -133,7 +135,12 @@ def ln_point(spec: RecurrenceSpec, n: int) -> tuple[float, float]:
     """(lo, hi) with lo <= ln s_n <= hi, for 1 <= n with (n+1)(d+3) < 2^53
     and d < 2^16 (module docstring).  Raises FloatingPointError if a range guard
     fails."""
-    ln_lo, ln_hi, r = _taps(spec)
+    return _ln_point(_taps(spec), n)
+
+
+def _ln_point(taps: tuple, n: int) -> tuple[float, float]:
+    """ln_point for the spec whose _taps are given."""
+    ln_lo, ln_hi, r = taps
     d = len(r)
     if n < 1 or (n + 1) * (d + 3) >= 1 << 53 or d >= 1 << 16:
         raise ValueError(f"ln_point needs 1 <= n, (n+1)(d+3) < 2^53 and d < 2^16, "

@@ -15,13 +15,11 @@ A JSON form carries the same content as ``{"terms": [{"op": ..., "arity":
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import ln_fraction
+from .scalars import _Record, ln_fraction
 
 __all__ = [
     "GrowthConstants",
@@ -65,44 +63,43 @@ class SpecValidationError(SpecError):
     """Readable input that does not describe a usable recurrence."""
 
 
-@dataclass(frozen=True)
-class Term:
-    """One weighted convolution term of a recurrence."""
+class Term(_Record, namedtuple("Term", "op arity weight")):
+    """One weighted convolution term of a recurrence: an Op, an int arity
+    and a Fraction weight."""
 
-    op: Op
-    arity: int
-    weight: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.op, Op):
-            raise SpecValidationError(f"op must be Op.SUM or Op.MAX, got {self.op!r}")
-        if not isinstance(self.arity, int) or isinstance(self.arity, bool):
-            raise SpecValidationError(f"arity must be an integer, got {self.arity!r}")
-        if self.arity < 1:
-            raise SpecValidationError(f"arity must be >= 1, got {self.arity}")
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.weight <= 0:
-            raise SpecValidationError(f"weight must be positive, got {self.weight}")
+    def __new__(cls, op, arity, weight):
+        if not isinstance(op, Op):
+            raise SpecValidationError(f"op must be Op.SUM or Op.MAX, got {op!r}")
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise SpecValidationError(f"arity must be an integer, got {arity!r}")
+        if arity < 1:
+            raise SpecValidationError(f"arity must be >= 1, got {arity}")
+        weight = Fraction(weight)
+        if weight <= 0:
+            raise SpecValidationError(f"weight must be positive, got {weight}")
+        return super().__new__(cls, op, arity, weight)
 
     def render(self) -> str:
         return f"{self.op.value} {self.arity} {self.weight}"
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """An ordered, validated collection of terms."""
+class RecurrenceSpec(_Record, namedtuple("RecurrenceSpec", "terms")):
+    """An ordered, validated collection of terms, a tuple of Terms."""
 
-    terms: tuple[Term, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __new__(cls, terms):
+        terms = tuple(terms)
+        if not terms:
             raise SpecValidationError("a recurrence needs at least one term")
-        if all(t.arity < 2 for t in self.terms):
+        if all(t.arity < 2 for t in terms):
             raise SpecValidationError(
                 "no term with arity >= 2; the sequence would reduce to a "
                 "geometric progression and the growth analysis does not apply"
             )
+        return super().__new__(cls, terms)
 
     @property
     def max_arity(self) -> int:
@@ -128,7 +125,6 @@ class RecurrenceSpec:
         weight, so a cached exact t_m = D^m s_m keeps its meaning.  It is
         a multiple of every merged total's denominator."""
         # a Fraction sum costs microseconds, so only a repeated key adds one
-        # (lagrange.point_bytes asks at every refine step)
         totals: dict[tuple, Fraction] = {}
         for t in self.terms:
             k = t.op, t.arity
@@ -148,6 +144,8 @@ class RecurrenceSpec:
         return "\n".join(f"{op} {arity} {w}" for op, arity, w in keys) + "\n"
 
     def digest(self) -> bytes:
+        import hashlib  # only the cache asks for a digest
+
         return hashlib.sha256(self.canonical_text().encode("ascii")).digest()
 
 
@@ -221,6 +219,8 @@ def parse_spec(text: str) -> RecurrenceSpec:
 
 def parse_spec_json(text: str) -> RecurrenceSpec:
     """Parse the JSON form; equivalent content gives an identical spec."""
+    import json
+
     try:
         # Routing float literals through Fraction keeps decimals exact.
         doc = json.loads(text, parse_float=Fraction)
@@ -259,8 +259,8 @@ def parse_spec_json(text: str) -> RecurrenceSpec:
     return RecurrenceSpec(tuple(terms))
 
 
-@dataclass(frozen=True)
-class GrowthConstants:
+class GrowthConstants(_Record, namedtuple(
+        "GrowthConstants", "s1 kstar max_arity log_base alpha beta_prime")):
     """Constants the growth bounds need, derived once from a spec.
 
     They are the paper's constants for the reduced spec, in which each
@@ -271,15 +271,11 @@ class GrowthConstants:
     (L+1)/L, alpha = 1/ln(log_base) converts natural logs into
     base-(L+1)/L logs, and beta_prime = alpha * ln(s1*L^2/k*), with the
     log rounded up, since it may lose digits to cancellation and the
-    upper bound grows with beta_prime.
+    upper bound grows with beta_prime.  s1 and kstar are Fractions,
+    max_arity an int, the rest floats.
     """
 
-    s1: Fraction
-    kstar: Fraction
-    max_arity: int
-    log_base: float
-    alpha: float
-    beta_prime: float
+    __slots__ = ()
 
 
 def derive_constants(spec: RecurrenceSpec) -> GrowthConstants:

@@ -5,13 +5,17 @@ add ln-values without overflow (-inf stands for zero).  ExactScalar and
 LogScalar only carry a value out of a table: ``.value`` is the Fraction,
 or the linear float of a LogScalar's ``.ln_value``.  The arithmetic
 itself lives in the engine's domains.
+
+The records of the exact path (these two, Term, RecurrenceSpec,
+GrowthConstants and holonomic.Recurrence) are namedtuples with
+_Record's equality: defining them takes less time than importing
+dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 LN_ZERO = float("-inf")
 
@@ -109,18 +113,40 @@ def round12(x):
     return float(f"{x:.12g}")
 
 
-@dataclass(frozen=True)
-class ExactScalar:
-    """An exact sequence value or fold cell."""
+class _Record:
+    """Mixed in before a namedtuple: an immutable record that equals a
+    plain tuple of the same fields, hashes as it, and equals no record
+    of another class."""
 
-    value: Fraction
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, tuple) and type(other) not in (tuple, type(self)):
+            return NotImplemented
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LogScalar:
+class ExactScalar(_Record, namedtuple("ExactScalar", "value")):
+    """An exact sequence value or fold cell (a Fraction)."""
+
+    __slots__ = ()
+
+
+class LogScalar(_Record, namedtuple("LogScalar", "ln_value")):
     """A sequence value or fold cell stored as its natural log."""
 
-    ln_value: float
+    __slots__ = ()
 
     @property
     def value(self) -> float:

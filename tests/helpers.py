@@ -1,9 +1,13 @@
-"""Shared builders and inequality checkers for the test suite."""
+"""Shared builders and inequality checkers for the test suite, and a
+fresh interpreter for tests of what a process loads or prints."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +16,18 @@ from foldrate import Op, RecurrenceSpec, Term, compute_sequence, derive_constant
 from foldrate.scalars import ln_fraction
 
 MIXED_EXAMPLE = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def fresh_python(*args, start=subprocess.run, **kwargs):
+    """``start([python, *args], **kwargs)``, start being subprocess.run or
+    subprocess.Popen: a fresh interpreter that imports foldrate from this
+    checkout's src/, put in front of any PYTHONPATH.  An unset PYTHONPATH
+    adds no empty entry, which would put the working directory on
+    sys.path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return start([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
 def random_spec(rng: random.Random, max_terms: int = 4, max_arity: int = 5,

@@ -129,14 +129,14 @@ def test_refine_stops_inside_its_time_budget():
 def _inject_clock(monkeypatch, cost):
     """A clock that only moves while a point is evaluated, by cost(n)."""
     clock = [0.0]
-    real_point = lagrange.ln_point
+    real_point = lagrange._ln_point
 
-    def ln_point(spec, n):
+    def ln_point(taps, n):
         clock[0] += cost(n)
-        return real_point(spec, n)
+        return real_point(taps, n)
 
     monkeypatch.setattr(bounds.time, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(lagrange, "ln_point", ln_point)
+    monkeypatch.setattr(lagrange, "_ln_point", ln_point)
     return clock
 
 

@@ -1,12 +1,15 @@
 """Command line front end: outputs, formats, exit codes, cache plumbing."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -22,6 +25,7 @@ from foldrate.cli import (
     CACHE_DIR_ENV,
     main,
 )
+from helpers import fresh_python
 
 
 def run(capsys, *argv):
@@ -204,6 +208,25 @@ def test_refine_unconverged_still_reports(capsys):
     assert doc["reason"] == "length budget exhausted"
 
 
+def test_each_call_logs_to_its_own_stderr_at_its_own_level():
+    # logging is set up per call, not once per process: each call writes
+    # its progress (-v) and its warning to the stderr it runs with
+    argv = ["refine", "--spec-text", "sum 2 1", "--max-n", "8"]
+    streams = []
+    for verbose in ([], ["-v"], []):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([*verbose, *argv]) == EXIT_OK
+        streams.append(err.getvalue())
+    ratio = json.loads(out.getvalue())["best"]["ratio"]
+    warning = f"not converged: length budget exhausted (ratio {ratio:.6g})\n"
+    assert streams[0] == streams[2] == warning
+    progress = streams[1].splitlines(keepends=True)
+    assert [line.split()[:2] for line in progress[:-1]] == [
+        ["refine", "n=2"], ["refine", "n=4"], ["refine", "n=8"]]
+    assert progress[-1] == warning
+
+
 def test_oracle_small(capsys):
     code, out, _ = run(capsys, "oracle", "--spec-text", "sum 2 1", "--max-n", "5")
     assert code == EXIT_OK
@@ -298,25 +321,17 @@ def test_rate_imports_no_numpy():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['rate', '--spec-text', 'sum 2 1']) == 0\n"
             "print('foldrate.bounds' in sys.modules, 'numpy' in sys.modules)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = fresh_python("-c", code, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == ["True", "False"]
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     # s_0..s_3000 of Catalan fill megabytes, far past a pipe's buffer, so
     # the write after the reader closes the pipe certainly fails (EPIPE)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with open(tmp_path / "stderr", "w+b") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "foldrate.cli", "eval", "--domain", "exact",
-             "--n", "3000", "--spec-text", "sum 2 1"],
-            env=env, stdout=subprocess.PIPE, stderr=err)
+        proc = fresh_python("-m", "foldrate.cli", "eval", "--domain", "exact",
+                            "--n", "3000", "--spec-text", "sum 2 1",
+                            start=subprocess.Popen, stdout=subprocess.PIPE, stderr=err)
         assert proc.stdout.read(10) == b"1 1 2 5 14"
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
@@ -526,6 +541,22 @@ def test_refine_max_n_below_two_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "--max-n" in err
+
+
+@pytest.mark.parametrize("domain", ["exact", "log"])
+def test_a_huge_arity_exits_3_before_its_plan_is_built(domain):
+    # 10^20 - 1 sum ranks: the plan alone would exhaust any memory, so the
+    # table is refused before it is built; a fresh process whose address
+    # space is capped keeps a regression from taking the machine's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = fresh_python("-m", "foldrate.cli", "eval", "--domain", domain, "--n", "3",
+                        "--spec-text", f"sum {10 ** 20} 1", preexec_fn=cap,
+                        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("limit", ["0", "-8", "lots"])

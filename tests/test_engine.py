@@ -7,7 +7,6 @@ import operator
 import os
 import random
 import struct
-import subprocess
 import sys
 import tracemalloc
 import zlib
@@ -29,7 +28,7 @@ from foldrate import (
     save_cache,
 )
 from foldrate.scalars import ln_fraction, log_sum_vec
-from helpers import MIXED_EXAMPLE, brute_force_values, random_spec, split_reduce
+from helpers import MIXED_EXAMPLE, brute_force_values, fresh_python, random_spec, split_reduce
 
 CATALAN = parse_spec("sum 2 1")
 SCHROEDER = parse_spec("sum 1 1\nsum 2 1")
@@ -261,6 +260,17 @@ def test_log_memory_budget_rejects_upfront():
     assert table.n == 0  # rejected before doing any work
 
 
+@pytest.mark.parametrize("domain", ["exact", "log"])
+def test_a_plan_over_the_budget_is_refused_before_it_is_built(domain):
+    # sum 1000 1 has 999 sum ranks, each holding at least 8 bytes before
+    # any value; a budget below that refuses the table at construction
+    spec = parse_spec("sum 1000 1")
+    with pytest.raises(MemoryBudgetError, match="999 sum ranks"):
+        SequenceTable(spec, domain=domain, memory_limit=999 * 8 - 1)
+    table = SequenceTable(spec, domain=domain, memory_limit=999 * 8)
+    assert table.n == 0 and table.table_count == 1000
+
+
 def test_log_memory_budget_counts_the_sum_mirrors():
     # Catalan keeps 2 ln columns plus s's mirror row and the offsets row,
     # which each have 256 entries of room past n, for a block's zeroed tail
@@ -452,9 +462,13 @@ def test_doubling_inverse_solves_one_minus_a(B):
 # spec and the path of a cache of it on a recurrence as arguments.  Each
 # step records which of the lazily loaded modules it finds loaded.
 _IMPORTS_CODE = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 spec_text, cache = sys.argv[1:]
 LAZY = ("numpy", "foldrate.bounds", "foldrate.trees", "foldrate.logdomain")
+# what the exact path up to the resume loads none of; this code imports
+# none of them before its last step
+STARTUP = ("json", "csv", "logging", "hashlib", "dataclasses", "foldrate.cache",
+           "foldrate.holonomic")
 steps = {}
 
 
@@ -468,51 +482,52 @@ def run(*argv):
 
 
 import foldrate
-step("import foldrate", "foldrate.cache", "foldrate.holonomic")
+step("import foldrate", *STARTUP)
 import foldrate.cli
 from foldrate.cli import main
-step("import foldrate.cli", "foldrate.cache", "foldrate.holonomic")
+step("import foldrate.cli", *STARTUP)
 assert run("--help") == 0
-step("--help", "foldrate.cache", "foldrate.holonomic")
+step("--help", *STARTUP)
 assert run("eval", "--spec-text", "sum 0 1", "--n", "3") == 2
-step("bad spec", "foldrate.cache", "foldrate.holonomic")
+step("bad spec", *STARTUP)
 spec = foldrate.parse_spec(spec_text)
 foldrate.SequenceTable(spec, domain="exact")
-step("exact table", "foldrate.cache", "foldrate.holonomic")
+step("exact table", *STARTUP)
 assert run("eval", "--spec-text", spec_text, "--domain", "exact", "--n", "40") == 0
-step("exact eval")
+step("exact eval", *STARTUP)
 assert run("eval", "--spec-text", spec_text, "--domain", "exact", "--n", "256",
            "--cache", cache) == 0
-step("exact resume")
+step("exact resume", *STARTUP)
 foldrate.compute_sequence(spec, 300, domain="log")
 step("log table")
 assert foldrate.compute_sequence(spec, 120, domain="exact").recurrence
 step("exact search")
 steps["scipy or sympy"] = [m for m in ("scipy", "sympy") if m in sys.modules]
+import json
 print(json.dumps(steps))
 """
 
 
 def test_extend_imports_numpy_only(tmp_path):
     # Start-up, usage errors and exact tables load neither numpy nor the
-    # bounds, tree and log-domain modules, and start-up and building a
-    # table load neither the cache module nor the recurrence search: each
-    # would add to the start-up time of runs that do not use it.  The
-    # resume runs on MIX's cached recurrence, with no search; a log table
-    # and a search load numpy, and scipy or sympy never load.
+    # bounds, tree and log-domain modules, and start-up, building a table
+    # and an exact eval that crosses no window load neither the cache
+    # module nor the recurrence search, nor json, csv, logging, hashlib
+    # or dataclasses: each would add to the start-up time of runs that do
+    # not use it.  The resume runs on MIX's cached recurrence, with no
+    # search, and loads the cache, its digest's hashlib and the proof; a
+    # log table and a search load numpy, and scipy or sympy never load.
     table = compute_sequence(MIX, 120, domain="exact")
     assert table.recurrence
     cache = str(tmp_path / "mix.seq")
     save_cache(table, cache)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _IMPORTS_CODE, MIXED_EXAMPLE, cache],
-                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    out = fresh_python("-c", _IMPORTS_CODE, MIXED_EXAMPLE, cache, capture_output=True,
+                       text=True, timeout=120, check=True)
     loaded = ["numpy", "foldrate.logdomain"]
     assert json.loads(out.stdout) == {
         "import foldrate": [], "import foldrate.cli": [], "--help": [], "bad spec": [],
-        "exact table": [], "exact eval": [], "exact resume": [], "log table": loaded,
+        "exact table": [], "exact eval": [],
+        "exact resume": ["hashlib", "foldrate.cache", "foldrate.holonomic"], "log table": loaded,
         "exact search": loaded, "scipy or sympy": [],
     }
 

@@ -2,16 +2,14 @@
 what the tree oracle and refine import."""
 
 import ast
-import os
 import pathlib
-import subprocess
-import sys
 import tokenize
 
 import pytest
 
 import foldrate
 import foldrate.engine
+from helpers import fresh_python
 
 
 def test_every_public_name_resolves():
@@ -85,8 +83,5 @@ assert report.converged and report.max_n == 4290, report
 assert "foldrate.lagrange" in sys.modules
 assert "foldrate.logdomain" not in sys.modules
 """
-    src = str(pathlib.Path(foldrate.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = fresh_python("-c", code, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldrate import (
+    ExactScalar,
+    LogScalar,
     Op,
     RecurrenceSpec,
     SpecSyntaxError,
@@ -18,6 +21,7 @@ from foldrate import (
     parse_spec,
     parse_spec_json,
 )
+from foldrate import holonomic
 
 
 def test_parse_single_term():
@@ -101,6 +105,39 @@ def test_term_constructor_validates():
         Term(Op.SUM, 2, Fraction(0))
     with pytest.raises(SpecValidationError):
         Term("sum", 2, Fraction(1))
+
+
+def test_records_keep_their_fields_repr_hash_and_immutability():
+    term = Term(op=Op.SUM, arity=2, weight=1)
+    assert (term.op, term.arity, term.weight) == (Op.SUM, 2, Fraction(1))
+    assert type(term.weight) is Fraction
+    assert repr(term) == "Term(op=<Op.SUM: 'sum'>, arity=2, weight=Fraction(1, 1))"
+    spec = RecurrenceSpec([term])
+    assert spec.terms == (term,)
+    assert repr(spec) == f"RecurrenceSpec(terms=({term!r},))"
+    assert hash(term) == hash((Op.SUM, 2, Fraction(1)))
+    assert hash(spec) == hash(RecurrenceSpec((Term(Op.SUM, 2, Fraction(2, 2)),)))
+    for record, name in ((term, "weight"), (spec, "terms"), (term, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert term._replace(arity=3) == Term(Op.SUM, 3, 1)
+    with pytest.raises(SpecValidationError):
+        term._replace(arity=0)
+
+
+def test_records_equal_plain_tuples_but_no_record_of_another_class():
+    term = Term(Op.MAX, 3, 2)
+    assert term == (Op.MAX, 3, 2) and (Op.MAX, 3, 2) == term
+    assert not term != (Op.MAX, 3, 2)
+    consts = derive_constants(parse_spec("sum 2 1"))
+    assert consts == tuple(consts)
+    assert ExactScalar(Fraction(1)) == (1,)
+    # equal fields in records of two classes
+    assert ExactScalar(Fraction(1)) != LogScalar(1.0)
+    assert not ExactScalar(Fraction(1)) == LogScalar(1.0)
+    assert term != holonomic.Recurrence(Op.MAX, 3, Fraction(2))
+    assert RecurrenceSpec((term,)) != ExactScalar((term,))
 
 
 def test_json_matches_text_form():
