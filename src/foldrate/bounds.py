@@ -27,11 +27,11 @@ on the constants alone and strictly decreases for n >= 1 (beta' > 0).
 So refine() works out, before computing anything, the least n* with
 e(n*) <= ln(1 + epsilon), and doubles the index n but stops at n*
 instead of the next power of two past it: no n below n* is certified by
-this argument, and n* is.  It reads s_n at those points alone, as a
-certified bracket on ln s_n from Lagrange inversion (lagrange docstring),
-so its lower(n) and upper(n) hold with every rounding accounted for;
-evaluate_bounds reads a table, and in the log domain its values carry
-no rounding radius.  Convergence is still read off the sandwich itself,
+this argument, and n* is.  refine() and evaluate_bounds read s_n at
+their indices alone, through one step, _points: a certified bracket on
+ln s_n from Lagrange inversion (lagrange docstring), so every lower(n)
+and upper(n) holds with every rounding accounted for, and no table
+value is read.  Convergence is still read off the sandwich itself,
 never off n*, and a run that rounding leaves short of the target at n*
 keeps doubling.  refine() stops on convergence or when a budget runs
 out; an unconverged run is reported, not raised.
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import DEFAULT_EPSILON, DEFAULT_MAX_N
-from .engine import DEFAULT_MEMORY_LIMIT, SequenceTable
+from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants
 from .scalars import _ln_outward, exp_ln, round12
 
@@ -88,19 +88,6 @@ def _excess(consts: GrowthConstants, n: int, up: bool = False) -> float:
     b = 3.0 * consts.alpha * ln_n + 12.0 * consts.alpha * _LN3 + consts.beta_prime
     e = (a * _LN3 + b * ln_n) / n
     return e * _EXCESS_UP if up else e
-
-
-def _sandwich(ln_lo_n: float, ln_hi_n: float, consts: GrowthConstants, n: int):
-    """(ln lower, ln upper) at n >= 2 from doubles at most and at least
-    ln s_n: ln s_n / n rounded down by an ulp, and upper(n)."""
-    return math.nextafter(ln_lo_n / n, -math.inf), _upper(ln_hi_n, consts, n)
-
-
-def _upper(ln_s: float, consts: GrowthConstants, n: int) -> float:
-    """upper(n) from a double at least ln s_n: the division rounded up
-    by an ulp, e(n) rounded up (_excess), and the sum by an ulp."""
-    upper = math.nextafter(ln_s / n, math.inf) + _excess(consts, n, True)
-    return math.nextafter(upper, math.inf)
 
 
 def _last_step(consts: GrowthConstants, epsilon: float, max_n: int) -> int:
@@ -199,49 +186,60 @@ class BoundsReport:
 def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
                     ns=None, epsilon: float | None = None,
                     max_n: int | None = None) -> BoundsReport:
-    """Evaluate the sandwich at the given indices (default: powers of two).
-
-    Only s_0..s_{max_n} are read (default: the whole table), so the report
-    does not depend on how far the table reaches beyond max_n.  The
-    reported best lower also folds in the Fekete bound at every index up
-    to max_n, which costs O(N) and never hurts.
-    """
-    if consts is None:
-        consts = derive_constants(table.spec)
-    if max_n is None:
-        max_n = table.n
+    """The sandwich of table.spec at ns in [2, max_n] (default: powers of
+    two and max_n), max_n <= table.n (default: table.n); no table value
+    is read."""
+    max_n = table.n if max_n is None else max_n
     if max_n > table.n:
         raise ValueError(f"table only extends to {table.n}, cannot read up to {max_n}")
+    return _bounds(table.spec, max_n, consts, ns, epsilon)
+
+
+def _bounds(spec: RecurrenceSpec, max_n: int, consts=None, ns=None,
+            epsilon=None) -> BoundsReport:
+    """evaluate_bounds for a spec, with no table, largest point first: only
+    it can fail _points' memory or domain check, before any work."""
     if max_n < 2:
-        raise ValueError("need a table extended to at least n = 2")
+        raise ValueError(f"bounds need max_n >= 2, got {max_n}")
     if ns is None:
-        ns = _powers_of_two(max_n)
-    report = BoundsReport(spec_text=table.spec.render(), epsilon=epsilon)
-    # equal in the log domain, whose values carry no rounding radius yet
-    ln_lo, ln_hi = table.ln_values(-1), table.ln_values(1)
-    for n in sorted(set(ns)):
-        if n < 2:
-            raise ValueError(f"bound needs n >= 2, got {n}")
-        if n > max_n:
-            raise ValueError(f"bounds read up to {max_n}, cannot evaluate at {n}")
-        report.add(n, *_sandwich(ln_lo[n], ln_hi[n], consts, n))
-    # the best ln s_k / k at any k <= max_n; stepping down commutes with the max
-    fekete = math.nextafter(float((ln_lo[1 : max_n + 1] / range(1, max_n + 1)).max()), -math.inf)
-    report.best_ln_lower = max(report.best_ln_lower, fekete)
-    report.max_n = max_n
+        # the powers of two below max_n, and max_n
+        ns = [1 << k for k in range(1, (max_n - 1).bit_length())] + [max_n]
+    ns = sorted(set(ns))
+    if ns and not 2 <= ns[0] <= ns[-1] <= max_n:
+        raise ValueError(f"bounds read n in [2, {max_n}], got {ns[0]}..{ns[-1]}")
+    if consts is None:
+        consts = derive_constants(spec)
+    point = _points(spec, consts, DEFAULT_MEMORY_LIMIT)
+    sandwich = {n: point(n) for n in reversed(ns)}
+    report = BoundsReport(spec_text=spec.render(), epsilon=epsilon, max_n=max_n)
+    for n in ns:
+        report.add(n, *sandwich[n])
     if epsilon is not None:
         report.converged = report.ratio <= 1.0 + epsilon
         report.reason = "converged" if report.converged else "target not reached"
     return report
 
 
-def _powers_of_two(limit: int):
-    n = 2
-    while n < limit:
-        yield n
-        n *= 2
-    if limit >= 2:
-        yield limit
+def _points(spec: RecurrenceSpec, consts: GrowthConstants, memory_limit: int):
+    """The point step of refine and evaluate_bounds, n -> (ln lower(n),
+    ln upper(n)) from lo <= ln s_n <= hi (lagrange.ln_point), rounded
+    outward.  A point whose working set passes memory_limit raises
+    MemoryBudgetError before any work; ln_point's guards raise too."""
+    from . import lagrange  # numpy loads with the point evaluator only
+
+    d, taps = max(spec.merged_weights()[0]), None
+
+    def point(n):
+        nonlocal taps
+        need = lagrange._point_bytes(d, n)
+        if need > memory_limit:
+            raise MemoryBudgetError(f"point n={n} needs ~{need} bytes, budget is {memory_limit}")
+        taps = taps or lagrange._taps(spec)
+        lo, hi = lagrange._ln_point(taps, n)
+        upper = math.nextafter(hi / n, math.inf) + _excess(consts, n, True)
+        return math.nextafter(lo / n, -math.inf), math.nextafter(upper, math.inf)
+
+    return point
 
 
 def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
@@ -253,7 +251,7 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
     step doubling n but stopping at max_n and at n*, the least n whose
     excess e(n) is within ln(1 + epsilon) (module docstring).  Each point
     reads a certified bracket on ln s_n from lagrange.ln_point, in
-    O(n d^3) work for d = deg P, and builds no table.
+    O(n d^3) work for d = deg P (_points), and builds no table.
     Stops on convergence or when the max_n, wall clock or memory budget
     runs out, or when a point's float range guard fails; each yields
     converged=False in the report, with the reason named in ``reason``,
@@ -269,30 +267,24 @@ def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    from . import lagrange  # numpy loads with the point evaluator only
-
     start = time.perf_counter()
     consts = derive_constants(spec)
     n_star = _last_step(consts, epsilon, max_n)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
-
-    # deg P now, the taps at the first point: a point over the memory
-    # budget never computes them
-    d, taps = max(spec.merged_weights()[0]), None
+    point = _points(spec, consts, memory_limit)
     n, slowdown, last_rate = 2, 1.0, None
     while True:
-        if lagrange._point_bytes(d, n) > memory_limit:
-            report.reason = "memory budget exhausted"
-            break
         step = time.perf_counter()
         try:
-            taps = taps or lagrange._taps(spec)
-            ln_lo, ln_hi = lagrange._ln_point(taps, n)
+            sandwich = point(n)
+        except MemoryBudgetError:
+            report.reason = "memory budget exhausted"
+            break
         except FloatingPointError:
             report.reason = "float range exceeded"
             break
         step = time.perf_counter() - step
-        report.add(n, *_sandwich(ln_lo, ln_hi, consts, n))
+        report.add(n, *sandwich)
         report.max_n = n
         log.info("refine n=%d lower=%.9g upper=%.9g ratio=%.6g",
                  n, exp_ln(report.best_ln_lower), exp_ln(report.best_ln_upper),
@@ -331,7 +323,8 @@ _RATE_WIDTH = Fraction(1, 1 << 42)
 
 def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
     """(ln lower, ln upper) around ln of the rate, from P alone (module
-    docstring), in exact Fractions.
+    docstring), in exact Fractions; MemoryBudgetError before a power y^d,
+    about d times the bits of y, would pass DEFAULT_MEMORY_LIMIT.
 
     For deg P >= 2, bisection on f keeps a <= tau <= b, and as P
     increases and tau minimises P(y) / (y-1),
@@ -339,11 +332,15 @@ def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
     _RATE_WIDTH relative, and their logs are rounded outward.
     """
     P = spec.merged_weights()[0]
+    d = max(P)
 
     def at(y, c=P):
+        need = d * (y.numerator.bit_length() + y.denominator.bit_length()) // 8
+        if need > DEFAULT_MEMORY_LIMIT:
+            raise MemoryBudgetError(f"y^{d} needs ~{need} bytes, budget is {DEFAULT_MEMORY_LIMIT}")
         return sum(w * y ** a for a, w in c.items())
 
-    if max(P) == 1:
+    if d == 1:
         lo = hi = at(1)
     else:
         dP = {a - 1: a * w for a, w in P.items()}

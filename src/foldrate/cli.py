@@ -1,8 +1,8 @@
 """Command line front end.
 
-Subcommands: eval (print sequence values), bounds (per-index sandwich and
-best envelope), refine (doubling loop to a target ratio), oracle (tree
-enumeration cross-checks), rate (the closed-form rate's interval).  Exit
+Subcommands: eval (print sequence values), bounds (the sandwich at 2, 4,
+..., N from certified points), refine (doubling loop to a target ratio),
+oracle (tree enumeration cross-checks), rate (the closed-form rate).  Exit
 codes: 0 success, 1 a check failed or the reader closed stdout early (as
 ``| head`` does), 2 usage or input error, 3 resource budget exceeded.
 Each subcommand imports the modules it runs, so bounds, trees and numpy
@@ -86,9 +86,9 @@ def _resolve_cache(path: str) -> str:
 
 
 def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
-    """Build or restore a table reaching at least n; write the cache, if
-    one is used, when it is new or the table had to grow."""
-    cache = getattr(args, "cache", None)
+    """eval's table: built, or restored, reaching at least n; the cache,
+    if one is used, is written when it is new or the table had to grow."""
+    cache = args.cache
     if cache:
         # loaded here, not at start-up, which runs without a cache more often
         from .cache import CacheError, load_cache, save_cache
@@ -205,11 +205,16 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     if args.n < 2:
         raise _UsageError("bounds need --n at least 2")
-    from .bounds import evaluate_bounds
+    from .bounds import _bounds
 
     spec = _load_spec(args)
-    table = _obtain_table(spec, args, args.n)
-    _print_report(evaluate_bounds(table, max_n=args.n), args.format)
+    try:  # the points' range and domain guards (lagrange docstring)
+        report = _bounds(spec, args.n)
+    except FloatingPointError as exc:
+        raise _UsageError(f"float range exceeded: {exc}") from None
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    _print_report(report, args.format)
     return EXIT_OK
 
 
@@ -302,24 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--spec-text", metavar="TEXT",
                            help="inline recurrence in the text format")
 
-    def add_domain_arg(p):
-        p.add_argument("--domain", choices=["exact", "log"], default="log",
-                       help="value domain (default: log)")
-
     p = sub.add_parser("eval", help="compute and print s_0..s_N")
     add_spec_args(p)
-    add_domain_arg(p)
+    p.add_argument("--domain", choices=["exact", "log"], default="log",
+                   help="value domain (default: log)")
     p.add_argument("--n", type=_nonneg_int, required=True, help="last index to compute")
     p.add_argument("--cache", metavar="PATH",
                    help=f"sequence cache file (bare names resolve under ${CACHE_DIR_ENV})")
     p.add_argument("--format", choices=["text", "json", "csv", "bfile"], default="text")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bounds", help="evaluate the growth-rate sandwich at a length")
+    p = sub.add_parser("bounds", help="evaluate the growth-rate sandwich up to a length")
     add_spec_args(p)
-    add_domain_arg(p)
-    p.add_argument("--n", type=_nonneg_int, required=True, help="table length (>= 2)")
-    p.add_argument("--cache", metavar="PATH")
+    p.add_argument("--n", type=_nonneg_int, required=True,
+                   help="read the sandwich at 2, 4, 8, ... and N (>= 2), from certified points")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_bounds)
 

@@ -44,6 +44,7 @@ ln values off them, encodes them for the cache, and runs the loop that
 extends them.  SequenceTable holds the plan and n, and its extend only
 runs that loop and records the n reached.  A table restored from the
 binary cache and extended is bit-identical to an uninterrupted run.
+No bound reads a table (bounds docstring): ln values carry no radius.
 
 This module imports no numpy.  The log domain's module, which does, is
 loaded the first time a log table is built.  An exact table loads numpy
@@ -249,14 +250,14 @@ class _ExactDomain:
     def rational(self, i: int, m: int) -> Fraction:
         return Fraction(self._cell(i, m), self.scale ** m)
 
-    def ln(self, i: int, m: int, side: int = 0) -> float:
+    def ln(self, i: int, m: int) -> float:
         # t / D^m unreduced: a gcd of two big ints costs more than the log
-        return ln_ratio(self._cell(i, m), self.scale ** m, side)
+        return ln_ratio(self._cell(i, m), self.scale ** m)
 
-    def ln_values(self, n: int, side: int = 0):
+    def ln_values(self, n: int):
         import numpy as np  # the vector is numpy's; values and the cache need none
 
-        return np.array([self.ln(0, m, side) for m in range(n + 1)], dtype=np.float64)
+        return np.array([self.ln(0, m) for m in range(n + 1)], dtype=np.float64)
 
     def wrap(self, i: int, m: int) -> ExactScalar:
         return ExactScalar(self.rational(i, m))
@@ -405,10 +406,9 @@ class SequenceTable:
         self._check_index(n)
         return self._dom.ln(0, n)
 
-    def ln_values(self, side: int = 0):
-        """numpy vector of ln s_0 .. ln s_n; side -1 or 1 gives exact-domain
-        values rounded down or up (scalars.ln_ratio)."""
-        return self._dom.ln_values(self.n, side)
+    def ln_values(self):
+        """numpy vector of ln s_0 .. ln s_n, each with no rounding radius."""
+        return self._dom.ln_values(self.n)
 
     def sum_fold(self, j: int, m: int):
         """j-fold sum-convolution cell at index m, as a domain scalar."""

@@ -74,8 +74,8 @@ its rank cells.  Mirror
 entries below a block start never change within a chunk, so the window
 test reads each once per chunk: those below the chunk's first block at
 that block, then before each later block those the block before it
-derived.  Neither kernel carries a rigorous rounding radius: the float
-domain's bounds are certified only up to float rounding.
+derived.  Neither kernel carries a rigorous rounding radius: the values
+are plain float64 approximations, and no bound reads them.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ class _LogDomain:
     def ln(self, i: int, m: int) -> float:
         return float(self.data[i, m])
 
-    def ln_values(self, n: int, side: int = 0) -> np.ndarray:
+    def ln_values(self, n: int) -> np.ndarray:
         return self.data[0, : n + 1].copy()
 
     def wrap(self, i: int, m: int) -> LogScalar:

@@ -137,16 +137,16 @@ def tree_counts(spec: RecurrenceSpec, n: int) -> list[int]:
     """[c_0, ..., c_n]: c_m trees with m vertices, c_0 = 1 the empty branch.
 
     A vertex of arity l has l ordered branches whose sizes add to m - 1,
-    so c is the spec's recurrence with every weight 1 and every term a
-    sum: c_m is the sum over the terms of c's l-fold convolution at m - 1.
+    so c_m is the sum over the terms of [z^(m-1)] C(z)^l, C = sum c_m z^m,
+    and Miller's power recurrence (Knuth, TAOCP 4.7) gives b = C^l with no
+    list as long as l: b_0 = 1, k b_k = sum_(1<=j<=k) ((l+1) j - k) c_j b_(k-j).
     """
     arities = [t.arity for t in spec.terms]
-    c = [1]
-    folds = [c] + [[] for _ in range(max(arities) - 1)]  # folds[j]: j + 1 factors
-    for m in range(1, n + 1):
-        for j in range(1, len(folds)):
-            folds[j].append(sum(c[x] * folds[j - 1][m - 1 - x] for x in range(m)))
-        c.append(sum(folds[a - 1][m - 1] for a in arities))
+    c, powers = [1], {a: [1] for a in arities}
+    for k in range(1, n + 1):
+        c.append(sum(powers[a][k - 1] for a in arities))
+        for l, b in powers.items():
+            b.append(sum(((l + 1) * j - k) * c[j] * b[k - j] for j in range(1, k + 1)) // k)
     return c
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from foldrate import Op, RecurrenceSpec, Term, compute_sequence, derive_constants
-from foldrate.scalars import ln_fraction
+from foldrate.scalars import ln_fraction, ln_ratio
 
 MIXED_EXAMPLE = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
 
@@ -28,6 +28,13 @@ def fresh_python(*args, start=subprocess.run, **kwargs):
     sys.path."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return start([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def outward_ln_values(table, side: int) -> list[float]:
+    """ln s_0..ln s_n of an exact table, each rounded down (side -1) or up
+    (side 1) from its exact t_m / D^m (scalars.ln_ratio)."""
+    t, scale = table.scaled_values(table.n)
+    return [ln_ratio(v, scale ** m, side) for m, v in enumerate(t)]
 
 
 def random_spec(rng: random.Random, max_terms: int = 4, max_arity: int = 5,

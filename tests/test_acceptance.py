@@ -21,6 +21,7 @@ from foldrate import (
     load_cache,
     oracle_summary,
     parse_spec,
+    rate_interval,
     refine,
     save_cache,
 )
@@ -130,8 +131,9 @@ C3_NAMED = (
 
 def test_c3_known_rate_sandwiches():
     """The certified sandwich contains the closed-form rate interval of
-    helpers.oracle_rate_interval: named specs at N=4096, with soft ratio
-    targets, and 8 random mixed specs at N=1024."""
+    helpers.oracle_rate_interval, and that of bounds.rate_interval: named
+    specs at N=4096, with soft ratio targets, and 8 random mixed specs at
+    N=1024."""
     rng = random.Random(0xC3)
     cases = [(name, parse_spec(text), 4096, target) for name, text, target in C3_NAMED]
     cases += [(f"random {i}", random_spec(rng, kind="mixed"), 1024, None) for i in range(8)]
@@ -142,6 +144,8 @@ def test_c3_known_rate_sandwiches():
         lo, hi = oracle_rate_interval(spec)
         assert report.best_ln_lower - 1e-12 <= math.log(lo), (name, spec.render())
         assert math.log(hi) <= report.best_ln_upper + 1e-12, (name, spec.render())
+        ln_lo, ln_hi = rate_interval(spec)
+        assert report.best_ln_lower <= ln_lo <= ln_hi <= report.best_ln_upper, name
         if target is None:
             continue
         if report.ratio > target:

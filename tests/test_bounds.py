@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from foldrate import bounds, lagrange
 from foldrate import (
     BoundsEntry,
     BoundsReport,
+    MemoryBudgetError,
     compute_sequence,
     evaluate_bounds,
     parse_spec,
@@ -25,11 +27,32 @@ MIX = parse_spec(MIXED_EXAMPLE)
 HIGHMAX = parse_spec("sum 2 1\nmax 48 1")
 
 
+def _slack(n: int, d: int, e: int, magnitudes: float) -> float:
+    """The radius the lagrange docstring puts on each side of its computed
+    ln s_n: rho, |e| 2^-53 and 16 ulps of the terms' magnitudes (those of
+    ln b, e ln 2, ln n and n ln Phi_0), for deg P = d and the exponent
+    e of the scaled product."""
+    m = n - 1
+    rho = (3 * m + d * max(m - 1, 0)) * 2.0 ** -53 * (1 + 2.0 ** -16)
+    return rho + abs(e) * 2.0 ** -53 + 16 * math.ulp(magnitudes)
+
+
+def _ln50(q: Fraction) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
+
+
 def test_catalan_fekete_lower_at_two_is_sqrt_two():
-    # s_2 = 2, so the bound is ln(s_2) / 2 = ln 2 / 2
+    # s_2 = 2, so the bound is ln(s_2) / 2 = ln 2 / 2, read off a bracket
+    # on ln s_2: Phi(u) = (1 + u)^2 gives b = 4 from one matrix (e = 0),
+    # the computed ln s_2 lies within one slack of ln 2, and the lower end
+    # of its bracket within two
     table = compute_sequence(CATALAN, 2, domain="exact")
     (entry,) = evaluate_bounds(table, ns=[2]).entries
-    assert entry.ln_lower == pytest.approx(math.log(2) / 2, abs=1e-15)
+    slack = _slack(2, 2, 0, 3 * math.log(2))
+    assert Decimal(entry.ln_lower) <= _ln50(Fraction(2)) / 2
+    assert entry.ln_lower >= (math.log(2) - 2 * slack) / 2 - 2 * math.ulp(0.5)
 
 
 def test_catalan_upper_coefficient():
@@ -77,6 +100,13 @@ def test_catalan_lower_bound_estimate_at_512():
     table = compute_sequence(CATALAN, 512, domain="log")
     report = evaluate_bounds(table)
     assert 3.8 <= math.exp(report.best_ln_lower) <= 4.0
+
+
+def test_evaluate_bounds_reads_no_table_value():
+    # the points depend on the spec alone: a table of either domain, and
+    # of any length past max_n, gives the same report
+    exact = evaluate_bounds(compute_sequence(MIX, 300, domain="exact"), max_n=256)
+    assert exact == evaluate_bounds(compute_sequence(MIX, 256, domain="log"))
 
 
 def test_evaluate_bounds_needs_length_two():
@@ -250,19 +280,19 @@ def test_oracle_named_rates():
     assert oracle_rate_interval(MAX22) == (2, 2)
 
 
-def _ln50(q: Fraction) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return Decimal(q.numerator).ln() - Decimal(q.denominator).ln()
-
-
 def test_exact_bounds_do_not_overstate_a_geometric_rate():
     # s_n = (23/4)^n: the rate is 23/4, and the lower bound read off exact
     # values once sat 2 ulps above its log
     for text, rate in (("max 4 23/4", Fraction(23, 4)), ("max 2 2", Fraction(2))):
         report = evaluate_bounds(compute_sequence(parse_spec(text), 64, domain="exact"))
         assert Decimal(report.best_ln_lower) <= _ln50(rate) <= Decimal(report.best_ln_upper)
-        assert report.best_ln_lower >= math.log(rate) - 16 * math.ulp(math.log(rate))
+        # and it sits no further below than the point's bracket allows:
+        # Phi(u) = rate (1 + u), so b_63 = 64 = 2^-1 2^7 (e = 7), and the
+        # computed ln s_64 lies within one slack of the true one, its
+        # lower end within two, before the division by n = 64
+        ln_rate = math.log(rate)
+        slack = _slack(64, 1, 7, 14 * math.log(2) + 64 * ln_rate)
+        assert report.best_ln_lower >= ln_rate - 2 * slack / 64 - 2 * math.ulp(ln_rate)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -270,14 +300,12 @@ def test_bounds_bracket_the_oracle_rate(seed):
     spec = random_spec(random.Random(seed), kind=("mixed", "sum", "max")[seed % 3])
     lo, hi = oracle_rate_interval(spec)
     ln_lo, ln_hi = math.log(lo), math.log(hi)
-    # exact-domain bounds are rounded outward: they bracket the 50-digit
-    # log of the oracle's interval with no slack
-    report = evaluate_bounds(compute_sequence(spec, 64, domain="exact"))
-    assert Decimal(report.best_ln_lower) <= _ln50(hi)
-    assert Decimal(report.best_ln_upper) >= _ln50(lo)
-    report = evaluate_bounds(compute_sequence(spec, 512, domain="log"))
-    assert report.best_ln_lower <= ln_hi + 1e-12
-    assert report.best_ln_upper >= ln_lo - 1e-12
+    # the bounds are certified whatever the table's domain: they bracket
+    # the 50-digit log of the oracle's interval with no slack
+    for n, domain in ((64, "exact"), (512, "log")):
+        report = evaluate_bounds(compute_sequence(spec, n, domain=domain))
+        assert Decimal(report.best_ln_lower) <= _ln50(hi)
+        assert Decimal(report.best_ln_upper) >= _ln50(lo)
     report = refine(spec, epsilon=0.5)
     assert report.converged
     assert report.best_ln_lower <= ln_lo + 1e-12
@@ -306,6 +334,15 @@ def test_rate_interval_is_narrow():
         assert 0.0 < math.expm1(ln_hi - ln_lo) <= 1e-12, spec.render()
     ln_lo, ln_hi = rate_interval(MAX22)
     assert ln_lo < math.log(2) < ln_hi
+
+
+def test_rate_interval_refuses_a_power_past_the_memory_budget():
+    # y^(10^20) of the first bracket, y = 2, would hold 10^20 bits: refused
+    # before it is formed
+    start = time.perf_counter()
+    with pytest.raises(MemoryBudgetError):
+        rate_interval(parse_spec(f"sum {10 ** 20} 1"))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rate_interval_past_the_double_range():

@@ -128,10 +128,11 @@ def test_bounds_csv(capsys):
 
 MIX = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
 
-# sha256 of the exact-domain `bounds --n 256` stdout; the log domain is not
-# pinned because its sum cells go through BLAS dot products, whose rounding
-# may differ between machines.  Re-pinned when the bounds were rounded
-# outward: three linear uppers at n = 2 and 4 moved up in their 12th digit.
+# sha256 of the `bounds --n 256` stdout, recorded when bounds read an
+# exact-domain table (`--domain exact`), and printed byte for byte the
+# same since bounds reads certified points.  Re-pinned when the bounds
+# were rounded outward: three linear uppers at n = 2 and 4 moved up in
+# their 12th digit.
 BOUNDS_EXACT_256_SHA256 = {
     (MIX, "json"): "fd283f3667a14cf6a4a705b0aa1d4667e2c8de651dc6aa9805e60fe85ea4194e",
     (MIX, "csv"): "e30f909b7c52dc867bd024883c39d0cdb450f9568424a1d4d11fdd4588a5a946",
@@ -144,8 +145,7 @@ BOUNDS_EXACT_256_SHA256 = {
 
 @pytest.mark.parametrize("spec,fmt", sorted(BOUNDS_EXACT_256_SHA256))
 def test_bounds_exact_output_is_pinned(capsys, spec, fmt):
-    code, out, _ = run(capsys, "bounds", "--spec-text", spec, "--domain", "exact",
-                       "--n", "256", "--format", fmt)
+    code, out, _ = run(capsys, "bounds", "--spec-text", spec, "--n", "256", "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_EXACT_256_SHA256[spec, fmt]
 
@@ -184,6 +184,43 @@ def test_bounds_rejects_tiny_n(capsys):
     code, _, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", "1")
     assert code == EXIT_USAGE
     assert "at least 2" in err
+
+
+def test_bounds_and_refine_print_the_same_entries(capsys):
+    # one point step serves both: at every n they share, the entries agree
+    code, out, _ = run(capsys, "bounds", "--spec-text", MIX, "--n", "4096")
+    assert code == EXIT_OK
+    bounds = {e["n"]: e for e in json.loads(out)["entries"]}
+    code, out, _ = run(capsys, "refine", "--spec-text", MIX, "--epsilon", "0.5")
+    assert code == EXIT_OK
+    refine = {e["n"]: e for e in json.loads(out)["entries"]}
+    assert sorted(bounds.keys() & refine.keys()) == [2 ** k for k in range(1, 13)]
+    for n in bounds.keys() & refine.keys():
+        assert bounds[n] == refine[n], n
+
+
+@pytest.mark.parametrize("option", [["--domain", "exact"], ["--domain", "log"],
+                                    ["--cache", "c.seq"]])
+def test_bounds_takes_no_domain_and_no_cache(capsys, option):
+    code, out, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", "8", *option)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments" in err
+
+
+def test_bounds_refuses_a_spec_past_the_points_float_range(capsys):
+    # Phi_j / Phi_0 = C(300, j) passes 2^200 for sum 300 1
+    code, out, err = run(capsys, "bounds", "--spec-text", "sum 300 1", "--n", "8")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: float range exceeded: Phi_j / Phi_0 outside [2^-200, 2^200]\n"
+
+
+def test_bounds_refuses_n_past_the_points_domain_before_any_point(capsys):
+    # (N + 1)(d + 3) >= 2^53: refused at the largest point, evaluated first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", str(1 << 60))
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ln_point needs") and "2^53" in err
 
 
 def test_refine_json(capsys):
@@ -446,7 +483,7 @@ def test_cache_reuse_and_domain_guard(tmp_path, capsys):
     assert code == EXIT_OK
     # second run restores and extends the same cache file
     code, _, _ = run(
-        capsys, "bounds", "--spec-text", "sum 2 1", "--n", "32", "--cache", cache
+        capsys, "eval", "--spec-text", "sum 2 1", "--n", "32", "--cache", cache
     )
     assert code == EXIT_OK
     # the cached table is log-domain; asking for exact must refuse
@@ -507,8 +544,6 @@ def test_corrupt_recurrence_record_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["eval", "--domain", "exact"],
     ["eval", "--domain", "log"],
-    ["bounds", "--domain", "log"],
-    ["bounds", "--domain", "exact", "--format", "csv"],
 ])
 def test_cache_longer_or_shorter_than_n_prints_the_cold_output(tmp_path, capsys, argv):
     # a cached table longer than --n is read only up to --n; a shorter one
@@ -543,20 +578,32 @@ def test_refine_max_n_below_two_is_a_usage_error(capsys):
     assert "--max-n" in err
 
 
-@pytest.mark.parametrize("domain", ["exact", "log"])
-def test_a_huge_arity_exits_3_before_its_plan_is_built(domain):
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--domain", "exact", "--n", "3"], 3),
+    (["eval", "--domain", "log", "--n", "3"], 3),
+    (["bounds", "--n", "64"], 3),
+    (["refine"], 0),
+    (["rate"], 3),
+    (["oracle", "--max-n", "3"], 2),
+], ids=["exact", "log", "bounds", "refine", "rate", "oracle"])
+def test_a_huge_arity_exits_3_before_its_plan_is_built(argv, code):
     # 10^20 - 1 sum ranks: the plan alone would exhaust any memory, so the
-    # table is refused before it is built; a fresh process whose address
-    # space is capped keeps a regression from taking the machine's memory
+    # table is refused before it is built, and so are a point of bounds,
+    # a power of rate and the oracle's tree count; refine reports its
+    # memory budget.  A fresh process whose address space is capped keeps
+    # a regression from taking the machine's memory.
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    done = fresh_python("-m", "foldrate.cli", "eval", "--domain", domain, "--n", "3",
-                        "--spec-text", f"sum {10 ** 20} 1", preexec_fn=cap,
-                        capture_output=True, text=True, timeout=60)
-    assert done.returncode == 3, done.stderr
-    assert done.stdout == ""
-    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    done = fresh_python("-m", "foldrate.cli", *argv, "--spec-text", f"sum {10 ** 20} 1",
+                        preexec_fn=cap, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+    else:
+        assert json.loads(done.stdout)["reason"] == "memory budget exhausted"
 
 
 @pytest.mark.parametrize("limit", ["0", "-8", "lots"])

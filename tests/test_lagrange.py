@@ -10,7 +10,7 @@ import pytest
 
 from foldrate import compute_sequence, parse_spec, refine
 from foldrate.lagrange import _chunk, ln_point, point_bytes
-from helpers import MIXED_EXAMPLE, random_spec
+from helpers import MIXED_EXAMPLE, outward_ln_values, random_spec
 
 MIX = parse_spec(MIXED_EXAMPLE)
 DEG7 = parse_spec("sum 2 1\nsum 7 3\nmax 3 5")
@@ -35,7 +35,7 @@ def _check(spec, n, exact: Fraction, outward=None):
 
 def _check_table(spec, ns):
     table = compute_sequence(spec, max(ns), domain="exact")
-    lo, hi = table.ln_values(-1), table.ln_values(1)
+    lo, hi = outward_ln_values(table, -1), outward_ln_values(table, 1)
     for n in ns:
         _check(spec, n, table.value(n).value, (lo[n], hi[n]))
 

@@ -85,3 +85,19 @@ assert "foldrate.logdomain" not in sys.modules
 """
     done = fresh_python("-c", code, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_bounds_builds_no_table_and_reads_no_cache():
+    # a fresh interpreter, so that no other test has loaded the modules:
+    # bounds reads certified points, as refine does
+    code = """
+import contextlib, io, sys
+import foldrate.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert foldrate.cli.main(["bounds", "--spec-text", "sum 2 1\\nmax 3 1", "--n", "64"]) == 0
+assert "foldrate.lagrange" in sys.modules
+loaded = {"foldrate.logdomain", "foldrate.cache"} & set(sys.modules)
+assert not loaded, loaded
+"""
+    done = fresh_python("-c", code, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

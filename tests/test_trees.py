@@ -47,6 +47,17 @@ def test_tree_counts_match_the_enumeration_and_the_engine():
         assert counts[:5] == [1] + [oracle_summary(spec, n)[0] for n in range(1, 5)]
 
 
+def test_tree_counts_of_a_huge_arity_are_counted_in_its_place():
+    # arity L = 10^20: one tree of size 1, L of size 2 (a leaf in one of L
+    # slots), and of size 3 L^2 with one child of size 2 and C(L, 2) with
+    # two leaf children; counted by powers of C, with nothing that grows
+    # with L
+    big = 10 ** 20
+    assert tree_counts(parse_spec(f"sum {big} 1"), 3) == [1, 1, big, big * big + math.comb(big, 2)]
+    with pytest.raises(ValueError, match="sizes 1..2 hold"):
+        check_tree_budget(parse_spec(f"sum {big} 1"), 3)
+
+
 def test_size_one_trees_are_the_terms():
     values = list(tree_values(MIXED, 1))
     assert values == [2, 3, 4, 5, 6]
