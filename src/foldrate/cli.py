@@ -104,7 +104,8 @@ def _obtain_table(spec: RecurrenceSpec, args, n: int) -> SequenceTable:
                 raise _UsageError(str(exc)) from None
             if table.domain_name != args.domain:
                 raise _UsageError(
-                    f"cache {cache!r} holds a {table.domain_name}-domain table "
+                    f"cache {cache!r} holds {'an' if table.domain_name == 'exact' else 'a'} "
+                    f"{table.domain_name}-domain table "
                     f"but --domain {args.domain} was requested"
                 )
         else:

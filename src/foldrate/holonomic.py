@@ -12,21 +12,25 @@ with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W
 and proves it; the exact domain runs it (engine docstring).
 
 Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
-j <= e.  Elimination mod a 21-bit prime that divides no weight of P
-(numpy int64) stops at the first column that depends on the ones before
-it, which gives the least order r with a relation of degree <= e.  The
-same square system mod up to 16 primes of 31 bits, 8 at a time, CRT and
-rational reconstruction give the integer relation, which must then hold
-exactly on every row n in [r, W]; n0 is the least n from which it
-does.  Only relations with at most CAP unknowns (r+1)(e+1) are sought,
-on at least _MARGIN more rows than unknowns.  The least order does not
-grow with e, and the recurrences seen all have e = d - 1 or d,
-d = deg P (sum k 1: order 1, degree k - 1), so e = d is searched, or
-e = d - 1 where no shift is left for e = d (sum 32 1).  A spec with
-d >= 33 is never searched, and a recurrence missed here only leaves the
-table on the engine.  The search's three helpers are the only code here
-that uses numpy, and each imports it: proving, running and resuming a
-cached recurrence load none.
+j <= e.  One elimination, _eliminate, finds and lifts the relation.  Mod
+the first prime of _PRIMES that divides no weight of P, it stops at the
+first column that depends on the ones before it, which gives the least
+order r with a relation of degree <= e and the rows of its pivots.  The
+square system on those rows is then solved mod all such primes, 8 at a
+time (a batch whose first prime loses a pivot is skipped), and after
+each batch CRT and rational reconstruction give an integer relation.
+The first one that holds exactly on every row of the search block and
+is proved is kept, with n0 the least n in [r, W] from which it holds: a
+relation reconstructed from too few primes fails that check.  Only
+relations with at most CAP unknowns (r+1)(e+1) are sought, on at least
+_MARGIN more rows than unknowns.  The least order does not grow with e,
+and the recurrences seen all have e = d - 1 or d, d = deg P (sum k 1:
+order 1, degree k - 1), so e = d is searched, or e = d - 1 where no
+shift is left for e = d (sum 32 1).  A spec with d >= 33 is never
+searched, and a recurrence missed here only leaves the table on the
+engine.  _matrix, _eliminate and find are the only code here that uses
+numpy, and each imports it: proving, running and resuming a cached
+recurrence load none.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
 theta = z d/dz,
@@ -47,8 +51,9 @@ N_{k+1} = A (N_k' B - 2k N_k B'), and (E) times P^n0 B^(2e) reads
 with H_i = sum_k d_ik N_k B^(2(e-k)), p_i(x + i) = sum_k d_ik x^k, and
 H_i = 0 for i > r.  The left side is checked at one point y = Y = 2^K,
 with no product of polynomials (Kronecker substitution; von zur Gathen
-and Gerhard, Modern Computer Algebra, 8.4).  The l1 norm ||a||, the sum
-of the |coefficients|, is submultiplicative and ||y - 1|| = 2, so
+and Gerhard, Modern Computer Algebra, 8.4); each polynomial is
+evaluated at Y by shifts.  The l1 norm ||a||, the sum of the
+|coefficients|, is submultiplicative and ||y - 1|| = 2, so
 
     W = sum_i 2^i ||P||^(n0-i) (sum_k |d_ik| ||N_k|| ||B||^(2(e-k))
                                 + |q_i| ||B||^(2e))
@@ -78,11 +83,9 @@ __all__ = ["CAP", "Recurrence", "find", "proved"]
 # with e >= 1.
 CAP = 64
 _MARGIN = 8
-# the search's primes, below 2^21 (_first_dependent), and the lifting
-# primes, below 2^31: a product of two residues fits an int64.  The
-# search takes the first that divides no weight of P: one that divides
-# them all makes every t_n with n >= 1 vanish mod p.
-_SEARCH_PRIMES = (2097143, 2097133, 2097131)
+# primes below 2^31: a product of two residues fits an int64.  The
+# search and the lift take those that divide no weight of P: one that
+# divides them all makes every t_n with n >= 1 vanish mod p.
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
            2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
            2147483353, 2147483323, 2147483269, 2147483249)
@@ -108,52 +111,36 @@ def _matrix(t, cols, rows, p):
     return tm[n[:, None] - i] * powers[:, j] % p
 
 
-def _first_dependent(M, p):
-    """(k, pivot rows): k is the first column of M that is, mod p, a
-    combination of the columns before it, whose pivots are in those rows;
-    None if the columns are independent.  M is overwritten.  Only the
-    pivot column and row are reduced mod p: with p < 2^21, each step adds
-    less than 2^42 to an entry, so 64 steps stay inside an int64."""
+def _eliminate(X, primes):
+    """(k, pivot rows, ok) by Gauss-Jordan elimination on X, a stack of
+    int64 matrices, one per prime below 2^31, with the pivot rows chosen
+    mod primes[0].  k is the first column that is, mod primes[0], a
+    combination of the columns before it (None if there is none), and
+    then X[:, :k, k] holds that combination; ok[m] is whether every pivot
+    was nonzero mod primes[m].  X is overwritten.  Every entry touched is
+    reduced at each step, so no value held exceeds a product of two
+    residues, below 2^62."""
     import numpy as np
 
-    order = list(range(len(M)))
-    for k in range(M.shape[1]):
-        col = M[k:, k] % p
-        nz = col.nonzero()[0]
+    ps = np.array(primes, dtype=np.int64)[:, None]
+    order, ok = list(range(X.shape[1])), [True] * len(primes)
+    for k in range(X.shape[2]):
+        nz = X[0, k:, k].nonzero()[0]
         if not len(nz):
-            return k, order[:k]
+            return k, order[:k], ok
         j = k + int(nz[0])
         if j != k:
-            M[[k, j]] = M[[j, k]]
-            col[[0, j - k]] = col[[j - k, 0]]
+            X[:, [k, j]] = X[:, [j, k]]
             order[k], order[j] = order[j], order[k]
-        M[k + 1 :, k:] -= np.outer(col[1:], M[k, k:] % p * pow(int(col[0]), -1, p) % p)
-    return None
-
-
-def _solutions(t, cols, rows):
-    """For each prime p: x with sum_{c<k} x_c col_c = col_k mod p on the
-    k = len(rows) rows, or None where a pivot vanishes mod p; by
-    Gauss-Jordan elimination on 8 primes at a time."""
-    import numpy as np
-
-    k = len(rows)
-    for b in range(0, len(_PRIMES), 8):
-        primes = _PRIMES[b : b + 8]
-        ps = np.array(primes, dtype=np.int64)[:, None]
-        X = np.stack([_matrix(t, cols, rows, p) for p in primes])
-        ok = [True] * len(primes)
-        for j in range(k):
-            piv = X[:, j, j].tolist()
-            ok = [o and v != 0 for o, v in zip(ok, piv)]
-            inv = [pow(v, -1, p) if v else 0 for v, p in zip(piv, primes)]
-            X[:, j, j:] = X[:, j, j:] * np.array(inv)[:, None] % ps
-            f = X[:, :, j].copy()
-            f[:, j] = 0
-            X[:, :, j:] -= f[:, :, None] * X[:, j : j + 1, j:]
-            X[:, :, j:] %= ps[:, :, None]
-        for p, good, x in zip(primes, ok, X[:, :, k].tolist()):
-            yield p, good and x
+        piv = X[:, k, k].tolist()
+        ok = [o and v != 0 for o, v in zip(ok, piv)]
+        inv = [pow(v, -1, p) if v else 0 for v, p in zip(piv, primes)]
+        X[:, k, k:] = X[:, k, k:] * np.array(inv)[:, None] % ps
+        f = X[:, :, k].copy()
+        f[:, k] = 0
+        X[:, :, k:] -= f[:, :, None] * X[:, k : k + 1, k:]
+        X[:, :, k:] %= ps[:, :, None]
+    return None, order, ok
 
 
 def _ratrec(a, m):
@@ -166,35 +153,6 @@ def _ratrec(a, m):
     if not 0 < abs(s1) <= bound:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _lift(t, cols, rows):
-    """Integer relation vectors over cols (the last column's coefficient
-    negative), reconstructed from more and more primes: each one that
-    two successive prime counts agree on."""
-    residues, modulus, last = None, 1, None
-    for p, x in _solutions(t, cols, rows):
-        if not x:
-            continue
-        x.append(p - 1)
-        if residues is None:
-            residues = x
-        else:
-            inv = pow(modulus, -1, p)
-            residues = [a + modulus * ((b - a) * inv % p) for a, b in zip(residues, x)]
-        modulus *= p
-        den, nums = 1, []
-        for a in residues:
-            rr = _ratrec(a * den, modulus)
-            if rr is None:
-                nums = None
-                break
-            nums = [u * rr[1] for u in nums]
-            den *= rr[1]
-            nums.append(rr[0])
-        if nums and nums == last:
-            yield nums
-        last = nums
 
 
 def _value(poly, n):
@@ -219,6 +177,8 @@ def _poly(pairs):
 def find(t, pairs, window):
     """A proved Recurrence for t, whose t_0..t_window are given, with P
     from the exact domain's pairs; or None."""
+    import numpy as np
+
     poly = _poly(pairs)
     d = len(poly) - 1
     for e in (d, d - 1):
@@ -227,31 +187,51 @@ def find(t, pairs, window):
             break
     else:
         return None
-    p = next((q for q in _SEARCH_PRIMES if all(w % q for w, _ in pairs)), None)
+    primes = [q for q in _PRIMES if all(w % q for w, _ in pairs)]
+    if not primes:
+        return None
     cols = [(i, j) for i in range(R + 1) for j in range(e + 1)]
     rows = list(range(R, window + 1))[-len(cols) - _MARGIN :]
-    dep = p and _first_dependent(_matrix(t, cols, rows, p), p)
-    if not dep or not dep[0]:
+    k, pivots, _ = _eliminate(_matrix(t, cols, rows, primes[0])[None], primes[:1])
+    if not k:
         return None
-    k, pivots = dep
-    nums = next(_lift(t, cols[: k + 1], [rows[i] for i in pivots]), None)
-    if nums is None:
-        return None
-    r = cols[k][0]
-    coeffs = [[0] * (e + 1) for _ in range(r + 1)]
-    for (i, j), u in zip(cols, nums):
-        coeffs[i][j] = u
-    while len(coeffs[0]) > 1 and not any(c[-1] for c in coeffs):
-        coeffs = [c[:-1] for c in coeffs]
-    if not any(coeffs[0]):
-        return None
-    # p_0's leading coefficient positive, and no common factor
-    g = math.gcd(*nums) * (1 if [u for u in coeffs[0] if u][-1] > 0 else -1)
-    coeffs = tuple(tuple(u // g for u in c) for c in coeffs)
-    bad = [n for n in range(r, window + 1) if _residual(coeffs, t, n)]
-    start = bad[-1] + 1 if bad else r
-    if start <= rows[0] and proved(coeffs, start, t, pairs):
-        return Recurrence(coeffs, start, window)
+    cols, first, rows, r = cols[: k + 1], rows[0], [rows[i] for i in pivots], cols[k][0]
+    residues, modulus = [0] * (k + 1), 1
+    for b in range(0, len(primes), 8):
+        batch = primes[b : b + 8]
+        X = np.stack([_matrix(t, cols, rows, p) for p in batch])
+        dep, _, ok = _eliminate(X, batch)
+        if dep != k:
+            continue
+        # the relation vector, its last column's coefficient -1
+        for p, good, x in zip(batch, ok, X[:, :k, k].tolist()):
+            if good:
+                inv = pow(modulus, -1, p)
+                residues = [a + modulus * ((c - a) * inv % p)
+                            for a, c in zip(residues, x + [p - 1])]
+                modulus *= p
+        den, nums = 1, []
+        for a in residues:
+            rr = _ratrec(a * den, modulus)
+            if rr is None:
+                break
+            nums = [u * rr[1] for u in nums] + [rr[0]]
+            den *= rr[1]
+        if len(nums) <= k:
+            continue
+        coeffs = [[0] * (e + 1) for _ in range(r + 1)]
+        for (i, j), u in zip(cols, nums):
+            coeffs[i][j] = u
+        while len(coeffs[0]) > 1 and not any(c[-1] for c in coeffs):
+            coeffs = [c[:-1] for c in coeffs]
+        if not any(coeffs[0]):
+            continue
+        # p_0's leading coefficient positive, and no common factor
+        g = math.gcd(*nums) * (1 if [u for u in coeffs[0] if u][-1] > 0 else -1)
+        coeffs = tuple(tuple(u // g for u in c) for c in coeffs)
+        start = next((n + 1 for n in range(window, r - 1, -1) if _residual(coeffs, t, n)), r)
+        if start <= first and proved(coeffs, start, t, pairs):
+            return Recurrence(coeffs, start, window)
     return None
 
 
@@ -303,15 +283,22 @@ def proved(coeffs, start, t, pairs):
     W, nB2e = 0, nB2 ** e
     for i in range(start + 1):
         W = W * nP + ((sum(map(abs, map(operator.mul, d[i], nF))) + abs(q[i]) * nB2e) << i)
-    Y = 1 << (W.bit_length() + 1)
-    Pv, B2 = _value(poly, Y), _value(B, Y) ** 2
+    K = W.bit_length() + 1  # Y = 2^K
+
+    def at_Y(poly):
+        v = 0
+        for c in reversed(poly):
+            v = (v << K) + c
+        return v
+
+    Pv, B2 = at_Y(poly), at_Y(B) ** 2
     F, B2e = [0] * (e + 1), 1  # F_k = N_k B^(2(e-k)) at Y; B2e ends at B^(2e)
     for k in range(e, -1, -1):
-        F[k] = _value(N[k], Y) * B2e
+        F[k] = at_Y(N[k]) * B2e
         if k:
             B2e *= B2
     acc, power = 0, 1  # power = (Y-1)^i
     for i in range(start + 1):
         acc = acc * Pv + (sum(map(operator.mul, d[i], F)) - q[i] * B2e) * power
-        power *= Y - 1
+        power = (power << K) - power
     return not acc

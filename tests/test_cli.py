@@ -492,7 +492,20 @@ def test_cache_reuse_and_domain_guard(tmp_path, capsys):
         "--domain", "exact",
     )
     assert code == EXIT_USAGE
-    assert "log-domain" in err
+    assert "holds a log-domain table" in err
+    # and an exact cache asked for in the log domain
+    exact = str(tmp_path / "cat-exact.seq")
+    code, _, _ = run(
+        capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", exact,
+        "--domain", "exact",
+    )
+    assert code == EXIT_OK
+    code, _, err = run(
+        capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", exact,
+        "--domain", "log",
+    )
+    assert code == EXIT_USAGE
+    assert "holds an exact-domain table but --domain log was requested" in err
 
 
 def test_cache_rejects_different_spec(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Exact tables on a proved recurrence: search, proof, run and persistence."""
 
+import hashlib
+import math
 import random
 import struct
 import sys
 import zlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from foldrate import (
     CacheCorruptError,
@@ -264,17 +269,109 @@ def test_specs_over_the_cap_stay_on_the_engine(monkeypatch):
         assert _values(table) == _values(_engine_table(monkeypatch, spec, 110))
 
 
+_EVERY_PRIME = math.prod(holonomic._PRIMES)
+
+
 @pytest.mark.parametrize("text, found", [
-    ("sum 2 2097143", True),                          # the first search prime
+    ("sum 2 2097143", True),                          # 21-bit primes, none of _PRIMES
     ("sum 2 2097143\nsum 3 1", True),
-    ("sum 2 2147483647\nsum 3 2147483629", True),     # two lifting primes
-    ("sum 2 2097143\nsum 3 2097133\nsum 1 2097131", False),  # every search prime
+    ("sum 2 2147483647\nsum 3 2147483629", True),     # the first two primes
+    ("sum 2 2097143\nsum 3 2097133\nsum 1 2097131", True),
+    pytest.param(f"sum 2 {_EVERY_PRIME}\nsum 3 {_EVERY_PRIME}", False, id="every prime"),
 ])
 def test_weights_that_a_prime_divides(monkeypatch, text, found):
     # a prime dividing a weight of P can make the columns vanish or drop
-    # rank mod that prime; the search takes another, the lifting skips it,
+    # rank mod that prime; the search and the lift take only the others,
     # and with no prime left the table stays on the engine
     spec = parse_spec(text)
     table = compute_sequence(spec, 120, domain="exact")
     assert (table.recurrence is not None) == found
     assert _values(table) == _values(_engine_table(monkeypatch, spec, 120))
+
+
+def test_sum_32_1_is_searched_at_degree_31(monkeypatch):
+    # e = d - 1 with 64 unknowns, exactly CAP; its proof evaluates the N_k,
+    # of degree up to about 2000, at y = 2^K
+    spec = parse_spec("sum 32 1")
+    table = compute_sequence(spec, 120, domain="exact")
+    rec = table.recurrence
+    assert (len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.start, rec.window) == (1, 31, 1, 104)
+    assert len(rec.coeffs) * len(rec.coeffs[0]) == holonomic.CAP
+    assert _values(table) == _values(_engine_table(monkeypatch, spec, 120))
+
+
+def test_the_search_finds_the_pinned_relations(monkeypatch):
+    # 246 searches on the engine's t_0..t_W at both windows: which relation
+    # each finds, or None, is pinned (178 find one)
+    rng = random.Random(7)
+    specs = [parse_spec(text) for text in (MIXED_EXAMPLE, "sum 5 1\nsum 2 3",
+                                           "sum 2 1/2\nmax 3 2/3\nsum 1 5/7")]
+    specs += [random_spec(rng, max_terms=4, max_arity=6,
+                          kind=rng.choice(("mixed", "sum", "max"))) for _ in range(120)]
+    tables = [_engine_table(monkeypatch, spec, 104) for spec in specs]
+    found = [holonomic.find(table._dom.cols[0][: w + 1], table._dom.pairs, w)
+             for table in tables for w in (48, 104)]
+    found = [rec and tuple(rec) for rec in found]
+    assert (len(found), sum(rec is not None for rec in found)) == (246, 178)
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "331c5bfe3138cb69a2e41ccac051e0d3b41d4c92a3ff2b06b67967ffdd4e305b")
+
+
+def _reference_eliminate(M, primes):
+    """_eliminate on Python ints: the same pivot rule, and the same
+    entries touched, each reduced mod its prime."""
+    X = [[[x % p for x in row] for row in M] for p in primes]
+    order, ok = list(range(len(M))), [True] * len(primes)
+    for k in range(len(M[0])):
+        j = next((i for i in range(k, len(M)) if X[0][i][k]), None)
+        if j is None:
+            return k, order[:k], ok, X
+        order[k], order[j] = order[j], order[k]
+        for m, (A, p) in enumerate(zip(X, primes)):
+            A[k], A[j] = A[j], A[k]
+            ok[m] = ok[m] and A[k][k] != 0
+            inv = pow(A[k][k], -1, p) if A[k][k] else 0
+            A[k][k:] = [x * inv % p for x in A[k][k:]]
+            for i, row in enumerate(A):
+                if i != k:
+                    f = row[k]
+                    row[k:] = [(x - f * y) % p for x, y in zip(row[k:], A[k][k:])]
+    return None, order, ok, X
+
+
+@given(rows=st.integers(1, holonomic.CAP + holonomic._MARGIN), cols=st.integers(1, holonomic.CAP),
+       seed=st.integers(0, 2**32), planted=st.integers(0, 3), vanish=st.booleans())
+@example(rows=72, cols=64, seed=1, planted=1, vanish=True)
+@example(rows=72, cols=64, seed=2, planted=0, vanish=False)
+@example(rows=40, cols=41, seed=3, planted=0, vanish=True)
+@settings(max_examples=25, deadline=None)
+def test_eliminate_matches_a_python_reference(rows, cols, seed, planted, vanish):
+    # residues near 2^31 mod the first two primes, up to the CAP + _MARGIN
+    # by CAP search block; planted columns are combinations of the ones
+    # before them mod both primes, and with vanish the first pivot is
+    # nonzero mod the first prime but zero mod the second
+    primes = holonomic._PRIMES[:2]
+    modulus = primes[0] * primes[1]
+    rng = random.Random(seed)
+    M = [[rng.randrange(modulus) for _ in range(cols)] for _ in range(rows)]
+    if vanish:
+        M[0][0] = primes[1] * rng.randrange(1, primes[0])
+    dependent = sorted(rng.randrange(1, cols) for _ in range(planted if cols > 1 else 0))
+    for c in dependent:
+        mult = [rng.randrange(modulus) for _ in range(c)]
+        for row in M:
+            row[c] = sum(a * x for a, x in zip(mult, row)) % modulus
+    X = np.array([[[x % p for x in row] for row in M] for p in primes], dtype=np.int64)
+    k, pivots, ok = holonomic._eliminate(X, primes)
+    want_k, want_pivots, want_ok, want_X = _reference_eliminate(M, primes)
+    assert (k, pivots, ok) == (want_k, want_pivots, want_ok)
+    assert X.tolist() == want_X
+    assert not vanish or ok == [True, False]
+    if dependent:
+        assert k is not None and k <= dependent[0]
+    if k is not None:
+        # each prime with every pivot nonzero solves for column k on the pivot rows
+        for p, good, x in zip(primes, ok, X[:, :k, k].tolist()):
+            if good:
+                for i in pivots:
+                    assert (sum(a * M[i][c] for c, a in enumerate(x)) - M[i][k]) % p == 0
