@@ -28,10 +28,10 @@ So refine() works out, before computing anything, the least n* with
 e(n*) <= ln(1 + epsilon), and doubles the index n but stops at n*
 instead of the next power of two past it: no n below n* is certified by
 this argument, and n* is.  refine() and evaluate_bounds read s_n at
-their indices alone, through one step, _points: a certified bracket on
-ln s_n from Lagrange inversion (lagrange docstring), so every lower(n)
-and upper(n) holds with every rounding accounted for, and no table
-value is read.  Convergence is still read off the sandwich itself,
+their indices alone, through one step, _points, on lagrange.points (the
+one entry): a certified bracket on ln s_n from Lagrange inversion, so
+every lower(n) and upper(n) holds with every rounding accounted for, and
+no table value is read.  Convergence is still read off the sandwich itself,
 never off n*, and a run that rounding leaves short of the target at n*
 keeps doubling.  refine() stops on convergence or when a budget runs
 out; an unconverged run is reported, not raised.
@@ -142,23 +142,27 @@ class BoundsReport:
         self.best_ln_upper = min(self.best_ln_upper, ln_upper)
 
     def to_json_dict(self) -> dict:
-        # linear values that overflow a double print as null
+        # JSON has no inf: linear values that overflow a double print as
+        # null, as do the infinite ln bounds of a report with no entries
+        def ln(x):
+            return round12(x) if math.isfinite(x) else None
+
         return {
             "spec": self.spec_text,
             "epsilon": self.epsilon,
             "entries": [
                 {
                     "n": e.n,
-                    "ln_lower": round12(e.ln_lower),
-                    "ln_upper": round12(e.ln_upper),
+                    "ln_lower": ln(e.ln_lower),
+                    "ln_upper": ln(e.ln_upper),
                     "lower": round12(exp_ln(e.ln_lower, None)),
                     "upper": round12(exp_ln(e.ln_upper, None)),
                 }
                 for e in self.entries
             ],
             "best": {
-                "ln_lower": round12(self.best_ln_lower),
-                "ln_upper": round12(self.best_ln_upper),
+                "ln_lower": ln(self.best_ln_lower),
+                "ln_upper": ln(self.best_ln_upper),
                 "lower": round12(exp_ln(self.best_ln_lower, None)),
                 "upper": round12(exp_ln(self.best_ln_upper, None)),
                 "ratio": round12(exp_ln(self.best_ln_upper - self.best_ln_lower, None)),
@@ -184,21 +188,16 @@ class BoundsReport:
 
 
 def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,
-                    ns=None, epsilon: float | None = None,
-                    max_n: int | None = None) -> BoundsReport:
-    """The sandwich of table.spec at ns in [2, max_n] (default: powers of
-    two and max_n), max_n <= table.n (default: table.n); no table value
-    is read."""
-    max_n = table.n if max_n is None else max_n
-    if max_n > table.n:
-        raise ValueError(f"table only extends to {table.n}, cannot read up to {max_n}")
-    return _bounds(table.spec, max_n, consts, ns, epsilon)
+                    ns=None, epsilon: float | None = None) -> BoundsReport:
+    """The sandwich of table.spec at ns in [2, table.n] (default: powers of
+    two and table.n); no table value is read."""
+    return _bounds(table.spec, table.n, consts, ns, epsilon)
 
 
 def _bounds(spec: RecurrenceSpec, max_n: int, consts=None, ns=None,
             epsilon=None) -> BoundsReport:
     """evaluate_bounds for a spec, with no table, largest point first: only
-    it can fail _points' memory or domain check, before any work."""
+    it can fail lagrange.points' memory or domain check, before any work."""
     if max_n < 2:
         raise ValueError(f"bounds need max_n >= 2, got {max_n}")
     if ns is None:
@@ -209,7 +208,7 @@ def _bounds(spec: RecurrenceSpec, max_n: int, consts=None, ns=None,
         raise ValueError(f"bounds read n in [2, {max_n}], got {ns[0]}..{ns[-1]}")
     if consts is None:
         consts = derive_constants(spec)
-    point = _points(spec, consts, DEFAULT_MEMORY_LIMIT)
+    point = _points(spec, consts)
     sandwich = {n: point(n) for n in reversed(ns)}
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon, max_n=max_n)
     for n in ns:
@@ -220,22 +219,16 @@ def _bounds(spec: RecurrenceSpec, max_n: int, consts=None, ns=None,
     return report
 
 
-def _points(spec: RecurrenceSpec, consts: GrowthConstants, memory_limit: int):
+def _points(spec: RecurrenceSpec, consts: GrowthConstants):
     """The point step of refine and evaluate_bounds, n -> (ln lower(n),
-    ln upper(n)) from lo <= ln s_n <= hi (lagrange.ln_point), rounded
-    outward.  A point whose working set passes memory_limit raises
-    MemoryBudgetError before any work; ln_point's guards raise too."""
-    from . import lagrange  # numpy loads with the point evaluator only
+    ln upper(n)) from lo <= ln s_n <= hi (lagrange.points), rounded
+    outward.  lagrange.points' memory budget and guards raise."""
+    from .lagrange import points  # numpy loads with the point evaluator only
 
-    d, taps = max(spec.merged_weights()[0]), None
+    ln_s = points(spec)
 
     def point(n):
-        nonlocal taps
-        need = lagrange._point_bytes(d, n)
-        if need > memory_limit:
-            raise MemoryBudgetError(f"point n={n} needs ~{need} bytes, budget is {memory_limit}")
-        taps = taps or lagrange._taps(spec)
-        lo, hi = lagrange._ln_point(taps, n)
+        lo, hi = ln_s(n)
         upper = math.nextafter(hi / n, math.inf) + _excess(consts, n, True)
         return math.nextafter(lo / n, -math.inf), math.nextafter(upper, math.inf)
 
@@ -243,35 +236,33 @@ def _points(spec: RecurrenceSpec, consts: GrowthConstants, memory_limit: int):
 
 
 def refine(spec: RecurrenceSpec, epsilon: float = DEFAULT_EPSILON,
-           max_n: int = DEFAULT_MAX_N, seconds: float | None = None,
-           memory_limit: int = DEFAULT_MEMORY_LIMIT) -> BoundsReport:
+           max_n: int = DEFAULT_MAX_N, seconds: float | None = None) -> BoundsReport:
     """Evaluate the sandwich at more indices until its ratio is <= 1 + epsilon.
 
     Evaluation happens at each index in the schedule 2, 4, 8, ..., each
     step doubling n but stopping at max_n and at n*, the least n whose
     excess e(n) is within ln(1 + epsilon) (module docstring).  Each point
-    reads a certified bracket on ln s_n from lagrange.ln_point, in
+    reads a certified bracket on ln s_n from lagrange.points, in
     O(n d^3) work for d = deg P (_points), and builds no table.
     Stops on convergence or when the max_n, wall clock or memory budget
-    runs out, or when a point's float range guard fails; each yields
-    converged=False in the report, with the reason named in ``reason``,
-    rather than an exception.  Both the memory budget, on the projected
-    working set of one point (lagrange.point_bytes), and the wall clock
-    budget are checked before each point, so a point projected or
+    (lagrange.points') runs out, or when a point's float range guard
+    fails; each yields converged=False in the report, with the reason
+    named in ``reason``, rather than an exception.  The memory and wall
+    clock budgets are checked before each point, so a point projected or
     predicted to overrun one is never started.  A point at n' is
     predicted at n' times the last point's time per index, times the
     largest point-to-point rise in that time seen so far (at least 1): a
     doubling at twice the last point's time.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     start = time.perf_counter()
     consts = derive_constants(spec)
     n_star = _last_step(consts, epsilon, max_n)
     report = BoundsReport(spec_text=spec.render(), epsilon=epsilon)
-    point = _points(spec, consts, memory_limit)
+    point = _points(spec, consts)
     n, slowdown, last_rate = 2, 1.0, None
     while True:
         step = time.perf_counter()

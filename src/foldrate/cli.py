@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import DEFAULT_EPSILON, DEFAULT_MAX_N
-from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
+from .engine import MemoryBudgetError, SequenceTable
 from .recurrence import Op, RecurrenceSpec, SpecError, parse_spec, parse_spec_json
 from .scalars import exp_ln, round12
 
@@ -56,8 +56,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
     return value
 
 
@@ -204,8 +204,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.n < 2:
-        raise _UsageError("bounds need --n at least 2")
     from .bounds import _bounds
 
     spec = _load_spec(args)
@@ -232,11 +230,10 @@ def cmd_refine(args) -> int:
     saved = log.level, log.propagate
     handler = logging.StreamHandler(sys.stderr)
     log.addHandler(handler)
-    log.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     log.propagate = False
     try:
-        report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds,
-                        memory_limit=args.memory_limit)
+        report = refine(spec, epsilon=args.epsilon, max_n=args.max_n, seconds=args.seconds)
         _print_report(report, args.format)
         if not report.converged:
             log.warning("not converged: %s (ratio %.6g)", report.reason, report.ratio)
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate sum/max convolution recurrences and bound their growth rate.",
     )
     parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log progress to stderr (-vv for debug)")
+                        help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p):
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate the growth-rate sandwich up to a length")
     add_spec_args(p)
-    p.add_argument("--n", type=_nonneg_int, required=True,
+    p.add_argument("--n", type=_int_at_least(2, "an integer >= 2"), required=True,
                    help="read the sandwich at 2, 4, 8, ... and N (>= 2), from certified points")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_bounds)
@@ -333,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"length budget: the largest n evaluated (default {DEFAULT_MAX_N})")
     p.add_argument("--seconds", type=_positive_float, default=None,
                    help="wall clock budget")
-    p.add_argument("--memory-limit", metavar="BYTES", type=_int_at_least(1, "a positive integer"),
-                   default=DEFAULT_MEMORY_LIMIT,
-                   help=f"working-set budget of one point (default {DEFAULT_MEMORY_LIMIT})")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_refine)
 
@@ -366,10 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SpecError as exc:
+    except (_UsageError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryBudgetError as exc:

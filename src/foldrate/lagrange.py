@@ -6,6 +6,9 @@ Sedgewick, Analytic Combinatorics, Thm A.2) gives each value on its own:
 
     s_n = (1/n) [u^(n-1)] Phi(u)^n.
 
+The one entry, points(spec), shared by bounds and refine, maps n to a
+bracket on ln s_n under one memory budget, DEFAULT_MEMORY_LIMIT.
+
 J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, sec. 4.7) gives the
 coefficients a_k of Phi^n.  With b_k = a_k / Phi_0^n and r_j = Phi_j / Phi_0,
 
@@ -70,10 +73,11 @@ import math
 
 import numpy as np
 
+from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError
 from .recurrence import RecurrenceSpec
 from .scalars import _ln_outward
 
-__all__ = ["ln_point", "point_bytes"]
+__all__ = ["points"]
 
 _CELLS = 1 << 14  # float64 cells of one chunk
 _TINY = 2.0 ** -500  # least nonzero entry of a scaled product
@@ -84,7 +88,7 @@ _LN2 = math.log(2.0)
 
 def _taps(spec: RecurrenceSpec):
     """(ln Phi_0 rounded down and up, r_1..r_d): what _ln_point reads of
-    a spec, resolved once per refine."""
+    a spec, resolved once per points(spec)."""
     weights = spec.merged_weights()[0]
     phi = [sum(w * math.comb(a, j) for a, w in weights.items() if a >= j)
            for j in range(max(weights) + 1)]
@@ -98,17 +102,6 @@ def _chunk(d: int) -> tuple[int, int]:
     """Matrices per chunk and the most left over from one chunk."""
     size = max(2, _CELLS // (d * d))
     return size, max(1, size >> 5)
-
-
-def point_bytes(spec: RecurrenceSpec, n: int) -> int:
-    """Projected working set of ln_point(spec, n) (_point_bytes)."""
-    return _point_bytes(max(spec.merged_weights()[0]), n)
-
-
-def _point_bytes(d: int, n: int) -> int:
-    """Projected working set of a point at n for d = deg P: the chunk's
-    stack and the pairwise products and scaled copies made from it."""
-    return 24 * d * d * min(n, sum(_chunk(d)))
 
 
 def _reduce(a, stop: int, exponents: list):
@@ -131,15 +124,29 @@ def _reduce(a, stop: int, exponents: list):
     return a
 
 
-def ln_point(spec: RecurrenceSpec, n: int) -> tuple[float, float]:
-    """(lo, hi) with lo <= ln s_n <= hi, for 1 <= n with (n+1)(d+3) < 2^53
-    and d < 2^16 (module docstring).  Raises FloatingPointError if a range guard
-    fails."""
-    return _ln_point(_taps(spec), n)
+def points(spec: RecurrenceSpec):
+    """n -> (lo, hi) with lo <= ln s_n <= hi, for 1 <= n with (n+1)(d+3)
+    < 2^53 and d < 2^16 (module docstring), else ValueError.  Each call
+    raises MemoryBudgetError before any work, _taps included, if the
+    point's working set passes DEFAULT_MEMORY_LIMIT as it reads then, and
+    FloatingPointError if a range guard fails."""
+    d, taps = max(spec.merged_weights()[0]), None
+
+    def point(n: int) -> tuple[float, float]:
+        nonlocal taps
+        # the chunk's stack, and the products and scaled copies made from it
+        need = 24 * d * d * min(n, sum(_chunk(d)))
+        if need > DEFAULT_MEMORY_LIMIT:
+            raise MemoryBudgetError(
+                f"point n={n} needs ~{need} bytes, budget is {DEFAULT_MEMORY_LIMIT}")
+        taps = taps or _taps(spec)
+        return _ln_point(taps, n)
+
+    return point
 
 
 def _ln_point(taps: tuple, n: int) -> tuple[float, float]:
-    """ln_point for the spec whose _taps are given."""
+    """The bracket on ln s_n for the spec whose _taps are given."""
     ln_lo, ln_hi, r = taps
     d = len(r)
     if n < 1 or (n + 1) * (d + 3) >= 1 << 53 or d >= 1 << 16:

@@ -127,8 +127,9 @@ class _LogDomain:
         self.lnw = np.array([ln_fraction(weights[a]) for a in sorted(weights)])
         self.wcols = [a - 1 for a in sorted(weights)]
         self.data = np.zeros((len(src) + 1, 1))
-        self.reads = sorted({0, *sum(src, ())})
-        self.plan = [(a, b, self.reads.index(a), self.reads.index(b)) for a, b in src]
+        self.reads = sorted({0} | {c for pair in src for c in pair})
+        row = {c: i for i, c in enumerate(self.reads)}
+        self.plan = [(a, b, row[a], row[b]) for a, b in src]
         self.fallback_cells = 0
 
     def _reserve(self, n: int, limit: int, what: str, after: str = "") -> None:

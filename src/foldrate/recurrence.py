@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -158,10 +159,16 @@ def _column_of(raw_line: str, token: str) -> int:
 
 
 def _parse_weight_text(text: str) -> Fraction:
-    # Fraction's string constructor accepts "p/q", integers and exact
-    # decimals ("1.5" -> 3/2), which is precisely the accepted grammar.
+    # Fraction's string grammar ("p/q", integers, exact decimals: "1.5" is
+    # 3/2) is the accepted one.  str refuses a value past the int digit limit;
+    # an exponent past it plus the mantissa's length is refused unbuilt.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    mantissa, e, exponent = text.lower().partition("e")
     try:
+        if limit and e and abs(int(exponent)) > limit + len(mantissa):
+            raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
         w = Fraction(text)
+        str(w)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad weight {text!r}: {exc}") from None
     return w
@@ -223,9 +230,11 @@ def parse_spec_json(text: str) -> RecurrenceSpec:
 
     try:
         # Routing float literals through Fraction keeps decimals exact.
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=_parse_weight_text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:  # a number past the digit limit
+        raise SpecSyntaxError(f"unreadable number: {exc}") from None
     if not isinstance(doc, dict) or "terms" not in doc:
         raise SpecValidationError("top level must be an object with a 'terms' array")
     raw_terms = doc["terms"]

@@ -3,6 +3,7 @@ fresh interpreter for tests of what a process loads or prints."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -28,6 +29,15 @@ def fresh_python(*args, start=subprocess.run, **kwargs):
     sys.path."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return start([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def strict_json(text: str):
+    """json.loads(text), refusing NaN, Infinity and -Infinity: RFC 8259
+    JSON has no such number."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def outward_ln_values(table, side: int) -> list[float]:

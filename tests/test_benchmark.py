@@ -10,12 +10,10 @@ import sys
 
 import pytest
 
+from helpers import strict_json
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-
-
-def _no_constant(name):
-    raise ValueError(f"{name} in the result line: JSON has no such number")
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
@@ -25,6 +23,6 @@ def test_traced_run_ends_with_a_strict_result_line(workload):
                            "--seed", "1", "--seconds", "0.3", "--trace", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1], parse_constant=_no_constant)
+    result = strict_json(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stdout[-2000:]
     assert set(result["metrics"]) == {m["name"] for m in BENCHMARK["per_layer"]}

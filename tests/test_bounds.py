@@ -104,9 +104,10 @@ def test_catalan_lower_bound_estimate_at_512():
 
 def test_evaluate_bounds_reads_no_table_value():
     # the points depend on the spec alone: a table of either domain, and
-    # of any length past max_n, gives the same report
-    exact = evaluate_bounds(compute_sequence(MIX, 300, domain="exact"), max_n=256)
-    assert exact == evaluate_bounds(compute_sequence(MIX, 256, domain="log"))
+    # of any length past the last point, gives the same entries
+    ns = [2 ** k for k in range(1, 9)]
+    exact = evaluate_bounds(compute_sequence(MIX, 300, domain="exact"), ns=ns)
+    assert exact.entries == evaluate_bounds(compute_sequence(MIX, 256, domain="log")).entries
 
 
 def test_evaluate_bounds_needs_length_two():
@@ -217,7 +218,7 @@ def test_refine_stops_at_the_first_certified_n():
     assert report.ratio <= 1.5
     assert [e.n for e in report.entries][-2:] == [4096, 4290]
     # one index earlier the sandwich is not yet within 1.5
-    assert evaluate_bounds(compute_sequence(MIX, 4289), max_n=4289).ratio > 1.5
+    assert evaluate_bounds(compute_sequence(MIX, 4289)).ratio > 1.5
 
 
 def test_refine_doubles_while_n_star_is_out_of_reach():
@@ -233,8 +234,9 @@ def test_refine_converges_on_highmax():
 
 
 def test_refine_argument_guards():
-    with pytest.raises(ValueError):
-        refine(CATALAN, epsilon=0.0)
+    for epsilon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            refine(CATALAN, epsilon=epsilon)
     with pytest.raises(ValueError):
         refine(CATALAN, max_n=1)
 

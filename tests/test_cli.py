@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import math
 import os
 import pathlib
@@ -18,14 +17,15 @@ import zlib
 
 import pytest
 
-from foldrate import cli
+from foldrate import cli, lagrange
 from foldrate.cli import (
     EXIT_OK,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     CACHE_DIR_ENV,
     main,
 )
-from helpers import fresh_python
+from helpers import fresh_python, strict_json
 
 
 def run(capsys, *argv):
@@ -67,7 +67,7 @@ def test_eval_json(capsys):
         "--format", "json",
     )
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["domain"] == "exact"
     assert doc["values"] == ["1", "1", "2", "5", "14"]
 
@@ -110,7 +110,7 @@ def test_bfile_requires_exact_domain(capsys):
 def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--spec-text", "max 2 2", "--n", "64")
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["best"]["lower"] == 2.0  # the pure-max lower bound is exact
     assert doc["best"]["upper"] >= 2.0
     assert [e["n"] for e in doc["entries"]] == [2, 4, 8, 16, 32, 64]
@@ -183,17 +183,17 @@ def test_bfile_of_fractions_past_the_window_is_a_usage_error(capsys):
 def test_bounds_rejects_tiny_n(capsys):
     code, _, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", "1")
     assert code == EXIT_USAGE
-    assert "at least 2" in err
+    assert "argument --n: expected an integer >= 2, got 1" in err
 
 
 def test_bounds_and_refine_print_the_same_entries(capsys):
     # one point step serves both: at every n they share, the entries agree
     code, out, _ = run(capsys, "bounds", "--spec-text", MIX, "--n", "4096")
     assert code == EXIT_OK
-    bounds = {e["n"]: e for e in json.loads(out)["entries"]}
+    bounds = {e["n"]: e for e in strict_json(out)["entries"]}
     code, out, _ = run(capsys, "refine", "--spec-text", MIX, "--epsilon", "0.5")
     assert code == EXIT_OK
-    refine = {e["n"]: e for e in json.loads(out)["entries"]}
+    refine = {e["n"]: e for e in strict_json(out)["entries"]}
     assert sorted(bounds.keys() & refine.keys()) == [2 ** k for k in range(1, 13)]
     for n in bounds.keys() & refine.keys():
         assert bounds[n] == refine[n], n
@@ -229,7 +229,7 @@ def test_refine_json(capsys):
         "--max-n", "4096",
     )
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["converged"] is True
     assert doc["best"]["lower"] <= 4.0 <= doc["best"]["upper"]
 
@@ -240,9 +240,28 @@ def test_refine_unconverged_still_reports(capsys):
         "--max-n", "4",
     )
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["converged"] is False
     assert doc["reason"] == "length budget exhausted"
+
+
+@pytest.mark.parametrize("spec, reason", [("sum 300 1", "float range exceeded"),
+                                          ("sum 20000 1", "memory budget exhausted")])
+def test_refine_with_no_point_prints_null_bounds(capsys, spec, reason):
+    # no point evaluated: the best ln bounds are still infinite, and JSON
+    # (RFC 8259) has no Infinity
+    code, out, _ = run(capsys, "refine", "--spec-text", spec)
+    assert code == EXIT_OK
+    doc = strict_json(out)
+    assert (doc["reason"], doc["entries"]) == (reason, [])
+    assert doc["best"]["ln_lower"] is doc["best"]["ln_upper"] is doc["best"]["ratio"] is None
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1", "tight"])
+def test_refine_epsilon_must_be_positive_and_finite(capsys, epsilon):
+    code, out, err = run(capsys, "refine", "--spec-text", "sum 2 1", "--epsilon", epsilon)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --epsilon: expected a" in err
 
 
 def test_each_call_logs_to_its_own_stderr_at_its_own_level():
@@ -255,13 +274,19 @@ def test_each_call_logs_to_its_own_stderr_at_its_own_level():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main([*verbose, *argv]) == EXIT_OK
         streams.append(err.getvalue())
-    ratio = json.loads(out.getvalue())["best"]["ratio"]
+    ratio = strict_json(out.getvalue())["best"]["ratio"]
     warning = f"not converged: length budget exhausted (ratio {ratio:.6g})\n"
     assert streams[0] == streams[2] == warning
     progress = streams[1].splitlines(keepends=True)
     assert [line.split()[:2] for line in progress[:-1]] == [
         ["refine", "n=2"], ["refine", "n=4"], ["refine", "n=8"]]
     assert progress[-1] == warning
+
+
+def test_more_verbose_logs_the_same(capsys):
+    # nothing logs below INFO, so -vv prints what -v prints
+    argv = ["refine", "--spec-text", "sum 2 1", "--max-n", "8", "--format", "csv"]
+    assert run(capsys, "-v", *argv) == run(capsys, "-vv", *argv)
 
 
 def test_oracle_small(capsys):
@@ -341,7 +366,7 @@ def test_rate_mix(capsys):
     mix = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
     code, out, _ = run(capsys, "rate", "--spec-text", mix)
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert set(doc) == {"spec", "ln_lower", "ln_upper", "lower", "upper"}
     assert doc["spec"] == mix + "\n"
     # the rate is 101.94971887276305507...
@@ -461,6 +486,29 @@ def test_readme_names_every_long_option():
     assert not missing, missing
 
 
+@pytest.mark.parametrize("argv", [["rate"], ["bounds", "--n", "8"],
+                                  ["eval", "--n", "3", "--format", "json"],
+                                  ["eval", "--n", "3", "--domain", "exact"]])
+def test_a_weight_past_the_digit_limit_is_a_usage_error(capsys, argv):
+    # 10^5000 has 5001 digits, past CPython's default int_max_str_digits
+    code, out, err = run(capsys, *argv, "--spec-text", "sum 2 1e5000")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: line 1, column 7: bad weight '1e5000': "
+                   "Exceeds the limit (4300 digits) for integer string conversion\n")
+
+
+@pytest.mark.parametrize("number", ["1" * 5001, "1e5000000", "1.5e-5000"])
+def test_a_json_number_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, number):
+    # refused while json reads it, before a power of ten is built
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"terms": [{{"op": "sum", "arity": 2, "weight": {number}}}]}}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rate", "--spec", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: unreadable number: ") and "Traceback" not in err
+
+
 def test_spec_files_text_and_json(tmp_path, capsys):
     text_path = tmp_path / "cat.spec"
     text_path.write_text("sum 2 1\n")
@@ -572,13 +620,14 @@ def test_cache_longer_or_shorter_than_n_prints_the_cold_output(tmp_path, capsys,
     assert run(capsys, *argv, *spec, "--n", "8", "--cache", short) == (EXIT_OK, cold, "")
 
 
-def test_refine_memory_limit_reports_exhaustion(capsys):
+def test_refine_memory_limit_reports_exhaustion(capsys, monkeypatch):
+    # the one point budget, lagrange's, read at each point
+    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 20000)
     code, out, _ = run(
-        capsys, "refine", "--spec-text", "sum 2 2\nsum 3 3\nmax 5 5",
-        "--max-n", "4096", "--memory-limit", "20000",
+        capsys, "refine", "--spec-text", "sum 2 2\nsum 3 3\nmax 5 5", "--max-n", "4096",
     )
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["reason"] == "memory budget exhausted"
     assert doc["converged"] is False
     assert 2 <= doc["max_n"] < 4096
@@ -616,17 +665,33 @@ def test_a_huge_arity_exits_3_before_its_plan_is_built(argv, code):
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
     else:
-        assert json.loads(done.stdout)["reason"] == "memory budget exhausted"
+        assert strict_json(done.stdout)["reason"] == "memory budget exhausted"
 
 
-@pytest.mark.parametrize("limit", ["0", "-8", "lots"])
+@pytest.mark.parametrize("limit", ["0", "-8", "lots", "20000"])
 def test_refine_memory_limit_must_be_positive(capsys, limit):
+    # the option is gone: bounds and refine share one point budget,
+    # lagrange.points', so refine refuses --memory-limit with any value
     code, out, err = run(
         capsys, "refine", "--spec-text", "sum 2 1", "--memory-limit", limit
     )
     assert code == EXIT_USAGE
     assert out == ""
-    assert "--memory-limit" in err
+    assert f"unrecognized arguments: --memory-limit {limit}" in err
+
+
+def test_a_point_past_the_budget_is_refused_at_once(capsys):
+    # sum 20000 1 has deg P = 20000: a point's working set, 72 d^2 bytes
+    # from n = 3 on, passes the 8 GiB budget, and it is refused before
+    # any work, also before the taps of P(1 + u) are formed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--spec-text", "sum 20000 1", "--n", "64")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == "error: point n=64 needs ~28800000000 bytes, budget is 8589934592\n"
+    code, out, _ = run(capsys, "refine", "--spec-text", "sum 20000 1")
+    assert time.perf_counter() - start < 1.0
+    doc = strict_json(out)
+    assert (code, doc["reason"], doc["entries"]) == (EXIT_OK, "memory budget exhausted", [])
 
 
 def test_cache_dir_env_resolves_bare_names(tmp_path, capsys, monkeypatch):
@@ -642,7 +707,7 @@ def test_bounds_with_overflowing_upper_prints_null(capsys):
     # a 48-fold sum keeps L = 48 (a max 48 term would reduce to arity 1)
     code, out, _ = run(capsys, "bounds", "--spec-text", "sum 48 1", "--n", "64")
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     first = doc["entries"][0]
     assert first["upper"] is None  # e^ln_upper exceeds a double
     assert first["ln_upper"] == pytest.approx(1327.94799041, rel=1e-9)
@@ -657,7 +722,7 @@ def test_eval_log_beyond_double_range(capsys):
     assert n == "200" and float(ln) > 709.8 and value == "inf"
     code, out, _ = run(capsys, "eval", "--spec-text", mix, "--n", "200", "--format", "json")
     assert code == EXIT_OK
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["values"][200] is None
     assert doc["values"][1] == 20.0
     code, out, _ = run(capsys, "eval", "--spec-text", mix, "--n", "200", "--format", "csv")
@@ -681,7 +746,7 @@ def test_eval_exact_prints_values_past_the_int_digit_limit(capsys, fmt):
         sys.set_int_max_str_digits(limit)
     assert len(want) > 4300
     if fmt == "json":
-        last = json.loads(out)["values"][-1]
+        last = strict_json(out)["values"][-1]
     else:
         last = out.split()[-1].split(",")[-1]
     assert last == want

@@ -8,6 +8,7 @@ import os
 import random
 import struct
 import sys
+import time
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -27,6 +28,7 @@ from foldrate import (
     refine,
     save_cache,
 )
+from foldrate import lagrange
 from foldrate.scalars import ln_fraction, log_sum_vec
 from helpers import MIXED_EXAMPLE, brute_force_values, fresh_python, random_spec, split_reduce
 
@@ -253,6 +255,15 @@ def test_exact_memory_budget_interrupts_and_resumes():
     assert table.value(reached + 5).value == catalan_closed(reached + 5)
 
 
+def test_a_log_table_with_many_ranks_builds_in_linear_time():
+    # the plan of sum 50000 1 holds 49,999 ranks, and is built in time
+    # linear in them
+    start = time.perf_counter()
+    table = SequenceTable(parse_spec("sum 50000 1"), domain="log")
+    assert time.perf_counter() - start < 2.0
+    assert len(table._dom.plan) == 49_999
+
+
 def test_log_memory_budget_rejects_upfront():
     table = SequenceTable(CATALAN, domain="log", memory_limit=1024)
     with pytest.raises(MemoryBudgetError):
@@ -355,8 +366,9 @@ def test_exact_load_admits_exactly_what_extend_reaches(tmp_path):
         load_cache(path, CATALAN, memory_limit=limit)
 
 
-def test_refine_reports_memory_budget():
-    report = refine(MIX, memory_limit=20000, max_n=4096)
+def test_refine_reports_memory_budget(monkeypatch):
+    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 20000)
+    report = refine(MIX, max_n=4096)
     assert not report.converged
     assert report.reason == "memory budget exhausted"
     assert report.entries and report.max_n == report.entries[-1].n

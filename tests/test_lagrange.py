@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from foldrate import compute_sequence, parse_spec, refine
-from foldrate.lagrange import _chunk, ln_point, point_bytes
+from foldrate import MemoryBudgetError, compute_sequence, lagrange, parse_spec, refine
+from foldrate.lagrange import _chunk, points
 from helpers import MIXED_EXAMPLE, outward_ln_values, random_spec
 
 MIX = parse_spec(MIXED_EXAMPLE)
@@ -24,9 +24,9 @@ def _ln60(q: Fraction) -> Decimal:
 
 
 def _check(spec, n, exact: Fraction, outward=None):
-    """ln_point(spec, n) holds ln exact, meets the exact domain's outward
+    """points(spec)(n) holds ln exact, meets the exact domain's outward
     bracket and is narrow."""
-    lo, hi = ln_point(spec, n)
+    lo, hi = points(spec)(n)
     assert Decimal(lo) <= _ln60(exact) <= Decimal(hi), (spec.render(), n)
     if outward is not None:
         assert lo <= outward[1] and outward[0] <= hi, (spec.render(), n)
@@ -67,26 +67,50 @@ def test_brackets_the_exact_value_at_chunk_edges():
 
 
 def test_point_one_is_phi_zero():
-    lo, hi = ln_point(MIX, 1)
+    lo, hi = points(MIX)(1)
     assert lo < math.log(20) < hi
 
 
 def test_point_guards():
+    point = points(MIX)
     with pytest.raises(ValueError):
-        ln_point(MIX, 0)
+        point(0)
     with pytest.raises(ValueError):
-        ln_point(MIX, 1 << 51)
+        point(1 << 51)
     # P = 10^-100 y^2 + y: Phi_2 / Phi_0 is about 2^-332, below the
     # guarded range, and refine reports the failure instead of raising
     tiny = parse_spec("sum 2 1/" + "1" + "0" * 100 + "\nmax 3 1")
     with pytest.raises(FloatingPointError):
-        ln_point(tiny, 8)
+        points(tiny)(8)
     report = refine(tiny, epsilon=0.5)
     assert not report.converged and report.reason == "float range exceeded"
     assert report.entries == []
 
 
-def test_point_bytes_grow_with_n_up_to_one_chunk():
+def test_point_bytes_grow_with_n_up_to_one_chunk(monkeypatch):
+    # read off the refusals under a zero budget
+    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 0)
     per_matrix = 24 * 4 * 4
-    assert point_bytes(MIX, 2) == 2 * per_matrix
-    assert point_bytes(MIX, 1 << 20) == point_bytes(MIX, 1 << 12) == (1024 + 32) * per_matrix
+    point = points(MIX)
+    for n, need in [(2, 2 * per_matrix), (1 << 12, 1056 * per_matrix),
+                    (1 << 20, 1056 * per_matrix)]:
+        with pytest.raises(MemoryBudgetError, match=f"point n={n} needs ~{need} bytes"):
+            point(n)
+
+
+def test_points_refuse_past_the_budget_before_any_work(monkeypatch):
+    # the budget is read at each call; a refused first point forms no taps
+    def no_taps(spec):
+        raise AssertionError("taps formed for a refused point")
+
+    monkeypatch.setattr(lagrange, "_taps", no_taps)
+    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 2 * 24 * 4 * 4 - 1)
+    with pytest.raises(MemoryBudgetError, match="point n=2 needs ~768 bytes"):
+        points(MIX)(2)
+    monkeypatch.undo()
+    point = points(MIX)
+    point(2)
+    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 2 * 24 * 4 * 4)
+    assert point(2) == points(MIX)(2)
+    with pytest.raises(MemoryBudgetError):
+        point(3)

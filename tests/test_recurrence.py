@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -169,6 +171,39 @@ def test_json_errors():
         parse_spec_json('{"terms": [{"op": "sum", "arity": 2, "weight": 0}]}')
     with pytest.raises(SpecValidationError):
         parse_spec_json('{"terms": []}')
+
+
+def test_weights_have_at_most_the_int_digit_limit():
+    # a numerator or denominator may have as many digits as str(int)
+    # prints, sys.get_int_max_str_digits(), and no more
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300
+    for weight in ("1e4299", "1/" + "9" * 4300, "3e-4299", "1.5e4298"):
+        parse_spec(f"sum 2 {weight}")
+    for weight in ("1e4300", "1/" + "1" * 4301, "1e-4300", "15e4299", "1e10000000"):
+        with pytest.raises(SpecSyntaxError, match=r"limit \(4300 digits\)"):
+            parse_spec(f"sum 2 {weight}")
+    for number in ("1e4300", "1" * 4301, "1e-99999999"):
+        with pytest.raises(SpecSyntaxError):
+            parse_spec_json(f'{{"terms": [{{"op": "sum", "arity": 2, "weight": {number}}}]}}')
+    with pytest.raises(SpecSyntaxError):
+        parse_spec_json(f'{{"terms": [{{"op": "sum", "arity": {"2" * 4301}, "weight": 1}}]}}')
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        assert parse_spec("sum 2 1e5000").terms[0].weight == 10 ** 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_huge_decimal_exponent_is_refused_from_its_text():
+    # building 10^(10^7) would take seconds; the exponent's text refuses it
+    start = time.perf_counter()
+    for text in ("sum 2 1e10000000", "sum 2 7.5e-10000000"):
+        with pytest.raises(SpecSyntaxError):
+            parse_spec(text)
+    with pytest.raises(SpecSyntaxError):
+        parse_spec_json('{"terms": [{"op": "sum", "arity": 2, "weight": 1e5000000}]}')
+    assert time.perf_counter() - start < 1.0
 
 
 def test_render_round_trip():
