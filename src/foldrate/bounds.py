@@ -52,8 +52,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import DEFAULT_EPSILON, DEFAULT_MAX_N
-from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError, SequenceTable
+from . import DEFAULT_EPSILON, DEFAULT_MAX_N, engine
+from .engine import MemoryBudgetError, SequenceTable
 from .recurrence import GrowthConstants, RecurrenceSpec, derive_constants
 from .scalars import _ln_outward, exp_ln, round12
 
@@ -315,7 +315,7 @@ _RATE_WIDTH = Fraction(1, 1 << 42)
 def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
     """(ln lower, ln upper) around ln of the rate, from P alone (module
     docstring), in exact Fractions; MemoryBudgetError before a power y^d,
-    about d times the bits of y, would pass DEFAULT_MEMORY_LIMIT.
+    about d times the bits of y, would pass foldrate.engine.DEFAULT_MEMORY_LIMIT.
 
     For deg P >= 2, bisection on f keeps a <= tau <= b, and as P
     increases and tau minimises P(y) / (y-1),
@@ -323,12 +323,12 @@ def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
     _RATE_WIDTH relative, and their logs are rounded outward.
     """
     P = spec.merged_weights()[0]
-    d = max(P)
+    d, limit = max(P), engine.DEFAULT_MEMORY_LIMIT
 
     def at(y, c=P):
         need = d * (y.numerator.bit_length() + y.denominator.bit_length()) // 8
-        if need > DEFAULT_MEMORY_LIMIT:
-            raise MemoryBudgetError(f"y^{d} needs ~{need} bytes, budget is {DEFAULT_MEMORY_LIMIT}")
+        if need > limit:
+            raise MemoryBudgetError(f"y^{d} needs ~{need} bytes, budget is {limit}")
         return sum(w * y ** a for a, w in c.items())
 
     if d == 1:

@@ -28,7 +28,7 @@ import os
 import struct
 import zlib
 
-from .engine import _DOMAINS, DEFAULT_MEMORY_LIMIT, WINDOWS, SequenceTable
+from .engine import _DOMAINS, WINDOWS, SequenceTable
 from .recurrence import RecurrenceSpec
 
 __all__ = ["CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
@@ -120,12 +120,11 @@ def _read_recurrence(reader: _Reader, n: int):
     return holonomic.Recurrence(coeffs, start, window)
 
 
-def load_cache(path, spec: RecurrenceSpec,
-               memory_limit: int = DEFAULT_MEMORY_LIMIT) -> SequenceTable:
+def load_cache(path, spec: RecurrenceSpec) -> SequenceTable:
     """Restore a table for ``spec`` from a cache file written by save_cache.
 
-    Raises MemoryBudgetError if extending a fresh table under
-    ``memory_limit`` could not have reached the cached n, and
+    Raises MemoryBudgetError if a fresh table could not have reached the
+    cached n under foldrate.engine.DEFAULT_MEMORY_LIMIT, and
     CacheCorruptError if a cached recurrence fails its proof.
     """
     with open(path, "rb") as fh:
@@ -147,7 +146,7 @@ def load_cache(path, spec: RecurrenceSpec,
     if tag >= len(_DOMAINS):
         raise CacheCorruptError(f"unknown domain tag {tag}")
     domain = _DOMAINS[tag]
-    table = SequenceTable(spec, domain=domain, memory_limit=memory_limit)
+    table = SequenceTable(spec, domain=domain)
     if top != table._top:
         raise CacheCorruptError("fold table layout does not match the recurrence")
     if path_kind > (domain == "exact"):
@@ -157,7 +156,7 @@ def load_cache(path, spec: RecurrenceSpec,
         dom.rec = _read_recurrence(reader, n)
     # log mirrors are rebuilt from the loaded ln values on the first new cell
     table.n = n
-    dom.decode(reader, table._record_counts(), memory_limit)
+    dom.decode(reader, table._record_counts())
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
     if path_kind:

@@ -46,6 +46,10 @@ runs that loop and records the n reached.  A table restored from the
 binary cache and extended is bit-identical to an uninterrupted run.
 No bound reads a table (bounds docstring): ln values carry no radius.
 
+The memory budget, foldrate.engine.DEFAULT_MEMORY_LIMIT in bytes, is set
+there alone: a table's plan and extend, load_cache, lagrange.points and
+rate_interval read it when they run, never per n, and no module copies it.
+
 This module imports no numpy.  The log domain's module, which does, is
 loaded the first time a log table is built.  An exact table loads numpy
 only for the recurrence search's elimination (holonomic docstring) and
@@ -97,7 +101,7 @@ __all__ = [
     "save_cache",
 ]
 
-DEFAULT_MEMORY_LIMIT = 8 << 30  # bytes of table payload, not process RSS
+DEFAULT_MEMORY_LIMIT = 8 << 30  # bytes of working data, not process RSS
 # the n at which a table still on the engine searches for a recurrence
 # (holonomic docstring)
 WINDOWS = (48, 104)
@@ -108,11 +112,8 @@ _RANK_BYTES = 8
 
 
 class MemoryBudgetError(RuntimeError):
-    """Building or extending a table would exceed its memory budget.
-
-    A table that raised this in extend is still valid at the length it
-    reached.
-    """
+    """Work would pass the budget foldrate.engine.DEFAULT_MEMORY_LIMIT; a
+    table that raised this in extend is still valid at the length it reached."""
 
 
 class _ExactDomain:
@@ -145,11 +146,11 @@ class _ExactDomain:
         self.nbytes = sys.getsizeof(1)
         self.rec = None
 
-    def extend(self, n0: int, new_n: int, limit: int) -> int:
+    def extend(self, n0: int, new_n: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return the n reached.
 
         Stops, with the table valid, before any n that would start with
-        more than ``limit`` bytes stored.  Without a recurrence, the
+        more than the budget's bytes stored.  Without a recurrence, the
         engine computes each n through a window W in WINDOWS, and an
         extend past W searches once; a proved recurrence computes the
         rest, and the ranks are emptied.  A call cut short by any other
@@ -159,7 +160,7 @@ class _ExactDomain:
         try:
             for w in WINDOWS:
                 if self.rec is None and n <= w < new_n:
-                    n = self._run(n, w, limit)
+                    n = self._run(n, w)
                     if n < w:
                         return n
                     from . import holonomic  # loaded by the first search
@@ -167,7 +168,7 @@ class _ExactDomain:
                     self.rec = holonomic.find(cols[0], self.pairs, w)
                     if self.rec:
                         self.nbytes = sum(map(sys.getsizeof, cols[0]))
-            n = self._run(n, new_n, limit)
+            n = self._run(n, new_n)
         except BaseException:
             del cols[0][n0 + 1 :]
             for col in cols[1:]:
@@ -179,13 +180,13 @@ class _ExactDomain:
                 col.clear()
         return n
 
-    def _run(self, n0: int, new_n: int, limit: int) -> int:
+    def _run(self, n0: int, new_n: int) -> int:
         """Append t_{n0+1}..t_{new_n} to s (module docstring, "Run.") and
         return the n reached, stopping before any n that would start with
-        more than ``limit`` bytes counted; rank cells count on the engine
-        alone."""
+        more than the budget's bytes counted; rank cells count on the
+        engine alone."""
         cols, pairs, fill, rec, nbytes = self.cols, self.pairs, self._fill, self.rec, self.nbytes
-        s, mul, getsizeof = cols[0], operator.mul, sys.getsizeof
+        s, mul, getsizeof, limit = cols[0], operator.mul, sys.getsizeof, DEFAULT_MEMORY_LIMIT
         # from the top power down; on the engine, p_0 = 0
         p = [c[::-1] for c in rec.coeffs] if rec else [()]
         # p_r .. p_1 line up with t_{n-r} .. t_{n-1}
@@ -271,16 +272,16 @@ class _ExactDomain:
             out += b
         return out
 
-    def decode(self, reader, counts: list[int], limit: int) -> None:
+    def decode(self, reader, counts: list[int]) -> None:
         """Fill each column that has a record, then refuse a table that
-        an uninterrupted extend under ``limit`` would have stopped short
-        of: one whose bytes before its last n exceed the limit or, on a
+        an uninterrupted extend under the budget would have stopped short
+        of: one whose bytes before its last n exceed it or, on a
         recurrence, whose engine columns did before its last step to the
         window W."""
         for col, count in zip(self.cols, counts):
             col[:] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
                       for _ in range(reader.record(count))]
-        getsizeof = sys.getsizeof
+        getsizeof, limit = sys.getsizeof, DEFAULT_MEMORY_LIMIT
         self.nbytes = sum(sum(map(getsizeof, col)) for col in self.cols)
         n = counts[0] - 1
         # the last n added s_n and each stored rank's cell at n - 1
@@ -314,25 +315,25 @@ def _domain(name: str) -> type:
 
 
 class SequenceTable:
-    """The prefix s_0..s_n of a sequence plus the fold columns to extend it."""
+    """The prefix s_0..s_n of a sequence plus the fold columns to extend
+    it, under the budget foldrate.engine.DEFAULT_MEMORY_LIMIT at each call."""
 
-    def __init__(self, spec: RecurrenceSpec, domain: str = "log",
-                 memory_limit: int = DEFAULT_MEMORY_LIMIT):
+    def __init__(self, spec: RecurrenceSpec, domain: str = "log"):
         if domain not in _DOMAINS:
             raise ValueError(f"unknown domain {domain!r} (expected 'exact' or 'log')")
         self.spec = spec
         self.domain_name = domain
-        self.memory_limit = memory_limit
         weights, scale = spec.merged_weights()
         # The ranks are 2..top (top 0: none), rank j in column j - 1; the
         # recipe of rank j, its source columns, squares rank j/2 for even j
         # and folds s with rank j - 1 for odd j: every rank 2..top is
         # stored, and the cache records each.
         self._top = max((a for a in weights if a >= 2), default=0)
-        if (self._top - 1) * _RANK_BYTES > memory_limit:
+        limit = DEFAULT_MEMORY_LIMIT
+        if (self._top - 1) * _RANK_BYTES > limit:
             raise MemoryBudgetError(
                 f"{self._top - 1} sum ranks need over {(self._top - 1) * _RANK_BYTES} "
-                f"bytes before any value, budget is {memory_limit}")
+                f"bytes before any value, budget is {limit}")
         self._src = [(j // 2 - 1,) * 2 if j % 2 == 0 else (0, j - 2)
                      for j in range(2, self._top + 1)]
         # the domain's (weight, column) pairs: each arity reads its rank;
@@ -356,12 +357,10 @@ class SequenceTable:
             raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
         if new_n == self.n:
             return self
-        self.n = self._dom.extend(self.n, new_n, self.memory_limit)
+        self.n = self._dom.extend(self.n, new_n)
         if self.n < new_n:
-            raise MemoryBudgetError(
-                f"memory budget {self.memory_limit} bytes exhausted at n={self.n}; "
-                f"table still valid there"
-            )
+            raise MemoryBudgetError(f"memory budget {DEFAULT_MEMORY_LIMIT} bytes exhausted at "
+                                    f"n={self.n}; table still valid there")
         return self
 
     @property
@@ -436,10 +435,9 @@ class SequenceTable:
                 f"tables={self.table_count})")
 
 
-def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log",
-                     memory_limit: int = DEFAULT_MEMORY_LIMIT) -> SequenceTable:
+def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log") -> SequenceTable:
     """Build a table and extend it to n in one call."""
-    return SequenceTable(spec, domain=domain, memory_limit=memory_limit).extend(n)
+    return SequenceTable(spec, domain=domain).extend(n)
 
 
 def __getattr__(name):

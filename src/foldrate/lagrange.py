@@ -7,7 +7,7 @@ Sedgewick, Analytic Combinatorics, Thm A.2) gives each value on its own:
     s_n = (1/n) [u^(n-1)] Phi(u)^n.
 
 The one entry, points(spec), shared by bounds and refine, maps n to a
-bracket on ln s_n under one memory budget, DEFAULT_MEMORY_LIMIT.
+bracket on ln s_n under foldrate.engine.DEFAULT_MEMORY_LIMIT.
 
 J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, sec. 4.7) gives the
 coefficients a_k of Phi^n.  With b_k = a_k / Phi_0^n and r_j = Phi_j / Phi_0,
@@ -73,7 +73,7 @@ import math
 
 import numpy as np
 
-from .engine import DEFAULT_MEMORY_LIMIT, MemoryBudgetError
+from . import engine
 from .recurrence import RecurrenceSpec
 from .scalars import _ln_outward
 
@@ -128,17 +128,16 @@ def points(spec: RecurrenceSpec):
     """n -> (lo, hi) with lo <= ln s_n <= hi, for 1 <= n with (n+1)(d+3)
     < 2^53 and d < 2^16 (module docstring), else ValueError.  Each call
     raises MemoryBudgetError before any work, _taps included, if the
-    point's working set passes DEFAULT_MEMORY_LIMIT as it reads then, and
-    FloatingPointError if a range guard fails."""
+    point's working set passes foldrate.engine.DEFAULT_MEMORY_LIMIT as it
+    reads then, and FloatingPointError if a range guard fails."""
     d, taps = max(spec.merged_weights()[0]), None
 
     def point(n: int) -> tuple[float, float]:
         nonlocal taps
         # the chunk's stack, and the products and scaled copies made from it
-        need = 24 * d * d * min(n, sum(_chunk(d)))
-        if need > DEFAULT_MEMORY_LIMIT:
-            raise MemoryBudgetError(
-                f"point n={n} needs ~{need} bytes, budget is {DEFAULT_MEMORY_LIMIT}")
+        need, limit = 24 * d * d * min(n, sum(_chunk(d))), engine.DEFAULT_MEMORY_LIMIT
+        if need > limit:
+            raise engine.MemoryBudgetError(f"point n={n} needs ~{need} bytes, budget is {limit}")
         taps = taps or _taps(spec)
         return _ln_point(taps, n)
 

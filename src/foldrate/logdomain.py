@@ -85,7 +85,7 @@ import sys
 
 import numpy as np
 
-from .engine import MemoryBudgetError
+from . import engine
 from .scalars import LogScalar, ln_fraction, log_sum_vec
 from .series import _inverse, _low, _padded
 
@@ -132,7 +132,7 @@ class _LogDomain:
         self.plan = [(a, b, row[a], row[b]) for a, b in src]
         self.fallback_cells = 0
 
-    def _reserve(self, n: int, limit: int, what: str, after: str = "") -> None:
+    def _reserve(self, n: int, what: str, after: str = "") -> None:
         """Widen the rows to hold a table at n, or refuse it before any work
         with MemoryBudgetError, naming it ``what`` and adding ``after``,
         where the budget cannot hold its bytes: 8 per index for each ln
@@ -140,14 +140,16 @@ class _LogDomain:
         room past n of the mirror rows and the offsets row, which an extend
         call to n allocates."""
         projected = (len(self.data) * (n + 1) + (len(self.reads) + 1) * (n + 1 + _BLOCK)) * 8
+        limit = engine.DEFAULT_MEMORY_LIMIT
         if projected > limit:
-            raise MemoryBudgetError(f"{what} needs ~{projected} bytes, budget is {limit}{after}")
+            raise engine.MemoryBudgetError(
+                f"{what} needs ~{projected} bytes, budget is {limit}{after}")
         if n + 1 > self.data.shape[1]:
             data = np.empty((len(self.data), n + 1))
             data[:, : self.data.shape[1]] = self.data
             self.data = data
 
-    def extend(self, n0: int, new_n: int, limit: int) -> int:
+    def extend(self, n0: int, new_n: int) -> int:
         """Compute s_{n0+1}..s_{new_n}; return new_n.
 
         The budget is checked for all of them before any work.  m = 0 is
@@ -156,7 +158,7 @@ class _LogDomain:
         computed cell by cell by the ln kernel where the solver's
         conditions fail.
         """
-        self._reserve(new_n, limit, f"extending to {new_n}", f"; table still valid at n={n0}")
+        self._reserve(new_n, f"extending to {new_n}", f"; table still valid at n={n0}")
         # _BLOCK entries of room past new_n for the zeroed tail of a block
         mirror = np.empty((len(self.reads), new_n + 1 + _BLOCK))
         fallback, k, m = 0, 0, n0
@@ -296,12 +298,12 @@ class _LogDomain:
         """Raw little-endian float64 ln values."""
         return self.data[i, :count].astype("<f8").tobytes()
 
-    def decode(self, reader, counts: list[int], limit: int) -> None:
+    def decode(self, reader, counts: list[int]) -> None:
         """Fill every column from its record, unless a table that long
-        could not have been reached under ``limit``: that is refused
+        could not have been reached under the budget: that is refused
         before anything is decoded."""
         n = counts[0] - 1
-        self._reserve(n, limit, f"a table at n={n}")
+        self._reserve(n, f"a table at n={n}")
         for i, count in enumerate(counts):
             reader.record(count)
             self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")

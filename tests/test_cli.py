@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from foldrate import cli, lagrange
+from foldrate import cli, engine
 from foldrate.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -621,8 +621,8 @@ def test_cache_longer_or_shorter_than_n_prints_the_cold_output(tmp_path, capsys,
 
 
 def test_refine_memory_limit_reports_exhaustion(capsys, monkeypatch):
-    # the one point budget, lagrange's, read at each point
-    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 20000)
+    # the one budget, engine's, read at each point
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 20000)
     code, out, _ = run(
         capsys, "refine", "--spec-text", "sum 2 2\nsum 3 3\nmax 5 5", "--max-n", "4096",
     )
@@ -692,6 +692,47 @@ def test_a_point_past_the_budget_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     doc = strict_json(out)
     assert (code, doc["reason"], doc["entries"]) == (EXIT_OK, "memory budget exhausted", [])
+
+
+def test_every_check_reads_the_one_budget_when_it_runs(tmp_path, capsys, monkeypatch):
+    # foldrate.engine.DEFAULT_MEMORY_LIMIT is the one budget, read by each
+    # check at its call: lowering it alone, after every module is loaded,
+    # refuses a table, a load, a point and a power
+    from foldrate import (MemoryBudgetError, SequenceTable, compute_sequence, load_cache,
+                          parse_spec, save_cache)
+
+    catalan = parse_spec("sum 2 1")
+    path = str(tmp_path / "cat.seq")
+    save_cache(compute_sequence(catalan, 1000, domain="log"), path)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 1000)
+    # an exact extend stops with the table valid where it stopped
+    table = SequenceTable(catalan, domain="exact")
+    with pytest.raises(MemoryBudgetError, match="budget 1000 bytes exhausted"):
+        table.extend(2000)
+    assert 2 <= table.n < 2000
+    assert table.value(table.n).value == math.comb(2 * table.n, table.n) // (table.n + 1)
+    # a log extend is refused before any work
+    table = SequenceTable(catalan, domain="log")
+    with pytest.raises(MemoryBudgetError, match="budget is 1000; table still valid at n=0"):
+        table.extend(4096)
+    assert table.n == 0
+    # a plan, at construction; a cache load, before decoding
+    with pytest.raises(MemoryBudgetError, match="999 sum ranks"):
+        SequenceTable(parse_spec("sum 1000 1"), domain="exact")
+    with pytest.raises(MemoryBudgetError, match="n=1000 needs .* budget is 1000$"):
+        load_cache(path, catalan)
+    # a Lagrange point: bounds exits 3, refine reports the budget
+    code, out, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", "64")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == "error: point n=64 needs ~6144 bytes, budget is 1000\n"
+    code, out, _ = run(capsys, "refine", "--spec-text", "sum 2 1")
+    doc = strict_json(out)
+    assert (code, doc["reason"], doc["max_n"]) == (EXIT_OK, "memory budget exhausted", 8)
+    # a power of rate_interval: rate exits 3
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 8)
+    code, out, err = run(capsys, "rate", "--spec-text", "sum 2 1")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert re.fullmatch(r"error: y\^2 needs ~\d+ bytes, budget is 8\n", err)
 
 
 def test_cache_dir_env_resolves_bare_names(tmp_path, capsys, monkeypatch):

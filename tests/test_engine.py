@@ -28,7 +28,7 @@ from foldrate import (
     refine,
     save_cache,
 )
-from foldrate import lagrange
+from foldrate import engine
 from foldrate.scalars import ln_fraction, log_sum_vec
 from helpers import MIXED_EXAMPLE, brute_force_values, fresh_python, random_spec, split_reduce
 
@@ -243,14 +243,15 @@ def test_access_guards():
         SequenceTable(CATALAN, domain="decimal")
 
 
-def test_exact_memory_budget_interrupts_and_resumes():
-    table = SequenceTable(CATALAN, domain="exact", memory_limit=4096)
+def test_exact_memory_budget_interrupts_and_resumes(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 4096)
+    table = SequenceTable(CATALAN, domain="exact")
     with pytest.raises(MemoryBudgetError):
         table.extend(100_000)
     reached = table.n
     assert reached >= 2
     assert table.value(reached).value == catalan_closed(reached)
-    table.memory_limit = 1 << 30
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 1 << 30)
     table.extend(reached + 5)
     assert table.value(reached + 5).value == catalan_closed(reached + 5)
 
@@ -264,25 +265,28 @@ def test_a_log_table_with_many_ranks_builds_in_linear_time():
     assert len(table._dom.plan) == 49_999
 
 
-def test_log_memory_budget_rejects_upfront():
-    table = SequenceTable(CATALAN, domain="log", memory_limit=1024)
+def test_log_memory_budget_rejects_upfront(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 1024)
+    table = SequenceTable(CATALAN, domain="log")
     with pytest.raises(MemoryBudgetError):
         table.extend(4096)
     assert table.n == 0  # rejected before doing any work
 
 
 @pytest.mark.parametrize("domain", ["exact", "log"])
-def test_a_plan_over_the_budget_is_refused_before_it_is_built(domain):
+def test_a_plan_over_the_budget_is_refused_before_it_is_built(domain, monkeypatch):
     # sum 1000 1 has 999 sum ranks, each holding at least 8 bytes before
     # any value; a budget below that refuses the table at construction
     spec = parse_spec("sum 1000 1")
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 999 * 8 - 1)
     with pytest.raises(MemoryBudgetError, match="999 sum ranks"):
-        SequenceTable(spec, domain=domain, memory_limit=999 * 8 - 1)
-    table = SequenceTable(spec, domain=domain, memory_limit=999 * 8)
+        SequenceTable(spec, domain=domain)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 999 * 8)
+    table = SequenceTable(spec, domain=domain)
     assert table.n == 0 and table.table_count == 1000
 
 
-def test_log_memory_budget_counts_the_sum_mirrors():
+def test_log_memory_budget_counts_the_sum_mirrors(monkeypatch):
     # Catalan keeps 2 ln columns plus s's mirror row and the offsets row,
     # which each have 256 entries of room past n, for a block's zeroed tail
     # and its last offsets; a budget that fits only the four rows through
@@ -290,9 +294,11 @@ def test_log_memory_budget_counts_the_sum_mirrors():
     n = 1000
     limit = (4 * (n + 1) + 2 * 256) * 8
     for short in (4 * (n + 1) * 8, limit - 1):
+        monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", short)
         with pytest.raises(MemoryBudgetError):
-            SequenceTable(CATALAN, domain="log", memory_limit=short).extend(n)
-    table = SequenceTable(CATALAN, domain="log", memory_limit=limit).extend(n)
+            SequenceTable(CATALAN, domain="log").extend(n)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", limit)
+    table = SequenceTable(CATALAN, domain="log").extend(n)
     assert table.n == n
 
 
@@ -313,31 +319,33 @@ def test_log_extend_stays_near_its_projected_bytes():
     assert peak < 1.1 * projected, (peak, projected)
 
 
-def test_exact_memory_budget_holds_after_a_load(tmp_path):
+def test_exact_memory_budget_holds_after_a_load(tmp_path, monkeypatch):
     # the byte count is restored with the values: a loaded table stops
     # where an uninterrupted one under the same budget stops
-    limit = 4096
-    whole = SequenceTable(CATALAN, domain="exact", memory_limit=limit)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 4096)
+    whole = SequenceTable(CATALAN, domain="exact")
     with pytest.raises(MemoryBudgetError):
         whole.extend(100_000)
     path = str(tmp_path / "cat.seq")
     save_cache(compute_sequence(CATALAN, whole.n // 2, domain="exact"), path)
-    back = load_cache(path, CATALAN, memory_limit=limit)
+    back = load_cache(path, CATALAN)
     with pytest.raises(MemoryBudgetError):
         back.extend(100_000)
     assert back.n == whole.n
     assert back.value(whole.n).value == catalan_closed(whole.n)
 
 
-def test_log_memory_budget_holds_after_a_load(tmp_path):
+def test_log_memory_budget_holds_after_a_load(tmp_path, monkeypatch):
     # the budget fits the loaded n = 100 (2 ln rows, s's mirror row and the
     # offsets row, each with a 256-entry tail) and no more
     path = str(tmp_path / "cat.seq")
     fresh = compute_sequence(CATALAN, 100, domain="log")
     save_cache(fresh, path)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", (4 * 101 + 2 * 256 - 1) * 8)
     with pytest.raises(MemoryBudgetError, match=r"n=100"):
-        load_cache(path, CATALAN, memory_limit=(4 * 101 + 2 * 256 - 1) * 8)
-    back = load_cache(path, CATALAN, memory_limit=(4 * 101 + 2 * 256) * 8)
+        load_cache(path, CATALAN)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", (4 * 101 + 2 * 256) * 8)
+    back = load_cache(path, CATALAN)
     with pytest.raises(MemoryBudgetError, match=r"still valid at n=100$"):
         back.extend(101)
     assert back.n == 100
@@ -345,29 +353,33 @@ def test_log_memory_budget_holds_after_a_load(tmp_path):
 
 
 @pytest.mark.parametrize("domain", ["exact", "log"])
-def test_load_refuses_a_table_beyond_its_memory_budget(tmp_path, domain):
+def test_load_refuses_a_table_beyond_its_memory_budget(tmp_path, domain, monkeypatch):
     path = str(tmp_path / "cat.seq")
     save_cache(compute_sequence(CATALAN, 1000, domain=domain), path)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 64)
     with pytest.raises(MemoryBudgetError, match=r"n=1000"):
-        load_cache(path, CATALAN, memory_limit=64)
+        load_cache(path, CATALAN)
+    monkeypatch.undo()
     assert load_cache(path, CATALAN).n == 1000
 
 
-def test_exact_load_admits_exactly_what_extend_reaches(tmp_path):
-    limit = 4096
-    whole = SequenceTable(CATALAN, domain="exact", memory_limit=limit)
+def test_exact_load_admits_exactly_what_extend_reaches(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 4096)
+    whole = SequenceTable(CATALAN, domain="exact")
     with pytest.raises(MemoryBudgetError):
         whole.extend(100_000)
     path = str(tmp_path / "cat.seq")
     save_cache(whole, path)
-    assert load_cache(path, CATALAN, memory_limit=limit).n == whole.n
+    assert load_cache(path, CATALAN).n == whole.n
+    monkeypatch.undo()
     save_cache(compute_sequence(CATALAN, whole.n + 1, domain="exact"), path)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 4096)
     with pytest.raises(MemoryBudgetError):
-        load_cache(path, CATALAN, memory_limit=limit)
+        load_cache(path, CATALAN)
 
 
 def test_refine_reports_memory_budget(monkeypatch):
-    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 20000)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 20000)
     report = refine(MIX, max_n=4096)
     assert not report.converged
     assert report.reason == "memory budget exhausted"

@@ -21,7 +21,7 @@ from foldrate import (
     parse_spec,
     save_cache,
 )
-from foldrate import holonomic
+from foldrate import engine, holonomic
 from helpers import MIXED_EXAMPLE, proved_by_lists, random_spec
 
 MIX = parse_spec(MIXED_EXAMPLE)
@@ -192,7 +192,7 @@ def test_fold_cells_of_a_table_on_a_recurrence_come_from_the_engine(monkeypatch)
         table.sum_fold(4, 120)
 
 
-def test_fold_cell_reads_on_a_recurrence_are_not_counted(tmp_path):
+def test_fold_cell_reads_on_a_recurrence_are_not_counted(tmp_path, monkeypatch):
     # the ranks that sum_fold fills from s hold no budget bytes: a table
     # that read them stops where one that did not stops, and saves the
     # same bytes
@@ -200,8 +200,8 @@ def test_fold_cell_reads_on_a_recurrence_are_not_counted(tmp_path):
     for j in (2, 3, 4):
         tables[0].sum_fold(j, 199)
     saved = []
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 40_000)
     for i, table in enumerate(tables):
-        table.memory_limit = 40_000
         with pytest.raises(MemoryBudgetError):
             table.extend(10_000)
         save_cache(table, str(tmp_path / f"{i}.seq"))
@@ -224,39 +224,43 @@ def test_load_reproves_the_recurrence(tmp_path):
         load_cache(str(path), MIX)
 
 
-def test_load_refuses_a_recurrence_the_engine_could_not_reach(tmp_path):
+def test_load_refuses_a_recurrence_the_engine_could_not_reach(tmp_path, monkeypatch):
     # a budget that holds s through n = 60 but not the engine's four
     # columns before its last step to the window 48: extend stops before
     # the window, and a table on the recurrence at 60 is refused
     table = compute_sequence(MIX, 60, domain="exact")
     limit = sum(map(sys.getsizeof, table._dom.cols[0])) + 64
-    short = SequenceTable(MIX, domain="exact", memory_limit=limit)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", limit)
+    short = SequenceTable(MIX, domain="exact")
     with pytest.raises(MemoryBudgetError):
         short.extend(60)
     assert short.n < 48 and short.recurrence is None
     path = str(tmp_path / "mix.seq")
     save_cache(table, path)
     with pytest.raises(MemoryBudgetError):
-        load_cache(path, MIX, memory_limit=limit)
-    assert load_cache(path, MIX, memory_limit=4 * limit).n == 60
+        load_cache(path, MIX)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 4 * limit)
+    assert load_cache(path, MIX).n == 60
 
 
-def test_memory_budget_stops_on_the_recurrence_and_the_load_agrees(tmp_path):
+def test_memory_budget_stops_on_the_recurrence_and_the_load_agrees(tmp_path, monkeypatch):
     # past the window only s is stored, so the same budget reaches further
     # than on the engine; a table saved where it stopped loads under it,
     # one step more does not
-    limit = 40_000
-    table = SequenceTable(MIX, domain="exact", memory_limit=limit)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 40_000)
+    table = SequenceTable(MIX, domain="exact")
     with pytest.raises(MemoryBudgetError):
         table.extend(10_000)
     assert table.recurrence is not None and table.n > 48
     assert table.value(table.n) == compute_sequence(MIX, table.n, domain="exact").value(table.n)
     path = str(tmp_path / "mix.seq")
     save_cache(table, path)
-    assert load_cache(path, MIX, memory_limit=limit).n == table.n
+    assert load_cache(path, MIX).n == table.n
+    monkeypatch.undo()
     save_cache(compute_sequence(MIX, table.n + 1, domain="exact"), path)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 40_000)
     with pytest.raises(MemoryBudgetError):
-        load_cache(path, MIX, memory_limit=limit)
+        load_cache(path, MIX)
 
 
 def test_specs_over_the_cap_stay_on_the_engine(monkeypatch):

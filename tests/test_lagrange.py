@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from foldrate import MemoryBudgetError, compute_sequence, lagrange, parse_spec, refine
+from foldrate import MemoryBudgetError, compute_sequence, engine, lagrange, parse_spec, refine
 from foldrate.lagrange import _chunk, points
 from helpers import MIXED_EXAMPLE, outward_ln_values, random_spec
 
@@ -89,7 +89,7 @@ def test_point_guards():
 
 def test_point_bytes_grow_with_n_up_to_one_chunk(monkeypatch):
     # read off the refusals under a zero budget
-    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 0)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 0)
     per_matrix = 24 * 4 * 4
     point = points(MIX)
     for n, need in [(2, 2 * per_matrix), (1 << 12, 1056 * per_matrix),
@@ -104,13 +104,13 @@ def test_points_refuse_past_the_budget_before_any_work(monkeypatch):
         raise AssertionError("taps formed for a refused point")
 
     monkeypatch.setattr(lagrange, "_taps", no_taps)
-    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 2 * 24 * 4 * 4 - 1)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 2 * 24 * 4 * 4 - 1)
     with pytest.raises(MemoryBudgetError, match="point n=2 needs ~768 bytes"):
         points(MIX)(2)
     monkeypatch.undo()
     point = points(MIX)
     point(2)
-    monkeypatch.setattr(lagrange, "DEFAULT_MEMORY_LIMIT", 2 * 24 * 4 * 4)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 2 * 24 * 4 * 4)
     assert point(2) == points(MIX)(2)
     with pytest.raises(MemoryBudgetError):
         point(3)

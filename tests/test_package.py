@@ -1,5 +1,6 @@
-"""The package as a whole: its public names, the size of its modules and
-what the tree oracle and refine import."""
+"""The package as a whole: its public names, the size of its modules,
+where the memory budget is read and what the tree oracle, refine and a
+resumed exact eval import."""
 
 import ast
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 
 import foldrate
 import foldrate.engine
-from helpers import fresh_python
+from helpers import MIXED_EXAMPLE, fresh_python
 
 
 def test_every_public_name_resolves():
@@ -68,6 +69,38 @@ def test_point_evaluator_imports_nothing_from_bounds():
     assert "scalars" in imported, imported
 
 
+def _evaluated_at_import(node):
+    """node and the nodes under it that run when its module is imported:
+    all but function bodies, whose defaults and decorators run then."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field == "body" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                 ast.Lambda)):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _evaluated_at_import(child)
+
+
+def test_no_module_binds_a_copy_of_the_memory_budget():
+    # every check reads foldrate.engine.DEFAULT_MEMORY_LIMIT when it runs; a
+    # from-import, a default argument or any other read at import binds
+    # the value of that moment, and lowering the budget would not reach
+    # the check.  __init__'s re-export is the one exception.
+    for path in sorted(pathlib.Path(foldrate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _evaluated_at_import(tree):
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            assert "DEFAULT_MEMORY_LIMIT" not in names, (path.name, node.lineno)
+
+
 def test_refine_builds_no_table_and_the_cli_loads_no_point_evaluator():
     # a fresh interpreter, so that no other test has loaded the modules
     code = """
@@ -101,3 +134,27 @@ assert not loaded, loaded
 """
     done = fresh_python("-c", code, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_resumed_exact_eval_loads_no_numpy(tmp_path):
+    # a table cached at n = 128 is on its proved recurrence; a fresh
+    # process resumes it to 256 without numpy, proof included, and prints
+    # the bytes of a cold run
+    code = """
+import sys
+import foldrate.cli
+code = foldrate.cli.main(sys.argv[1:])
+assert "numpy" not in sys.modules
+sys.exit(code)
+"""
+    cache = str(tmp_path / "mix.seq")
+
+    def run(*argv, prog=("-m", "foldrate.cli")):
+        done = fresh_python(*prog, "eval", "--domain", "exact", "--spec-text", MIXED_EXAMPLE,
+                            *argv, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    run("--n", "128", "--cache", cache)
+    resumed = run("--n", "256", "--cache", cache, prog=("-c", code))
+    assert resumed == run("--n", "256")
