@@ -1,25 +1,25 @@
 """Sequence cache files: the record layout, save_cache and load_cache.
 
-Layout of version 4, little-endian:
+Layout of version 5, little-endian:
 
     magic "FRSQ" | u16 version | 32 bytes spec digest | u8 domain tag
-    | u64 n | u16 max sum rank (0 = none) | u8 path
+    | u64 n | u64 table count (the max sum rank, or 1: none) | u8 path
     | path 1: the recurrence record
     | record for s (n+1 values) | path 0: records for sum ranks 2..
     | u32 crc32 of everything above
 
 Path 0 is a table on the engine, path 1 an exact table on a proved
 recurrence (holonomic), which holds no fold columns.  A record is u64
-count followed by the values as the domain encodes them: per value a u64
+count followed by the values as the table encodes them: per value a u64
 byte length and the little-endian bytes of t_m (exact), or the
 little-endian float64 ln value (log).  The recurrence record is u16
 order r, u16 degree e, u64 start n0, u64 window W, then the n^0..n^e
 coefficients of p_0, ..., p_r, each a u64 byte length and little-endian
 two's complement bytes.  load_cache proves the recurrence again, so a
 resumed table skips the search and never trusts the file for it.
-Version 3 had no path byte and always held the fold records; version 1
-also held max ranks, and versions 1 and 2 stored each exact value as a
-reduced Fraction.  Versions 1 to 3 are refused.
+Versions 1 to 4 are refused: version 4 held the max sum rank in a u16,
+which overflowed past 65,535 ranks, version 3 had no path byte, version
+1 held max ranks, and versions 1 and 2 stored Fractions.
 """
 
 from __future__ import annotations
@@ -28,15 +28,16 @@ import os
 import struct
 import zlib
 
-from .engine import _DOMAINS, WINDOWS, SequenceTable
+from .engine import WINDOWS, SequenceTable
 from .recurrence import RecurrenceSpec
 
 __all__ = ["CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
            "save_cache"]
 
 _MAGIC = b"FRSQ"
-_VERSION = 4
-_HEADER = struct.Struct("<BQHB")  # domain tag, n, max sum rank, path
+_VERSION = 5
+_HEADER = struct.Struct("<BQQB")  # domain tag, n, table count, path
+_DOMAINS = ("exact", "log")  # by domain tag
 _RECURRENCE = struct.Struct("<HHQQ")  # order, degree, start, window
 
 
@@ -76,13 +77,19 @@ class _Reader:
         return count
 
 
+def _record_counts(table: SequenceTable) -> list[int]:
+    """Values per stored column: n + 1 for s, n for each sum rank (no
+    rank on a recurrence)."""
+    return [table.n + 1] + [table.n] * (0 if table.recurrence else table.table_count - 1)
+
+
 def save_cache(table: SequenceTable, path) -> None:
     """Write a table (sequence and fold columns, or its recurrence) to a cache file."""
-    dom, rec = table._dom, table.recurrence
+    rec = table.recurrence
     buf = bytearray(_MAGIC)
     buf += struct.pack("<H", _VERSION)
     buf += table.spec.digest()
-    buf += _HEADER.pack(_DOMAINS.index(table.domain_name), table.n, table._top,
+    buf += _HEADER.pack(_DOMAINS.index(table.domain_name), table.n, table.table_count,
                         rec is not None)
     if rec:
         buf += _RECURRENCE.pack(len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.start,
@@ -91,9 +98,9 @@ def save_cache(table: SequenceTable, path) -> None:
             b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
             buf += struct.pack("<Q", len(b))
             buf += b
-    for i, count in enumerate(table._record_counts()):
+    for i, count in enumerate(_record_counts(table)):
         buf += struct.pack("<Q", count)
-        buf += dom.encode(i, count)
+        buf += table.encode(i, count)
     buf += struct.pack("<I", zlib.crc32(buf))
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -142,27 +149,27 @@ def load_cache(path, spec: RecurrenceSpec) -> SequenceTable:
         raise CacheCorruptError(f"unsupported cache version {version}")
     if reader.take(32) != spec.digest():
         raise CacheMismatchError("cache file was written for a different recurrence")
-    tag, n, top, path_kind = _HEADER.unpack(reader.take(_HEADER.size))
+    tag, n, count, path_kind = _HEADER.unpack(reader.take(_HEADER.size))
     if tag >= len(_DOMAINS):
         raise CacheCorruptError(f"unknown domain tag {tag}")
     domain = _DOMAINS[tag]
     table = SequenceTable(spec, domain=domain)
-    if top != table._top:
+    if count != table.table_count:
         raise CacheCorruptError("fold table layout does not match the recurrence")
     if path_kind > (domain == "exact"):
         raise CacheCorruptError(f"unknown table path {path_kind}")
-    dom = table._dom
     if path_kind:
-        dom.rec = _read_recurrence(reader, n)
+        table.recurrence = _read_recurrence(reader, n)
     # log mirrors are rebuilt from the loaded ln values on the first new cell
     table.n = n
-    dom.decode(reader, table._record_counts())
+    table.decode(reader, _record_counts(table))
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
     if path_kind:
         from .holonomic import proved
 
-        rec = dom.rec
-        if not (any(rec.coeffs[0]) and proved(rec.coeffs, rec.start, dom.cols[0], dom.pairs)):
+        rec = table.recurrence
+        if not (any(rec.coeffs[0]) and proved(rec.coeffs, rec.start, table.cols[0],
+                                               table.pairs)):
             raise CacheCorruptError("the cached recurrence does not hold for this spec")
     return table

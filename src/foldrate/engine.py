@@ -34,16 +34,17 @@ folds s with rank j - 1:
     fold[2h][m] = 2 sum_{x < ceil(m/2)} fold[h][x] fold[h][m-x]
                   + (fold[h][m/2]^2 if m is even)
 
-which takes about half the products of s with rank 2h - 1.  Both value
-domains read the recipes; the log domain keeps a mirror row only for s
-and the columns some recipe reads (logdomain docstring).  The value
-domain, _ExactDomain (exact integers, below) or _LogDomain (natural log
-doubles, foldrate.logdomain), is the table's storage: it
-holds the columns and the memory budget's byte count, reads values and
-ln values off them, encodes them for the cache, and runs the loop that
-extends them.  SequenceTable holds the plan and n, and its extend only
-runs that loop and records the n reached.  A table restored from the
-binary cache and extended is bit-identical to an uninterrupted run.
+which takes about half the products of s with rank 2h - 1.  Both kinds
+of table read the recipes; a log table keeps a mirror row only for s
+and the columns some recipe reads (logdomain docstring).  A table is
+one object of its value domain: SequenceTable(spec, domain) returns an
+_ExactTable (exact integers, below) or a _LogTable (natural log doubles,
+foldrate.logdomain), as pathlib.Path returns its platform's class.  The
+base class holds the spec, the plan and n, and checks indices; each
+subclass holds its columns and its byte count, reads values and ln
+values off them, encodes them for the cache, and runs the loop that
+extends them.  A table restored from the binary cache and extended is
+bit-identical to an uninterrupted run.
 No bound reads a table (bounds docstring): ln values carry no radius.
 
 The memory budget, foldrate.engine.DEFAULT_MEMORY_LIMIT in bytes, is set
@@ -78,8 +79,10 @@ ArithmeticError.  On the engine, and where p_0(n) = 0, t_n is the
 weighted sum of the ranks' cells at n - 1, which one filler brings up
 from the stored s by their recipes.  A table on a recurrence stores s
 alone: the ranks are emptied once the switch succeeds, and the filler
-rebuilds them from s, outside the byte count, for a fold cell, a root
-of p_0 or the load's budget check.
+rebuilds them from s, counted, for a fold cell or a root of p_0.  A rank
+cell at x is at most t_{x+1}, which bounds a refill before it runs: a
+fold read past the budget is refused with nothing filled, and the load's
+budget check fills the ranks only where the bound passes it.
 """
 
 from __future__ import annotations
@@ -105,90 +108,192 @@ DEFAULT_MEMORY_LIMIT = 8 << 30  # bytes of working data, not process RSS
 # the n at which a table still on the engine searches for a recurrence
 # (holonomic docstring)
 WINDOWS = (48, 104)
-# the least a sum rank holds before any value: its 8-byte slot in the
-# exact domain's list of columns, or the float64 of its row in the log
-# domain (recipes and lists add about 220 more)
+# the least a sum rank holds before any value: its 8-byte slot in an
+# exact table's list of columns, or the float64 of its row in a log table
+# (recipes and lists add about 220 more)
 _RANK_BYTES = 8
 
 
 class MemoryBudgetError(RuntimeError):
     """Work would pass the budget foldrate.engine.DEFAULT_MEMORY_LIMIT; a
-    table that raised this in extend is still valid at the length it reached."""
+    table that raised this is still valid at the length it reached."""
 
 
-class _ExactDomain:
-    """Python ints t_m = D^m s_m in one list per column: s, holding
-    t_0 = 1, then the sum ranks 2..top, rank c + 1 (column c) folding the
-    source columns src[c - 1] (SequenceTable).
+class SequenceTable:
+    """The prefix s_0..s_n of a sequence plus the fold columns to extend
+    it, under the budget foldrate.engine.DEFAULT_MEMORY_LIMIT at each call.
 
-    ``scale`` is D, the lcm of the plan's weight denominators, and each
-    plan weight k enters as the integer D*k; the boundary methods take a
-    stored cell with its index m back to the reduced Fraction t / D^m.
-    ``rec`` is the proved recurrence (holonomic) the domain runs on past
-    its window, or None.  One loop, _run, extends the domain, and _fill
-    brings the ranks up from s (module docstring, "Run.").  ``nbytes`` is
-    the sum of ``sys.getsizeof`` over the counted ints; there is no
-    upfront budget, since the size of an int is not known before it is
-    computed.
+    SequenceTable(spec, domain) returns the domain's table, an _ExactTable
+    or a _LogTable, each a SequenceTable (module docstring), with
+    ``domain_name``, ``recurrence`` (the proved recurrence, holonomic, an
+    exact table runs on past its window, or None) and ``fallback_cells``
+    (sum cells a log table computed with the ln kernel; 0 when exact).
+    This class holds what both share: the spec, n and the plan.  The
+    ranks are 2..top (top 0: none), rank j in column j - 1, and
+    _src[j - 2], the recipe of rank j, names its two source columns: rank
+    j/2 twice for even j, s and rank j - 1 for odd j.  Every rank 2..top
+    is stored, and the cache records each.
     """
 
+    def __new__(cls, spec: RecurrenceSpec, domain: str = "log"):
+        if cls is SequenceTable:
+            if domain not in ("exact", "log"):
+                raise ValueError(f"unknown domain {domain!r} (expected 'exact' or 'log')")
+            cls = _ExactTable
+            if domain == "log":
+                from .logdomain import _LogTable as cls  # imports numpy
+        return super().__new__(cls)
+
+    def __init__(self, spec: RecurrenceSpec):
+        self.spec = spec
+        self._top = max((t.arity for t in spec.terms if t.op is Op.SUM and t.arity >= 2),
+                        default=0)
+        limit = DEFAULT_MEMORY_LIMIT
+        if (self._top - 1) * _RANK_BYTES > limit:
+            raise MemoryBudgetError(
+                f"{self._top - 1} sum ranks need over {(self._top - 1) * _RANK_BYTES} "
+                f"bytes before any value, budget is {limit}")
+        self._src = [(j // 2 - 1,) * 2 if j % 2 == 0 else (0, j - 2)
+                     for j in range(2, self._top + 1)]
+        self.n = 0
+
+    @property
+    def table_count(self) -> int:
+        return max(self._top, 1)
+
+    def extend(self, new_n: int) -> "SequenceTable":
+        """Grow the table so values up to s_{new_n} are available.
+
+        MemoryBudgetError leaves the table valid at the n it reached; any
+        other exception from inside the loop leaves it at its old n.
+        """
+        if new_n < self.n:
+            raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
+        if new_n == self.n:
+            return self
+        self.n = self._extend(new_n)
+        if self.n < new_n:
+            raise MemoryBudgetError(f"memory budget {DEFAULT_MEMORY_LIMIT} bytes exhausted at "
+                                    f"n={self.n}; table still valid there")
+        return self
+
+    def _check_index(self, n: int):
+        if not 0 <= n <= self.n:
+            raise IndexError(f"s_{n} not computed; table extends to {self.n}")
+
+    def _check_fold(self, j: int, top: int, m: int):
+        if not 2 <= j <= top:
+            raise KeyError(f"no rank-{j} fold table for this spec")
+        if not 0 <= m < self.n:
+            raise IndexError(f"fold cell {m} not computed; table extends to {self.n}")
+
+    def value(self, n: int):
+        """s_n as a scalar of this table's domain."""
+        self._check_index(n)
+        return self._scalar(0, n)
+
+    def scaled_values(self, n: int) -> tuple[list, int]:
+        """(t_0..t_n, D) of an exact table: s_m = t_m / D^m, unreduced
+        (module docstring); a log table raises ValueError."""
+        raise ValueError("scaled values are stored by exact tables only")
+
+    def value_ln(self, n: int) -> float:
+        """Natural log of s_n."""
+        self._check_index(n)
+        return self._ln(n)
+
+    def sum_fold(self, j: int, m: int):
+        """j-fold sum-convolution cell at index m, as a domain scalar."""
+        if j == 1:
+            return self.value(m)
+        self._check_fold(j, self._top, m)
+        return self._scalar(j - 1, m)
+
+    def max_fold(self, j: int, m: int):
+        """Alias for value(m): every max fold is s (module docstring).  Ranks
+        2..the largest max arity take 0 <= m < n, other ranks >= 2 raise
+        KeyError, as when max ranks had columns."""
+        if j != 1:
+            self._check_fold(j, max((t.arity for t in self.spec.terms if t.op is Op.MAX),
+                                    default=0), m)
+        return self.value(m)
+
+    def __repr__(self):
+        return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
+                f"tables={self.table_count})")
+
+
+class _ExactTable(SequenceTable):
+    """Python ints t_m = D^m s_m, one list per column in ``cols``: s,
+    holding t_0 = 1, then the sum ranks 2..top.  ``scale`` is D and
+    ``pairs`` the weighted sum's (D*k, column) pairs, one per arity, each
+    reading its rank (arity 1 and the max weights read s).  One loop,
+    _run, extends the table, and _fill brings the ranks up from s (module
+    docstring, "Run.").  ``nbytes`` is the sum of ``sys.getsizeof`` over
+    the ints held; an extend has no upfront budget, since the size of an
+    int is not known before it is computed.
+    """
+
+    domain_name = "exact"
     fallback_cells = 0
 
-    def __init__(self, scale: int, src: list, weights: dict):
-        self.scale = scale
-        self.pairs = [(w.numerator * (scale // w.denominator), a - 1)
+    def __init__(self, spec: RecurrenceSpec, domain: str = "exact"):
+        super().__init__(spec)
+        weights, self.scale = spec.merged_weights()
+        self.pairs = [(w.numerator * (self.scale // w.denominator), a - 1)
                       for a, w in sorted(weights.items())]
-        self.cols = [[1]] + [[] for _ in src]
+        self.cols = [[1]] + [[] for _ in self._src]
         # each rank's column and its recipe's two source columns; decode
         # refills the same lists
         self._steps = [(col, self.cols[a], self.cols[b])
-                       for col, (a, b) in zip(self.cols[1:], src)]
+                       for col, (a, b) in zip(self.cols[1:], self._src)]
         self.nbytes = sys.getsizeof(1)
-        self.rec = None
+        self.recurrence = None
 
-    def extend(self, n0: int, new_n: int) -> int:
-        """Compute s_{n0+1}..s_{new_n}; return the n reached.
+    def _extend(self, new_n: int) -> int:
+        """Compute s_{n+1}..s_{new_n}; return the n reached.
 
         Stops, with the table valid, before any n that would start with
         more than the budget's bytes stored.  Without a recurrence, the
         engine computes each n through a window W in WINDOWS, and an
         extend past W searches once; a proved recurrence computes the
         rest, and the ranks are emptied.  A call cut short by any other
-        exception leaves the table at n0, on the path it was on.
+        exception leaves the table at its old n, on the path it was on.
         """
-        cols, rec0, nbytes0, n = self.cols, self.rec, self.nbytes, n0
+        cols, rec0, nbytes0, filled = self.cols, self.recurrence, self.nbytes, len(self.cols[-1])
+        n0 = n = self.n
         try:
             for w in WINDOWS:
-                if self.rec is None and n <= w < new_n:
+                if self.recurrence is None and n <= w < new_n:
                     n = self._run(n, w)
                     if n < w:
                         return n
                     from . import holonomic  # loaded by the first search
 
-                    self.rec = holonomic.find(cols[0], self.pairs, w)
-                    if self.rec:
+                    self.recurrence = holonomic.find(cols[0], self.pairs, w)
+                    if self.recurrence:
                         self.nbytes = sum(map(sys.getsizeof, cols[0]))
             n = self._run(n, new_n)
         except BaseException:
             del cols[0][n0 + 1 :]
             for col in cols[1:]:
-                del col[n0:]
-            self.rec, self.nbytes = rec0, nbytes0
+                del col[filled:]
+            self.recurrence, self.nbytes = rec0, nbytes0
             raise
-        if self.rec and not rec0:
+        if self.recurrence and not rec0:
             for col in cols[1:]:
                 col.clear()
+            self.nbytes = sum(map(sys.getsizeof, cols[0]))
         return n
 
     def _run(self, n0: int, new_n: int) -> int:
         """Append t_{n0+1}..t_{new_n} to s (module docstring, "Run.") and
         return the n reached, stopping before any n that would start with
-        more than the budget's bytes counted; rank cells count on the
-        engine alone."""
-        cols, pairs, fill, rec, nbytes = self.cols, self.pairs, self._fill, self.rec, self.nbytes
+        more than the budget's bytes counted."""
+        cols, pairs, fill, nbytes = self.cols, self.pairs, self._fill, self.nbytes
         s, mul, getsizeof, limit = cols[0], operator.mul, sys.getsizeof, DEFAULT_MEMORY_LIMIT
         # from the top power down; on the engine, p_0 = 0
-        p = [c[::-1] for c in rec.coeffs] if rec else [()]
+        p = [c[::-1] for c in self.recurrence.coeffs] if self.recurrence else [()]
         # p_r .. p_1 line up with t_{n-r} .. t_{n-1}
         lead, rest, r = p[0], p[:0:-1], len(p) - 1
         for n in range(n0 + 1, new_n + 1):
@@ -210,8 +315,7 @@ class _ExactDomain:
                     raise ArithmeticError(f"t_{n} is not an integer: the recurrence does not "
                                           f"hold on the stored values")
             else:
-                added = fill(n - 1)
-                nbytes += 0 if rec else added
+                nbytes += fill(n - 1)
                 v = sum(w * cols[i][n - 1] for w, i in pairs)
             s.append(v)
             nbytes += getsizeof(v)
@@ -241,30 +345,45 @@ class _ExactDomain:
                 added += getsizeof(v)
         return added
 
+    def _fill_bound(self, m: int) -> int:
+        """An upper bound on the bytes _fill(m) adds, read off the stored s
+        through t_{m+1}: a rank's cell at x is at most the top rank's
+        (t_0 = 1), which times its integer weight is a term of t_{x+1}."""
+        return len(self._steps) * sum(map(sys.getsizeof,
+                                          self.cols[0][len(self.cols[-1]) + 1 : m + 2]))
+
     def _cell(self, i: int, m: int) -> int:
-        """Column i's int at m; a rank of a domain on a recurrence is
-        filled from s on first use."""
-        if i:
-            self._fill(m)
+        """Column i's int at m.  A rank of a table on a recurrence is filled
+        from s on first use, and counted; where _fill_bound passes the
+        budget, the read is refused and nothing is filled."""
+        if i and len(self.cols[-1]) <= m:
+            need, limit = self.nbytes + self._fill_bound(m), DEFAULT_MEMORY_LIMIT
+            if need > limit:
+                raise MemoryBudgetError(f"fold cells through m={m} need up to {need} bytes, "
+                                        f"budget is {limit}")
+            self.nbytes += self._fill(m)
         return self.cols[i][m]
 
-    def rational(self, i: int, m: int) -> Fraction:
-        return Fraction(self._cell(i, m), self.scale ** m)
+    def _scalar(self, i: int, m: int) -> ExactScalar:
+        return ExactScalar(Fraction(self._cell(i, m), self.scale ** m))
 
-    def ln(self, i: int, m: int) -> float:
+    def _ln(self, m: int) -> float:
         # t / D^m unreduced: a gcd of two big ints costs more than the log
-        return ln_ratio(self._cell(i, m), self.scale ** m)
+        return ln_ratio(self.cols[0][m], self.scale ** m)
 
-    def ln_values(self, n: int):
+    def ln_values(self):
+        """numpy vector of ln s_0 .. ln s_n, each with no rounding radius."""
         import numpy as np  # the vector is numpy's; values and the cache need none
 
-        return np.array([self.ln(0, m) for m in range(n + 1)], dtype=np.float64)
+        return np.array([self._ln(m) for m in range(self.n + 1)], dtype=np.float64)
 
-    def wrap(self, i: int, m: int) -> ExactScalar:
-        return ExactScalar(self.rational(i, m))
+    def scaled_values(self, n: int) -> tuple[list, int]:
+        self._check_index(n)
+        return self.cols[0][: n + 1], self.scale
 
     def encode(self, i: int, count: int) -> bytearray:
-        """u64 byte length and little-endian bytes of each stored t_m."""
+        """Column i's first count ints as a cache record's values: a u64
+        byte length and the little-endian bytes of each."""
         out = bytearray()
         for v in self.cols[i][:count]:
             b = v.to_bytes((v.bit_length() + 7) // 8, "little")
@@ -277,7 +396,8 @@ class _ExactDomain:
         an uninterrupted extend under the budget would have stopped short
         of: one whose bytes before its last n exceed it or, on a
         recurrence, whose engine columns did before its last step to the
-        window W."""
+        window W.  Those are filled from s only where _fill_bound passes
+        the budget, counted and emptied again."""
         for col, count in zip(self.cols, counts):
             col[:] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
                       for _ in range(reader.record(count))]
@@ -286,153 +406,18 @@ class _ExactDomain:
         n = counts[0] - 1
         # the last n added s_n and each stored rank's cell at n - 1
         before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols if col) if n else 0
-        if self.rec and before <= limit:
-            w = self.rec.window
-            # a rank's cell at m is at most the top rank's (t_0 = 1), which
-            # times its integer weight is a term of t_{m+1}
-            sizes = list(map(getsizeof, self.cols[0][:w]))
-            if sum(sizes) + len(self._steps) * sum(sizes[1:]) > limit:
-                before = sum(sizes) + self._fill(w - 2)
+        if self.recurrence and before <= limit:
+            w = self.recurrence.window
+            held = sum(map(getsizeof, self.cols[0][:w]))
+            if held + self._fill_bound(w - 2) > limit:
+                before = held + self._fill(w - 2)
+                for col in self.cols[1:]:
+                    col.clear()
         if before > limit:
             raise MemoryBudgetError(
                 f"a table at n={n} holds {before} bytes before its last step, "
                 f"budget is {limit}"
             )
-
-
-# the value domains; a cache file's domain tag is the index of the name
-_DOMAINS = ("exact", "log")
-
-
-def _domain(name: str) -> type:
-    """The value domain class for a name in _DOMAINS; the log domain's
-    module, which imports numpy, is loaded on first use."""
-    if name == "exact":
-        return _ExactDomain
-    from .logdomain import _LogDomain
-
-    return _LogDomain
-
-
-class SequenceTable:
-    """The prefix s_0..s_n of a sequence plus the fold columns to extend
-    it, under the budget foldrate.engine.DEFAULT_MEMORY_LIMIT at each call."""
-
-    def __init__(self, spec: RecurrenceSpec, domain: str = "log"):
-        if domain not in _DOMAINS:
-            raise ValueError(f"unknown domain {domain!r} (expected 'exact' or 'log')")
-        self.spec = spec
-        self.domain_name = domain
-        weights, scale = spec.merged_weights()
-        # The ranks are 2..top (top 0: none), rank j in column j - 1; the
-        # recipe of rank j, its source columns, squares rank j/2 for even j
-        # and folds s with rank j - 1 for odd j: every rank 2..top is
-        # stored, and the cache records each.
-        self._top = max((a for a in weights if a >= 2), default=0)
-        limit = DEFAULT_MEMORY_LIMIT
-        if (self._top - 1) * _RANK_BYTES > limit:
-            raise MemoryBudgetError(
-                f"{self._top - 1} sum ranks need over {(self._top - 1) * _RANK_BYTES} "
-                f"bytes before any value, budget is {limit}")
-        self._src = [(j // 2 - 1,) * 2 if j % 2 == 0 else (0, j - 2)
-                     for j in range(2, self._top + 1)]
-        # the domain's (weight, column) pairs: each arity reads its rank;
-        # arity 1 reads s
-        self._dom = _domain(domain)(scale, self._src, weights)
-        self.n = 0
-
-    # -- extension --------------------------------------------------------
-
-    @property
-    def table_count(self) -> int:
-        return max(self._top, 1)
-
-    def extend(self, new_n: int) -> "SequenceTable":
-        """Grow the table so values up to s_{new_n} are available.
-
-        MemoryBudgetError leaves the table valid at the n it reached; any
-        other exception from inside the loop leaves it at its old n.
-        """
-        if new_n < self.n:
-            raise ValueError(f"table already extends to {self.n}, cannot shrink to {new_n}")
-        if new_n == self.n:
-            return self
-        self.n = self._dom.extend(self.n, new_n)
-        if self.n < new_n:
-            raise MemoryBudgetError(f"memory budget {DEFAULT_MEMORY_LIMIT} bytes exhausted at "
-                                    f"n={self.n}; table still valid there")
-        return self
-
-    @property
-    def recurrence(self):
-        """The proved recurrence (holonomic.Recurrence) an exact table runs
-        on past its window, or None: the table is the engine's."""
-        return self._dom.rec
-
-    @property
-    def fallback_cells(self) -> int:
-        """Log-domain sum cells this object computed with the ln kernel
-        because their inputs left the mirrors' window (0 in the exact domain)."""
-        return self._dom.fallback_cells
-
-    # -- access -----------------------------------------------------------
-
-    def _check_index(self, n: int):
-        if not 0 <= n <= self.n:
-            raise IndexError(f"s_{n} not computed; table extends to {self.n}")
-
-    def _check_fold(self, j: int, top: int, m: int):
-        if not 2 <= j <= top:
-            raise KeyError(f"no rank-{j} fold table for this spec")
-        if not 0 <= m < self.n:
-            raise IndexError(f"fold cell {m} not computed; table extends to {self.n}")
-
-    def value(self, n: int):
-        """s_n as a scalar of this table's domain."""
-        self._check_index(n)
-        return self._dom.wrap(0, n)
-
-    def scaled_values(self, n: int) -> tuple[list, int]:
-        """(t_0..t_n, D) of an exact table: s_m = t_m / D^m, unreduced
-        (module docstring); a log table raises ValueError."""
-        if self.domain_name != "exact":
-            raise ValueError("scaled values are stored by exact tables only")
-        self._check_index(n)
-        return self._dom.cols[0][: n + 1], self._dom.scale
-
-    def value_ln(self, n: int) -> float:
-        """Natural log of s_n."""
-        self._check_index(n)
-        return self._dom.ln(0, n)
-
-    def ln_values(self):
-        """numpy vector of ln s_0 .. ln s_n, each with no rounding radius."""
-        return self._dom.ln_values(self.n)
-
-    def sum_fold(self, j: int, m: int):
-        """j-fold sum-convolution cell at index m, as a domain scalar."""
-        if j == 1:
-            return self.value(m)
-        self._check_fold(j, self._top, m)
-        return self._dom.wrap(j - 1, m)
-
-    def max_fold(self, j: int, m: int):
-        """Alias for value(m): every max fold is s (module docstring).  Ranks
-        2..the largest max arity take 0 <= m < n, other ranks >= 2 raise
-        KeyError, as when max ranks had columns."""
-        if j != 1:
-            self._check_fold(j, max((t.arity for t in self.spec.terms if t.op is Op.MAX),
-                                    default=0), m)
-        return self.value(m)
-
-    def _record_counts(self) -> list[int]:
-        """Values per stored column: n + 1 for s, n for each sum rank (no
-        rank on a recurrence)."""
-        return [self.n + 1] + [self.n] * (0 if self.recurrence else self.table_count - 1)
-
-    def __repr__(self):
-        return (f"SequenceTable(domain={self.domain_name!r}, n={self.n}, "
-                f"tables={self.table_count})")
 
 
 def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log") -> SequenceTable:

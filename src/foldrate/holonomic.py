@@ -9,7 +9,7 @@ D-finite (Stanley 1980; Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
     sum_{i=0..r} p_i(n) t_{n-i} = 0     for every n >= n0 >= r        (R)
 
 with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W
-and proves it; the exact domain runs it (engine docstring).
+and proves it; an exact table runs it (engine docstring).
 
 Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
 j <= e.  One elimination, _eliminate, finds and lifts the relation.  Mod
@@ -167,7 +167,7 @@ def _residual(coeffs, t, n):
 
 
 def _poly(pairs):
-    """P(y) from the exact domain's (D w_a, a - 1) pairs, from y^0 up."""
+    """P(y) from an exact table's (D w_a, a - 1) pairs, from y^0 up."""
     poly = [0] * (pairs[-1][1] + 2)
     for w, i in pairs:
         poly[i + 1] = w
@@ -176,7 +176,7 @@ def _poly(pairs):
 
 def find(t, pairs, window):
     """A proved Recurrence for t, whose t_0..t_window are given, with P
-    from the exact domain's pairs; or None."""
+    from an exact table's pairs; or None."""
     import numpy as np
 
     poly = _poly(pairs)

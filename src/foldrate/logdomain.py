@@ -1,9 +1,9 @@
-"""The log value domain: ln values of the table's columns, in float64.
+"""The log-domain table, _LogTable: ln values of its columns, in float64.
 
-SequenceTable (engine docstring) loads this module the first time it
-builds a log-domain table; it and foldrate.series, which it imports,
-are the only parts of a table that import numpy, so exact-domain runs
-never load them.
+SequenceTable(spec, "log") (engine docstring) loads this module the first
+time it builds a log-domain table; it and foldrate.series, which it
+imports, are the only parts of a table that import numpy, so
+exact-domain runs never load them.
 
 The columns store ln values, and cells are solved a block at a
 time in a scaled linear domain.  Cell indices are cut into power-of-two
@@ -104,32 +104,35 @@ _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 
 
-class _LogDomain:
+class _LogTable(engine.SequenceTable):
     """ln values in float64 rows, 8 bytes per value and mirror entry.
 
     Row i of ``data`` is column i: s, holding ln s_0 = 0, then the sum
-    ranks 2..top, rank c + 1 folding the source columns src[c - 1]
-    (SequenceTable).  ``reads`` lists s, whose u_M starts each block, and
-    the columns a recipe reads, and an extend call keeps a scaled linear
-    mirror row u_x = exp(ln v_x - theta*x) for each of them in that order
-    (see the module docstring), re-derived from the ln rows at every chunk
-    start and after every block; no solver state outlives the call.
-    ``plan`` holds each rank's source columns and their mirror rows.
-    Every row has the same capacity; the record counts come from the
-    table's n.  The scale D is not needed: ln values carry no lattice.
+    ranks 2..top, each folding its recipe's source columns (SequenceTable).
+    ``reads`` lists s, whose u_M starts each block, and the columns a
+    recipe reads, and an extend call keeps a scaled linear mirror row
+    u_x = exp(ln v_x - theta*x) for each of them in that order (see the
+    module docstring), re-derived from the ln rows at every chunk start
+    and after every block; no solver state outlives the call.  ``plan``
+    holds each rank's source columns and their mirror rows.  Every row
+    has the same capacity, and the byte count is projected from it
+    (_reserve).  The scale D is not needed: ln values carry no lattice.
     """
 
-    rec = None
+    domain_name = "log"
+    recurrence = None
 
-    def __init__(self, scale: int, src: list, weights: dict):
+    def __init__(self, spec, domain: str = "log"):
+        super().__init__(spec)
+        weights, _ = spec.merged_weights()
         # the (ln weight, column) pairs of the weighted sum, as a vector and
         # a list
         self.lnw = np.array([ln_fraction(weights[a]) for a in sorted(weights)])
         self.wcols = [a - 1 for a in sorted(weights)]
-        self.data = np.zeros((len(src) + 1, 1))
-        self.reads = sorted({0} | {c for pair in src for c in pair})
+        self.data = np.zeros((len(self._src) + 1, 1))
+        self.reads = sorted({0} | {c for pair in self._src for c in pair})
         row = {c: i for i, c in enumerate(self.reads)}
-        self.plan = [(a, b, row[a], row[b]) for a, b in src]
+        self.plan = [(a, b, row[a], row[b]) for a, b in self._src]
         self.fallback_cells = 0
 
     def _reserve(self, n: int, what: str, after: str = "") -> None:
@@ -149,8 +152,8 @@ class _LogDomain:
             data[:, : self.data.shape[1]] = self.data
             self.data = data
 
-    def extend(self, n0: int, new_n: int) -> int:
-        """Compute s_{n0+1}..s_{new_n}; return new_n.
+    def _extend(self, new_n: int) -> int:
+        """Compute s_{n+1}..s_{new_n}; return new_n.
 
         The budget is checked for all of them before any work.  m = 0 is
         the base case; from m = 1 on, cells go block by block, each block
@@ -158,10 +161,10 @@ class _LogDomain:
         computed cell by cell by the ln kernel where the solver's
         conditions fail.
         """
-        self._reserve(new_n, f"extending to {new_n}", f"; table still valid at n={n0}")
+        self._reserve(new_n, f"extending to {new_n}", f"; table still valid at n={self.n}")
         # _BLOCK entries of room past new_n for the zeroed tail of a block
         mirror = np.empty((len(self.reads), new_n + 1 + _BLOCK))
-        fallback, k, m = 0, 0, n0
+        fallback, k, m = 0, 0, self.n
         if m == 0:
             self._ln_cell(0)
             m = 1
@@ -285,17 +288,18 @@ class _LogDomain:
             data[c, m] = log_sum_vec(data[a, : m + 1] + data[b, m::-1])
         data[0, m + 1] = log_sum_vec(self.lnw + data[self.wcols, m])
 
-    def ln(self, i: int, m: int) -> float:
-        return float(self.data[i, m])
+    def _scalar(self, i: int, m: int) -> LogScalar:
+        return LogScalar(float(self.data[i, m]))
 
-    def ln_values(self, n: int) -> np.ndarray:
-        return self.data[0, : n + 1].copy()
+    def _ln(self, m: int) -> float:
+        return float(self.data[0, m])
 
-    def wrap(self, i: int, m: int) -> LogScalar:
-        return LogScalar(self.ln(i, m))
+    def ln_values(self) -> np.ndarray:
+        return self.data[0, : self.n + 1].copy()
 
     def encode(self, i: int, count: int) -> bytes:
-        """Raw little-endian float64 ln values."""
+        """Column i's first count ln values as a cache record's values: raw
+        little-endian float64."""
         return self.data[i, :count].astype("<f8").tobytes()
 
     def decode(self, reader, counts: list[int]) -> None:

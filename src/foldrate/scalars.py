@@ -4,7 +4,7 @@ The ln helpers take exact ints and Fractions of any size to doubles, and
 add ln-values without overflow (-inf stands for zero).  ExactScalar and
 LogScalar only carry a value out of a table: ``.value`` is the Fraction,
 or the linear float of a LogScalar's ``.ln_value``.  The arithmetic
-itself lives in the engine's domains.
+itself lives in the engine's tables.
 
 The records of the exact path (these two, Term, RecurrenceSpec,
 GrowthConstants and holonomic.Recurrence) are namedtuples with

@@ -566,10 +566,11 @@ def test_cache_rejects_different_spec(tmp_path, capsys):
     assert "different recurrence" in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_cache_version_is_refused(tmp_path, capsys, version):
     # version 1 also held max-fold records, version 2 stored exact values
-    # as Fractions and version 3 had no path byte; the header differs only
+    # as Fractions, version 3 had no path byte and version 4 stored the max
+    # sum rank as a u16; the header differs only
     # in the version field and the trailing checksum as far as the reader
     # gets
     cache = tmp_path / "cat.seq"
@@ -585,6 +586,17 @@ def test_old_cache_version_is_refused(tmp_path, capsys, version):
     assert err == f"error: unsupported cache version {version}\n"
 
 
+def test_a_cache_with_more_sum_ranks_than_a_u16_round_trips(tmp_path, capsys):
+    # sum 65536 1 has 65,535 sum ranks, a table count past the u16 that
+    # version 4 stored it in; the cache is written, and a resume loads it
+    cache = str(tmp_path / "wide.seq")
+    argv = ["eval", "--domain", "exact", "--spec-text", "sum 65536 1", "--cache", cache]
+    assert run(capsys, *argv, "--n", "1")[0] == EXIT_OK
+    code, out, _ = run(capsys, *argv, "--n", "2")
+    assert code == EXIT_OK
+    assert (code, out) == run(capsys, *argv[:-2], "--n", "2")[:2]
+
+
 def test_corrupt_recurrence_record_is_a_usage_error(tmp_path, capsys):
     # past the window the cache holds MIX's recurrence; one coefficient
     # changed under a valid checksum fails the proof on loading
@@ -593,7 +605,7 @@ def test_corrupt_recurrence_record_is_a_usage_error(tmp_path, capsys):
     code, cold, _ = run(capsys, *argv)
     assert code == EXIT_OK
     data = bytearray(cache.read_bytes())
-    at = 4 + 2 + 32 + 12 + 20 + 8  # header, recurrence header, first length
+    at = 4 + 2 + 32 + 18 + 20 + 8  # header, recurrence header, first length
     data[at] ^= 2
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     cache.write_bytes(bytes(data))

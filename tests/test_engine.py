@@ -243,6 +243,17 @@ def test_access_guards():
         SequenceTable(CATALAN, domain="decimal")
 
 
+def test_a_table_is_an_object_of_its_domain():
+    from foldrate.logdomain import _LogTable
+
+    exact, log = (SequenceTable(CATALAN, domain=d) for d in ("exact", "log"))
+    assert type(exact) is engine._ExactTable and type(log) is _LogTable
+    assert isinstance(exact, SequenceTable) and isinstance(log, SequenceTable)
+    assert (exact.domain_name, log.domain_name) == ("exact", "log")
+    with pytest.raises(ValueError, match="exact tables only"):
+        log.scaled_values(0)
+
+
 def test_exact_memory_budget_interrupts_and_resumes(monkeypatch):
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 4096)
     table = SequenceTable(CATALAN, domain="exact")
@@ -262,7 +273,7 @@ def test_a_log_table_with_many_ranks_builds_in_linear_time():
     start = time.perf_counter()
     table = SequenceTable(parse_spec("sum 50000 1"), domain="log")
     assert time.perf_counter() - start < 2.0
-    assert len(table._dom.plan) == 49_999
+    assert len(table.plan) == 49_999
 
 
 def test_log_memory_budget_rejects_upfront(monkeypatch):
@@ -308,8 +319,7 @@ def test_log_extend_stays_near_its_projected_bytes():
     # offsets, or an integer arange beside the float one
     n = 16384
     table = compute_sequence(MIX, 8, domain="log")
-    dom = table._dom
-    projected = (len(dom.data) * (n + 1) + (len(dom.reads) + 1) * (n + 1 + 256)) * 8
+    projected = (len(table.data) * (n + 1) + (len(table.reads) + 1) * (n + 1 + 256)) * 8
     tracemalloc.start()
     try:
         table.extend(n)
@@ -688,12 +698,12 @@ def _kernel_cells(table, cells):
 
 
 def test_out_of_window_cells_use_the_ln_kernel():
-    # white-box: no public spec reaches the fallback, so a spike is added
-    # to rank 2's stored ln value at x = 5, and the table at n = 40 is
-    # extended through blocks [32, 64) and [64, 128)
+    # white-box: MIX reaches no fallback, so a spike is added to rank 2's
+    # stored ln value at x = 5, and the table at n = 40 is extended
+    # through blocks [32, 64) and [64, 128)
     def extended(spike, row=1):
         table = compute_sequence(MIX, 40, domain="log")
-        table._dom.data[row, 5] += spike
+        table.data[row, 5] += spike
         return table.extend(80)
 
     clean = extended(0.0)
@@ -714,7 +724,19 @@ def test_out_of_window_cells_use_the_ln_kernel():
         unread = extended(spike, row=2)
         assert unread.fallback_cells == 0, spike
         assert np.array_equal(unread.ln_values(), clean.ln_values())
-        assert np.array_equal(unread._dom.data[[0, 1, 3], :80], clean._dom.data[[0, 1, 3], :80])
+        assert np.array_equal(unread.data[[0, 1, 3], :80], clean.data[[0, 1, 3], :80])
+
+
+@pytest.mark.parametrize("text", ["sum 2 1e200\nsum 3 1", "sum 2 1\nsum 3 1e-200"])
+def test_weights_far_apart_put_every_block_on_the_ln_kernel(text):
+    # a weight factor e^-theta * w outside [e^-340, e^340] fails the window
+    # test of every chunk: each rank cell past the base case m = 0 is the
+    # ln kernel's, and the values still agree with the exact table's
+    n, spec = 40, parse_spec(text)
+    table = compute_sequence(spec, n, domain="log")
+    assert table.fallback_cells == 2 * (n - 1)
+    want = compute_sequence(spec, n, domain="exact").ln_values()
+    assert np.allclose(table.ln_values(), want, rtol=1e-12, atol=0.0)
 
 
 def test_window_test_reads_the_entries_each_block_derives():
@@ -724,7 +746,7 @@ def test_window_test_reads_the_entries_each_block_derives():
     # tested before the next block, not only at a chunk start
     for spike in (1000.0, -1000.0):
         table = compute_sequence(MIX, 600, domain="log")
-        table._dom.data[1, 560] += spike
+        table.data[1, 560] += spike
         table.extend(1100)
         assert table.fallback_cells == 3 * (1100 - 768), spike
         _kernel_cells(table, [(j, m) for m in range(768, 1100, 83) for j in (2, 3, 4)])
@@ -776,12 +798,12 @@ def test_exact_engine_cache_bytes_are_stable(tmp_path):
     assert table.recurrence is None
     save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "1bfb738bbd1091cc3bff90056ad6f93257bac0ad6dfb3f55a1ee292ac419e4d8"
+        "4fb6da07d6e5ef2c1bf6cd8b9beec0df1cd490e8ada38466e445a53d9f0a5b92"
     )
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
-    # digest of the version 4 layout, which stores each t_m = D^m s_m and,
+    # digest of the version 5 layout, which stores each t_m = D^m s_m and,
     # past the window, the recurrence of order 2 and degree 1 in place of
     # the fold records
     spec = parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7")
@@ -790,7 +812,7 @@ def test_exact_cache_bytes_are_stable(tmp_path):
     assert [len(table.recurrence.coeffs), len(table.recurrence.coeffs[0])] == [3, 2]
     save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "a5d6e3ed29dd223dbf7cc1c0b2d01a6f06011290b4b7fb1c8b53bef11c551df7"
+        "bc1fa103dd85c9a85d0fd11ce6c12a511a40070ca9c0f521cf1c1e1fd1b58cc4"
     )
     # the reloaded Fractions, as printed when the cache still held max records
     back = load_cache(str(path), spec)
@@ -801,7 +823,7 @@ def test_exact_cache_bytes_are_stable(tmp_path):
 
 
 def _exact_cache(spec, s_values, fold_values) -> bytes:
-    """A version 4 exact cache on the engine for a spec with a single
+    """A version 5 exact cache on the engine for a spec with a single
     rank-2 sum table, from the integers t_m it stores."""
     def record(values):
         out = struct.pack("<Q", len(values))
@@ -810,8 +832,8 @@ def _exact_cache(spec, s_values, fold_values) -> bytes:
             out += struct.pack("<Q", len(tb)) + tb
         return out
 
-    body = (b"FRSQ" + struct.pack("<H", 4) + spec.digest()
-            + struct.pack("<BQHB", 0, len(s_values) - 1, 2, 0)
+    body = (b"FRSQ" + struct.pack("<H", 5) + spec.digest()
+            + struct.pack("<BQQB", 0, len(s_values) - 1, 2, 0)
             + record(s_values) + record(fold_values))
     return body + struct.pack("<I", zlib.crc32(body))
 

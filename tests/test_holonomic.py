@@ -60,7 +60,7 @@ def test_perturbed_recurrence_fails_the_proof(monkeypatch):
     # each coefficient, or each t_i with i < start, moved by one; the
     # polynomial products of tests/helpers.py agree
     table = compute_sequence(MIX, 60, domain="exact")
-    rec, t, pairs = table.recurrence, table._dom.cols[0], table._dom.pairs
+    rec, t, pairs = table.recurrence, table.cols[0], table.pairs
     assert holonomic.proved(rec.coeffs, rec.start, t, pairs)
     assert proved_by_lists(rec.coeffs, rec.start, t, pairs)
     for i, p in enumerate(rec.coeffs):
@@ -80,7 +80,7 @@ def test_perturbed_recurrence_fails_the_proof(monkeypatch):
     reference = _values(compute_sequence(MIX, 120, domain="exact"))
     monkeypatch.setattr(holonomic, "proved", lambda *args: False)
     fallback = compute_sequence(MIX, 120, domain="exact")
-    assert fallback.recurrence is None and len(fallback._dom.cols) == 4
+    assert fallback.recurrence is None and len(fallback.cols) == 4
     assert _values(fallback) == reference
 
 
@@ -96,7 +96,7 @@ def test_the_proof_at_one_point_agrees_with_the_polynomial_products():
         if table.recurrence is None:
             continue
         found += 1
-        rec, t, pairs = table.recurrence, table._dom.cols[0], table._dom.pairs
+        rec, t, pairs = table.recurrence, table.cols[0], table.pairs
         moved = [list(p) for p in rec.coeffs]
         moved[-1][-1] += 1
         for coeffs, want in ((rec.coeffs, True), (moved, False)):
@@ -152,9 +152,11 @@ def test_a_root_of_p0_after_a_resume(tmp_path, monkeypatch):
     path = str(tmp_path / "mix.seq")
     save_cache(compute_sequence(MIX, 100, domain="exact"), path)
     table = load_cache(path, MIX)
-    assert table.recurrence.coeffs == times and not any(table._dom.cols[1:])
+    assert table.recurrence.coeffs == times and not any(table.cols[1:])
     table.extend(300)
     assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
+    # the rebuilt ranks stay, and are counted
+    assert table.nbytes == sum(sum(map(sys.getsizeof, col)) for col in table.cols)
 
 
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1/2\nmax 3 2/3\nsum 1 5/7",
@@ -192,21 +194,23 @@ def test_fold_cells_of_a_table_on_a_recurrence_come_from_the_engine(monkeypatch)
         table.sum_fold(4, 120)
 
 
-def test_fold_cell_reads_on_a_recurrence_are_not_counted(tmp_path, monkeypatch):
-    # the ranks that sum_fold fills from s hold no budget bytes: a table
-    # that read them stops where one that did not stops, and saves the
-    # same bytes
-    tables = [compute_sequence(MIX, 200, domain="exact") for _ in range(2)]
-    for j in (2, 3, 4):
-        tables[0].sum_fold(j, 199)
-    saved = []
-    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 40_000)
-    for i, table in enumerate(tables):
-        with pytest.raises(MemoryBudgetError):
-            table.extend(10_000)
-        save_cache(table, str(tmp_path / f"{i}.seq"))
-        saved.append((table.n, (tmp_path / f"{i}.seq").read_bytes()))
-    assert saved[0] == saved[1] and saved[0][0] > 200
+def test_fold_cell_reads_on_a_recurrence_are_counted_or_refused(tmp_path, monkeypatch):
+    # the ranks that sum_fold fills from s are counted while the table
+    # holds them, and a read whose bound on them passes the budget is
+    # refused with nothing filled; the cache holds s alone either way
+    tables = [compute_sequence(MIX, 1024, domain="exact") for _ in range(2)]
+    table, held = tables[0], tables[0].nbytes
+    assert table.recurrence is not None and not any(table.cols[1:])
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", held + 1000)
+    with pytest.raises(MemoryBudgetError):
+        table.sum_fold(4, 1023)
+    assert table.nbytes == held and not any(table.cols[1:])
+    monkeypatch.undo()
+    table.sum_fold(4, 1023)
+    assert table.nbytes == sum(sum(map(sys.getsizeof, col)) for col in table.cols) > 3 * held
+    for i, t in enumerate(tables):
+        save_cache(t, str(tmp_path / f"{i}.seq"))
+    assert (tmp_path / "0.seq").read_bytes() == (tmp_path / "1.seq").read_bytes()
 
 
 def test_load_reproves_the_recurrence(tmp_path):
@@ -215,7 +219,7 @@ def test_load_reproves_the_recurrence(tmp_path):
     path = tmp_path / "mix.seq"
     save_cache(compute_sequence(MIX, 60, domain="exact"), str(path))
     data = bytearray(path.read_bytes())
-    at = 4 + 2 + 32 + 12 + 20  # header, then the first coefficient's length
+    at = 4 + 2 + 32 + 18 + 20  # header, then the first coefficient's length
     assert struct.unpack_from("<Q", data, at)[0] >= 1
     data[at + 8] ^= 1
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
@@ -229,7 +233,7 @@ def test_load_refuses_a_recurrence_the_engine_could_not_reach(tmp_path, monkeypa
     # columns before its last step to the window 48: extend stops before
     # the window, and a table on the recurrence at 60 is refused
     table = compute_sequence(MIX, 60, domain="exact")
-    limit = sum(map(sys.getsizeof, table._dom.cols[0])) + 64
+    limit = sum(map(sys.getsizeof, table.cols[0])) + 64
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", limit)
     short = SequenceTable(MIX, domain="exact")
     with pytest.raises(MemoryBudgetError):
@@ -313,7 +317,7 @@ def test_the_search_finds_the_pinned_relations(monkeypatch):
     specs += [random_spec(rng, max_terms=4, max_arity=6,
                           kind=rng.choice(("mixed", "sum", "max"))) for _ in range(120)]
     tables = [_engine_table(monkeypatch, spec, 104) for spec in specs]
-    found = [holonomic.find(table._dom.cols[0][: w + 1], table._dom.pairs, w)
+    found = [holonomic.find(table.cols[0][: w + 1], table.pairs, w)
              for table in tables for w in (48, 104)]
     found = [rec and tuple(rec) for rec in found]
     assert (len(found), sum(rec is not None for rec in found)) == (246, 178)

@@ -1,6 +1,6 @@
 """The package as a whole: its public names, the size of its modules,
-where the memory budget is read and what the tree oracle, refine and a
-resumed exact eval import."""
+where the memory budget is read, which private names a module reads and
+what the tree oracle, refine and a resumed exact eval import."""
 
 import ast
 import pathlib
@@ -99,6 +99,21 @@ def test_no_module_binds_a_copy_of_the_memory_budget():
             else:
                 continue
             assert "DEFAULT_MEMORY_LIMIT" not in names, (path.name, node.lineno)
+
+
+def test_no_module_reads_another_objects_private_names():
+    # x._name is read only where x is self or cls, so no module reaches
+    # into another's objects; a private name imported from a module
+    # (from .series import _low) is not an attribute read
+    hits = []
+    for path in sorted(pathlib.Path(foldrate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.endswith("__")):
+                continue
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                hits.append((path.name, node.lineno, node.attr))
+    assert not hits, hits
 
 
 def test_refine_builds_no_table_and_the_cli_loads_no_point_evaluator():
