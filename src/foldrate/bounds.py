@@ -46,6 +46,7 @@ P(tau) / (tau-1) at the unique root tau > 1 of f(y) = (y-1) P'(y) - P(y).
 
 from __future__ import annotations
 
+import decimal
 import logging
 import math
 import time
@@ -74,6 +75,21 @@ _LN3 = math.log(3.0)
 # 30 roundings, each within an ulp (libm's log and log1p included), so its
 # relative error is below 2^-48; this factor covers it four times over.
 _EXCESS_UP = 1.0 + 2.0 ** -46
+
+
+# printed bounds carry 12 significant digits, rounded down or up (by side)
+_PRINTED = {-1: decimal.Context(12, rounding=decimal.ROUND_FLOOR),
+            1: decimal.Context(12, rounding=decimal.ROUND_CEILING)}
+
+
+def _outward(x: float, side: int, exp: bool = False) -> float:
+    """x, or e^x with exp, to 12 digits rounded down (side -1) or up (side
+    1), so that a printed bound never moves inward; math.exp is taken as
+    within an ulp.  An infinite result passes through."""
+    if exp:
+        x = exp_ln(x)
+        x = math.nextafter(x, side * math.inf) if x < math.inf and (x or side > 0) else x
+    return float(_PRINTED[side].create_decimal(x)) if math.isfinite(x) else x
 
 
 def _excess(consts: GrowthConstants, n: int, up: bool = False) -> float:
@@ -142,31 +158,24 @@ class BoundsReport:
         self.best_ln_upper = min(self.best_ln_upper, ln_upper)
 
     def to_json_dict(self) -> dict:
-        # JSON has no inf: linear values that overflow a double print as
-        # null, as do the infinite ln bounds of a report with no entries
-        def ln(x):
-            return round12(x) if math.isfinite(x) else None
+        # bounds print rounded outward (_outward).  JSON has no inf: a
+        # linear value that overflows a double prints as null, as do the
+        # infinite bounds of a report with no entries and their exps
+        def out(x, side, exp=False):
+            v = _outward(x, side, exp)
+            return v if math.isfinite(x) and math.isfinite(v) else None
 
+        def bounds(lo, hi):
+            return {"ln_lower": out(lo, -1), "ln_upper": out(hi, 1),
+                    "lower": out(lo, -1, True), "upper": out(hi, 1, True)}
+
+        best = bounds(self.best_ln_lower, self.best_ln_upper)
+        best["ratio"] = out(self.best_ln_upper - self.best_ln_lower, 1, True)
         return {
             "spec": self.spec_text,
             "epsilon": self.epsilon,
-            "entries": [
-                {
-                    "n": e.n,
-                    "ln_lower": ln(e.ln_lower),
-                    "ln_upper": ln(e.ln_upper),
-                    "lower": round12(exp_ln(e.ln_lower, None)),
-                    "upper": round12(exp_ln(e.ln_upper, None)),
-                }
-                for e in self.entries
-            ],
-            "best": {
-                "ln_lower": ln(self.best_ln_lower),
-                "ln_upper": ln(self.best_ln_upper),
-                "lower": round12(exp_ln(self.best_ln_lower, None)),
-                "upper": round12(exp_ln(self.best_ln_upper, None)),
-                "ratio": round12(exp_ln(self.best_ln_upper - self.best_ln_lower, None)),
-            },
+            "entries": [{"n": e.n, **bounds(e.ln_lower, e.ln_upper)} for e in self.entries],
+            "best": best,
             "converged": self.converged,
             "reason": self.reason,
             "max_n": self.max_n,
@@ -176,14 +185,9 @@ class BoundsReport:
     def csv_rows(self) -> list[list]:
         rows = [["n", "ln_lower", "ln_upper", "lower", "upper", "ratio"]]
         for e in self.entries:
-            rows.append([
-                e.n,
-                round12(e.ln_lower),
-                round12(e.ln_upper),
-                round12(exp_ln(e.ln_lower)),
-                round12(exp_ln(e.ln_upper)),
-                round12(exp_ln(e.ln_upper - e.ln_lower)),
-            ])
+            lo, hi = e.ln_lower, e.ln_upper
+            rows.append([e.n, _outward(lo, -1), _outward(hi, 1), _outward(lo, -1, True),
+                         _outward(hi, 1, True), _outward(hi - lo, 1, True)])
         return rows
 
 
@@ -314,8 +318,8 @@ _RATE_WIDTH = Fraction(1, 1 << 42)
 
 def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
     """(ln lower, ln upper) around ln of the rate, from P alone (module
-    docstring), in exact Fractions; MemoryBudgetError before a power y^d,
-    about d times the bits of y, would pass foldrate.engine.DEFAULT_MEMORY_LIMIT.
+    docstring), in exact Fractions.  engine.check_budget passes each power
+    y^d, about d times the bits of y, before it is formed.
 
     For deg P >= 2, bisection on f keeps a <= tau <= b, and as P
     increases and tau minimises P(y) / (y-1),
@@ -323,12 +327,11 @@ def rate_interval(spec: RecurrenceSpec) -> tuple[float, float]:
     _RATE_WIDTH relative, and their logs are rounded outward.
     """
     P = spec.merged_weights()[0]
-    d, limit = max(P), engine.DEFAULT_MEMORY_LIMIT
+    d = max(P)
 
     def at(y, c=P):
-        need = d * (y.numerator.bit_length() + y.denominator.bit_length()) // 8
-        if need > limit:
-            raise MemoryBudgetError(f"y^{d} needs ~{need} bytes, budget is {limit}")
+        engine.check_budget(d * (y.numerator.bit_length() + y.denominator.bit_length()) // 8,
+                            f"y^{d}")
         return sum(w * y ** a for a, w in c.items())
 
     if d == 1:

@@ -48,8 +48,10 @@ bit-identical to an uninterrupted run.
 No bound reads a table (bounds docstring): ln values carry no radius.
 
 The memory budget, foldrate.engine.DEFAULT_MEMORY_LIMIT in bytes, is set
-there alone: a table's plan and extend, load_cache, lagrange.points and
-rate_interval read it when they run, never per n, and no module copies it.
+and read here alone.  One gate, check_budget, refuses work before it
+starts, never per n: a plan, a log extend, a load, an exact fold read, a
+Lagrange point and a power of rate_interval.  An exact run, which cannot
+project its bytes, counts them per n and stops before an n over budget.
 
 This module imports no numpy.  The log domain's module, which does, is
 loaded the first time a log table is built.  An exact table loads numpy
@@ -77,12 +79,13 @@ Run.  One loop computes each t_n.  On a proved recurrence,
 r products and one exact division, and a nonzero remainder raises
 ArithmeticError.  On the engine, and where p_0(n) = 0, t_n is the
 weighted sum of the ranks' cells at n - 1, which one filler brings up
-from the stored s by their recipes.  A table on a recurrence stores s
-alone: the ranks are emptied once the switch succeeds, and the filler
-rebuilds them from s, counted, for a fold cell or a root of p_0.  A rank
-cell at x is at most t_{x+1}, which bounds a refill before it runs: a
-fold read past the budget is refused with nothing filled, and the load's
-budget check fills the ranks only where the bound passes it.
+from the stored s by their recipes.  On a recurrence the ranks are
+emptied at the switch and when an extend starts, and the filler rebuilds
+them from s, counted, for a root of p_0 or a fold cell, so a fold read
+never shortens a later extend.  A rank cell at x is at most t_{x+1},
+which bounds a refill before it runs: a fold read past the budget is
+refused with nothing filled, and the load's budget check fills the ranks
+only where the bound passes it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,7 @@ __all__ = [
     "DEFAULT_MEMORY_LIMIT",
     "MemoryBudgetError",
     "SequenceTable",
+    "check_budget",
     "compute_sequence",
     "load_cache",
     "save_cache",
@@ -115,8 +119,17 @@ _RANK_BYTES = 8
 
 
 class MemoryBudgetError(RuntimeError):
-    """Work would pass the budget foldrate.engine.DEFAULT_MEMORY_LIMIT; a
-    table that raised this is still valid at the length it reached."""
+    """Raised by check_budget, or by an extend that stopped short, which
+    leaves the table valid at the length it reached."""
+
+
+def check_budget(need: int, what: str, after: str = "") -> None:
+    """The one gate before work: raise MemoryBudgetError, naming ``what``
+    and ending with ``after``, if ``need`` bytes pass DEFAULT_MEMORY_LIMIT
+    as it reads now."""
+    if need > DEFAULT_MEMORY_LIMIT:
+        raise MemoryBudgetError(
+            f"{what} needs ~{need} bytes, budget is {DEFAULT_MEMORY_LIMIT}{after}")
 
 
 class SequenceTable:
@@ -148,11 +161,7 @@ class SequenceTable:
         self.spec = spec
         self._top = max((t.arity for t in spec.terms if t.op is Op.SUM and t.arity >= 2),
                         default=0)
-        limit = DEFAULT_MEMORY_LIMIT
-        if (self._top - 1) * _RANK_BYTES > limit:
-            raise MemoryBudgetError(
-                f"{self._top - 1} sum ranks need over {(self._top - 1) * _RANK_BYTES} "
-                f"bytes before any value, budget is {limit}")
+        check_budget((self._top - 1) * _RANK_BYTES, f"a plan of {self._top - 1} sum ranks")
         self._src = [(j // 2 - 1,) * 2 if j % 2 == 0 else (0, j - 2)
                      for j in range(2, self._top + 1)]
         self.n = 0
@@ -229,9 +238,9 @@ class _ExactTable(SequenceTable):
     ``pairs`` the weighted sum's (D*k, column) pairs, one per arity, each
     reading its rank (arity 1 and the max weights read s).  One loop,
     _run, extends the table, and _fill brings the ranks up from s (module
-    docstring, "Run.").  ``nbytes`` is the sum of ``sys.getsizeof`` over
-    the ints held; an extend has no upfront budget, since the size of an
-    int is not known before it is computed.
+    docstring, "Run.").  ``nbytes``, summed when read, is ``sys.getsizeof``
+    over the ints held; an extend has no upfront budget, since the size of
+    an int is not known before it is computed.
     """
 
     domain_name = "exact"
@@ -247,8 +256,11 @@ class _ExactTable(SequenceTable):
         # refills the same lists
         self._steps = [(col, self.cols[a], self.cols[b])
                        for col, (a, b) in zip(self.cols[1:], self._src)]
-        self.nbytes = sys.getsizeof(1)
         self.recurrence = None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(sum(map(sys.getsizeof, col)) for col in self.cols)
 
     def _extend(self, new_n: int) -> int:
         """Compute s_{n+1}..s_{new_n}; return the n reached.
@@ -257,10 +269,11 @@ class _ExactTable(SequenceTable):
         more than the budget's bytes stored.  Without a recurrence, the
         engine computes each n through a window W in WINDOWS, and an
         extend past W searches once; a proved recurrence computes the
-        rest, and the ranks are emptied.  A call cut short by any other
-        exception leaves the table at its old n, on the path it was on.
+        rest, its ranks emptied (module docstring, "Run.").  A call cut
+        short by any other exception leaves the table at its old n, on the
+        path it was on, its engine ranks rebuilt from s after a switch.
         """
-        cols, rec0, nbytes0, filled = self.cols, self.recurrence, self.nbytes, len(self.cols[-1])
+        cols, rec0, filled = self.cols, self.recurrence, len(self.cols[-1])
         n0 = n = self.n
         try:
             for w in WINDOWS:
@@ -271,19 +284,18 @@ class _ExactTable(SequenceTable):
                     from . import holonomic  # loaded by the first search
 
                     self.recurrence = holonomic.find(cols[0], self.pairs, w)
-                    if self.recurrence:
-                        self.nbytes = sum(map(sys.getsizeof, cols[0]))
+            if self.recurrence:
+                for col in cols[1:]:
+                    col.clear()
             n = self._run(n, new_n)
         except BaseException:
             del cols[0][n0 + 1 :]
             for col in cols[1:]:
                 del col[filled:]
-            self.recurrence, self.nbytes = rec0, nbytes0
+            self.recurrence = rec0
+            if rec0 is None:
+                self._fill(filled - 1)
             raise
-        if self.recurrence and not rec0:
-            for col in cols[1:]:
-                col.clear()
-            self.nbytes = sum(map(sys.getsizeof, cols[0]))
         return n
 
     def _run(self, n0: int, new_n: int) -> int:
@@ -298,8 +310,7 @@ class _ExactTable(SequenceTable):
         lead, rest, r = p[0], p[:0:-1], len(p) - 1
         for n in range(n0 + 1, new_n + 1):
             if nbytes > limit:
-                new_n = n - 1
-                break
+                return n - 1
             den = 0
             for a in lead:
                 den = den * n + a
@@ -319,7 +330,6 @@ class _ExactTable(SequenceTable):
                 v = sum(w * cols[i][n - 1] for w, i in pairs)
             s.append(v)
             nbytes += getsizeof(v)
-        self.nbytes = nbytes
         return new_n
 
     def _fill(self, m: int) -> int:
@@ -354,14 +364,12 @@ class _ExactTable(SequenceTable):
 
     def _cell(self, i: int, m: int) -> int:
         """Column i's int at m.  A rank of a table on a recurrence is filled
-        from s on first use, and counted; where _fill_bound passes the
-        budget, the read is refused and nothing is filled."""
+        from s on first use, and held until the next extend; where
+        _fill_bound passes the budget, the read is refused and nothing is
+        filled."""
         if i and len(self.cols[-1]) <= m:
-            need, limit = self.nbytes + self._fill_bound(m), DEFAULT_MEMORY_LIMIT
-            if need > limit:
-                raise MemoryBudgetError(f"fold cells through m={m} need up to {need} bytes, "
-                                        f"budget is {limit}")
-            self.nbytes += self._fill(m)
+            check_budget(self.nbytes + self._fill_bound(m), f"reading fold cells through m={m}")
+            self._fill(m)
         return self.cols[i][m]
 
     def _scalar(self, i: int, m: int) -> ExactScalar:
@@ -401,23 +409,17 @@ class _ExactTable(SequenceTable):
         for col, count in zip(self.cols, counts):
             col[:] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
                       for _ in range(reader.record(count))]
-        getsizeof, limit = sys.getsizeof, DEFAULT_MEMORY_LIMIT
-        self.nbytes = sum(sum(map(getsizeof, col)) for col in self.cols)
-        n = counts[0] - 1
+        getsizeof, n = sys.getsizeof, counts[0] - 1
         # the last n added s_n and each stored rank's cell at n - 1
         before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols if col) if n else 0
-        if self.recurrence and before <= limit:
+        if self.recurrence:
             w = self.recurrence.window
             held = sum(map(getsizeof, self.cols[0][:w]))
-            if held + self._fill_bound(w - 2) > limit:
-                before = held + self._fill(w - 2)
+            if held + self._fill_bound(w - 2) > DEFAULT_MEMORY_LIMIT:
+                before = max(before, held + self._fill(w - 2))
                 for col in self.cols[1:]:
                     col.clear()
-        if before > limit:
-            raise MemoryBudgetError(
-                f"a table at n={n} holds {before} bytes before its last step, "
-                f"budget is {limit}"
-            )
+        check_budget(before, f"a table at n={n}")
 
 
 def compute_sequence(spec: RecurrenceSpec, n: int, domain: str = "log") -> SequenceTable:

@@ -127,17 +127,15 @@ def _reduce(a, stop: int, exponents: list):
 def points(spec: RecurrenceSpec):
     """n -> (lo, hi) with lo <= ln s_n <= hi, for 1 <= n with (n+1)(d+3)
     < 2^53 and d < 2^16 (module docstring), else ValueError.  Each call
-    raises MemoryBudgetError before any work, _taps included, if the
-    point's working set passes foldrate.engine.DEFAULT_MEMORY_LIMIT as it
-    reads then, and FloatingPointError if a range guard fails."""
+    passes the point's working set to engine.check_budget before any work,
+    _taps included, and raises FloatingPointError if a range guard
+    fails."""
     d, taps = max(spec.merged_weights()[0]), None
 
     def point(n: int) -> tuple[float, float]:
         nonlocal taps
         # the chunk's stack, and the products and scaled copies made from it
-        need, limit = 24 * d * d * min(n, sum(_chunk(d))), engine.DEFAULT_MEMORY_LIMIT
-        if need > limit:
-            raise engine.MemoryBudgetError(f"point n={n} needs ~{need} bytes, budget is {limit}")
+        engine.check_budget(24 * d * d * min(n, sum(_chunk(d))), f"point n={n}")
         taps = taps or _taps(spec)
         return _ln_point(taps, n)
 

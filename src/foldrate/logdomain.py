@@ -136,17 +136,14 @@ class _LogTable(engine.SequenceTable):
         self.fallback_cells = 0
 
     def _reserve(self, n: int, what: str, after: str = "") -> None:
-        """Widen the rows to hold a table at n, or refuse it before any work
-        with MemoryBudgetError, naming it ``what`` and adding ``after``,
-        where the budget cannot hold its bytes: 8 per index for each ln
-        value, mirror entry and offset theta * x, and the _BLOCK entries of
-        room past n of the mirror rows and the offsets row, which an extend
-        call to n allocates."""
-        projected = (len(self.data) * (n + 1) + (len(self.reads) + 1) * (n + 1 + _BLOCK)) * 8
-        limit = engine.DEFAULT_MEMORY_LIMIT
-        if projected > limit:
-            raise engine.MemoryBudgetError(
-                f"{what} needs ~{projected} bytes, budget is {limit}{after}")
+        """Widen the rows to hold a table at n, once engine.check_budget,
+        naming it ``what`` and ending with ``after``, has passed its bytes
+        before any work: 8 per index for each ln value, mirror entry and
+        offset theta * x, and the _BLOCK entries of room past n of the
+        mirror rows and the offsets row, which an extend call to n
+        allocates."""
+        engine.check_budget(
+            (len(self.data) * (n + 1) + (len(self.reads) + 1) * (n + 1 + _BLOCK)) * 8, what, after)
         if n + 1 > self.data.shape[1]:
             data = np.empty((len(self.data), n + 1))
             data[:, : self.data.shape[1]] = self.data

@@ -111,9 +111,33 @@ def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--spec-text", "max 2 2", "--n", "64")
     assert code == EXIT_OK
     doc = strict_json(out)
-    assert doc["best"]["lower"] == 2.0  # the pure-max lower bound is exact
+    # the pure-max lower bound is a hair below 2, and prints rounded down
+    assert 2.0 - 1e-11 <= doc["best"]["lower"] < 2.0
     assert doc["best"]["upper"] >= 2.0
     assert [e["n"] for e in doc["entries"]] == [2, 4, 8, 16, 32, 64]
+
+
+def test_printed_bounds_round_outward(capsys):
+    # max 2 2 has rate 2: no printed lower passes it, though its computed
+    # ln lower is within 4e-15 of ln 2.  On MIX the printed intervals
+    # contain the computed ones, in JSON and in CSV.
+    from foldrate import parse_spec, refine
+
+    code, out, _ = run(capsys, "bounds", "--spec-text", "max 2 2", "--n", "256")
+    entries = strict_json(out)["entries"]
+    assert code == EXIT_OK and len(entries) == 8
+    assert all(e["ln_lower"] <= math.log(2) and e["lower"] < 2.0 for e in entries)
+    code, out, _ = run(capsys, "refine", "--spec-text", MIX, "--epsilon", "0.5")
+    report, best = refine(parse_spec(MIX), epsilon=0.5), strict_json(out)["best"]
+    lo, hi = report.best_ln_lower, report.best_ln_upper
+    assert best["ln_lower"] <= lo and hi <= best["ln_upper"]
+    assert best["lower"] <= math.exp(lo) and math.exp(hi) <= best["upper"]
+    assert report.ratio <= best["ratio"]
+    for e, row in zip(report.entries, report.csv_rows()[1:]):
+        n, ln_lo, ln_hi, lower, upper, ratio = row
+        assert ln_lo <= e.ln_lower and e.ln_upper <= ln_hi and n == e.n
+        assert lower <= math.exp(e.ln_lower) and math.exp(e.ln_upper) <= upper
+        assert math.exp(e.ln_upper - e.ln_lower) <= ratio
 
 
 def test_bounds_csv(capsys):
@@ -132,14 +156,17 @@ MIX = "sum 2 2\nsum 3 3\nsum 4 4\nmax 5 5\nmax 6 6"
 # exact-domain table (`--domain exact`), and printed byte for byte the
 # same since bounds reads certified points.  Re-pinned when the bounds
 # were rounded outward: three linear uppers at n = 2 and 4 moved up in
-# their 12th digit.
+# their 12th digit.  Re-pinned when the printed digits were rounded
+# outward instead of to nearest: 22 to 25 of the 37 or 40 printed bounds
+# of each output moved one unit outward in their 12th digit, and no other
+# byte changed.
 BOUNDS_EXACT_256_SHA256 = {
-    (MIX, "json"): "fd283f3667a14cf6a4a705b0aa1d4667e2c8de651dc6aa9805e60fe85ea4194e",
-    (MIX, "csv"): "e30f909b7c52dc867bd024883c39d0cdb450f9568424a1d4d11fdd4588a5a946",
+    (MIX, "json"): "bd159dd4d01c548de39080a86528e30a7db1f54a545d55f54b6a1231d54bcbb2",
+    (MIX, "csv"): "48662ded465f33a33c5ec928e352cf61309d9d758dcacca445f7e0b2e4897b09",
     ("sum 2 1/2\nmax 3 7/3", "json"):
-        "3edeabddcbb630073752362b71a663ab8170b86e064dac40b8a5c62cf0c7fe89",
+        "2551ebbaf7abe32430b132e97a05afd4240920cd02a34b94fc5c4723bc4a2e4a",
     ("sum 2 1/2\nmax 3 7/3", "csv"):
-        "ba372586f3e0fb0da92152607f461416e5edeaff9d1282f3fad3b171b6146095",
+        "52153ee697d19020cca8690089769cb8bc37b29ca5b27ba8e4456427538db3b7",
 }
 
 

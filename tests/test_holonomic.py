@@ -155,8 +155,73 @@ def test_a_root_of_p0_after_a_resume(tmp_path, monkeypatch):
     assert table.recurrence.coeffs == times and not any(table.cols[1:])
     table.extend(300)
     assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
-    # the rebuilt ranks stay, and are counted
+    # the rebuilt ranks stay until the next extend, and are counted
     assert table.nbytes == sum(sum(map(sys.getsizeof, col)) for col in table.cols)
+    assert all(len(col) == 150 for col in table.cols[1:])
+
+
+def _stop(table, n):
+    """(n, nbytes) where ``table.extend(n)`` stops under the budget."""
+    with pytest.raises(MemoryBudgetError):
+        table.extend(n)
+    return table.n, table.nbytes
+
+
+def test_a_split_before_a_root_of_p0_does_not_move_the_stop(tmp_path, monkeypatch):
+    # a one-shot extend, one stepped at 100 and one resumed from a cache
+    # saved at 100 each rebuild the ranks from empty at n = 150, count
+    # them to the end of the call, and stop at the same n holding the same
+    # bytes
+    _times_n_minus_150(monkeypatch)
+    path = str(tmp_path / "mix.seq")
+    save_cache(compute_sequence(MIX, 100, domain="exact"), path)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 400_000)
+    one_shot = _stop(SequenceTable(MIX, domain="exact"), 5000)
+    stepped = _stop(compute_sequence(MIX, 100, domain="exact"), 5000)
+    resumed = _stop(load_cache(path, MIX), 5000)
+    assert one_shot == stepped == resumed
+    assert 150 < one_shot[0] < 5000
+
+
+def test_a_fold_read_does_not_shorten_a_later_extend(monkeypatch):
+    # the ranks a fold read rebuilds are emptied when the next extend
+    # starts, so it stops where a table with no read stops
+    read, plain = (compute_sequence(MIX, 1024, domain="exact") for _ in range(2))
+    read.sum_fold(4, 1023)
+    assert read.nbytes > 3 * plain.nbytes
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 2_000_000)
+    assert _stop(read, 10**5) == _stop(plain, 10**5)
+    assert plain.n > 2000
+
+
+def test_a_call_cut_short_after_its_switch_rebuilds_the_engine_ranks(tmp_path, monkeypatch):
+    # the switch to the recurrence empties the ranks; the first byte count
+    # after it fails, and the table goes back to the engine at n = 40 with
+    # its ranks rebuilt from s, as a fresh run saves it
+    table = compute_sequence(MIX, 40, domain="exact")
+    real_find, real_size, switched = holonomic.find, sys.getsizeof, []
+
+    def find(*args):
+        switched.append(True)
+        return real_find(*args)
+
+    def getsizeof(v):
+        if switched and switched.pop():
+            raise RuntimeError("cut short")
+        return real_size(v)
+
+    monkeypatch.setattr(holonomic, "find", find)
+    monkeypatch.setattr(sys, "getsizeof", getsizeof)
+    with pytest.raises(RuntimeError):
+        table.extend(80)
+    monkeypatch.undo()
+    assert (table.n, table.recurrence) == (40, None)
+    assert all(len(col) == 40 for col in table.cols[1:])
+    paths = [str(tmp_path / f"{i}.seq") for i in range(2)]
+    save_cache(table, paths[0])
+    save_cache(compute_sequence(MIX, 40, domain="exact"), paths[1])
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert _values(table.extend(80)) == _values(compute_sequence(MIX, 80, domain="exact"))
 
 
 @pytest.mark.parametrize("text", [MIXED_EXAMPLE, "sum 2 1/2\nmax 3 2/3\nsum 1 5/7",

@@ -1,6 +1,7 @@
 """The package as a whole: its public names, the size of its modules,
-where the memory budget is read, which private names a module reads and
-what the tree oracle, refine and a resumed exact eval import."""
+where the memory budget is read and work refused, which private names a
+module reads and what the tree oracle, refine and a resumed exact eval
+import."""
 
 import ast
 import pathlib
@@ -99,6 +100,44 @@ def test_no_module_binds_a_copy_of_the_memory_budget():
             else:
                 continue
             assert "DEFAULT_MEMORY_LIMIT" not in names, (path.name, node.lineno)
+
+
+def _scoped(node, scope=""):
+    """(the dotted name of the innermost class or function around it, or
+    "", node) for node and every node under it."""
+    yield scope, node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}".lstrip(".")
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
+def test_one_gate_refuses_work_and_only_the_engine_reads_the_budget():
+    # engine.check_budget reads the budget and refuses work before it
+    # starts; SequenceTable.extend reports a table that stopped short.  No
+    # other code builds a MemoryBudgetError, and no module but engine.py
+    # reads the budget in code (__init__'s re-export aside).
+    refusals, reads = set(), []
+    for path in sorted(pathlib.Path(foldrate.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "MemoryBudgetError" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                refusals.add((path.name, scope))
+            if path.name == "engine.py":
+                continue
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = {node.attr}
+            else:
+                continue
+            if "DEFAULT_MEMORY_LIMIT" in names:
+                reads.append((path.name, node.lineno))
+    assert refusals == {("engine.py", "check_budget"), ("engine.py", "SequenceTable.extend")}, \
+        refusals
+    assert not reads, reads
 
 
 def test_no_module_reads_another_objects_private_names():
