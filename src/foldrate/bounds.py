@@ -124,6 +124,15 @@ def _last_step(consts: GrowthConstants, epsilon: float, max_n: int) -> int:
     return hi
 
 
+_COLUMNS = ("ln_lower", "ln_upper", "lower", "upper", "ratio")
+
+
+def _row(lo: float, hi: float) -> list[float]:
+    """The _COLUMNS of the sandwich [lo, hi], each rounded outward."""
+    return [_outward(lo, -1), _outward(hi, 1), _outward(lo, -1, True), _outward(hi, 1, True),
+            _outward(hi - lo, 1, True)]
+
+
 @dataclass(frozen=True)
 class BoundsEntry:
     """Sandwich evaluated at one index: ln of lower and upper bound."""
@@ -158,24 +167,19 @@ class BoundsReport:
         self.best_ln_upper = min(self.best_ln_upper, ln_upper)
 
     def to_json_dict(self) -> dict:
-        # bounds print rounded outward (_outward).  JSON has no inf: a
-        # linear value that overflows a double prints as null, as do the
-        # infinite bounds of a report with no entries and their exps
-        def out(x, side, exp=False):
-            v = _outward(x, side, exp)
-            return v if math.isfinite(x) and math.isfinite(v) else None
+        # JSON has no inf: an overflowed linear value, and the infinite bounds
+        # of a report with no entries and their exps, print as null
+        def row(lo, hi, keys=_COLUMNS):
+            cells = zip(_row(lo, hi), (lo, hi, lo, hi, hi - lo))
+            return dict(zip(keys, [v if math.isfinite(x) and math.isfinite(v) else None
+                                   for v, x in cells]))
 
-        def bounds(lo, hi):
-            return {"ln_lower": out(lo, -1), "ln_upper": out(hi, 1),
-                    "lower": out(lo, -1, True), "upper": out(hi, 1, True)}
-
-        best = bounds(self.best_ln_lower, self.best_ln_upper)
-        best["ratio"] = out(self.best_ln_upper - self.best_ln_lower, 1, True)
         return {
             "spec": self.spec_text,
             "epsilon": self.epsilon,
-            "entries": [{"n": e.n, **bounds(e.ln_lower, e.ln_upper)} for e in self.entries],
-            "best": best,
+            "entries": [{"n": e.n, **row(e.ln_lower, e.ln_upper, _COLUMNS[:4])}
+                        for e in self.entries],
+            "best": row(self.best_ln_lower, self.best_ln_upper),
             "converged": self.converged,
             "reason": self.reason,
             "max_n": self.max_n,
@@ -183,12 +187,8 @@ class BoundsReport:
         }
 
     def csv_rows(self) -> list[list]:
-        rows = [["n", "ln_lower", "ln_upper", "lower", "upper", "ratio"]]
-        for e in self.entries:
-            lo, hi = e.ln_lower, e.ln_upper
-            rows.append([e.n, _outward(lo, -1), _outward(hi, 1), _outward(lo, -1, True),
-                         _outward(hi, 1, True), _outward(hi - lo, 1, True)])
-        return rows
+        return [["n", *_COLUMNS]] + [[e.n, *_row(e.ln_lower, e.ln_upper)]
+                                     for e in self.entries]
 
 
 def evaluate_bounds(table: SequenceTable, consts: GrowthConstants | None = None,

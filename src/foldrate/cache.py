@@ -158,18 +158,15 @@ def load_cache(path, spec: RecurrenceSpec) -> SequenceTable:
         raise CacheCorruptError("fold table layout does not match the recurrence")
     if path_kind > (domain == "exact"):
         raise CacheCorruptError(f"unknown table path {path_kind}")
-    if path_kind:
-        table.recurrence = _read_recurrence(reader, n)
+    rec = table.recurrence = _read_recurrence(reader, n) if path_kind else None
     # log mirrors are rebuilt from the loaded ln values on the first new cell
     table.n = n
     table.decode(reader, _record_counts(table))
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
-    if path_kind:
+    if rec:
         from .holonomic import proved
 
-        rec = table.recurrence
-        if not (any(rec.coeffs[0]) and proved(rec.coeffs, rec.start, table.cols[0],
-                                               table.pairs)):
+        if not proved(rec.coeffs, rec.start, table.cols[0], spec):
             raise CacheCorruptError("the cached recurrence does not hold for this spec")
     return table

@@ -62,30 +62,25 @@ engine or a proved recurrence, reading values and the cache need none.
 The exact domain computes on Python ints.  With D the lcm of the weight
 denominators (RecurrenceSpec.merged_weights), t_m = D^m s_m is an
 integer sequence: a split of m has
-s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s
-at m is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1]
-with t_0 = 1.  Fraction appears only at the API boundary: values, fold
-cells and ln values go through the reduced t / D^m, and the cache stores
-t itself.  The engine computes t through a window W in
-WINDOWS; an extend past W searches once for a linear recurrence (R)
-with polynomial coefficients and proves it (holonomic docstring), and
-only such an extend loads that module.  Where none is found the engine
-goes on.
+s_{x_1}*...*s_{x_j} = D^-m t_{x_1}*...*t_{x_j}, so a sum fold of s at m
+is D^-m times that of t, and t_n = sum_i (D * k_i) * fold_i(t)[n-1] with
+t_0 = 1.  Fraction appears only at the API boundary: values, fold cells
+and ln values go through the reduced t / D^m, and the cache stores t
+itself.
 
-Run.  One loop computes each t_n.  On a proved recurrence,
-
-    t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n),
-
-r products and one exact division, and a nonzero remainder raises
-ArithmeticError.  On the engine, and where p_0(n) = 0, t_n is the
-weighted sum of the ranks' cells at n - 1, which one filler brings up
-from the stored s by their recipes.  On a recurrence the ranks are
-emptied at the switch and when an extend starts, and the filler rebuilds
-them from s, counted, for a root of p_0 or a fold cell, so a fold read
-never shortens a later extend.  A rank cell at x is at most t_{x+1},
-which bounds a refill before it runs: a fold read past the budget is
-refused with nothing filled, and the load's budget check fills the ranks
-only where the bound passes it.
+Run.  One loop computes each t_n.  On the engine, through a window W in
+WINDOWS, t_n is the weighted sum of the ranks' cells at n - 1, which one
+filler brings up from the stored s by their recipes.  An extend past W
+searches once for a recurrence (R) and proves it (holonomic docstring);
+only such an extend loads that module, and where none is found the
+engine goes on.  On a recurrence the loop asks holonomic for t_n
+(Recurrence.step), or takes that sum at a root of p_0.  The ranks,
+emptied at the switch and when an extend starts, are rebuilt from s,
+counted, for a fold cell until the next extend and for a root until t_n
+is stored: neither a fold read nor how extends are split moves where a
+table stops.  A rank cell at x is at most t_{x+1}, which bounds a refill
+before it runs: a fold read or a root past the budget is refused with
+nothing filled, and a load fills them only where the bound passes it.
 """
 
 from __future__ import annotations
@@ -237,10 +232,11 @@ class _ExactTable(SequenceTable):
     holding t_0 = 1, then the sum ranks 2..top.  ``scale`` is D and
     ``pairs`` the weighted sum's (D*k, column) pairs, one per arity, each
     reading its rank (arity 1 and the max weights read s).  One loop,
-    _run, extends the table, and _fill brings the ranks up from s (module
-    docstring, "Run.").  ``nbytes``, summed when read, is ``sys.getsizeof``
-    over the ints held; an extend has no upfront budget, since the size of
-    an int is not known before it is computed.
+    _run, extends the table, asking holonomic for t_n on a recurrence,
+    and _fill brings the ranks up from s (module docstring, "Run.").
+    ``nbytes``, summed when read, is ``sys.getsizeof`` over the ints
+    held; an extend has no upfront budget, since the size of an int is
+    not known before it is computed.
     """
 
     domain_name = "exact"
@@ -263,16 +259,11 @@ class _ExactTable(SequenceTable):
         return sum(sum(map(sys.getsizeof, col)) for col in self.cols)
 
     def _extend(self, new_n: int) -> int:
-        """Compute s_{n+1}..s_{new_n}; return the n reached.
-
-        Stops, with the table valid, before any n that would start with
-        more than the budget's bytes stored.  Without a recurrence, the
-        engine computes each n through a window W in WINDOWS, and an
-        extend past W searches once; a proved recurrence computes the
-        rest, its ranks emptied (module docstring, "Run.").  A call cut
-        short by any other exception leaves the table at its old n, on the
-        path it was on, its engine ranks rebuilt from s after a switch.
-        """
+        """Compute s_{n+1}..s_{new_n} by _run, searching at each window
+        crossed on the engine, and return the n reached (module docstring,
+        "Run.").  A call cut short by an exception leaves the table at its
+        old n, on the path it was on, its engine ranks rebuilt from s after
+        a switch."""
         cols, rec0, filled = self.cols, self.recurrence, len(self.cols[-1])
         n0 = n = self.n
         try:
@@ -283,7 +274,7 @@ class _ExactTable(SequenceTable):
                         return n
                     from . import holonomic  # loaded by the first search
 
-                    self.recurrence = holonomic.find(cols[0], self.pairs, w)
+                    self.recurrence = holonomic.find(cols[0], self.spec, w)
             if self.recurrence:
                 for col in cols[1:]:
                     col.clear()
@@ -301,33 +292,24 @@ class _ExactTable(SequenceTable):
     def _run(self, n0: int, new_n: int) -> int:
         """Append t_{n0+1}..t_{new_n} to s (module docstring, "Run.") and
         return the n reached, stopping before any n that would start with
-        more than the budget's bytes counted."""
+        more than the budget's bytes counted, or fill past them at a root."""
         cols, pairs, fill, nbytes = self.cols, self.pairs, self._fill, self.nbytes
-        s, mul, getsizeof, limit = cols[0], operator.mul, sys.getsizeof, DEFAULT_MEMORY_LIMIT
-        # from the top power down; on the engine, p_0 = 0
-        p = [c[::-1] for c in self.recurrence.coeffs] if self.recurrence else [()]
-        # p_r .. p_1 line up with t_{n-r} .. t_{n-1}
-        lead, rest, r = p[0], p[:0:-1], len(p) - 1
+        s, rec, getsizeof, limit = cols[0], self.recurrence, sys.getsizeof, DEFAULT_MEMORY_LIMIT
+        step = rec.step(s) if rec else None
         for n in range(n0 + 1, new_n + 1):
             if nbytes > limit:
                 return n - 1
-            den = 0
-            for a in lead:
-                den = den * n + a
-            if den:
-                c = []
-                for q in rest:
-                    v = 0
-                    for a in q:
-                        v = v * n + a
-                    c.append(v)
-                v, rem = divmod(-sum(map(mul, c, s[n - r : n])), den)
-                if rem:
-                    raise ArithmeticError(f"t_{n} is not an integer: the recurrence does not "
-                                          f"hold on the stored values")
-            else:
-                nbytes += fill(n - 1)
+            v = step(n) if step else None
+            if v is None:
+                if rec and nbytes + self._fill_bound(n - 1) > limit:
+                    return n - 1
+                added = fill(n - 1)
                 v = sum(w * cols[i][n - 1] for w, i in pairs)
+                if rec:  # the ranks were scratch for this t_n
+                    for col in cols[1:]:
+                        col.clear()
+                else:
+                    nbytes += added
             s.append(v)
             nbytes += getsizeof(v)
         return new_n
@@ -356,9 +338,9 @@ class _ExactTable(SequenceTable):
         return added
 
     def _fill_bound(self, m: int) -> int:
-        """An upper bound on the bytes _fill(m) adds, read off the stored s
-        through t_{m+1}: a rank's cell at x is at most the top rank's
-        (t_0 = 1), which times its integer weight is a term of t_{x+1}."""
+        """A bound on the bytes _fill(m) adds, from the stored s through t_{m+1}
+        (t_m at a root, short of its cells at m): a rank's cell at x is at most
+        the top rank's (t_0 = 1), which times its weight is a term of t_{x+1}."""
         return len(self._steps) * sum(map(sys.getsizeof,
                                           self.cols[0][len(self.cols[-1]) + 1 : m + 2]))
 

@@ -8,8 +8,8 @@ D-finite (Stanley 1980; Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
 
     sum_{i=0..r} p_i(n) t_{n-i} = 0     for every n >= n0 >= r        (R)
 
-with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W
-and proves it; an exact table runs it (engine docstring).
+with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W,
+proves it and runs it (engine docstring), with P read from the spec.
 
 Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
 j <= e.  One elimination, _eliminate, finds and lifts the relation.  Mod
@@ -31,6 +31,11 @@ searched, and a recurrence missed here only leaves the table on the
 engine.  _matrix, _eliminate and find are the only code here that uses
 numpy, and each imports it: proving, running and resuming a cached
 recurrence load none.
+
+Run.  Recurrence.step(t) is the only evaluation of (R): it maps n to
+t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n) from t_{n-r}..t_{n-1} in the
+list t, returns None where p_0(n) = 0 and raises ArithmeticError on a
+nonzero remainder.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
 theta = z d/dz,
@@ -64,7 +69,7 @@ its value at Y is Y^m (c_m + Y R) with R an integer, and
 0 < |c_m| <= W < Y, so Y does not divide c_m and the value is not zero.
 So the identity holds iff its value at Y is 0: exact integer
 arithmetic, with no bound on how many terms to check.  A relation that
-fails it is never used.
+fails it, or whose p_0 is zero, is never used.
 """
 
 from __future__ import annotations
@@ -96,6 +101,22 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
     n >= start, and the engine supplied t_0..t_window."""
 
     __slots__ = ()
+
+    def step(self, t):
+        """n -> t_n of (R) on the list t, or None (module docstring, "Run.")."""
+        polys = [p[::-1] for p in self.coeffs[::-1]]  # p_r .. p_1, then p_0
+
+        def at(n):
+            c = _values(polys, n)
+            den = c.pop()
+            if den:
+                v, rem = divmod(-sum(map(operator.mul, c, t[n - len(c) : n])), den)
+                if rem:
+                    raise ArithmeticError(f"t_{n} is not an integer: the recurrence does "
+                                          f"not hold on the stored values")
+                return v
+
+        return at
 
 
 def _matrix(t, cols, rows, p):
@@ -155,31 +176,32 @@ def _ratrec(a, m):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _value(poly, n):
-    v = 0
-    for a in reversed(poly):
-        v = v * n + a
-    return v
+def _values(polys, n):
+    """Each polynomial at n by Horner, its coefficients from the top power down."""
+    out = []
+    for p in polys:
+        v = 0
+        for a in p:
+            v = v * n + a
+        out.append(v)
+    return out
 
 
 def _residual(coeffs, t, n):
-    return sum(_value(p, n) * t[n - i] for i, p in enumerate(coeffs) if i <= n)
+    return sum(map(operator.mul, _values([reversed(p) for p in coeffs], n), t[n::-1]))
 
 
-def _poly(pairs):
-    """P(y) from an exact table's (D w_a, a - 1) pairs, from y^0 up."""
-    poly = [0] * (pairs[-1][1] + 2)
-    for w, i in pairs:
-        poly[i + 1] = w
-    return poly
+def _poly(spec):
+    """P(y) = sum_a D w_a y^a of the spec's merged weights, from y^0 up."""
+    weights, scale = spec.merged_weights()
+    return [int(weights.get(a, 0) * scale) for a in range(max(weights) + 1)]
 
 
-def find(t, pairs, window):
-    """A proved Recurrence for t, whose t_0..t_window are given, with P
-    from an exact table's pairs; or None."""
+def find(t, spec, window):
+    """A proved Recurrence for t, whose t_0..t_window are given; or None."""
     import numpy as np
 
-    poly = _poly(pairs)
+    poly = _poly(spec)
     d = len(poly) - 1
     for e in (d, d - 1):
         R = min(CAP // (e + 1), (window + 2 - _MARGIN) // (e + 2)) - 1
@@ -187,7 +209,7 @@ def find(t, pairs, window):
             break
     else:
         return None
-    primes = [q for q in _PRIMES if all(w % q for w, _ in pairs)]
+    primes = [q for q in _PRIMES if all(w % q for w in poly if w)]
     if not primes:
         return None
     cols = [(i, j) for i in range(R + 1) for j in range(e + 1)]
@@ -224,13 +246,11 @@ def find(t, pairs, window):
             coeffs[i][j] = u
         while len(coeffs[0]) > 1 and not any(c[-1] for c in coeffs):
             coeffs = [c[:-1] for c in coeffs]
-        if not any(coeffs[0]):
-            continue
         # p_0's leading coefficient positive, and no common factor
-        g = math.gcd(*nums) * (1 if [u for u in coeffs[0] if u][-1] > 0 else -1)
+        g = math.gcd(*nums) * (-1 if next(filter(None, coeffs[0][::-1]), 0) < 0 else 1)
         coeffs = tuple(tuple(u // g for u in c) for c in coeffs)
         start = next((n + 1 for n in range(window, r - 1, -1) if _residual(coeffs, t, n)), r)
-        if start <= first and proved(coeffs, start, t, pairs):
+        if start <= first and proved(coeffs, start, t, spec):
             return Recurrence(coeffs, start, window)
     return None
 
@@ -263,10 +283,10 @@ def _norm(a):
     return sum(map(abs, a))
 
 
-def proved(coeffs, start, t, pairs):
-    """Whether (R) with these coefficients holds for every n >= start
-    (module docstring), given t_0..t_{start-1} and P from the pairs."""
-    poly, r, e = _poly(pairs), len(coeffs) - 1, len(coeffs[0]) - 1
+def proved(coeffs, start, t, spec):
+    """Whether (R) with these coefficients holds for every n >= start with
+    p_0 not zero (module docstring), given t_0..t_{start-1}."""
+    poly, r, e = _poly(spec), len(coeffs) - 1, len(coeffs[0]) - 1
     ym1 = [-1, 1]
     A, B = _mul(ym1, poly), _add(poly, _mul(ym1, _deriv(poly)), -1)
     dB = _deriv(B)
@@ -301,4 +321,4 @@ def proved(coeffs, start, t, pairs):
     for i in range(start + 1):
         acc = acc * Pv + (sum(map(operator.mul, d[i], F)) - q[i] * B2e) * power
         power = (power << K) - power
-    return not acc
+    return any(coeffs[0]) and not acc

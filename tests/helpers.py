@@ -280,11 +280,12 @@ def oracle_rate_interval(spec: RecurrenceSpec, width: Fraction = Fraction(1, 10 
 # -- the recurrence proof by polynomial products ---------------------------
 
 
-def proved_by_lists(coeffs, start, t, pairs) -> bool:
+def proved_by_lists(coeffs, start, t, spec) -> bool:
     """holonomic.proved's identity built coefficient by coefficient: the
     left side of the holonomic docstring's identity in Z[y] as an int
-    list, from y^0 up, by schoolbook products, then tested for zero.  It
-    shares no code with the package."""
+    list, from y^0 up, by schoolbook products, then tested for zero.  Past
+    P, read off the spec's merged weights, it shares no code with the
+    package."""
     def mul(a, b):
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -305,9 +306,10 @@ def proved_by_lists(coeffs, start, t, pairs) -> bool:
         return sum(sum(c * n ** j for j, c in enumerate(p)) * t[n - i]
                    for i, p in enumerate(coeffs) if i <= n)
 
-    poly = [0] * (pairs[-1][1] + 2)
-    for w, i in pairs:
-        poly[i + 1] = w
+    weights, scale = spec.merged_weights()
+    poly = [0] * (max(weights) + 1)
+    for a, w in weights.items():
+        poly[a] = int(w * scale)
     r, e, ym1 = len(coeffs) - 1, len(coeffs[0]) - 1, [-1, 1]
     A, B = mul(ym1, poly), add(poly, mul(ym1, deriv(poly)), -1)
     dB, B2 = deriv(B), mul(B, B)

@@ -629,6 +629,19 @@ def _steps_and_loads_are_bit_identical(tmp_path, spec):
         assert _saved(table, tmp_path / "other.seq") == want
 
 
+def _sizing_t58(monkeypatch) -> int:
+    """The index of the sys.getsizeof call that sizes t_58 when an exact
+    MIX table at n = 40 extends to 80, counted on a dry run: each run
+    also sizes every int held when it starts, and the recurrence found at
+    the window 48 computes t_58."""
+    table, real, sized = compute_sequence(MIX, 40, domain="exact"), sys.getsizeof, []
+    with monkeypatch.context() as m:
+        m.setattr(sys, "getsizeof", lambda v: sized.append(v) or real(v))
+        table.extend(80)
+    assert table.recurrence is not None and table.recurrence.window == 48
+    return next(i for i, v in enumerate(sized) if v is table.cols[0][58])
+
+
 @pytest.mark.parametrize("domain, module, name, call", [
     # chunk [32, 64)'s constants take 13 convolutions and its one block 10,
     # chunk [64, 128)'s constants 15; then block [64, 128) takes rank 2's
@@ -640,9 +653,9 @@ def _steps_and_loads_are_bit_identical(tmp_path, spec):
     # product fails
     ("exact", operator, "mul",
      sum(2 * ((m + 1) // 2) + m + 1 for m in range(40, 46)) + 23 + 23),
-    # past the window, on MIX's recurrence: each engine step from 41 to 48
-    # sizes 4 ints and the switch sizes s_0..s_48; then t_58 fails
-    ("exact", sys, "getsizeof", 4 * 8 + 49 + 9),
+    # past the window, on MIX's recurrence: the call that sizes t_58, after
+    # the switch, from a counted dry run
+    pytest.param("exact", sys, "getsizeof", _sizing_t58, id="exact-sys-getsizeof-t58"),
 ])
 def test_extend_cut_short_keeps_the_table_valid(tmp_path, monkeypatch, domain, module,
                                                 name, call):
@@ -651,6 +664,8 @@ def test_extend_cut_short_keeps_the_table_valid(tmp_path, monkeypatch, domain, m
     # after block [32, 64) was stored through m = 63, leaves the table at
     # n = 40 as a fresh run saves it; the next extend, which solves block
     # [32, 64) again, matches an uninterrupted run
+    if callable(call):
+        call = call(monkeypatch)
     table = compute_sequence(MIX, 40, domain=domain)
     calls, real = iter(range(10**6)), getattr(module, name)
 

@@ -6,6 +6,7 @@ import random
 import struct
 import sys
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,22 +61,22 @@ def test_perturbed_recurrence_fails_the_proof(monkeypatch):
     # each coefficient, or each t_i with i < start, moved by one; the
     # polynomial products of tests/helpers.py agree
     table = compute_sequence(MIX, 60, domain="exact")
-    rec, t, pairs = table.recurrence, table.cols[0], table.pairs
-    assert holonomic.proved(rec.coeffs, rec.start, t, pairs)
-    assert proved_by_lists(rec.coeffs, rec.start, t, pairs)
+    rec, t = table.recurrence, table.cols[0]
+    assert holonomic.proved(rec.coeffs, rec.start, t, MIX)
+    assert proved_by_lists(rec.coeffs, rec.start, t, MIX)
     for i, p in enumerate(rec.coeffs):
         for j in range(len(p)):
             for delta in (-1, 1):
                 coeffs = [list(q) for q in rec.coeffs]
                 coeffs[i][j] += delta
-                assert not holonomic.proved(coeffs, rec.start, t, pairs), (i, j, delta)
-                assert not proved_by_lists(coeffs, rec.start, t, pairs), (i, j, delta)
+                assert not holonomic.proved(coeffs, rec.start, t, MIX), (i, j, delta)
+                assert not proved_by_lists(coeffs, rec.start, t, MIX), (i, j, delta)
     for i in range(rec.start):
         for delta in (-1, 1):
             moved = list(t)
             moved[i] += delta
-            assert not holonomic.proved(rec.coeffs, rec.start, moved, pairs), (i, delta)
-            assert not proved_by_lists(rec.coeffs, rec.start, moved, pairs), (i, delta)
+            assert not holonomic.proved(rec.coeffs, rec.start, moved, MIX), (i, delta)
+            assert not proved_by_lists(rec.coeffs, rec.start, moved, MIX), (i, delta)
     # a recurrence that fails its proof is not used: the table stays on the engine
     reference = _values(compute_sequence(MIX, 120, domain="exact"))
     monkeypatch.setattr(holonomic, "proved", lambda *args: False)
@@ -96,13 +97,22 @@ def test_the_proof_at_one_point_agrees_with_the_polynomial_products():
         if table.recurrence is None:
             continue
         found += 1
-        rec, t, pairs = table.recurrence, table.cols[0], table.pairs
+        rec, t = table.recurrence, table.cols[0]
         moved = [list(p) for p in rec.coeffs]
         moved[-1][-1] += 1
         for coeffs, want in ((rec.coeffs, True), (moved, False)):
-            assert holonomic.proved(coeffs, rec.start, t, pairs) is want, spec.render()
-            assert proved_by_lists(coeffs, rec.start, t, pairs) is want, spec.render()
+            assert holonomic.proved(coeffs, rec.start, t, spec) is want, spec.render()
+            assert proved_by_lists(coeffs, rec.start, t, spec) is want, spec.render()
     assert found >= 50
+
+
+class _P(tuple):
+    """A stand-in spec: P(y) = sum_a w_a y^a with w_1, w_2, ... the items
+    and D = 1, as RecurrenceSpec.merged_weights gives them, but with
+    coefficients that no spec's weights give."""
+
+    def merged_weights(self):
+        return {a: Fraction(w) for a, w in enumerate(self, 1)}, 1
 
 
 def test_the_proof_point_is_past_every_root_it_could_hit():
@@ -112,9 +122,9 @@ def test_the_proof_point_is_past_every_root_it_could_hit():
     # (m n + m - m 2^k) t_n = 0 from n = 0 has the left side m y (y - 2^k).
     # With P = y (y - 2^k), the relation c t_n = 0 from n = 1 has
     # c (y - 1) P, whose bound W carries the factor ||P|| = 2^k + 1.
-    cases = [(((m - m * 2 ** k, m),), 0, [1], [(1, 0)])
+    cases = [(((m - m * 2 ** k, m),), 0, [1], _P((1,)))
              for k in range(80) for m in (1, 5, 1000)]
-    cases += [(((2 ** j,),), 1, [1], [(-(2 ** k), 0), (1, 1)])
+    cases += [(((2 ** j,),), 1, [1], _P((-(2 ** k), 1)))
               for k in range(64) for j in range(k)]
     for case in cases:
         assert not holonomic.proved(*case), case
@@ -128,13 +138,27 @@ def _times_n_minus_150(monkeypatch):
     times = tuple(tuple(b - 150 * a for a, b in zip(p + (0,), (0,) + p)) for p in rec.coeffs)
     real_find = holonomic.find
 
-    def find(t, pairs, window):
-        found = real_find(t, pairs, window)
-        assert holonomic.proved(times, found.start, t, pairs)
+    def find(t, spec, window):
+        found = real_find(t, spec, window)
+        assert holonomic.proved(times, found.start, t, spec)
         return holonomic.Recurrence(times, found.start, found.window)
 
     monkeypatch.setattr(holonomic, "find", find)
     return times
+
+
+def test_the_step_maps_n_to_t_n(monkeypatch):
+    # from t_{n-r}..t_{n-1} of the engine's table: t_n from the start on,
+    # None at a root of p_0, and ArithmeticError where p_0(n) does not
+    # divide what the stored values give
+    t = _engine_table(monkeypatch, MIX, 200).cols[0]
+    rec = compute_sequence(MIX, 60, domain="exact").recurrence
+    step = rec.step(t)
+    assert [step(n) for n in range(rec.start, 201)] == t[rec.start :]
+    at_root = holonomic.Recurrence(_times_n_minus_150(monkeypatch), rec.start, 48).step(t)
+    assert at_root(150) is None and at_root(151) == t[151]
+    with pytest.raises(ArithmeticError, match="t_101 is not an integer"):
+        rec.step(t[:100] + [t[100] + 1])(101)
 
 
 def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):
@@ -153,11 +177,13 @@ def test_a_root_of_p0_after_a_resume(tmp_path, monkeypatch):
     save_cache(compute_sequence(MIX, 100, domain="exact"), path)
     table = load_cache(path, MIX)
     assert table.recurrence.coeffs == times and not any(table.cols[1:])
+    table.extend(151)
+    # the rebuilt ranks were scratch for t_150: emptied once it is stored,
+    # and no longer counted
+    assert not any(table.cols[1:])
+    assert table.nbytes == sum(map(sys.getsizeof, table.cols[0]))
     table.extend(300)
     assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
-    # the rebuilt ranks stay until the next extend, and are counted
-    assert table.nbytes == sum(sum(map(sys.getsizeof, col)) for col in table.cols)
-    assert all(len(col) == 150 for col in table.cols[1:])
 
 
 def _stop(table, n):
@@ -181,6 +207,35 @@ def test_a_split_before_a_root_of_p0_does_not_move_the_stop(tmp_path, monkeypatc
     resumed = _stop(load_cache(path, MIX), 5000)
     assert one_shot == stepped == resumed
     assert 150 < one_shot[0] < 5000
+
+
+def test_a_split_after_a_root_of_p0_does_not_move_the_stop(monkeypatch):
+    # the ranks a root rebuilds are emptied once its t_n is stored, so a
+    # call that ends past the root leaves nothing for the next one to
+    # drop: two calls stop where one does, holding the same bytes
+    _times_n_minus_150(monkeypatch)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 400_000)
+    one_shot = _stop(SequenceTable(MIX, domain="exact"), 5000)
+    split = SequenceTable(MIX, domain="exact").extend(200)
+    assert not any(split.cols[1:])
+    assert _stop(split, 5000) == one_shot
+    assert 200 < one_shot[0] < 5000
+
+
+def test_a_root_of_p0_past_the_budget_stops_before_it(monkeypatch):
+    # the ranks' rebuild for t_150 is bounded before it runs, as a fold
+    # read's is: one byte short of s and that bound, the extend stops at
+    # 149 with the table valid and nothing filled; at the bound it passes
+    _times_n_minus_150(monkeypatch)
+    want = _values(_engine_table(monkeypatch, MIX, 151))
+    table = compute_sequence(MIX, 149, domain="exact")
+    need = table.nbytes + (len(table.cols) - 1) * sum(map(sys.getsizeof, table.cols[0][1:]))
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", need - 1)
+    assert _stop(table, 300) == (149, table.nbytes)
+    assert not any(table.cols[1:])
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", need)
+    assert table.extend(151).n == 151 and not any(table.cols[1:])
+    assert _values(table) == want
 
 
 def test_a_fold_read_does_not_shorten_a_later_extend(monkeypatch):
@@ -382,7 +437,7 @@ def test_the_search_finds_the_pinned_relations(monkeypatch):
     specs += [random_spec(rng, max_terms=4, max_arity=6,
                           kind=rng.choice(("mixed", "sum", "max"))) for _ in range(120)]
     tables = [_engine_table(monkeypatch, spec, 104) for spec in specs]
-    found = [holonomic.find(table.cols[0][: w + 1], table.pairs, w)
+    found = [holonomic.find(table.cols[0][: w + 1], table.spec, w)
              for table in tables for w in (48, 104)]
     found = [rec and tuple(rec) for rec in found]
     assert (len(found), sum(rec is not None for rec in found)) == (246, 178)

@@ -1,7 +1,7 @@
 """The package as a whole: its public names, the size of its modules,
-where the memory budget is read and work refused, which private names a
-module reads and what the tree oracle, refine and a resumed exact eval
-import."""
+where the memory budget is read and work refused, which module owns P
+and the recurrence, which private names a module reads and what the
+tree oracle, refine and a resumed exact eval import."""
 
 import ast
 import pathlib
@@ -138,6 +138,22 @@ def test_one_gate_refuses_work_and_only_the_engine_reads_the_budget():
     assert refusals == {("engine.py", "check_budget"), ("engine.py", "SequenceTable.extend")}, \
         refusals
     assert not reads, reads
+
+
+def test_holonomic_owns_p_and_the_recurrence():
+    # holonomic reads P from the spec and is the only evaluation of (R):
+    # engine.py reads no recurrence coefficients and divides by no p_0(n),
+    # and neither holonomic.py nor cache.py reads an exact table's
+    # weight pairs
+    root, hits = pathlib.Path(foldrate.__file__).parent, []
+    for name, attrs, calls in (("engine.py", {"coeffs"}, {"divmod"}),
+                               ("holonomic.py", {"pairs"}, set()),
+                               ("cache.py", {"pairs"}, set())):
+        for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in attrs
+                    or isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls):
+                hits.append((name, node.lineno))
+    assert not hits, hits
 
 
 def test_no_module_reads_another_objects_private_names():
