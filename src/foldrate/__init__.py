@@ -33,12 +33,7 @@ from .recurrence import (
     parse_spec_json,
 )
 from .scalars import ExactScalar, LogScalar, ln_fraction, ln_int
-from .engine import (
-    DEFAULT_MEMORY_LIMIT,
-    MemoryBudgetError,
-    SequenceTable,
-    compute_sequence,
-)
+from .engine import MemoryBudgetError, SequenceTable, compute_sequence
 
 __version__ = "0.1.0"
 
@@ -70,37 +65,8 @@ def __dir__():
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "BoundsEntry",
-    "BoundsReport",
-    "CacheCorruptError",
-    "CacheError",
-    "CacheMismatchError",
-    "DEFAULT_MEMORY_LIMIT",
-    "ExactScalar",
-    "GrowthConstants",
-    "LogScalar",
-    "MemoryBudgetError",
-    "Op",
-    "RecurrenceSpec",
-    "SequenceTable",
-    "SpecError",
-    "SpecSyntaxError",
-    "SpecValidationError",
-    "Term",
-    "check_subtree_lemma",
-    "compute_sequence",
-    "derive_constants",
-    "evaluate_bounds",
-    "ln_fraction",
-    "ln_int",
-    "load_cache",
-    "oracle_summary",
-    "parse_spec",
-    "parse_spec_json",
-    "rate_interval",
-    "refine",
-    "save_cache",
-    "subtree_size_interval",
-    "tree_values",
-]
+# the names imported above and those of _LAZY
+__all__ = sorted(["ExactScalar", "GrowthConstants", "LogScalar", "MemoryBudgetError", "Op",
+                  "RecurrenceSpec", "SequenceTable", "SpecError", "SpecSyntaxError",
+                  "SpecValidationError", "Term", "compute_sequence", "derive_constants",
+                  "ln_fraction", "ln_int", "parse_spec", "parse_spec_json", *_LAZY])

@@ -9,17 +9,14 @@ Layout of version 5, little-endian:
     | u32 crc32 of everything above
 
 Path 0 is a table on the engine, path 1 an exact table on a proved
-recurrence (holonomic), which holds no fold columns.  A record is u64
-count followed by the values as the table encodes them: per value a u64
-byte length and the little-endian bytes of t_m (exact), or the
-little-endian float64 ln value (log).  The recurrence record is u16
-order r, u16 degree e, u64 start n0, u64 window W, then the n^0..n^e
-coefficients of p_0, ..., p_r, each a u64 byte length and little-endian
-two's complement bytes.  load_cache proves the recurrence again, so a
-resumed table skips the search and never trusts the file for it.
-Versions 1 to 4 are refused: version 4 held the max sum rank in a u16,
-which overflowed past 65,535 ranks, version 3 had no path byte, version
-1 held max ranks, and versions 1 and 2 stored Fractions.
+recurrence, which holds no fold columns.  A record is u64 count followed
+by the values as the table encodes them: per value a u64 byte length and
+the little-endian bytes of t_m (exact), or the little-endian float64 ln
+value (log).  The recurrence record is holonomic's to write, admit and
+prove (holonomic docstring, "Persist."); this module only places its
+bytes.  Versions 1 to 4 are refused: version 4 held the max sum rank in
+a u16, which overflowed past 65,535 ranks, version 3 had no path byte,
+version 1 held max ranks, and versions 1 and 2 stored Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import os
 import struct
 import zlib
 
-from .engine import WINDOWS, SequenceTable
+from .engine import SequenceTable
 from .recurrence import RecurrenceSpec
 
 __all__ = ["CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache",
@@ -38,7 +35,6 @@ _MAGIC = b"FRSQ"
 _VERSION = 5
 _HEADER = struct.Struct("<BQQB")  # domain tag, n, table count, path
 _DOMAINS = ("exact", "log")  # by domain tag
-_RECURRENCE = struct.Struct("<HHQQ")  # order, degree, start, window
 
 
 class CacheError(RuntimeError):
@@ -92,12 +88,7 @@ def save_cache(table: SequenceTable, path) -> None:
     buf += _HEADER.pack(_DOMAINS.index(table.domain_name), table.n, table.table_count,
                         rec is not None)
     if rec:
-        buf += _RECURRENCE.pack(len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.start,
-                                rec.window)
-        for c in (c for p in rec.coeffs for c in p):
-            b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
-            buf += struct.pack("<Q", len(b))
-            buf += b
+        buf += rec.encode()
     for i, count in enumerate(_record_counts(table)):
         buf += struct.pack("<Q", count)
         buf += table.encode(i, count)
@@ -115,24 +106,13 @@ def save_cache(table: SequenceTable, path) -> None:
             os.remove(tmp)
 
 
-def _read_recurrence(reader: _Reader, n: int):
-    from . import holonomic  # only exact tables past their window load it
-
-    r, e, start, window = _RECURRENCE.unpack(reader.take(_RECURRENCE.size))
-    if (r + 1) * (e + 1) > holonomic.CAP or window not in WINDOWS \
-            or not r <= start <= window <= n:
-        raise CacheCorruptError("recurrence record is out of range")
-    coeffs = tuple(tuple(int.from_bytes(reader.take(reader.u("<Q")), "little", signed=True)
-                         for _ in range(e + 1)) for _ in range(r + 1))
-    return holonomic.Recurrence(coeffs, start, window)
-
-
 def load_cache(path, spec: RecurrenceSpec) -> SequenceTable:
     """Restore a table for ``spec`` from a cache file written by save_cache.
 
     Raises MemoryBudgetError if a fresh table could not have reached the
     cached n under foldrate.engine.DEFAULT_MEMORY_LIMIT, and
-    CacheCorruptError if a cached recurrence fails its proof.
+    CacheCorruptError if a cached recurrence is not admitted or fails its
+    proof (holonomic docstring, "Persist.").
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -158,15 +138,17 @@ def load_cache(path, spec: RecurrenceSpec) -> SequenceTable:
         raise CacheCorruptError("fold table layout does not match the recurrence")
     if path_kind > (domain == "exact"):
         raise CacheCorruptError(f"unknown table path {path_kind}")
-    rec = table.recurrence = _read_recurrence(reader, n) if path_kind else None
+    if path_kind:
+        from . import holonomic  # only exact tables past their window load it
+
+        table.recurrence = holonomic.decode(reader.take, spec, n)
+        if table.recurrence is None:
+            raise CacheCorruptError("recurrence record is out of range")
     # log mirrors are rebuilt from the loaded ln values on the first new cell
     table.n = n
     table.decode(reader, _record_counts(table))
     if reader.pos != len(body):
         raise CacheCorruptError("trailing bytes after the last record")
-    if rec:
-        from .holonomic import proved
-
-        if not proved(rec.coeffs, rec.start, table.cols[0], spec):
-            raise CacheCorruptError("the cached recurrence does not hold for this spec")
+    if table.recurrence and not table.recurrence.holds(table.cols[0], spec):
+        raise CacheCorruptError("the cached recurrence does not hold for this spec")
     return table

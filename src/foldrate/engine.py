@@ -78,13 +78,15 @@ engine goes on.  On a recurrence the loop asks holonomic for t_n
 emptied at the switch and when an extend starts, are rebuilt from s,
 counted, for a fold cell until the next extend and for a root until t_n
 is stored: neither a fold read nor how extends are split moves where a
-table stops.  A rank cell at x is at most t_{x+1}, which bounds a refill
-before it runs: a fold read or a root past the budget is refused with
-nothing filled, and a load fills them only where the bound passes it.
+table stops.  A rank cell at x is at most t_{x+1}, or at a root, before
+t_{x+1} is stored, a binomial times t_x (_fill_bound), which bounds a
+refill before it runs: a fold read or a root past the budget is refused
+with nothing filled, and a load fills them only where the bound passes.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 import sys
@@ -338,11 +340,15 @@ class _ExactTable(SequenceTable):
         return added
 
     def _fill_bound(self, m: int) -> int:
-        """A bound on the bytes _fill(m) adds, from the stored s through t_{m+1}
-        (t_m at a root, short of its cells at m): a rank's cell at x is at most
-        the top rank's (t_0 = 1), which times its weight is a term of t_{x+1}."""
-        return len(self._steps) * sum(map(sys.getsizeof,
-                                          self.cols[0][len(self.cols[-1]) + 1 : m + 2]))
+        """A bound on the bytes _fill(m) adds, from the stored s: a rank's cell
+        at x is at most the top rank's (t_0 = 1), a term of t_{x+1}; at a root,
+        short of t_{m+1}, a rank-j cell at m is at most C(m+j-1, j-1) t_m, as
+        t_a t_b <= t_{a+b} (module docstring, "Theorem.")."""
+        s, top = self.cols[0], self._top
+        cells = s[len(self.cols[-1]) + 1 : m + 2]
+        if len(self.cols[-1]) <= m == len(s) - 1:
+            cells.append(math.comb(m + top - 1, top - 1) * s[m])
+        return len(self._steps) * sum(map(sys.getsizeof, cells))
 
     def _cell(self, i: int, m: int) -> int:
         """Column i's int at m.  A rank of a table on a recurrence is filled

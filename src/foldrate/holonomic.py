@@ -9,7 +9,8 @@ D-finite (Stanley 1980; Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
     sum_{i=0..r} p_i(n) t_{n-i} = 0     for every n >= n0 >= r        (R)
 
 with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W,
-proves it and runs it (engine docstring), with P read from the spec.
+proves it, runs it (engine docstring) and stores it for the cache, with
+P read from the spec.
 
 Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
 j <= e.  One elimination, _eliminate, finds and lifts the relation.  Mod
@@ -25,17 +26,27 @@ relation reconstructed from too few primes fails that check.  Only
 relations with at most CAP unknowns (r+1)(e+1) are sought, on at least
 _MARGIN more rows than unknowns.  The least order does not grow with e,
 and the recurrences seen all have e = d - 1 or d, d = deg P (sum k 1:
-order 1, degree k - 1), so e = d is searched, or e = d - 1 where no
-shift is left for e = d (sum 32 1).  A spec with d >= 33 is never
-searched, and a recurrence missed here only leaves the table on the
-engine.  _matrix, _eliminate and find are the only code here that uses
-numpy, and each imports it: proving, running and resuming a cached
-recurrence load none.
+order 1, degree k - 1), so _shape searches e = d, or e = d - 1 where no
+shift is left for e = d (sum 32 1), with shifts up to its R.  A spec
+with d >= 33 is never searched, and a recurrence missed here only leaves
+the table on the engine.  _matrix, _eliminate and find are the only
+code here that uses numpy, and each imports it: proving, running and
+resuming a cached recurrence load none.
 
 Run.  Recurrence.step(t) is the only evaluation of (R): it maps n to
 t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n) from t_{n-r}..t_{n-1} in the
 list t, returns None where p_0(n) = 0 and raises ArithmeticError on a
 nonzero remainder.
+
+Persist.  Recurrence.encode is the record of (R) in a cache file
+(foldrate.cache): u16 order r, u16 degree e, u64 start n0, u64 window W,
+then the n^0..n^e coefficients of p_0, ..., p_r, each a u64 byte length
+and little-endian two's complement bytes.  decode admits only what find
+could have written: W in engine.WINDOWS, 1 <= r <= R and e at most the
+degree of _shape at W (d the spec's largest arity), and r <= n0 <= W <= n,
+the table's n; any other record is refused before a coefficient is read
+or P built.  Recurrence.holds proves it again from the loaded t, so a
+resumed table skips the search and never trusts the file for it.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
 theta = z d/dz,
@@ -76,18 +87,17 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections import namedtuple
 
+from .engine import WINDOWS
 from .scalars import _Record
 
-__all__ = ["CAP", "Recurrence", "find", "proved"]
+__all__ = ["CAP", "Recurrence", "decode", "find", "proved"]
 
-# At each window W in engine.WINDOWS that an extend crosses, a table
-# still on the engine holds t_0..t_W and searches once.  48 admits MIX's
-# order 5 and degree 4 (30 unknowns); 104 admits every (r+1)(e+1) <= CAP
-# with e >= 1.
 CAP = 64
 _MARGIN = 8
+_HEAD = struct.Struct("<HHQQ")  # a record's order, degree, start, window
 # primes below 2^31: a product of two residues fits an int64.  The
 # search and the lift take those that divide no weight of P: one that
 # divides them all makes every t_n with n >= 1 vanish mod p.
@@ -117,6 +127,33 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
                 return v
 
         return at
+
+    def encode(self):
+        """(R) as a cache record (module docstring, "Persist.")."""
+        out = bytearray(_HEAD.pack(len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.start,
+                                   self.window))
+        for c in (c for p in self.coeffs for c in p):
+            b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
+            out += len(b).to_bytes(8, "little") + b
+        return out
+
+    def holds(self, t, spec):
+        """Whether (R) is proved for spec, given t_0..t_{start-1}."""
+        return proved(self.coeffs, self.start, t, spec)
+
+
+def decode(take, spec, n):
+    """The Recurrence of the cache record that take(k) reads k bytes at a
+    time, for a table of spec at n; or None, read no further, where find
+    could not have written it (module docstring, "Persist.")."""
+    r, e, start, window = _HEAD.unpack(take(_HEAD.size))
+    shape = window in WINDOWS and _shape(max(spec.merged_weights()[0]), window)
+    if not shape or not (1 <= r <= shape[1] and e <= shape[0] and r <= start <= window <= n):
+        return None
+    c = [int.from_bytes(take(int.from_bytes(take(8), "little")), "little", signed=True)
+         for _ in range((r + 1) * (e + 1))]
+    return Recurrence(tuple(tuple(c[i : i + e + 1]) for i in range(0, len(c), e + 1)), start,
+                      window)
 
 
 def _matrix(t, cols, rows, p):
@@ -197,21 +234,28 @@ def _poly(spec):
     return [int(weights.get(a, 0) * scale) for a in range(max(weights) + 1)]
 
 
+def _shape(d, window):
+    """(e, R): the degree and the most shifts find searches at a window in
+    engine.WINDOWS when deg P = d (module docstring, "Find."), or None.  At
+    48 it admits MIX's order 5 and degree 4 (30 unknowns), at 104 every
+    (r+1)(e+1) <= CAP with e >= 1."""
+    for e in (d, d - 1):
+        R = min(CAP // (e + 1), (window + 2 - _MARGIN) // (e + 2)) - 1
+        if R >= 1:
+            return e, R
+    return None
+
+
 def find(t, spec, window):
     """A proved Recurrence for t, whose t_0..t_window are given; or None."""
     import numpy as np
 
     poly = _poly(spec)
-    d = len(poly) - 1
-    for e in (d, d - 1):
-        R = min(CAP // (e + 1), (window + 2 - _MARGIN) // (e + 2)) - 1
-        if R >= 1:
-            break
-    else:
-        return None
+    shape = _shape(len(poly) - 1, window)
     primes = [q for q in _PRIMES if all(w % q for w in poly if w)]
-    if not primes:
+    if not shape or not primes:
         return None
+    e, R = shape
     cols = [(i, j) for i in range(R + 1) for j in range(e + 1)]
     rows = list(range(R, window + 1))[-len(cols) - _MARGIN :]
     k, pivots, _ = _eliminate(_matrix(t, cols, rows, primes[0])[None], primes[:1])

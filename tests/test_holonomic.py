@@ -132,18 +132,21 @@ def test_the_proof_point_is_past_every_root_it_could_hit():
 
 
 def _times_n_minus_150(monkeypatch):
-    """Have the search return MIX's recurrence times (n - 150), a proved
-    recurrence too, whose p_0 vanishes at n = 150; return its coefficients."""
+    """Have the search at the window 48 return MIX's recurrence times
+    (n - 150), a proved recurrence too, whose p_0 vanishes at n = 150;
+    return its coefficients.  Its degree is 5, one more than the search
+    takes for MIX, so the shape rule is that of a P one degree higher,
+    and a cache admits the record."""
     rec = compute_sequence(MIX, 60, domain="exact").recurrence
     times = tuple(tuple(b - 150 * a for a, b in zip(p + (0,), (0,) + p)) for p in rec.coeffs)
-    real_find = holonomic.find
+    real_shape = holonomic._shape
 
     def find(t, spec, window):
-        found = real_find(t, spec, window)
-        assert holonomic.proved(times, found.start, t, spec)
-        return holonomic.Recurrence(times, found.start, found.window)
+        assert window == rec.window and holonomic.proved(times, rec.start, t, spec)
+        return holonomic.Recurrence(times, rec.start, window)
 
     monkeypatch.setattr(holonomic, "find", find)
+    monkeypatch.setattr(holonomic, "_shape", lambda d, window: real_shape(d + 1, window))
     return times
 
 
@@ -224,18 +227,50 @@ def test_a_split_after_a_root_of_p0_does_not_move_the_stop(monkeypatch):
 
 def test_a_root_of_p0_past_the_budget_stops_before_it(monkeypatch):
     # the ranks' rebuild for t_150 is bounded before it runs, as a fold
-    # read's is: one byte short of s and that bound, the extend stops at
-    # 149 with the table valid and nothing filled; at the bound it passes
+    # read's is: a cell at x < 149 by t_{x+1}, and at 149, with t_150 not
+    # stored, by C(149 + 3, 3) t_149 (the top rank is 4).  One byte short
+    # of s and that bound, the extend stops at 149 with the table valid and
+    # nothing filled; at the bound it passes
     _times_n_minus_150(monkeypatch)
     want = _values(_engine_table(monkeypatch, MIX, 151))
     table = compute_sequence(MIX, 149, domain="exact")
-    need = table.nbytes + (len(table.cols) - 1) * sum(map(sys.getsizeof, table.cols[0][1:]))
+    t = table.cols[0]
+    cells = t[1:] + [math.comb(152, 3) * t[149]]
+    need = table.nbytes + (len(table.cols) - 1) * sum(map(sys.getsizeof, cells))
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", need - 1)
     assert _stop(table, 300) == (149, table.nbytes)
     assert not any(table.cols[1:])
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", need)
     assert table.extend(151).n == 151 and not any(table.cols[1:])
     assert _values(table) == want
+
+
+def test_no_root_fill_holds_more_than_the_budget(monkeypatch):
+    # at the root 150 the ranks are filled through 149 before t_150 is
+    # stored; under any budget from s plus the cells through 148 upward,
+    # the fill either runs and holds no more than the budget, or the
+    # extend stops at 149 with nothing filled
+    _times_n_minus_150(monkeypatch)
+    tables = [compute_sequence(MIX, 149, domain="exact") for _ in range(20)]
+    held, real_fill = [], engine._ExactTable._fill
+
+    def fill(self, m):
+        added = real_fill(self, m)
+        held.append((m, self.nbytes))
+        return added
+
+    monkeypatch.setattr(engine._ExactTable, "_fill", fill)
+    start = tables[0].nbytes + 3 * sum(map(sys.getsizeof, tables[0].cols[0][1:]))
+    for limit, table in zip(range(start, start + 2000, 100), tables):
+        monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", limit)
+        held.clear()
+        try:
+            table.extend(151)
+        except MemoryBudgetError:
+            assert table.n == 149 and not held, limit
+        for m, nbytes in held:
+            assert m == 149 and nbytes <= limit, (limit, nbytes)
+    assert held  # the last budget lets the fill run
 
 
 def test_a_fold_read_does_not_shorten_a_later_extend(monkeypatch):
@@ -345,6 +380,66 @@ def test_load_reproves_the_recurrence(tmp_path):
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     path.write_bytes(bytes(data))
     with pytest.raises(CacheCorruptError, match="does not hold"):
+        load_cache(str(path), MIX)
+
+
+def _recurrence_cache(spec, t, coeffs, start, window) -> bytes:
+    """A version 5 exact cache at n = len(t) - 1 on the recurrence with
+    these coefficients, laid out as the holonomic docstring's "Persist."
+    paragraph gives the record."""
+    body = (b"FRSQ" + struct.pack("<H", 5) + spec.digest()
+            + struct.pack("<BQQB", 0, len(t) - 1,
+                          SequenceTable(spec, domain="exact").table_count, 1)
+            + struct.pack("<HHQQ", len(coeffs) - 1, len(coeffs[0]) - 1, start, window))
+    for c in (c for p in coeffs for c in p):
+        b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
+        body += struct.pack("<Q", len(b)) + b
+    body += struct.pack("<Q", len(t))
+    for v in t:
+        b = v.to_bytes((v.bit_length() + 7) // 8, "little")
+        body += struct.pack("<Q", len(b)) + b
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _no_proof(monkeypatch):
+    def proved(*args):
+        pytest.fail("a record the search could not have written reached the proof")
+
+    monkeypatch.setattr(holonomic, "proved", proved)
+
+
+def test_load_refuses_a_record_for_a_spec_the_search_never_takes(tmp_path, monkeypatch):
+    # sum 1000 1 has deg P = 1000, which has no shape at either window:
+    # a record with a valid checksum is refused before any proof, whatever
+    # its degree (a proof at degree 7 took seconds)
+    spec = parse_spec("sum 1000 1")
+    _no_proof(monkeypatch)
+    path = tmp_path / "wide.seq"
+    for e, window in ((0, 48), (2, 48), (7, 104), (63, 104)):
+        coeffs = [[1] + [0] * e, [-1] + [0] * e]
+        path.write_bytes(_recurrence_cache(spec, [1] * 121, coeffs, 1, window))
+        with pytest.raises(CacheCorruptError, match="out of range"):
+            load_cache(str(path), spec)
+
+
+@pytest.mark.parametrize("r, e, admitted", [(6, 4, True), (7, 4, False), (5, 5, False)])
+def test_load_admits_only_the_shape_the_search_takes(tmp_path, monkeypatch, r, e, admitted):
+    # at the window 48 MIX (deg P = 4) is searched at degree 4 with up to
+    # R = min(64 // 5, (48 + 2 - 8) // 6) - 1 = 6 shifts: its recurrence of
+    # order 5, padded with zeros to order R, loads and runs; one shift or
+    # one degree more is refused before any proof
+    table = compute_sequence(MIX, 60, domain="exact")
+    rec = table.recurrence
+    coeffs = [list(p) + [0] * (e + 1 - len(p)) for p in rec.coeffs]
+    coeffs += [[0] * (e + 1)] * (r + 1 - len(coeffs))
+    path = tmp_path / "mix.seq"
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], coeffs, r, rec.window))
+    if admitted:
+        back = load_cache(str(path), MIX)
+        assert _values(back.extend(120)) == _values(compute_sequence(MIX, 120, domain="exact"))
+        return
+    _no_proof(monkeypatch)
+    with pytest.raises(CacheCorruptError, match="out of range"):
         load_cache(str(path), MIX)
 
 

@@ -87,11 +87,11 @@ def test_no_module_binds_a_copy_of_the_memory_budget():
     # every check reads foldrate.engine.DEFAULT_MEMORY_LIMIT when it runs; a
     # from-import, a default argument or any other read at import binds
     # the value of that moment, and lowering the budget would not reach
-    # the check.  __init__'s re-export is the one exception.
+    # the check.
     for path in sorted(pathlib.Path(foldrate.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in _evaluated_at_import(tree):
-            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names = {node.id}
@@ -116,7 +116,7 @@ def test_one_gate_refuses_work_and_only_the_engine_reads_the_budget():
     # engine.check_budget reads the budget and refuses work before it
     # starts; SequenceTable.extend reports a table that stopped short.  No
     # other code builds a MemoryBudgetError, and no module but engine.py
-    # reads the budget in code (__init__'s re-export aside).
+    # reads the budget in code.
     refusals, reads = set(), []
     for path in sorted(pathlib.Path(foldrate.__file__).parent.glob("*.py")):
         for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
@@ -125,7 +125,7 @@ def test_one_gate_refuses_work_and_only_the_engine_reads_the_budget():
                 refusals.add((path.name, scope))
             if path.name == "engine.py":
                 continue
-            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names = {node.id}
@@ -141,16 +141,22 @@ def test_one_gate_refuses_work_and_only_the_engine_reads_the_budget():
 
 
 def test_holonomic_owns_p_and_the_recurrence():
-    # holonomic reads P from the spec and is the only evaluation of (R):
-    # engine.py reads no recurrence coefficients and divides by no p_0(n),
-    # and neither holonomic.py nor cache.py reads an exact table's
-    # weight pairs
+    # holonomic reads P from the spec, is the only evaluation of (R), and
+    # writes, admits and proves a stored (R): engine.py reads no recurrence
+    # coefficients and divides by no p_0(n), neither holonomic.py nor
+    # cache.py reads an exact table's weight pairs, and cache.py reads no
+    # field of a Recurrence and neither the search's cap nor its windows.
+    # A name counts as an attribute, a bare name or an imported name
     root, hits = pathlib.Path(foldrate.__file__).parent, []
-    for name, attrs, calls in (("engine.py", {"coeffs"}, {"divmod"}),
+    for name, names, calls in (("engine.py", {"coeffs"}, {"divmod"}),
                                ("holonomic.py", {"pairs"}, set()),
-                               ("cache.py", {"pairs"}, set())):
+                               ("cache.py", {"pairs", "coeffs", "start", "window", "CAP",
+                                             "WINDOWS"}, set())):
         for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr in attrs
+            read = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+            if (read & names
                     or isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls):
                 hits.append((name, node.lineno))
     assert not hits, hits
