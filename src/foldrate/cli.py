@@ -363,8 +363,9 @@ def main(argv=None) -> int:
     except (_UsageError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryBudgetError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

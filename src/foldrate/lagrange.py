@@ -22,13 +22,19 @@ recurrence never subtracts.  In the state (b_k, ..., b_(k-d+1)) each step
 is a companion matrix M_k with row 0 = (c_k1, ..., c_kd) and ones below
 the diagonal, and b_(n-1) is entry (0, 0) of M_(n-1) ... M_1.
 
-The product is reduced pairwise with np.matmul, later matrices on the
-left and an odd matrix out carried as the last factor, over chunks of
-about 2^14 / d^2 matrices.  Each chunk is reduced to at most 1/32 of its
-length, and what is left is put in front of the next chunk, so the
-working set is one chunk.  Every product is scaled by an exact power of
-two, from np.frexp of the sum of its entries, and the exponents add up to
-e, so b_(n-1) = b * 2^e with b the final entry (0, 0).
+The product is reduced pairwise, later matrices on the left and an odd
+matrix out carried as the last factor.  The first level, the pairs
+P_k = M_(k+1) M_k for k = 1, 3, 5, ..., is written in closed form from
+two coefficient rows: row 0 is c_(k+1),1 c_k + (c_(k+1),2, ..., c_(k+1),d,
+0), row 1 is c_k and rows 2..d-1 are e_0..e_(d-3), the unit rows; with
+d = 1 it is the one product c_(k+1),1 c_k1.  When n - 1 is odd, M_(n-1)
+is carried unpaired, as an input.  Later levels use np.matmul.  The work
+runs over chunks of about 2^14 / d^2 pairs, so 2^15 / d^2 companions.
+Each chunk is reduced to at most 1/32 of its pairs, and what is left is
+put in front of the next chunk's pairs, so the working set is one chunk.
+Every product, the pairs included, is scaled by an exact power of two,
+from np.frexp of the sum of its entries, and the exponents add up to e,
+so b_(n-1) = b * 2^e with b the final entry (0, 0).
 
 The radius, a priori.  Let u = 2^-53 and gamma_d = d u / (1 - d u).
 - (n+1) j - k and k are integers below 2^53 (guarded), so they are exact
@@ -40,10 +46,12 @@ The radius, a priori.  Let u = 2^-53 and gamma_d = d u / (1 - d u).
   m = n - 1.
 - An entry of a product of nonnegative matrices is a sum of d
   nonnegative products, so its rounding is within gamma_d of it, in any
-  order of summation (with or without fused multiply-adds).  The
-  factors of the operands carry through, so the factor of the final
-  entry is the product over all m - 1 matrix products, not over the
-  depth of the tree: a rounding at any node scales the whole product.
+  order of summation (with or without fused multiply-adds).  A pair
+  entry is such a sum with at most two nonzero terms, so it is within
+  gamma_2 <= gamma_d.  The factors of the operands carry through, so the
+  factor of the final entry is the product over all m - 1 matrix
+  products, pairs included, not over the depth of the tree: a rounding
+  at any node scales the whole product.
 - Scaling by a power of two is exact while no entry leaves the normal
   range.
 So |ln b - e ln 2 - ln b_(n-1)| <= rho = 3m (-ln(1-u)) +
@@ -57,8 +65,10 @@ itself rounds below a power of two.
 The range, guarded at run time.  Each r_j must lie in [2^-200, 2^200]
 and d below 2^16, so each c_kj lies in [2^-252, 2^253].  After each
 scaling the sum of the entries rounds to below 1, so every entry is below
-2, and its smallest nonzero entry must be at least 2^-500.  A product of
-two operands, each an input or scaled, then has nonzero entries in
+2, and its smallest nonzero entry must be at least 2^-500.  The pairs
+are products of two inputs, with entries up to about 2^507, so they are
+scaled and guarded before any product of them.  A product of two
+operands, each an input or scaled, then has nonzero entries in
 [2^-1000, 2^506 d], at most 2^1010 d apart.  Its scaling divides by at
 most 2 d^2 times its largest entry, so a nonzero entry neither overflows
 nor becomes zero (it stays above 2^-1011 / d^3), and one that falls below
@@ -99,27 +109,33 @@ def _taps(spec: RecurrenceSpec):
 
 
 def _chunk(d: int) -> tuple[int, int]:
-    """Matrices per chunk and the most left over from one chunk."""
+    """Pairs per chunk, each the product of two companions, and the most
+    products left over from one chunk."""
     size = max(2, _CELLS // (d * d))
     return size, max(1, size >> 5)
 
 
-def _reduce(a, stop: int, exponents: list):
+def _scale(p, ones, exponents: list):
+    """Scale each matrix of p in place by 2^-ex, exactly, with ex from
+    np.frexp of the sum of its entries (ones holds d^2 ones), append ex
+    to ``exponents`` and apply the range guard."""
+    ex = np.frexp(p.reshape(len(p), -1) @ ones)[1]
+    np.ldexp(p, -ex[:, None, None], out=p)
+    exponents.append(ex)
+    # nonnegative doubles order as their bit patterns, and minus one
+    # sends an exact zero to the top of the unsigned range
+    if p.min() < _TINY and (p.view(np.int64) - 1).view(np.uint64).min() < _TINY_BITS:
+        raise FloatingPointError("matrix product entries spread past 2^500")
+
+
+def _reduce(a, stop: int, ones, exponents: list):
     """Reduce the stack a (ascending k) to at most stop matrices, each
-    scaled, appending the exponents taken out to ``exponents``."""
-    ones = np.ones(a.shape[1] * a.shape[2])
+    scaled by _scale."""
     while len(a) > stop:
         p = np.matmul(a[1::2], a[0:len(a) - 1:2])
         if len(a) % 2:
             p = np.concatenate((p, a[-1:]))
-        total = p.reshape(len(p), -1) @ ones
-        mant, ex = np.frexp(total)
-        p *= (mant / total)[:, None, None]  # 2^-ex, exactly
-        exponents.append(ex)
-        # nonnegative doubles order as their bit patterns, and minus one
-        # sends an exact zero to the top of the unsigned range
-        if p.min() < _TINY and (p.view(np.int64) - 1).view(np.uint64).min() < _TINY_BITS:
-            raise FloatingPointError("matrix product entries spread past 2^500")
+        _scale(p, ones, exponents)
         a = p
     return a
 
@@ -134,7 +150,7 @@ def points(spec: RecurrenceSpec):
 
     def point(n: int) -> tuple[float, float]:
         nonlocal taps
-        # the chunk's stack, and the products and scaled copies made from it
+        # a chunk of pairs and left-over products, and the products made from it
         engine.check_budget(24 * d * d * min(n, sum(_chunk(d))), f"point n={n}")
         taps = taps or _taps(spec)
         return _ln_point(taps, n)
@@ -147,20 +163,34 @@ def _ln_point(taps: tuple, n: int) -> tuple[float, float]:
     ln_lo, ln_hi, r = taps
     d = len(r)
     if n < 1 or (n + 1) * (d + 3) >= 1 << 53 or d >= 1 << 16:
-        raise ValueError(f"ln_point needs 1 <= n, (n+1)(d+3) < 2^53 and d < 2^16, "
+        raise ValueError(f"a point needs 1 <= n, (n+1)(d+3) < 2^53 and d < 2^16, "
                          f"got n = {n}, d = {d}")
     size, carry = _chunk(d)
-    j = np.arange(1, d + 1)
-    shift = np.eye(d)[:-1]
+    j = np.arange(1.0, d + 1)
+    ones, below = np.ones(d * d), np.eye(d)[:-1]
     stack, exponents = None, []
-    for k0 in range(1, n, size):
-        k = np.arange(k0, min(k0 + size, n))[:, None]
-        a = np.empty((len(k), d, d))
-        a[:, 0] = ((n + 1) * j - k) * r / k
-        a[:, 1:] = shift
+    for k0 in range(1, n, 2 * size):
+        k = np.arange(k0, min(k0 + 2 * size, n), dtype=float)[:, None]
+        # row 0 of M_k: c_kj = ((n+1) j - k) r_j / k, the first factor exact
+        c = (n + 1) * j - k
+        c *= r
+        c /= k
+        half, odd = divmod(len(c), 2)
+        a = np.empty((half + odd, d, d))
+        if odd:  # M_(n-1), carried unpaired
+            a[half, 0] = c[-1]
+            a[half, 1:] = below
+        if half:  # the pairs M_(k+1) M_k for k = k0, k0 + 2, ... (module docstring)
+            right, left = c[0:2 * half:2], c[1::2]
+            np.multiply(left[:, :1], right, out=a[:half, 0])
+            if d > 1:
+                a[:half, 0, :-1] += left[:, 1:]
+                a[:half, 1] = right
+                a[:half, 2:] = below[:-1]
+            _scale(a, ones, exponents)
         if stack is not None:
             a = np.concatenate((stack, a))
-        stack = _reduce(a, carry if k0 + size < n else 1, exponents)
+        stack = _reduce(a, carry if k0 + 2 * size < n else 1, ones, exponents)
     b = 1.0 if stack is None else float(stack[0, 0, 0])
     e = int(np.concatenate(exponents).sum()) if exponents else 0
     m = n - 1

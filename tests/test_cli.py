@@ -177,6 +177,29 @@ def test_bounds_exact_output_is_pinned(capsys, spec, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_EXACT_256_SHA256[spec, fmt]
 
 
+DEG7 = "sum 2 1\nsum 7 3\nmax 3 5"  # d = 7: a chunk of 334 pairs, not a power of two
+
+# sha256 of the csv stdout of the commands that read certified points past
+# one chunk, recorded before the first level of companion products was
+# built in closed form: no printed digit may move with the kernel
+POINTS_SHA256 = {
+    ("refine", MIX, "--epsilon", "0.5"):
+        "9b8d8c7edd8375e1160ab6721bfe61a6ee1960a2bcaebbf01ce34f4a2d192406",
+    ("bounds", MIX, "--n", "4096"):
+        "79756375ab5722fc598e7f3d2e713dea3e3420c6fa7757d383ad742d3131522d",
+    ("bounds", DEG7, "--n", "4096"):
+        "434b510550c3ccf502fba91c6f7637eb5eab0c7db914ad7f7aac6676820cac57",
+}
+
+
+@pytest.mark.parametrize("command,spec,option,value", sorted(POINTS_SHA256))
+def test_point_outputs_are_pinned(capsys, command, spec, option, value):
+    code, out, err = run(capsys, command, "--spec-text", spec, option, value, "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == POINTS_SHA256[command, spec, option, value]
+
+
 # sha256 of the `eval --domain exact` stdout, recorded when each value
 # was printed through a Fraction: past the window 48 the first spec runs
 # on its recurrence, with D = 6
@@ -247,7 +270,7 @@ def test_bounds_refuses_n_past_the_points_domain_before_any_point(capsys):
     code, out, err = run(capsys, "bounds", "--spec-text", "sum 2 1", "--n", str(1 << 60))
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("error: ln_point needs") and "2^53" in err
+    assert err.startswith("error: a point needs") and "2^53" in err
 
 
 def test_refine_json(capsys):
@@ -731,6 +754,18 @@ def test_a_point_past_the_budget_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     doc = strict_json(out)
     assert (code, doc["reason"], doc["entries"]) == (EXIT_OK, "memory budget exhausted", [])
+
+
+def test_a_memory_error_exits_3_with_one_line(capsys, monkeypatch):
+    # the host running out of memory inside an exact extend is a resource
+    # failure, as a refused budget is: exit 3 and no traceback
+    def out_of_memory(self, new_n):
+        raise MemoryError
+
+    monkeypatch.setattr(engine._ExactTable, "_extend", out_of_memory)
+    code, out, err = run(capsys, "eval", "--spec-text", "sum 2 1", "--domain", "exact",
+                         "--n", "100")
+    assert (code, out, err) == (EXIT_RESOURCE, "", "error: out of memory\n")
 
 
 def test_every_check_reads_the_one_budget_when_it_runs(tmp_path, capsys, monkeypatch):

@@ -66,6 +66,25 @@ def test_brackets_the_exact_value_at_chunk_edges():
     _check_table(MIX, [size, size + 1, size + 2, size + carry + 1, 2 * size + 1, 4096])
 
 
+@pytest.mark.parametrize("text,pairs", [("max 2 2", 16384), (MIXED_EXAMPLE, 1024),
+                                        ("sum 100 1", 2)], ids=["d1", "mix", "size2"])
+def test_brackets_the_exact_value_at_pair_chunk_edges(text, pairs):
+    # a chunk holds size pairs M_(k+1) M_k, so 2 size companions; n - 1
+    # companions: one full chunk, an odd one out carried unpaired, carry
+    # left-over products in front of a second chunk, and n = 3, one pair
+    spec = parse_spec(text)
+    d = max(spec.merged_weights()[0])
+    size, carry = _chunk(d)
+    assert size == pairs
+    ns = [3] + [m + 1 for m in (2 * size - 1, 2 * size, 2 * size + 1,
+                                2 * size + 2 * carry + 1, 4 * size + 1)]
+    if d == 1:  # s_n = 2^n
+        for n in ns:
+            _check(spec, n, Fraction(2) ** n)
+    else:
+        _check_table(spec, ns)
+
+
 def test_point_one_is_phi_zero():
     lo, hi = points(MIX)(1)
     assert lo < math.log(20) < hi
