@@ -29,8 +29,8 @@ and the recurrences seen all have e = d - 1 or d, d = deg P (sum k 1:
 order 1, degree k - 1), so _shape searches e = d, or e = d - 1 where no
 shift is left for e = d (sum 32 1), with shifts up to its R.  A spec
 with d >= 33 is never searched, and a recurrence missed here only leaves
-the table on the engine.  _matrix, _eliminate and find are the only
-code here that uses numpy, and each imports it: proving, running and
+the table on the engine.  _matrix and _eliminate are the only code
+here that uses numpy, and each imports it: proving, running and
 resuming a cached recurrence load none.
 
 Run.  Recurrence.step(t) is the only evaluation of (R): it maps n to
@@ -156,17 +156,22 @@ def decode(take, spec, n):
                       window)
 
 
-def _matrix(t, cols, rows, p):
-    """Column (i, j) is t_{n-i} n^j mod p over the rows n."""
+def _matrix(t, cols, rows, primes):
+    """A stack of int64 matrices, one per prime p: column (i, j) is
+    t_{n-i} n^j mod p over the rows n."""
     import numpy as np
 
+    ps = np.array(primes, dtype=np.int64)[:, None]
     n = np.array(rows, dtype=np.int64)
     i, j = np.array(cols, dtype=np.int64).T
-    powers = np.ones((len(rows), j.max() + 1), dtype=np.int64)
+    powers = np.ones((len(primes), len(rows), j.max() + 1), dtype=np.int64)
     for c in range(1, j.max() + 1):
-        powers[:, c] = powers[:, c - 1] * n % p
-    tm = np.array([x % p for x in t[: n.max() + 1]], dtype=np.int64)
-    return tm[n[:, None] - i] * powers[:, j] % p
+        powers[:, :, c] = powers[:, :, c - 1] * n % ps
+    tm = np.array([[x % p for x in t[: n.max() + 1]] for p in primes], dtype=np.int64)
+    X = tm[:, n[:, None] - i]
+    X *= powers[:, :, j]
+    X %= ps[:, :, None]
+    return X
 
 
 def _eliminate(X, primes):
@@ -248,8 +253,6 @@ def _shape(d, window):
 
 def find(t, spec, window):
     """A proved Recurrence for t, whose t_0..t_window are given; or None."""
-    import numpy as np
-
     poly = _poly(spec)
     shape = _shape(len(poly) - 1, window)
     primes = [q for q in _PRIMES if all(w % q for w in poly if w)]
@@ -258,14 +261,14 @@ def find(t, spec, window):
     e, R = shape
     cols = [(i, j) for i in range(R + 1) for j in range(e + 1)]
     rows = list(range(R, window + 1))[-len(cols) - _MARGIN :]
-    k, pivots, _ = _eliminate(_matrix(t, cols, rows, primes[0])[None], primes[:1])
+    k, pivots, _ = _eliminate(_matrix(t, cols, rows, primes[:1]), primes[:1])
     if not k:
         return None
     cols, first, rows, r = cols[: k + 1], rows[0], [rows[i] for i in pivots], cols[k][0]
     residues, modulus = [0] * (k + 1), 1
     for b in range(0, len(primes), 8):
         batch = primes[b : b + 8]
-        X = np.stack([_matrix(t, cols, rows, p) for p in batch])
+        X = _matrix(t, cols, rows, batch)
         dep, _, ok = _eliminate(X, batch)
         if dep != k:
             continue

@@ -64,24 +64,30 @@ each block, never from the solved values, and np.exp gives every
 element the same result wherever it sits in the array.  A block that
 new_n cuts through is solved whole from the same inputs and stored only
 through new_n, and the next call solves it again; so stepped, resumed and
-one-shot tables are bit-identical.  While every mirror entry and weight
-factor e^-theta * w lies in [e^-340, e^340], each product of two lies in
-[e^-680, e^680].  A block that reads an entry outside that window, or
-whose solved values are not all positive normal doubles, is computed
-cell by cell by the ln kernel instead (scalars.log_sum_vec for each rank
-cell from its recipe's ln rows, then for s); ``fallback_cells`` counts
-its rank cells.  Mirror
-entries below a block start never change within a chunk, so the window
-test reads each once per chunk: those below the chunk's first block at
-that block, then before each later block those the block before it
-derived.  Neither kernel carries a rigorous rounding radius: the values
-are plain float64 approximations, and no bound reads them.
+one-shot tables are bit-identical.  One window, [e^-340, e^340], is
+tested where values enter the solver: the mirror entries a chunk start
+derives (s's through n, other rows' through n - 1) and each block's
+solved values (NaN fails).  A chunk or block that fails is computed
+cell by cell by the ln kernel (scalars.log_sum_vec for each rank cell
+from its recipe's ln rows, then for s); ``fallback_cells`` counts its
+rank cells.  This suffices: (1) a block reads entries tested at the
+chunk start or derived, a few ulps off, from values this chunk solved
+inside the window, so a dot product of up to 10^7 products of two stays
+below e^697; (2) an overflowing weight factor e^-theta * w or product
+makes a solved value inf or NaN, which is refused; (3) an underflowing
+product loses under 2^-1022, against a solved value >= e^-340 ~ 2^-490,
+so under 2^-500 relative in all; (2) and (3) also cover kernel values
+read, untested, by the block after a refused one; (4) the kernel stays
+for specs such as sum 2 1 / sum 1000 1e-250, whose rank-1000 mirrors
+leave the window (no kernel cell at n = 128, 255,744 at n = 512), and
+for stored values outside it, loaded or spiked.  Neither kernel carries
+a rigorous rounding radius: the values are plain float64
+approximations, and no bound reads them.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -89,19 +95,14 @@ from . import engine
 from .scalars import LogScalar, ln_fraction, log_sum_vec
 from .series import _inverse, _low, _padded
 
-# Mirror entries satisfy |ln v - theta*x| <= _WINDOW, so each lies in
-# [e^-340, e^340], each product of two in [e^-680, e^680], and a dot
-# product of fewer than ~10^7 such products is a normal double.
-_WINDOW = 340.0
-_LO, _HI = math.exp(-_WINDOW), math.exp(_WINDOW)
+# the window of the block solver's mirror entries and solved values
+_LO, _HI = math.exp(-340.0), math.exp(340.0)
 # the log domain's largest block: chunk k is cut into blocks of
 # B = min(2^(k-1), _BLOCK) cells
 _BLOCK = 256
 # the most taps one np.convolve of the known x known part reads: its two
 # operand streams, 2 * 8 * _TAPS bytes, fit a 48 KiB L1d cache
 _TAPS = 2048
-_TINY = sys.float_info.min
-_HUGE = sys.float_info.max
 
 
 class _LogTable(engine.SequenceTable):
@@ -163,7 +164,9 @@ class _LogTable(engine.SequenceTable):
         mirror = np.empty((len(self.reads), new_n + 1 + _BLOCK))
         fallback, k, m = 0, 0, self.n
         if m == 0:
-            self._ln_cell(0)
+            # the base case: ln 1 = 0 in each rank, and s_1 sums the weights
+            self.data[1:, 0] = 0.0
+            self.data[0, 1] = log_sum_vec(self.lnw)
             m = 1
         with np.errstate(all="ignore"):
             while m < new_n:
@@ -172,14 +175,10 @@ class _LogTable(engine.SequenceTable):
                     # the last chunk's arrays go before the next one's are built
                     chunk = off = None
                     chunk = self._chunk(k, mirror, m, new_n)
-                    inside, seen = chunk[-1], 0
                 off, B = chunk[:2]
                 M = m - m % B
                 end = min(M + B, new_n)
-                low = mirror[:, seen:M]
-                inside = inside and (not low.size or _LO <= low.min() and low.max() <= _HI)
-                seen = M
-                if not (inside and self._block(chunk, mirror, M, m, end)):
+                if not (chunk[-1] and self._block(chunk, mirror, M, m, end)):
                     for x in range(m, end):
                         self._ln_cell(x)
                     fallback += (len(self.data) - 1) * (end - m)
@@ -204,7 +203,7 @@ class _LogTable(engine.SequenceTable):
         weight factors e^-theta * w by column, each rank's zero-padded
         lever (ell of its first source, doubled for a square), each
         column's Q and R = (1 - A)^-1 zero-padded for _low, and whether
-        every weight factor lies in the window."""
+        every mirror entry derived here lies in the window."""
         m0, L, ln_s = 1 << (k - 1), len(self.data), self.data[0]
         # read off stored ln s only: its slope over [m0/2, m0] (ln s_0 = 0)
         theta = float((ln_s[m0] - ln_s[m0 // 2]) / (m0 - m0 // 2))
@@ -212,6 +211,9 @@ class _LogTable(engine.SequenceTable):
         off = np.arange(min(2 * m0, new_n + _BLOCK) + 1, dtype=float)
         off *= theta
         self._derive(mirror, off, 0, n)
+        # s's entries through n, each other row's through n - 1, as views
+        inside = all(not u.size or _LO <= u.min() and u.max() <= _HI
+                     for u in (mirror[0, : n + 1], mirror[1:, :n]))
         B = min(m0, _BLOCK)
         ell = mirror[:, :B]
         lever = [_padded(ell[ra] * (1 + (a == b))) for a, b, ra, _ in self.plan]
@@ -230,18 +232,13 @@ class _LogTable(engine.SequenceTable):
         # with a buffer, that adds 0.1-0.2 MB to a short run's peak RSS
         wc = np.zeros((L, 1))
         wc[self.wcols, 0] = np.exp(self.lnw - theta)
-        return (off, B, ell, wc, lever, Qp, _padded(_inverse((wc * Q).sum(0))),
-                np.abs(self.lnw - theta).max() <= _WINDOW)
+        return off, B, ell, wc, lever, Qp, _padded(_inverse((wc * Q).sum(0))), inside
 
     def _block(self, chunk: tuple, mirror: np.ndarray, M: int, lo: int, end: int) -> bool:
         """Solve the block of cells M..M+B-1 and store those in lo..end-1;
-        False, with nothing stored, where u_M leaves the window or a
-        solved value is not a positive normal double (the caller tests
-        the other inputs)."""
+        False, with nothing stored, where a solved value leaves the window."""
         data, (off, B, ell, wc, lever, Qp, Rp, _) = self.data, chunk
         um = mirror[0, M]
-        if not _LO <= um <= _HI:
-            return False
         # the known x known part reads indices < M only, also when this
         # block was computed before, by a call that stopped inside it
         mirror[:, M : M + B] = 0.0
@@ -268,7 +265,7 @@ class _LogTable(engine.SequenceTable):
         for c in range(1, L):
             P[c] += _low(Qp[c], U)
         P[0] = U
-        if not (_TINY <= P.min() and P.max() <= _HUGE):
+        if not (_LO <= P.min() and P.max() <= _HI):
             return False
         ln = np.log(P)
         ln[0] += off[M + 1 : M + B + 1]

@@ -742,29 +742,50 @@ def test_out_of_window_cells_use_the_ln_kernel():
         assert np.array_equal(unread.data[[0, 1, 3], :80], clean.data[[0, 1, 3], :80])
 
 
-@pytest.mark.parametrize("text", ["sum 2 1e200\nsum 3 1", "sum 2 1\nsum 3 1e-200"])
-def test_weights_far_apart_put_every_block_on_the_ln_kernel(text):
-    # a weight factor e^-theta * w outside [e^-340, e^340] fails the window
-    # test of every chunk: each rank cell past the base case m = 0 is the
-    # ln kernel's, and the values still agree with the exact table's
-    n, spec = 40, parse_spec(text)
-    table = compute_sequence(spec, n, domain="log")
-    assert table.fallback_cells == 2 * (n - 1)
-    want = compute_sequence(spec, n, domain="exact").ln_values()
-    assert np.allclose(table.ln_values(), want, rtol=1e-12, atol=0.0)
+# weights 10^200 and more apart: the weight factors e^-theta * w leave
+# [e^-340, e^340], which only the solved values need to lie in
+SPREAD = ["sum 2 1\nsum 3 1e-200", "sum 2 1e200\nsum 3 1", "sum 2 1e-300\nsum 5 1e300\nsum 3 1"]
 
 
-def test_window_test_reads_the_entries_each_block_derives():
-    # a spike at x = 560, inside block [512, 768) of the table at n = 600,
-    # is read by no input of that block, which is solved again from cell
-    # 600 on, but by every later block: the entries a block derives are
-    # tested before the next block, not only at a chunk start
+@pytest.mark.parametrize("text", SPREAD)
+def test_weights_far_apart_need_no_ln_kernel(text, monkeypatch):
+    from foldrate import logdomain
+
+    spec = parse_spec(text)
+    assert compute_sequence(spec, 16384, domain="log").fallback_cells == 0
+    # the exact table finds no recurrence for these weights, and its ints
+    # grow by 200 to 300 digits per n: n stays at its first window, 48
+    table = compute_sequence(spec, 4096, domain="log")
+    want = compute_sequence(spec, 48, domain="exact").ln_values()
+    assert np.allclose(table.ln_values()[:49], want, rtol=1e-12, atol=0.0)
+    monkeypatch.setattr(logdomain._LogTable, "_block", lambda *args: False)
+    kernel = compute_sequence(spec, 4096, domain="log")
+    assert kernel.fallback_cells == (len(kernel.data) - 1) * 4095
+    assert np.allclose(table.ln_values(), kernel.ln_values(), rtol=1e-12, atol=0.0)
+
+
+def test_high_ranks_still_leave_the_window():
+    # rank 1000 of a weight 10^-250 stays in the window through chunk
+    # [128, 256) but leaves it at the chunk start m = 256, so cell 256 of
+    # each of the 999 ranks is the ln kernel's
+    table = compute_sequence(parse_spec("sum 2 1\nsum 1000 1e-250"), 256, domain="log")
+    assert table.fallback_cells == 0
+    table.extend(257)
+    assert table.fallback_cells == 999
+    _kernel_cells(table, [(j, 256) for j in (2, 3, 999, 1000)])
+
+
+def test_an_entry_outside_the_window_sends_its_chunks_to_the_ln_kernel():
+    # a spike at x = 560 of the table at n = 600 is derived into the mirror
+    # at the call's start of chunk [512, 1024) and again at chunk
+    # [1024, 2048), so every cell from the call's first new one is the ln
+    # kernel's, also those of block [512, 768), which reads no index >= 512
     for spike in (1000.0, -1000.0):
         table = compute_sequence(MIX, 600, domain="log")
         table.data[1, 560] += spike
         table.extend(1100)
-        assert table.fallback_cells == 3 * (1100 - 768), spike
-        _kernel_cells(table, [(j, m) for m in range(768, 1100, 83) for j in (2, 3, 4)])
+        assert table.fallback_cells == 3 * (1100 - 600), spike
+        _kernel_cells(table, [(j, m) for m in range(600, 1100, 83) for j in (2, 3, 4)])
 
 
 def test_duplicate_terms_merge_additively():
