@@ -144,14 +144,17 @@ def _print_report(report, fmt: str) -> None:
 
 
 def _print_exact(spec: RecurrenceSpec, table: SequenceTable, n: int, fmt: str) -> None:
-    # s_m = t_m / D^m reduced by one gcd, as Fraction reduces it (1 if D = 1)
+    # s_m = t_m / D^m reduced by one gcd, as Fraction reduces it (t_m if D = 1)
     t, scale = table.scaled_values(n)
-    nums, dens, den = [], [], 1
-    for v in t:
-        g = math.gcd(v, den)
-        nums.append(v // g)
-        dens.append(den // g)
-        den *= scale
+    if scale == 1:
+        nums, dens = t, [1] * len(t)
+    else:
+        nums, dens, den = [], [], 1
+        for v in t:
+            g = math.gcd(v, den)
+            nums.append(v // g)
+            dens.append(den // g)
+            den *= scale
     if fmt == "bfile":
         if any(d != 1 for d in dens):
             raise _UsageError("bfile output needs integer values; this sequence has fractions")

@@ -14,24 +14,27 @@ P read from the spec.
 
 Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
 j <= e.  One elimination, _eliminate, finds and lifts the relation.  Mod
-the first prime of _PRIMES that divides no weight of P, it stops at the
-first column that depends on the ones before it, which gives the least
-order r with a relation of degree <= e and the rows of its pivots.  The
-square system on those rows is then solved mod all such primes, 8 at a
-time (a batch whose first prime loses a pivot is skipped), and after
-each batch CRT and rational reconstruction give an integer relation.
-The first one that holds exactly on every row of the search block and
-is proved is kept, with n0 the least n in [r, W] from which it holds: a
-relation reconstructed from too few primes fails that check.  Only
-relations with at most CAP unknowns (r+1)(e+1) are sought, on at least
-_MARGIN more rows than unknowns.  The least order does not grow with e,
-and the recurrences seen all have e = d - 1 or d, d = deg P (sum k 1:
-order 1, degree k - 1), so _shape searches e = d, or e = d - 1 where no
-shift is left for e = d (sum 32 1), with shifts up to its R.  A spec
-with d >= 33 is never searched, and a recurrence missed here only leaves
-the table on the engine.  _matrix and _eliminate are the only code
-here that uses numpy, and each imports it: proving, running and
-resuming a cached recurrence load none.
+the first prime of _PRIMES that divides no weight of P, it eliminates
+forward to the first column that depends on the ones before it, which
+gives the least order r with a relation of degree <= e and the rows of
+its pivots.  The square system on those rows is then solved, by
+back-substitution, mod all such primes, 8 at a time (a batch whose first
+prime loses a pivot is skipped), and after each batch CRT and rational
+reconstruction give an integer relation.  The first one that holds
+exactly on every row of the search block and is proved is kept, with n0
+the least n in [r, W] from which it holds: a relation reconstructed from
+too few primes fails that check.  One whose residual at W is 0 is proved
+from n0 = r before any scan: a proof there certifies (R) for every
+n >= r, so the scan would stop at r.  Only relations with at most CAP
+unknowns (r+1)(e+1) are sought, on at least _MARGIN more rows than
+unknowns.  The least order does not grow with e, and the recurrences
+seen all have e = d - 1 or d, d = deg P (sum k 1: order 1, degree
+k - 1), so _shape searches e = d, or e = d - 1 where no shift is left
+for e = d (sum 32 1), with shifts up to its R.  A spec with d >= 33 is
+never searched, and a recurrence missed here only leaves the table on
+the engine.  _matrix and _eliminate are the only code here that uses
+numpy, and each imports it: proving, running and resuming a cached
+recurrence load none.
 
 Run.  Recurrence.step(t) is the only evaluation of (R): it maps n to
 t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n) from t_{n-r}..t_{n-1} in the
@@ -175,14 +178,14 @@ def _matrix(t, cols, rows, primes):
 
 
 def _eliminate(X, primes):
-    """(k, pivot rows, ok) by Gauss-Jordan elimination on X, a stack of
-    int64 matrices, one per prime below 2^31, with the pivot rows chosen
-    mod primes[0].  k is the first column that is, mod primes[0], a
+    """(k, pivot rows, ok) by forward elimination on X, a stack of int64
+    matrices, one per prime below 2^31, with the pivot rows chosen mod
+    primes[0].  k is the first column that is, mod primes[0], a
     combination of the columns before it (None if there is none), and
-    then X[:, :k, k] holds that combination; ok[m] is whether every pivot
-    was nonzero mod primes[m].  X is overwritten.  Every entry touched is
-    reduced at each step, so no value held exceeds a product of two
-    residues, below 2^62."""
+    then back-substitution through the unit upper triangle leaves that
+    combination in X[:, :k, k]; ok[m] is whether every pivot was nonzero
+    mod primes[m].  X is overwritten.  Each update subtracts a product of
+    two residues and reduces mod p, so no value held passes 2^62."""
     import numpy as np
 
     ps = np.array(primes, dtype=np.int64)[:, None]
@@ -190,6 +193,8 @@ def _eliminate(X, primes):
     for k in range(X.shape[2]):
         nz = X[0, k:, k].nonzero()[0]
         if not len(nz):
+            for j in range(k - 1, 0, -1):
+                X[:, :j, k] = (X[:, :j, k] - X[:, :j, j] * X[:, j : j + 1, k] % ps) % ps
             return k, order[:k], ok
         j = k + int(nz[0])
         if j != k:
@@ -199,10 +204,8 @@ def _eliminate(X, primes):
         ok = [o and v != 0 for o, v in zip(ok, piv)]
         inv = [pow(v, -1, p) if v else 0 for v, p in zip(piv, primes)]
         X[:, k, k:] = X[:, k, k:] * np.array(inv)[:, None] % ps
-        f = X[:, :, k].copy()
-        f[:, k] = 0
-        X[:, :, k:] -= f[:, :, None] * X[:, k : k + 1, k:]
-        X[:, :, k:] %= ps[:, :, None]
+        X[:, k + 1 :, k + 1 :] -= X[:, k + 1 :, k, None] * X[:, k, None, k + 1 :]
+        X[:, k + 1 :, k + 1 :] %= ps[:, :, None]
     return None, order, ok
 
 
@@ -296,8 +299,10 @@ def find(t, spec, window):
         # p_0's leading coefficient positive, and no common factor
         g = math.gcd(*nums) * (-1 if next(filter(None, coeffs[0][::-1]), 0) < 0 else 1)
         coeffs = tuple(tuple(u // g for u in c) for c in coeffs)
+        if not _residual(coeffs, t, window) and proved(coeffs, r, t, spec):
+            return Recurrence(coeffs, r, window)
         start = next((n + 1 for n in range(window, r - 1, -1) if _residual(coeffs, t, n)), r)
-        if start <= first and proved(coeffs, start, t, spec):
+        if r < start <= first and proved(coeffs, start, t, spec):
             return Recurrence(coeffs, start, window)
     return None
 

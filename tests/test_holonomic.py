@@ -540,14 +540,50 @@ def test_the_search_finds_the_pinned_relations(monkeypatch):
         "331c5bfe3138cb69a2e41ccac051e0d3b41d4c92a3ff2b06b67967ffdd4e305b")
 
 
+def _counted_residuals(monkeypatch):
+    calls = []
+    real = holonomic._residual
+    monkeypatch.setattr(holonomic, "_residual",
+                        lambda coeffs, t, n: calls.append(n) or real(coeffs, t, n))
+    return calls
+
+
+def test_the_search_proves_from_the_order_before_it_scans(monkeypatch):
+    # MIX's relation holds from r = 5: find reads the residual at W, then
+    # the proof reads q_0..q_{r-1}, and no row of the scan is read
+    t = _engine_table(monkeypatch, MIX, 48).cols[0]
+    calls = _counted_residuals(monkeypatch)
+    rec = holonomic.find(t, MIX, 48)
+    r = len(rec.coeffs) - 1
+    assert (r, rec.start) == (5, 5)
+    assert calls == [48] + list(range(r))
+
+
+def test_a_relation_refused_at_its_order_goes_to_the_scan(monkeypatch):
+    # with the proof at start = r refused, every batch scans rows 48 down
+    # to r, all of which hold, so no start in (r, first] is proved
+    t = _engine_table(monkeypatch, MIX, 48).cols[0]
+    real = holonomic.proved
+    monkeypatch.setattr(holonomic, "proved", lambda coeffs, start, t, spec:
+                        start != len(coeffs) - 1 and real(coeffs, start, t, spec))
+    calls = _counted_residuals(monkeypatch)
+    assert holonomic.find(t, MIX, 48) is None
+    assert len(calls) >= 44 and set(range(5, 49)) <= set(calls)
+
+
 def _reference_eliminate(M, primes):
-    """_eliminate on Python ints: the same pivot rule, and the same
-    entries touched, each reduced mod its prime."""
+    """_eliminate on Python ints: the same pivot rule, the same entries
+    touched by the forward elimination and the back-substitution, each
+    reduced mod its prime."""
     X = [[[x % p for x in row] for row in M] for p in primes]
     order, ok = list(range(len(M))), [True] * len(primes)
     for k in range(len(M[0])):
         j = next((i for i in range(k, len(M)) if X[0][i][k]), None)
         if j is None:
+            for A, p in zip(X, primes):
+                for c in range(k - 1, 0, -1):
+                    for i in range(c):
+                        A[i][k] = (A[i][k] - A[i][c] * A[c][k]) % p
             return k, order[:k], ok, X
         order[k], order[j] = order[j], order[k]
         for m, (A, p) in enumerate(zip(X, primes)):
@@ -555,10 +591,9 @@ def _reference_eliminate(M, primes):
             ok[m] = ok[m] and A[k][k] != 0
             inv = pow(A[k][k], -1, p) if A[k][k] else 0
             A[k][k:] = [x * inv % p for x in A[k][k:]]
-            for i, row in enumerate(A):
-                if i != k:
-                    f = row[k]
-                    row[k:] = [(x - f * y) % p for x, y in zip(row[k:], A[k][k:])]
+            for row in A[k + 1 :]:
+                f = row[k]
+                row[k + 1 :] = [(x - f * y) % p for x, y in zip(row[k + 1 :], A[k][k + 1 :])]
     return None, order, ok, X
 
 

@@ -1,7 +1,8 @@
 """The package as a whole: its public names, the size of its modules,
 where the memory budget is read and work refused, which module owns P
-and the recurrence, which private names a module reads and what the
-tree oracle, refine and a resumed exact eval import."""
+and the recurrence, where holonomic loads numpy, which private names a
+module reads and what the tree oracle, refine and a resumed exact eval
+import."""
 
 import ast
 import pathlib
@@ -160,6 +161,23 @@ def test_holonomic_owns_p_and_the_recurrence():
                     or isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls):
                 hits.append((name, node.lineno))
     assert not hits, hits
+
+
+def test_only_the_search_block_loads_numpy_in_holonomic():
+    # numpy is imported only inside _matrix and _eliminate, and no other
+    # function names np, so proving, running and resuming a recurrence
+    # load no numpy (holonomic docstring, "Find.")
+    path = pathlib.Path(foldrate.__file__).parent / "holonomic.py"
+    imports, names = set(), set()
+    for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            imports.add(scope)
+        if isinstance(node, ast.Name) and node.id == "np":
+            names.add(scope)
+    assert imports == {"_matrix", "_eliminate"}, imports
+    assert names <= {"_matrix", "_eliminate"}, names
 
 
 def test_no_module_reads_another_objects_private_names():
