@@ -13,7 +13,7 @@ recurrence, which holds no fold columns.  A record is u64 count followed
 by the values as the table encodes them: per value a u64 byte length and
 the little-endian bytes of t_m (exact), or the little-endian float64 ln
 value (log).  The recurrence record is holonomic's to write, admit and
-prove (holonomic docstring, "Persist."); this module only places its
+accept (holonomic docstring, "Persist."); this module only places its
 bytes.  Versions 1 to 4 are refused: version 4 held the max sum rank in
 a u16, which overflowed past 65,535 ranks, version 3 had no path byte,
 version 1 held max ranks, and versions 1 and 2 stored Fractions.
@@ -111,8 +111,8 @@ def load_cache(path, spec: RecurrenceSpec) -> SequenceTable:
 
     Raises MemoryBudgetError if a fresh table could not have reached the
     cached n under foldrate.engine.DEFAULT_MEMORY_LIMIT, and
-    CacheCorruptError if a cached recurrence is not admitted or fails its
-    proof (holonomic docstring, "Persist.").
+    CacheCorruptError if a cached recurrence is not admitted or fails the
+    rule that accepts it (holonomic docstring, "Run." and "Persist.").
     """
     with open(path, "rb") as fh:
         data = fh.read()

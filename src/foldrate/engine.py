@@ -71,22 +71,19 @@ itself.
 Run.  One loop computes each t_n.  On the engine, through a window W in
 WINDOWS, t_n is the weighted sum of the ranks' cells at n - 1, which one
 filler brings up from the stored s by their recipes.  An extend past W
-searches once for a recurrence (R) and proves it (holonomic docstring);
-only such an extend loads that module, and where none is found the
-engine goes on.  On a recurrence the loop asks holonomic for t_n
-(Recurrence.step), or takes that sum at a root of p_0.  The ranks,
-emptied at the switch and when an extend starts, are rebuilt from s,
-counted, for a fold cell until the next extend and for a root until t_n
-is stored: neither a fold read nor how extends are split moves where a
-table stops.  A rank cell at x is at most t_{x+1}, or at a root, before
-t_{x+1} is stored, a binomial times t_x (_fill_bound), which bounds a
-refill before it runs: a fold read or a root past the budget is refused
+searches once for a recurrence (R) that holonomic accepts (its
+docstring); only such an extend loads that module, and where none is
+found the engine goes on.  On a recurrence the loop asks holonomic for
+t_n (Recurrence.step).  The ranks, emptied at the switch and when an
+extend starts, are rebuilt from s, counted, for a fold cell until the
+next extend: neither a fold read nor how extends are split moves where a
+table stops.  A rank cell at x is at most t_{x+1} (_fill_bound), which
+bounds a refill before it runs: a fold read past the budget is refused
 with nothing filled, and a load fills them only where the bound passes.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import struct
 import sys
@@ -294,24 +291,18 @@ class _ExactTable(SequenceTable):
     def _run(self, n0: int, new_n: int) -> int:
         """Append t_{n0+1}..t_{new_n} to s (module docstring, "Run.") and
         return the n reached, stopping before any n that would start with
-        more than the budget's bytes counted, or fill past them at a root."""
+        more than the budget's bytes counted."""
         cols, pairs, fill, nbytes = self.cols, self.pairs, self._fill, self.nbytes
-        s, rec, getsizeof, limit = cols[0], self.recurrence, sys.getsizeof, DEFAULT_MEMORY_LIMIT
-        step = rec.step(s) if rec else None
+        s, getsizeof, limit = cols[0], sys.getsizeof, DEFAULT_MEMORY_LIMIT
+        step = self.recurrence.step(s) if self.recurrence else None
         for n in range(n0 + 1, new_n + 1):
             if nbytes > limit:
                 return n - 1
-            v = step(n) if step else None
-            if v is None:
-                if rec and nbytes + self._fill_bound(n - 1) > limit:
-                    return n - 1
-                added = fill(n - 1)
+            if step:
+                v = step(n)
+            else:
+                nbytes += fill(n - 1)
                 v = sum(w * cols[i][n - 1] for w, i in pairs)
-                if rec:  # the ranks were scratch for this t_n
-                    for col in cols[1:]:
-                        col.clear()
-                else:
-                    nbytes += added
             s.append(v)
             nbytes += getsizeof(v)
         return new_n
@@ -341,13 +332,8 @@ class _ExactTable(SequenceTable):
 
     def _fill_bound(self, m: int) -> int:
         """A bound on the bytes _fill(m) adds, from the stored s: a rank's cell
-        at x is at most the top rank's (t_0 = 1), a term of t_{x+1}; at a root,
-        short of t_{m+1}, a rank-j cell at m is at most C(m+j-1, j-1) t_m, as
-        t_a t_b <= t_{a+b} (module docstring, "Theorem.")."""
-        s, top = self.cols[0], self._top
-        cells = s[len(self.cols[-1]) + 1 : m + 2]
-        if len(self.cols[-1]) <= m == len(s) - 1:
-            cells.append(math.comb(m + top - 1, top - 1) * s[m])
+        at x is at most the top rank's (t_0 = 1), a term of t_{x+1}."""
+        cells = self.cols[0][len(self.cols[-1]) + 1 : m + 2]
         return len(self._steps) * sum(map(sys.getsizeof, cells))
 
     def _cell(self, i: int, m: int) -> int:

@@ -20,26 +20,26 @@ gives the least order r with a relation of degree <= e and the rows of
 its pivots.  The square system on those rows is then solved, by
 back-substitution, mod all such primes, 8 at a time (a batch whose first
 prime loses a pivot is skipped), and after each batch CRT and rational
-reconstruction give an integer relation.  The first one that holds
-exactly on every row of the search block and is proved is kept, with n0
-the least n in [r, W] from which it holds: a relation reconstructed from
-too few primes fails that check.  One whose residual at W is 0 is proved
-from n0 = r before any scan: a proof there certifies (R) for every
-n >= r, so the scan would stop at r.  Only relations with at most CAP
-unknowns (r+1)(e+1) are sought, on at least _MARGIN more rows than
-unknowns.  The least order does not grow with e, and the recurrences
-seen all have e = d - 1 or d, d = deg P (sum k 1: order 1, degree
-k - 1), so _shape searches e = d, or e = d - 1 where no shift is left
-for e = d (sum 32 1), with shifts up to its R.  A spec with d >= 33 is
-never searched, and a recurrence missed here only leaves the table on
-the engine.  _matrix and _eliminate are the only code here that uses
-numpy, and each imports it: proving, running and resuming a cached
-recurrence load none.
+reconstruction give an integer relation.  The first one whose residual
+at W is 0 and that Recurrence.holds accepts from n0 = r ("Run.") is
+kept; one reconstructed from too few primes fails the one or the other.
+Only relations with at most CAP unknowns (r+1)(e+1) are sought, on at
+least _MARGIN more rows than unknowns.  The least order does not grow
+with e, and the recurrences seen all have e = d - 1 or d, d = deg P
+(sum k 1: order 1, degree k - 1), so _shape searches e = d, or e = d - 1
+where no shift is left for e = d (sum 32 1), with shifts up to its R.  A
+spec with d >= 33 is never searched, and a recurrence missed here only
+leaves the table on the engine.  _matrix and _eliminate are the only
+code here that uses numpy, and each imports it: proving, running and
+resuming a cached recurrence load none.
 
-Run.  Recurrence.step(t) is the only evaluation of (R): it maps n to
+Run.  Recurrence.step(t), the only evaluation of (R), maps n to
 t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n) from t_{n-r}..t_{n-1} in the
-list t, returns None where p_0(n) = 0 and raises ArithmeticError on a
-nonzero remainder.
+list t, and raises ArithmeticError on a remainder or p_0(n) = 0.  A
+table runs it only at n > W, past the engine's t_0..t_W, so the rule
+by which find and a cache load accept (R), Recurrence.holds, asks that
+(R) be proved from n0 ("Prove.") and that p_0(W + 1 + x), expanded in
+x, have a positive constant term and no negative coefficient (p_0 > 0).
 
 Persist.  Recurrence.encode is the record of (R) in a cache file
 (foldrate.cache): u16 order r, u16 degree e, u64 start n0, u64 window W,
@@ -48,7 +48,7 @@ and little-endian two's complement bytes.  decode admits only what find
 could have written: W in engine.WINDOWS, 1 <= r <= R and e at most the
 degree of _shape at W (d the spec's largest arity), and r <= n0 <= W <= n,
 the table's n; any other record is refused before a coefficient is read
-or P built.  Recurrence.holds proves it again from the loaded t, so a
+or P built.  Recurrence.holds accepts it again from the loaded t, so a
 resumed table skips the search and never trusts the file for it.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
@@ -116,18 +116,16 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
     __slots__ = ()
 
     def step(self, t):
-        """n -> t_n of (R) on the list t, or None (module docstring, "Run.")."""
+        """n -> t_n of (R) on the list t, n > window (module docstring, "Run.")."""
         polys = [p[::-1] for p in self.coeffs[::-1]]  # p_r .. p_1, then p_0
 
         def at(n):
-            c = _values(polys, n)
-            den = c.pop()
-            if den:
-                v, rem = divmod(-sum(map(operator.mul, c, t[n - len(c) : n])), den)
-                if rem:
-                    raise ArithmeticError(f"t_{n} is not an integer: the recurrence does "
-                                          f"not hold on the stored values")
-                return v
+            *c, den = _values(polys, n)
+            v, rem = divmod(-sum(map(operator.mul, c, t[n - len(c) : n])), den)
+            if rem:
+                raise ArithmeticError(f"t_{n} is not an integer: the recurrence does "
+                                      f"not hold on the stored values")
+            return v
 
         return at
 
@@ -141,8 +139,9 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
         return out
 
     def holds(self, t, spec):
-        """Whether (R) is proved for spec, given t_0..t_{start-1}."""
-        return proved(self.coeffs, self.start, t, spec)
+        """Whether (R) is accepted for spec, given t_0..t_{start-1} ("Run.")."""
+        p = _shift(self.coeffs[0], self.window + 1)
+        return p[0] > 0 and min(p) >= 0 and proved(self.coeffs, self.start, t, spec)
 
 
 def decode(take, spec, n):
@@ -236,6 +235,11 @@ def _residual(coeffs, t, n):
     return sum(map(operator.mul, _values([reversed(p) for p in coeffs], n), t[n::-1]))
 
 
+def _shift(p, c):  # p(x + c), both from x^0 up
+    return [sum(a * math.comb(j, k) * c ** (j - k) for j, a in enumerate(p) if j >= k)
+            for k in range(len(p))]
+
+
 def _poly(spec):
     """P(y) = sum_a D w_a y^a of the spec's merged weights, from y^0 up."""
     weights, scale = spec.merged_weights()
@@ -267,7 +271,7 @@ def find(t, spec, window):
     k, pivots, _ = _eliminate(_matrix(t, cols, rows, primes[:1]), primes[:1])
     if not k:
         return None
-    cols, first, rows, r = cols[: k + 1], rows[0], [rows[i] for i in pivots], cols[k][0]
+    cols, rows, r = cols[: k + 1], [rows[i] for i in pivots], cols[k][0]
     residues, modulus = [0] * (k + 1), 1
     for b in range(0, len(primes), 8):
         batch = primes[b : b + 8]
@@ -298,12 +302,9 @@ def find(t, spec, window):
             coeffs = [c[:-1] for c in coeffs]
         # p_0's leading coefficient positive, and no common factor
         g = math.gcd(*nums) * (-1 if next(filter(None, coeffs[0][::-1]), 0) < 0 else 1)
-        coeffs = tuple(tuple(u // g for u in c) for c in coeffs)
-        if not _residual(coeffs, t, window) and proved(coeffs, r, t, spec):
-            return Recurrence(coeffs, r, window)
-        start = next((n + 1 for n in range(window, r - 1, -1) if _residual(coeffs, t, n)), r)
-        if r < start <= first and proved(coeffs, start, t, spec):
-            return Recurrence(coeffs, start, window)
+        rec = Recurrence(tuple(tuple(u // g for u in c) for c in coeffs), r, window)
+        if not _residual(rec.coeffs, t, window) and rec.holds(t, spec):
+            return rec
     return None
 
 
@@ -346,8 +347,7 @@ def proved(coeffs, start, t, spec):
     for k in range(e):
         N.append(_mul(A, _add(_mul(_deriv(N[k]), B), _mul(N[k], dB), -2 * k)))
     # d[i][k] = d_ik, the x^k coefficients of p_i(x + i), and q[i] = q_i
-    d = [[sum(c * math.comb(j, k) * i ** (j - k) for j, c in enumerate(coeffs[i]) if j >= k)
-          for k in range(e + 1)] if i <= r else [] for i in range(start + 1)]
+    d = [_shift(coeffs[i], i) if i <= r else [] for i in range(start + 1)]
     q = [_residual(coeffs, t, i) for i in range(start)] + [0]
     # W (module docstring) from the l1 norms, then Y = 2^K > 2W
     nP, nB2 = _norm(poly), _norm(B) ** 2

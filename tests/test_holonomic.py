@@ -23,6 +23,7 @@ from foldrate import (
     save_cache,
 )
 from foldrate import engine, holonomic
+from foldrate.cli import EXIT_USAGE, main
 from helpers import MIXED_EXAMPLE, proved_by_lists, random_spec
 
 MIX = parse_spec(MIXED_EXAMPLE)
@@ -131,62 +132,49 @@ def test_the_proof_point_is_past_every_root_it_could_hit():
         assert not proved_by_lists(*case), case
 
 
-def _times_n_minus_150(monkeypatch):
-    """Have the search at the window 48 return MIX's recurrence times
-    (n - 150), a proved recurrence too, whose p_0 vanishes at n = 150;
-    return its coefficients.  Its degree is 5, one more than the search
-    takes for MIX, so the shape rule is that of a P one degree higher,
-    and a cache admits the record."""
-    rec = compute_sequence(MIX, 60, domain="exact").recurrence
-    times = tuple(tuple(b - 150 * a for a, b in zip(p + (0,), (0,) + p)) for p in rec.coeffs)
-    real_shape = holonomic._shape
-
-    def find(t, spec, window):
-        assert window == rec.window and holonomic.proved(times, rec.start, t, spec)
-        return holonomic.Recurrence(times, rec.start, window)
-
-    monkeypatch.setattr(holonomic, "find", find)
-    monkeypatch.setattr(holonomic, "_shape", lambda d, window: real_shape(d + 1, window))
-    return times
+def _times(coeffs, a):
+    """The coefficients of (R) times (n - a): a recurrence of one degree
+    more, proved wherever (R) is, whose p_0 vanishes at n = a."""
+    return tuple(tuple(b - a * c for c, b in zip(p + (0,), (0,) + p)) for p in coeffs)
 
 
 def test_the_step_maps_n_to_t_n(monkeypatch):
     # from t_{n-r}..t_{n-1} of the engine's table: t_n from the start on,
-    # None at a root of p_0, and ArithmeticError where p_0(n) does not
-    # divide what the stored values give
+    # and ArithmeticError at a root of p_0 or where p_0(n) does not divide
+    # what the stored values give
     t = _engine_table(monkeypatch, MIX, 200).cols[0]
     rec = compute_sequence(MIX, 60, domain="exact").recurrence
     step = rec.step(t)
     assert [step(n) for n in range(rec.start, 201)] == t[rec.start :]
-    at_root = holonomic.Recurrence(_times_n_minus_150(monkeypatch), rec.start, 48).step(t)
-    assert at_root(150) is None and at_root(151) == t[151]
+    at_root = holonomic.Recurrence(_times(rec.coeffs, 150), rec.start, 48).step(t)
+    with pytest.raises(ArithmeticError):
+        at_root(150)
+    assert at_root(151) == t[151]
     with pytest.raises(ArithmeticError, match="t_101 is not an integer"):
         rec.step(t[:100] + [t[100] + 1])(101)
 
 
-def test_the_engine_supplies_t_n_at_a_root_of_p0(monkeypatch):
-    # at n = 150 the run takes t_150 from the ranks' cells at 149
-    times = _times_n_minus_150(monkeypatch)
+@pytest.mark.parametrize("a, accepted", [(40, True), (48, True), (49, False), (150, False)])
+def test_the_rule_refuses_a_root_of_p0_past_the_window(monkeypatch, a, accepted):
+    # MIX's relation times (n - a) is proved wherever MIX's is, but holds
+    # accepts it at W = 48 only where a <= 48: a table runs (R) at n > W
+    t = _engine_table(monkeypatch, MIX, 48).cols[0]
+    rec = holonomic.find(t, MIX, 48)
+    times = holonomic.Recurrence(_times(rec.coeffs, a), rec.start, 48)
+    assert holonomic.proved(times.coeffs, times.start, t, MIX)
+    assert times.holds(t, MIX) is accepted
+
+
+def test_a_table_runs_on_a_relation_with_a_root_inside_the_window(monkeypatch):
+    # the multiple by (n - 40), accepted, runs from 49 on as MIX's does
+    want = _values(_engine_table(monkeypatch, MIX, 300))
+    rec = compute_sequence(MIX, 60, domain="exact").recurrence
+    times = holonomic.Recurrence(_times(rec.coeffs, 40), rec.start, rec.window)
+    monkeypatch.setattr(holonomic, "find",
+                        lambda t, spec, window: times if times.holds(t, spec) else None)
     table = compute_sequence(MIX, 300, domain="exact")
-    assert table.recurrence.coeffs == times
-    assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
-
-
-def test_a_root_of_p0_after_a_resume(tmp_path, monkeypatch):
-    # a table saved on the recurrence at n = 100 loads with s alone, and
-    # at n = 150 its ranks are rebuilt from the loaded s
-    times = _times_n_minus_150(monkeypatch)
-    path = str(tmp_path / "mix.seq")
-    save_cache(compute_sequence(MIX, 100, domain="exact"), path)
-    table = load_cache(path, MIX)
-    assert table.recurrence.coeffs == times and not any(table.cols[1:])
-    table.extend(151)
-    # the rebuilt ranks were scratch for t_150: emptied once it is stored,
-    # and no longer counted
-    assert not any(table.cols[1:])
-    assert table.nbytes == sum(map(sys.getsizeof, table.cols[0]))
-    table.extend(300)
-    assert _values(table) == _values(_engine_table(monkeypatch, MIX, 300))
+    assert table.recurrence == times
+    assert _values(table) == want
 
 
 def _stop(table, n):
@@ -194,83 +182,6 @@ def _stop(table, n):
     with pytest.raises(MemoryBudgetError):
         table.extend(n)
     return table.n, table.nbytes
-
-
-def test_a_split_before_a_root_of_p0_does_not_move_the_stop(tmp_path, monkeypatch):
-    # a one-shot extend, one stepped at 100 and one resumed from a cache
-    # saved at 100 each rebuild the ranks from empty at n = 150, count
-    # them to the end of the call, and stop at the same n holding the same
-    # bytes
-    _times_n_minus_150(monkeypatch)
-    path = str(tmp_path / "mix.seq")
-    save_cache(compute_sequence(MIX, 100, domain="exact"), path)
-    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 400_000)
-    one_shot = _stop(SequenceTable(MIX, domain="exact"), 5000)
-    stepped = _stop(compute_sequence(MIX, 100, domain="exact"), 5000)
-    resumed = _stop(load_cache(path, MIX), 5000)
-    assert one_shot == stepped == resumed
-    assert 150 < one_shot[0] < 5000
-
-
-def test_a_split_after_a_root_of_p0_does_not_move_the_stop(monkeypatch):
-    # the ranks a root rebuilds are emptied once its t_n is stored, so a
-    # call that ends past the root leaves nothing for the next one to
-    # drop: two calls stop where one does, holding the same bytes
-    _times_n_minus_150(monkeypatch)
-    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", 400_000)
-    one_shot = _stop(SequenceTable(MIX, domain="exact"), 5000)
-    split = SequenceTable(MIX, domain="exact").extend(200)
-    assert not any(split.cols[1:])
-    assert _stop(split, 5000) == one_shot
-    assert 200 < one_shot[0] < 5000
-
-
-def test_a_root_of_p0_past_the_budget_stops_before_it(monkeypatch):
-    # the ranks' rebuild for t_150 is bounded before it runs, as a fold
-    # read's is: a cell at x < 149 by t_{x+1}, and at 149, with t_150 not
-    # stored, by C(149 + 3, 3) t_149 (the top rank is 4).  One byte short
-    # of s and that bound, the extend stops at 149 with the table valid and
-    # nothing filled; at the bound it passes
-    _times_n_minus_150(monkeypatch)
-    want = _values(_engine_table(monkeypatch, MIX, 151))
-    table = compute_sequence(MIX, 149, domain="exact")
-    t = table.cols[0]
-    cells = t[1:] + [math.comb(152, 3) * t[149]]
-    need = table.nbytes + (len(table.cols) - 1) * sum(map(sys.getsizeof, cells))
-    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", need - 1)
-    assert _stop(table, 300) == (149, table.nbytes)
-    assert not any(table.cols[1:])
-    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", need)
-    assert table.extend(151).n == 151 and not any(table.cols[1:])
-    assert _values(table) == want
-
-
-def test_no_root_fill_holds_more_than_the_budget(monkeypatch):
-    # at the root 150 the ranks are filled through 149 before t_150 is
-    # stored; under any budget from s plus the cells through 148 upward,
-    # the fill either runs and holds no more than the budget, or the
-    # extend stops at 149 with nothing filled
-    _times_n_minus_150(monkeypatch)
-    tables = [compute_sequence(MIX, 149, domain="exact") for _ in range(20)]
-    held, real_fill = [], engine._ExactTable._fill
-
-    def fill(self, m):
-        added = real_fill(self, m)
-        held.append((m, self.nbytes))
-        return added
-
-    monkeypatch.setattr(engine._ExactTable, "_fill", fill)
-    start = tables[0].nbytes + 3 * sum(map(sys.getsizeof, tables[0].cols[0][1:]))
-    for limit, table in zip(range(start, start + 2000, 100), tables):
-        monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", limit)
-        held.clear()
-        try:
-            table.extend(151)
-        except MemoryBudgetError:
-            assert table.n == 149 and not held, limit
-        for m, nbytes in held:
-            assert m == 149 and nbytes <= limit, (limit, nbytes)
-    assert held  # the last budget lets the fill run
 
 
 def test_a_fold_read_does_not_shorten_a_later_extend(monkeypatch):
@@ -443,6 +354,25 @@ def test_load_admits_only_the_shape_the_search_takes(tmp_path, monkeypatch, r, e
         load_cache(str(path), MIX)
 
 
+def test_load_refuses_a_root_of_p0_past_the_window(tmp_path, capsys, monkeypatch):
+    # MIX's relation times (n - 150), admitted by the shape of a P one
+    # degree higher, is proved but fails the rule Recurrence.holds applies
+    # to find and load alike; eval --cache reports it on one line, exit 2
+    table = compute_sequence(MIX, 60, domain="exact")
+    rec = table.recurrence
+    path = tmp_path / "mix.seq"
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], _times(rec.coeffs, 150), rec.start,
+                                       rec.window))
+    real_shape = holonomic._shape
+    monkeypatch.setattr(holonomic, "_shape", lambda d, window: real_shape(d + 1, window))
+    with pytest.raises(CacheCorruptError, match="does not hold"):
+        load_cache(str(path), MIX)
+    code = main(["eval", "--spec-text", MIXED_EXAMPLE, "--domain", "exact", "--n", "60",
+                 "--cache", str(path)])
+    assert (code, *capsys.readouterr()) == (
+        EXIT_USAGE, "", "error: the cached recurrence does not hold for this spec\n")
+
+
 def test_load_refuses_a_recurrence_the_engine_could_not_reach(tmp_path, monkeypatch):
     # a budget that holds s through n = 60 but not the engine's four
     # columns before its last step to the window 48: extend stops before
@@ -532,9 +462,13 @@ def test_the_search_finds_the_pinned_relations(monkeypatch):
     specs += [random_spec(rng, max_terms=4, max_arity=6,
                           kind=rng.choice(("mixed", "sum", "max"))) for _ in range(120)]
     tables = [_engine_table(monkeypatch, spec, 104) for spec in specs]
-    found = [holonomic.find(table.cols[0][: w + 1], table.spec, w)
+    found = [(holonomic.find(table.cols[0][: w + 1], table.spec, w), table)
              for table in tables for w in (48, 104)]
-    found = [rec and tuple(rec) for rec in found]
+    for rec, table in found:
+        # each relation found starts at its order and passes the rule
+        assert rec is None or (rec.start == len(rec.coeffs) - 1
+                               and rec.holds(table.cols[0], table.spec)), table.spec.render()
+    found = [rec and tuple(rec) for rec, _ in found]
     assert (len(found), sum(rec is not None for rec in found)) == (246, 178)
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "331c5bfe3138cb69a2e41ccac051e0d3b41d4c92a3ff2b06b67967ffdd4e305b")
@@ -550,7 +484,7 @@ def _counted_residuals(monkeypatch):
 
 def test_the_search_proves_from_the_order_before_it_scans(monkeypatch):
     # MIX's relation holds from r = 5: find reads the residual at W, then
-    # the proof reads q_0..q_{r-1}, and no row of the scan is read
+    # the proof reads q_0..q_{r-1}, and no other row is read
     t = _engine_table(monkeypatch, MIX, 48).cols[0]
     calls = _counted_residuals(monkeypatch)
     rec = holonomic.find(t, MIX, 48)
@@ -559,16 +493,16 @@ def test_the_search_proves_from_the_order_before_it_scans(monkeypatch):
     assert calls == [48] + list(range(r))
 
 
-def test_a_relation_refused_at_its_order_goes_to_the_scan(monkeypatch):
-    # with the proof at start = r refused, every batch scans rows 48 down
-    # to r, all of which hold, so no start in (r, first] is proved
+def test_a_relation_refused_at_its_order_is_not_scanned(monkeypatch):
+    # with the proof at start = r refused, find tries no later start: it
+    # returns None, having read the residual at W alone, once per batch
     t = _engine_table(monkeypatch, MIX, 48).cols[0]
     real = holonomic.proved
     monkeypatch.setattr(holonomic, "proved", lambda coeffs, start, t, spec:
                         start != len(coeffs) - 1 and real(coeffs, start, t, spec))
     calls = _counted_residuals(monkeypatch)
     assert holonomic.find(t, MIX, 48) is None
-    assert len(calls) >= 44 and set(range(5, 49)) <= set(calls)
+    assert calls and set(calls) == {48}
 
 
 def _reference_eliminate(M, primes):

@@ -1,8 +1,8 @@
 """The package as a whole: its public names, the size of its modules,
 where the memory budget is read and work refused, which module owns P
-and the recurrence, where holonomic loads numpy, which private names a
-module reads and what the tree oracle, refine and a resumed exact eval
-import."""
+and the recurrence, which rule accepts it, where holonomic loads numpy,
+which private names a module reads and what the tree oracle, refine and
+a resumed exact eval import."""
 
 import ast
 import pathlib
@@ -161,6 +161,18 @@ def test_holonomic_owns_p_and_the_recurrence():
                     or isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls):
                 hits.append((name, node.lineno))
     assert not hits, hits
+
+
+def test_one_rule_accepts_a_recurrence():
+    # holonomic.proved is called from Recurrence.holds alone, so find and a
+    # cache load accept (R) by the same rule, root check included
+    callers = set()
+    for path in sorted(pathlib.Path(foldrate.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "proved" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add((path.name, scope))
+    assert callers == {("holonomic.py", "Recurrence.holds")}, callers
 
 
 def test_only_the_search_block_loads_numpy_in_holonomic():
