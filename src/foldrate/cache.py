@@ -1,6 +1,6 @@
 """Sequence cache files: the record layout, save_cache and load_cache.
 
-Layout of version 5, little-endian:
+Layout of version 6, little-endian:
 
     magic "FRSQ" | u16 version | 32 bytes spec digest | u8 domain tag
     | u64 n | u64 table count (the max sum rank, or 1: none) | u8 path
@@ -14,9 +14,9 @@ by the values as the table encodes them: per value a u64 byte length and
 the little-endian bytes of t_m (exact), or the little-endian float64 ln
 value (log).  The recurrence record is holonomic's to write, admit and
 accept (holonomic docstring, "Persist."); this module only places its
-bytes.  Versions 1 to 4 are refused: version 4 held the max sum rank in
-a u16, which overflowed past 65,535 ranks, version 3 had no path byte,
-version 1 held max ranks, and versions 1 and 2 stored Fractions.
+bytes.  Versions 1 to 5 are refused: 5 held a start in the recurrence
+record, 4 the max sum rank in a u16, which overflowed past 65,535 ranks,
+3 had no path byte, 1 held max ranks, and 1 and 2 stored Fractions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = ["CacheCorruptError", "CacheError", "CacheMismatchError", "load_cache"
            "save_cache"]
 
 _MAGIC = b"FRSQ"
-_VERSION = 5
+_VERSION = 6
 _HEADER = struct.Struct("<BQQB")  # domain tag, n, table count, path
 _DOMAINS = ("exact", "log")  # by domain tag
 

@@ -273,7 +273,7 @@ class _ExactTable(SequenceTable):
                         return n
                     from . import holonomic  # loaded by the first search
 
-                    self.recurrence = holonomic.find(cols[0], self.spec, w)
+                    self.recurrence = holonomic.find(cols[0], self.spec)
             if self.recurrence:
                 for col in cols[1:]:
                     col.clear()

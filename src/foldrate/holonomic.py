@@ -6,22 +6,21 @@ is in Z[y] (w_a the merged weight of arity a).  So T is algebraic, hence
 D-finite (Stanley 1980; Bostan, Chyzak, Lecerf, Salvy and Schost, ISSAC
 2007), and t satisfies some recurrence
 
-    sum_{i=0..r} p_i(n) t_{n-i} = 0     for every n >= n0 >= r        (R)
+    sum_{i=0..r} p_i(n) t_{n-i} = 0     for every n >= r              (R)
 
 with p_i in Z[n] of degree <= e.  This module finds one from t_0..t_W,
 proves it, runs it (engine docstring) and stores it for the cache, with
 P read from the spec.
 
-Find.  Rows n <= W, columns t_{n-i} n^j ordered by shift i, then power
-j <= e.  One elimination, _eliminate, finds and lifts the relation.  Mod
-the first prime of _PRIMES that divides no weight of P, it eliminates
-forward to the first column that depends on the ones before it, which
-gives the least order r with a relation of degree <= e and the rows of
-its pivots.  The square system on those rows is then solved, by
-back-substitution, mod all such primes, 8 at a time (a batch whose first
-prime loses a pivot is skipped), and after each batch CRT and rational
-reconstruction give an integer relation.  The first one whose residual
-at W is 0 and that Recurrence.holds accepts from n0 = r ("Run.") is
+Find.  Rows n <= W = len(t) - 1, columns t_{n-i} n^j ordered by shift
+i, then power j <= e.  Mod the first prime of _PRIMES that divides no
+weight of P, _eliminate eliminates forward to the first column that
+depends on the ones before it: the least order r with a relation of
+degree <= e, and the rows of its pivots.  The lift eliminates the square
+system on those rows mod all such primes, 8 at a time (a batch whose
+first prime loses a pivot is skipped), _back back-substitutes, and CRT
+and rational reconstruction give an integer relation.  The first one
+whose residual at W is 0 and that Recurrence.holds accepts ("Run.") is
 kept; one reconstructed from too few primes fails the one or the other.
 Only relations with at most CAP unknowns (r+1)(e+1) are sought, on at
 least _MARGIN more rows than unknowns.  The least order does not grow
@@ -30,51 +29,51 @@ with e, and the recurrences seen all have e = d - 1 or d, d = deg P
 where no shift is left for e = d (sum 32 1), with shifts up to its R.  A
 spec with d >= 33 is never searched, and a recurrence missed here only
 leaves the table on the engine.  _matrix and _eliminate are the only
-code here that uses numpy, and each imports it: proving, running and
-resuming a cached recurrence load none.
+code here that imports numpy (_back works on their arrays): proving,
+running and resuming a cached recurrence load none.
 
 Run.  Recurrence.step(t), the only evaluation of (R), maps n to
 t_n = -(sum_{i>=1} p_i(n) t_{n-i}) / p_0(n) from t_{n-r}..t_{n-1} in the
 list t, and raises ArithmeticError on a remainder or p_0(n) = 0.  A
 table runs it only at n > W, past the engine's t_0..t_W, so the rule
 by which find and a cache load accept (R), Recurrence.holds, asks that
-(R) be proved from n0 ("Prove.") and that p_0(W + 1 + x), expanded in
-x, have a positive constant term and no negative coefficient (p_0 > 0).
+(R) be proved from r ("Prove.") and that p_0(W + 1 + x), expanded in x,
+have a positive constant term and no negative coefficient (p_0 > 0).
 
 Persist.  Recurrence.encode is the record of (R) in a cache file
-(foldrate.cache): u16 order r, u16 degree e, u64 start n0, u64 window W,
-then the n^0..n^e coefficients of p_0, ..., p_r, each a u64 byte length
-and little-endian two's complement bytes.  decode admits only what find
-could have written: W in engine.WINDOWS, 1 <= r <= R and e at most the
-degree of _shape at W (d the spec's largest arity), and r <= n0 <= W <= n,
-the table's n; any other record is refused before a coefficient is read
-or P built.  Recurrence.holds accepts it again from the loaded t, so a
+(foldrate.cache): u16 order r, u16 degree e, u64 window W, then the
+n^0..n^e coefficients of p_0, ..., p_r, each a u64 byte length and
+little-endian two's complement bytes.  decode admits only the shapes
+find could have written: W in engine.WINDOWS, 1 <= r <= R and e at most
+the degree of _shape at W (d the spec's largest arity), and W <= n, the
+table's n; any other record is refused before a coefficient is read or
+P built.  Recurrence.holds accepts it again from the loaded t, so a
 resumed table skips the search and never trusts the file for it.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
 theta = z d/dz,
 
-    sum_i z^i p_i(theta + i) T = Q(z),  Q = sum_{n<n0} q_n z^n,       (E)
+    sum_i z^i p_i(theta + i) T = Q(z),  Q = sum_{n<r} q_n z^n,        (E)
 
 q_n = sum_i p_i(n) t_{n-i} (t_{<0} = 0), and (E) gives (R) back for
-every n >= n0, coefficient by coefficient.  The curve y = 1 + z P(y) is
+every n >= r, coefficient by coefficient.  The curve y = 1 + z P(y) is
 rational: T is the inverse series at y = 1 of z = phi(y) = (y-1)/P(y),
 since phi(1) = 0 and phi'(1) = 1/P(1) != 0.  So (E) holds iff it holds
 with z = phi(y), T = y and theta = (phi/phi') d/dy = (A/B) d/dy, where
 A = (y-1) P and B = P - (y-1) P' (B(1) = P(1) > 0).  Then
 theta^k y = N_k / B^(2k), with N_0 = y and
-N_{k+1} = A (N_k' B - 2k N_k B'), and (E) times P^n0 B^(2e) reads
+N_{k+1} = A (N_k' B - 2k N_k B'), and (E) times P^r B^(2e) reads
 
-    sum_{i<=n0} (y-1)^i P^(n0-i) (H_i - q_i B^(2e)) = 0  in Z[y],
+    sum_{i<=r} (y-1)^i P^(r-i) (H_i - q_i B^(2e)) = 0  in Z[y],
 
 with H_i = sum_k d_ik N_k B^(2(e-k)), p_i(x + i) = sum_k d_ik x^k, and
-H_i = 0 for i > r.  The left side is checked at one point y = Y = 2^K,
+q_r = 0.  The left side is checked at one point y = Y = 2^K,
 with no product of polynomials (Kronecker substitution; von zur Gathen
 and Gerhard, Modern Computer Algebra, 8.4); each polynomial is
 evaluated at Y by shifts.  The l1 norm ||a||, the sum of the
 |coefficients|, is submultiplicative and ||y - 1|| = 2, so
 
-    W = sum_i 2^i ||P||^(n0-i) (sum_k |d_ik| ||N_k|| ||B||^(2(e-k))
+    W = sum_i 2^i ||P||^(r-i) (sum_k |d_ik| ||N_k|| ||B||^(2(e-k))
                                 + |q_i| ||B||^(2e))
 
 bounds every coefficient of the left side, and K is taken with Y > 2W.
@@ -100,7 +99,7 @@ __all__ = ["CAP", "Recurrence", "decode", "find", "proved"]
 
 CAP = 64
 _MARGIN = 8
-_HEAD = struct.Struct("<HHQQ")  # a record's order, degree, start, window
+_HEAD = struct.Struct("<HHQ")  # a record's order, degree, window
 # primes below 2^31: a product of two residues fits an int64.  The
 # search and the lift take those that divide no weight of P: one that
 # divides them all makes every t_n with n >= 1 vanish mod p.
@@ -109,9 +108,9 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 214748354
            2147483353, 2147483323, 2147483269, 2147483249)
 
 
-class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
+class Recurrence(_Record, namedtuple("Recurrence", "coeffs window")):
     """(R): coeffs[i][j] is the n^j coefficient of p_i.  It holds for
-    n >= start, and the engine supplied t_0..t_window."""
+    n >= r = len(coeffs) - 1, and the engine supplied t_0..t_window."""
 
     __slots__ = ()
 
@@ -131,31 +130,29 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs start window")):
 
     def encode(self):
         """(R) as a cache record (module docstring, "Persist.")."""
-        out = bytearray(_HEAD.pack(len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.start,
-                                   self.window))
+        out = bytearray(_HEAD.pack(len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.window))
         for c in (c for p in self.coeffs for c in p):
             b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
             out += len(b).to_bytes(8, "little") + b
         return out
 
     def holds(self, t, spec):
-        """Whether (R) is accepted for spec, given t_0..t_{start-1} ("Run.")."""
+        """Whether (R) is accepted for spec, given t_0..t_{r-1} ("Run.")."""
         p = _shift(self.coeffs[0], self.window + 1)
-        return p[0] > 0 and min(p) >= 0 and proved(self.coeffs, self.start, t, spec)
+        return p[0] > 0 and min(p) >= 0 and proved(self.coeffs, t, spec)
 
 
 def decode(take, spec, n):
     """The Recurrence of the cache record that take(k) reads k bytes at a
     time, for a table of spec at n; or None, read no further, where find
     could not have written it (module docstring, "Persist.")."""
-    r, e, start, window = _HEAD.unpack(take(_HEAD.size))
+    r, e, window = _HEAD.unpack(take(_HEAD.size))
     shape = window in WINDOWS and _shape(max(spec.merged_weights()[0]), window)
-    if not shape or not (1 <= r <= shape[1] and e <= shape[0] and r <= start <= window <= n):
+    if not shape or not (1 <= r <= shape[1] and e <= shape[0] and window <= n):
         return None
     c = [int.from_bytes(take(int.from_bytes(take(8), "little")), "little", signed=True)
          for _ in range((r + 1) * (e + 1))]
-    return Recurrence(tuple(tuple(c[i : i + e + 1]) for i in range(0, len(c), e + 1)), start,
-                      window)
+    return Recurrence(tuple(tuple(c[i : i + e + 1]) for i in range(0, len(c), e + 1)), window)
 
 
 def _matrix(t, cols, rows, primes):
@@ -180,11 +177,10 @@ def _eliminate(X, primes):
     """(k, pivot rows, ok) by forward elimination on X, a stack of int64
     matrices, one per prime below 2^31, with the pivot rows chosen mod
     primes[0].  k is the first column that is, mod primes[0], a
-    combination of the columns before it (None if there is none), and
-    then back-substitution through the unit upper triangle leaves that
-    combination in X[:, :k, k]; ok[m] is whether every pivot was nonzero
-    mod primes[m].  X is overwritten.  Each update subtracts a product of
-    two residues and reduces mod p, so no value held passes 2^62."""
+    combination of the columns before it (None if there is none), where
+    it stops; ok[m] is whether every pivot was nonzero mod primes[m].  X
+    is overwritten.  Each update subtracts a product of two residues and
+    reduces mod p, so no value held passes 2^62."""
     import numpy as np
 
     ps = np.array(primes, dtype=np.int64)[:, None]
@@ -192,8 +188,6 @@ def _eliminate(X, primes):
     for k in range(X.shape[2]):
         nz = X[0, k:, k].nonzero()[0]
         if not len(nz):
-            for j in range(k - 1, 0, -1):
-                X[:, :j, k] = (X[:, :j, k] - X[:, :j, j] * X[:, j : j + 1, k] % ps) % ps
             return k, order[:k], ok
         j = k + int(nz[0])
         if j != k:
@@ -206,6 +200,13 @@ def _eliminate(X, primes):
         X[:, k + 1 :, k + 1 :] -= X[:, k + 1 :, k, None] * X[:, k, None, k + 1 :]
         X[:, k + 1 :, k + 1 :] %= ps[:, :, None]
     return None, order, ok
+
+
+def _back(X, primes, k):  # the combination in X[:, :k, k], per prime, after _eliminate
+    ps = X.dtype.type(primes)[:, None]  # an int64 column, as X
+    for j in range(k - 1, 0, -1):  # back-substitution through the unit upper triangle
+        X[:, :j, k] = (X[:, :j, k] - X[:, :j, j] * X[:, j : j + 1, k] % ps) % ps
+    return X[:, :k, k].tolist()
 
 
 def _ratrec(a, m):
@@ -258,9 +259,9 @@ def _shape(d, window):
     return None
 
 
-def find(t, spec, window):
-    """A proved Recurrence for t, whose t_0..t_window are given; or None."""
-    poly = _poly(spec)
+def find(t, spec):
+    """A proved Recurrence for t_0..t_W, the list t; or None."""
+    poly, window = _poly(spec), len(t) - 1
     shape = _shape(len(poly) - 1, window)
     primes = [q for q in _PRIMES if all(w % q for w in poly if w)]
     if not shape or not primes:
@@ -280,7 +281,7 @@ def find(t, spec, window):
         if dep != k:
             continue
         # the relation vector, its last column's coefficient -1
-        for p, good, x in zip(batch, ok, X[:, :k, k].tolist()):
+        for p, good, x in zip(batch, ok, _back(X, batch, k)):
             if good:
                 inv = pow(modulus, -1, p)
                 residues = [a + modulus * ((c - a) * inv % p)
@@ -302,7 +303,7 @@ def find(t, spec, window):
             coeffs = [c[:-1] for c in coeffs]
         # p_0's leading coefficient positive, and no common factor
         g = math.gcd(*nums) * (-1 if next(filter(None, coeffs[0][::-1]), 0) < 0 else 1)
-        rec = Recurrence(tuple(tuple(u // g for u in c) for c in coeffs), r, window)
+        rec = Recurrence(tuple(tuple(u // g for u in c) for c in coeffs), window)
         if not _residual(rec.coeffs, t, window) and rec.holds(t, spec):
             return rec
     return None
@@ -320,8 +321,7 @@ def _mul(a, b):
     return out
 
 
-def _add(a, b, c=1):
-    """a + c b."""
+def _add(a, b, c=1):  # a + c b
     out = a + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
         out[i] += c * y
@@ -336,24 +336,23 @@ def _norm(a):
     return sum(map(abs, a))
 
 
-def proved(coeffs, start, t, spec):
-    """Whether (R) with these coefficients holds for every n >= start with
-    p_0 not zero (module docstring), given t_0..t_{start-1}."""
-    poly, r, e = _poly(spec), len(coeffs) - 1, len(coeffs[0]) - 1
-    ym1 = [-1, 1]
+def proved(coeffs, t, spec):
+    """Whether (R) with these coefficients holds for every n >= r with p_0
+    not zero (module docstring), given t_0..t_{r-1}."""
+    poly, r, e, ym1 = _poly(spec), len(coeffs) - 1, len(coeffs[0]) - 1, [-1, 1]
     A, B = _mul(ym1, poly), _add(poly, _mul(ym1, _deriv(poly)), -1)
     dB = _deriv(B)
     N = [[0, 1]]
     for k in range(e):
         N.append(_mul(A, _add(_mul(_deriv(N[k]), B), _mul(N[k], dB), -2 * k)))
     # d[i][k] = d_ik, the x^k coefficients of p_i(x + i), and q[i] = q_i
-    d = [_shift(coeffs[i], i) if i <= r else [] for i in range(start + 1)]
-    q = [_residual(coeffs, t, i) for i in range(start)] + [0]
+    d = [_shift(p, i) for i, p in enumerate(coeffs)]
+    q = [_residual(coeffs, t, i) for i in range(r)] + [0]
     # W (module docstring) from the l1 norms, then Y = 2^K > 2W
     nP, nB2 = _norm(poly), _norm(B) ** 2
     nF = [_norm(N[k]) * nB2 ** (e - k) for k in range(e + 1)]
     W, nB2e = 0, nB2 ** e
-    for i in range(start + 1):
+    for i in range(r + 1):
         W = W * nP + ((sum(map(abs, map(operator.mul, d[i], nF))) + abs(q[i]) * nB2e) << i)
     K = W.bit_length() + 1  # Y = 2^K
 
@@ -370,7 +369,7 @@ def proved(coeffs, start, t, spec):
         if k:
             B2e *= B2
     acc, power = 0, 1  # power = (Y-1)^i
-    for i in range(start + 1):
+    for i in range(r + 1):
         acc = acc * Pv + (sum(map(operator.mul, d[i], F)) - q[i] * B2e) * power
         power = (power << K) - power
     return any(coeffs[0]) and not acc

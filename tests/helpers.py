@@ -280,7 +280,7 @@ def oracle_rate_interval(spec: RecurrenceSpec, width: Fraction = Fraction(1, 10 
 # -- the recurrence proof by polynomial products ---------------------------
 
 
-def proved_by_lists(coeffs, start, t, spec) -> bool:
+def proved_by_lists(coeffs, t, spec) -> bool:
     """holonomic.proved's identity built coefficient by coefficient: the
     left side of the holonomic docstring's identity in Z[y] as an int
     list, from y^0 up, by schoolbook products, then tested for zero.  Past
@@ -322,14 +322,13 @@ def proved_by_lists(coeffs, start, t, spec) -> bool:
         if k:
             B2e = mul(B2e, B2)
     acc, power = [0], [1]  # power = (y-1)^i
-    for i in range(start + 1):
+    for i in range(r + 1):
         G = [0]
-        if i <= r:
-            for k in range(e + 1):
-                d_ik = sum(c * math.comb(j, k) * i ** (j - k)
-                           for j, c in enumerate(coeffs[i]) if j >= k)
-                G = add(G, F[k], d_ik)
-        if i < start:
+        for k in range(e + 1):
+            d_ik = sum(c * math.comb(j, k) * i ** (j - k)
+                       for j, c in enumerate(coeffs[i]) if j >= k)
+            G = add(G, F[k], d_ik)
+        if i < r:
             G = add(G, B2e, -residual(i))
         acc = add(mul(acc, poly), mul(G, power))
         power = mul(power, ym1)

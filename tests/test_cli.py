@@ -616,11 +616,12 @@ def test_cache_rejects_different_spec(tmp_path, capsys):
     assert "different recurrence" in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_old_cache_version_is_refused(tmp_path, capsys, version):
     # version 1 also held max-fold records, version 2 stored exact values
-    # as Fractions, version 3 had no path byte and version 4 stored the max
-    # sum rank as a u16; the header differs only
+    # as Fractions, version 3 had no path byte, version 4 stored the max
+    # sum rank as a u16 and version 5 a start in the recurrence record;
+    # the header differs only
     # in the version field and the trailing checksum as far as the reader
     # gets
     cache = tmp_path / "cat.seq"
@@ -655,7 +656,7 @@ def test_corrupt_recurrence_record_is_a_usage_error(tmp_path, capsys):
     code, cold, _ = run(capsys, *argv)
     assert code == EXIT_OK
     data = bytearray(cache.read_bytes())
-    at = 4 + 2 + 32 + 18 + 20 + 8  # header, recurrence header, first length
+    at = 4 + 2 + 32 + 18 + 12 + 8  # header, recurrence header, first length
     data[at] ^= 2
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     cache.write_bytes(bytes(data))

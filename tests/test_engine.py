@@ -834,12 +834,12 @@ def test_exact_engine_cache_bytes_are_stable(tmp_path):
     assert table.recurrence is None
     save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4fb6da07d6e5ef2c1bf6cd8b9beec0df1cd490e8ada38466e445a53d9f0a5b92"
+        "f24156deeed3d1a9027dd00e506a42f6d6cf7b98fa3517e8c54ad3ec401206ea"
     )
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
-    # digest of the version 5 layout, which stores each t_m = D^m s_m and,
+    # digest of the version 6 layout, which stores each t_m = D^m s_m and,
     # past the window, the recurrence of order 2 and degree 1 in place of
     # the fold records
     spec = parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7")
@@ -848,7 +848,7 @@ def test_exact_cache_bytes_are_stable(tmp_path):
     assert [len(table.recurrence.coeffs), len(table.recurrence.coeffs[0])] == [3, 2]
     save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "bc1fa103dd85c9a85d0fd11ce6c12a511a40070ca9c0f521cf1c1e1fd1b58cc4"
+        "2b360f950496233fdd1e96a186dc23b39f09afdcbe8087731c49e30bdb5b25e9"
     )
     # the reloaded Fractions, as printed when the cache still held max records
     back = load_cache(str(path), spec)
@@ -859,7 +859,7 @@ def test_exact_cache_bytes_are_stable(tmp_path):
 
 
 def _exact_cache(spec, s_values, fold_values) -> bytes:
-    """A version 5 exact cache on the engine for a spec with a single
+    """A version 6 exact cache on the engine for a spec with a single
     rank-2 sum table, from the integers t_m it stores."""
     def record(values):
         out = struct.pack("<Q", len(values))
@@ -868,7 +868,7 @@ def _exact_cache(spec, s_values, fold_values) -> bytes:
             out += struct.pack("<Q", len(tb)) + tb
         return out
 
-    body = (b"FRSQ" + struct.pack("<H", 5) + spec.digest()
+    body = (b"FRSQ" + struct.pack("<H", 6) + spec.digest()
             + struct.pack("<BQQB", 0, len(s_values) - 1, 2, 0)
             + record(s_values) + record(fold_values))
     return body + struct.pack("<I", zlib.crc32(body))

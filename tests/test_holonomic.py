@@ -54,30 +54,30 @@ def test_recurrence_matches_the_engine_on_random_specs(monkeypatch):
 
 def test_mix_recurrence_has_order_5_and_degree_4():
     rec = compute_sequence(MIX, 60, domain="exact").recurrence
-    assert (len(rec.coeffs), len(rec.coeffs[0]), rec.start, rec.window) == (6, 5, 5, 48)
+    assert (len(rec.coeffs), len(rec.coeffs[0]), rec.window) == (6, 5, 48)
     assert max(abs(c) for p in rec.coeffs for c in p).bit_length() <= 96
 
 
 def test_perturbed_recurrence_fails_the_proof(monkeypatch):
-    # each coefficient, or each t_i with i < start, moved by one; the
+    # each coefficient, or each t_i with i < r, moved by one; the
     # polynomial products of tests/helpers.py agree
     table = compute_sequence(MIX, 60, domain="exact")
     rec, t = table.recurrence, table.cols[0]
-    assert holonomic.proved(rec.coeffs, rec.start, t, MIX)
-    assert proved_by_lists(rec.coeffs, rec.start, t, MIX)
+    assert holonomic.proved(rec.coeffs, t, MIX)
+    assert proved_by_lists(rec.coeffs, t, MIX)
     for i, p in enumerate(rec.coeffs):
         for j in range(len(p)):
             for delta in (-1, 1):
                 coeffs = [list(q) for q in rec.coeffs]
                 coeffs[i][j] += delta
-                assert not holonomic.proved(coeffs, rec.start, t, MIX), (i, j, delta)
-                assert not proved_by_lists(coeffs, rec.start, t, MIX), (i, j, delta)
-    for i in range(rec.start):
+                assert not holonomic.proved(coeffs, t, MIX), (i, j, delta)
+                assert not proved_by_lists(coeffs, t, MIX), (i, j, delta)
+    for i in range(len(rec.coeffs) - 1):
         for delta in (-1, 1):
             moved = list(t)
             moved[i] += delta
-            assert not holonomic.proved(rec.coeffs, rec.start, moved, MIX), (i, delta)
-            assert not proved_by_lists(rec.coeffs, rec.start, moved, MIX), (i, delta)
+            assert not holonomic.proved(rec.coeffs, moved, MIX), (i, delta)
+            assert not proved_by_lists(rec.coeffs, moved, MIX), (i, delta)
     # a recurrence that fails its proof is not used: the table stays on the engine
     reference = _values(compute_sequence(MIX, 120, domain="exact"))
     monkeypatch.setattr(holonomic, "proved", lambda *args: False)
@@ -102,8 +102,8 @@ def test_the_proof_at_one_point_agrees_with_the_polynomial_products():
         moved = [list(p) for p in rec.coeffs]
         moved[-1][-1] += 1
         for coeffs, want in ((rec.coeffs, True), (moved, False)):
-            assert holonomic.proved(coeffs, rec.start, t, spec) is want, spec.render()
-            assert proved_by_lists(coeffs, rec.start, t, spec) is want, spec.render()
+            assert holonomic.proved(coeffs, t, spec) is want, spec.render()
+            assert proved_by_lists(coeffs, t, spec) is want, spec.render()
     assert found >= 50
 
 
@@ -120,12 +120,12 @@ def test_the_proof_point_is_past_every_root_it_could_hit():
     # left sides that are not zero but vanish at y = 2^k: a proof point
     # Y = 2^K with K too small for the bound W would meet that root for
     # some k.  With P = y, B = 1 and N_1 = y(y - 1), the relation
-    # (m n + m - m 2^k) t_n = 0 from n = 0 has the left side m y (y - 2^k).
-    # With P = y (y - 2^k), the relation c t_n = 0 from n = 1 has
-    # c (y - 1) P, whose bound W carries the factor ||P|| = 2^k + 1.
-    cases = [(((m - m * 2 ** k, m),), 0, [1], _P((1,)))
+    # (m n + m - m 2^k) t_n = 0 of order 0 has the left side m y (y - 2^k).
+    # With P = y (y - 2^k), the relation c t_n + 0 t_{n-1} = 0 of order 1
+    # has c (y - 1) P, whose bound W carries the factor ||P|| = 2^k + 1.
+    cases = [(((m - m * 2 ** k, m),), [1], _P((1,)))
              for k in range(80) for m in (1, 5, 1000)]
-    cases += [(((2 ** j,),), 1, [1], _P((-(2 ** k), 1)))
+    cases += [(((2 ** j,), (0,)), [1], _P((-(2 ** k), 1)))
               for k in range(64) for j in range(k)]
     for case in cases:
         assert not holonomic.proved(*case), case
@@ -139,14 +139,15 @@ def _times(coeffs, a):
 
 
 def test_the_step_maps_n_to_t_n(monkeypatch):
-    # from t_{n-r}..t_{n-1} of the engine's table: t_n from the start on,
+    # from t_{n-r}..t_{n-1} of the engine's table: t_n from the order on,
     # and ArithmeticError at a root of p_0 or where p_0(n) does not divide
     # what the stored values give
     t = _engine_table(monkeypatch, MIX, 200).cols[0]
     rec = compute_sequence(MIX, 60, domain="exact").recurrence
     step = rec.step(t)
-    assert [step(n) for n in range(rec.start, 201)] == t[rec.start :]
-    at_root = holonomic.Recurrence(_times(rec.coeffs, 150), rec.start, 48).step(t)
+    r = len(rec.coeffs) - 1
+    assert [step(n) for n in range(r, 201)] == t[r:]
+    at_root = holonomic.Recurrence(_times(rec.coeffs, 150), 48).step(t)
     with pytest.raises(ArithmeticError):
         at_root(150)
     assert at_root(151) == t[151]
@@ -159,9 +160,9 @@ def test_the_rule_refuses_a_root_of_p0_past_the_window(monkeypatch, a, accepted)
     # MIX's relation times (n - a) is proved wherever MIX's is, but holds
     # accepts it at W = 48 only where a <= 48: a table runs (R) at n > W
     t = _engine_table(monkeypatch, MIX, 48).cols[0]
-    rec = holonomic.find(t, MIX, 48)
-    times = holonomic.Recurrence(_times(rec.coeffs, a), rec.start, 48)
-    assert holonomic.proved(times.coeffs, times.start, t, MIX)
+    rec = holonomic.find(t, MIX)
+    times = holonomic.Recurrence(_times(rec.coeffs, a), 48)
+    assert holonomic.proved(times.coeffs, t, MIX)
     assert times.holds(t, MIX) is accepted
 
 
@@ -169,9 +170,9 @@ def test_a_table_runs_on_a_relation_with_a_root_inside_the_window(monkeypatch):
     # the multiple by (n - 40), accepted, runs from 49 on as MIX's does
     want = _values(_engine_table(monkeypatch, MIX, 300))
     rec = compute_sequence(MIX, 60, domain="exact").recurrence
-    times = holonomic.Recurrence(_times(rec.coeffs, 40), rec.start, rec.window)
+    times = holonomic.Recurrence(_times(rec.coeffs, 40), rec.window)
     monkeypatch.setattr(holonomic, "find",
-                        lambda t, spec, window: times if times.holds(t, spec) else None)
+                        lambda t, spec: times if times.holds(t, spec) else None)
     table = compute_sequence(MIX, 300, domain="exact")
     assert table.recurrence == times
     assert _values(table) == want
@@ -285,7 +286,7 @@ def test_load_reproves_the_recurrence(tmp_path):
     path = tmp_path / "mix.seq"
     save_cache(compute_sequence(MIX, 60, domain="exact"), str(path))
     data = bytearray(path.read_bytes())
-    at = 4 + 2 + 32 + 18 + 20  # header, then the first coefficient's length
+    at = 4 + 2 + 32 + 18 + 12  # header, then the first coefficient's length
     assert struct.unpack_from("<Q", data, at)[0] >= 1
     data[at + 8] ^= 1
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
@@ -294,14 +295,14 @@ def test_load_reproves_the_recurrence(tmp_path):
         load_cache(str(path), MIX)
 
 
-def _recurrence_cache(spec, t, coeffs, start, window) -> bytes:
-    """A version 5 exact cache at n = len(t) - 1 on the recurrence with
+def _recurrence_cache(spec, t, coeffs, window) -> bytes:
+    """A version 6 exact cache at n = len(t) - 1 on the recurrence with
     these coefficients, laid out as the holonomic docstring's "Persist."
     paragraph gives the record."""
-    body = (b"FRSQ" + struct.pack("<H", 5) + spec.digest()
+    body = (b"FRSQ" + struct.pack("<H", 6) + spec.digest()
             + struct.pack("<BQQB", 0, len(t) - 1,
                           SequenceTable(spec, domain="exact").table_count, 1)
-            + struct.pack("<HHQQ", len(coeffs) - 1, len(coeffs[0]) - 1, start, window))
+            + struct.pack("<HHQ", len(coeffs) - 1, len(coeffs[0]) - 1, window))
     for c in (c for p in coeffs for c in p):
         b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
         body += struct.pack("<Q", len(b)) + b
@@ -328,7 +329,7 @@ def test_load_refuses_a_record_for_a_spec_the_search_never_takes(tmp_path, monke
     path = tmp_path / "wide.seq"
     for e, window in ((0, 48), (2, 48), (7, 104), (63, 104)):
         coeffs = [[1] + [0] * e, [-1] + [0] * e]
-        path.write_bytes(_recurrence_cache(spec, [1] * 121, coeffs, 1, window))
+        path.write_bytes(_recurrence_cache(spec, [1] * 121, coeffs, window))
         with pytest.raises(CacheCorruptError, match="out of range"):
             load_cache(str(path), spec)
 
@@ -344,10 +345,29 @@ def test_load_admits_only_the_shape_the_search_takes(tmp_path, monkeypatch, r, e
     coeffs = [list(p) + [0] * (e + 1 - len(p)) for p in rec.coeffs]
     coeffs += [[0] * (e + 1)] * (r + 1 - len(coeffs))
     path = tmp_path / "mix.seq"
-    path.write_bytes(_recurrence_cache(MIX, table.cols[0], coeffs, r, rec.window))
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], coeffs, rec.window))
     if admitted:
         back = load_cache(str(path), MIX)
         assert _values(back.extend(120)) == _values(compute_sequence(MIX, 120, domain="exact"))
+        return
+    _no_proof(monkeypatch)
+    with pytest.raises(CacheCorruptError, match="out of range"):
+        load_cache(str(path), MIX)
+
+
+@pytest.mark.parametrize("window, n, admitted", [(47, 60, False), (49, 60, False),
+                                                 (104, 60, False), (104, 120, True)])
+def test_load_admits_only_a_window_the_search_takes(tmp_path, monkeypatch, window, n, admitted):
+    # MIX's relation recorded at a window not in engine.WINDOWS, or at one
+    # past the table's n, is refused before any proof; at 104 in a table
+    # at 120 it is proved and runs
+    table = compute_sequence(MIX, n, domain="exact")
+    path = tmp_path / "mix.seq"
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], table.recurrence.coeffs, window))
+    if admitted:
+        back = load_cache(str(path), MIX)
+        assert back.recurrence == holonomic.Recurrence(table.recurrence.coeffs, window)
+        assert _values(back.extend(200)) == _values(compute_sequence(MIX, 200, domain="exact"))
         return
     _no_proof(monkeypatch)
     with pytest.raises(CacheCorruptError, match="out of range"):
@@ -361,8 +381,7 @@ def test_load_refuses_a_root_of_p0_past_the_window(tmp_path, capsys, monkeypatch
     table = compute_sequence(MIX, 60, domain="exact")
     rec = table.recurrence
     path = tmp_path / "mix.seq"
-    path.write_bytes(_recurrence_cache(MIX, table.cols[0], _times(rec.coeffs, 150), rec.start,
-                                       rec.window))
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], _times(rec.coeffs, 150), rec.window))
     real_shape = holonomic._shape
     monkeypatch.setattr(holonomic, "_shape", lambda d, window: real_shape(d + 1, window))
     with pytest.raises(CacheCorruptError, match="does not hold"):
@@ -448,27 +467,28 @@ def test_sum_32_1_is_searched_at_degree_31(monkeypatch):
     spec = parse_spec("sum 32 1")
     table = compute_sequence(spec, 120, domain="exact")
     rec = table.recurrence
-    assert (len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.start, rec.window) == (1, 31, 1, 104)
+    assert (len(rec.coeffs) - 1, len(rec.coeffs[0]) - 1, rec.window) == (1, 31, 104)
     assert len(rec.coeffs) * len(rec.coeffs[0]) == holonomic.CAP
     assert _values(table) == _values(_engine_table(monkeypatch, spec, 120))
 
 
 def test_the_search_finds_the_pinned_relations(monkeypatch):
     # 246 searches on the engine's t_0..t_W at both windows: which relation
-    # each finds, or None, is pinned (178 find one)
+    # each finds, or None, is pinned (178 find one), each relation hashed
+    # as (coeffs, r, W)
     rng = random.Random(7)
     specs = [parse_spec(text) for text in (MIXED_EXAMPLE, "sum 5 1\nsum 2 3",
                                            "sum 2 1/2\nmax 3 2/3\nsum 1 5/7")]
     specs += [random_spec(rng, max_terms=4, max_arity=6,
                           kind=rng.choice(("mixed", "sum", "max"))) for _ in range(120)]
     tables = [_engine_table(monkeypatch, spec, 104) for spec in specs]
-    found = [(holonomic.find(table.cols[0][: w + 1], table.spec, w), table)
+    found = [(holonomic.find(table.cols[0][: w + 1], table.spec), table, w)
              for table in tables for w in (48, 104)]
-    for rec, table in found:
-        # each relation found starts at its order and passes the rule
-        assert rec is None or (rec.start == len(rec.coeffs) - 1
+    for rec, table, w in found:
+        # each relation found is at the window it was given and passes the rule
+        assert rec is None or (rec.window == w
                                and rec.holds(table.cols[0], table.spec)), table.spec.render()
-    found = [rec and tuple(rec) for rec, _ in found]
+    found = [rec and (rec.coeffs, len(rec.coeffs) - 1, rec.window) for rec, _, _ in found]
     assert (len(found), sum(rec is not None for rec in found)) == (246, 178)
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "331c5bfe3138cb69a2e41ccac051e0d3b41d4c92a3ff2b06b67967ffdd4e305b")
@@ -487,37 +507,30 @@ def test_the_search_proves_from_the_order_before_it_scans(monkeypatch):
     # the proof reads q_0..q_{r-1}, and no other row is read
     t = _engine_table(monkeypatch, MIX, 48).cols[0]
     calls = _counted_residuals(monkeypatch)
-    rec = holonomic.find(t, MIX, 48)
+    rec = holonomic.find(t, MIX)
     r = len(rec.coeffs) - 1
-    assert (r, rec.start) == (5, 5)
+    assert r == 5
     assert calls == [48] + list(range(r))
 
 
 def test_a_relation_refused_at_its_order_is_not_scanned(monkeypatch):
-    # with the proof at start = r refused, find tries no later start: it
-    # returns None, having read the residual at W alone, once per batch
+    # with the proof from r refused, find tries no other start: it returns
+    # None, having read the residual at W alone, once per batch
     t = _engine_table(monkeypatch, MIX, 48).cols[0]
-    real = holonomic.proved
-    monkeypatch.setattr(holonomic, "proved", lambda coeffs, start, t, spec:
-                        start != len(coeffs) - 1 and real(coeffs, start, t, spec))
+    monkeypatch.setattr(holonomic, "proved", lambda coeffs, t, spec: False)
     calls = _counted_residuals(monkeypatch)
-    assert holonomic.find(t, MIX, 48) is None
+    assert holonomic.find(t, MIX) is None
     assert calls and set(calls) == {48}
 
 
 def _reference_eliminate(M, primes):
-    """_eliminate on Python ints: the same pivot rule, the same entries
-    touched by the forward elimination and the back-substitution, each
-    reduced mod its prime."""
+    """_eliminate on Python ints: the same pivot rule and the same entries
+    touched by the forward elimination, each reduced mod its prime."""
     X = [[[x % p for x in row] for row in M] for p in primes]
     order, ok = list(range(len(M))), [True] * len(primes)
     for k in range(len(M[0])):
         j = next((i for i in range(k, len(M)) if X[0][i][k]), None)
         if j is None:
-            for A, p in zip(X, primes):
-                for c in range(k - 1, 0, -1):
-                    for i in range(c):
-                        A[i][k] = (A[i][k] - A[i][c] * A[c][k]) % p
             return k, order[:k], ok, X
         order[k], order[j] = order[j], order[k]
         for m, (A, p) in enumerate(zip(X, primes)):
@@ -535,35 +548,40 @@ def _reference_eliminate(M, primes):
        seed=st.integers(0, 2**32), planted=st.integers(0, 3), vanish=st.booleans())
 @example(rows=72, cols=64, seed=1, planted=1, vanish=True)
 @example(rows=72, cols=64, seed=2, planted=0, vanish=False)
+@example(rows=50, cols=30, seed=4, planted=2, vanish=False)
 @example(rows=40, cols=41, seed=3, planted=0, vanish=True)
 @settings(max_examples=25, deadline=None)
 def test_eliminate_matches_a_python_reference(rows, cols, seed, planted, vanish):
     # residues near 2^31 mod the first two primes, up to the CAP + _MARGIN
     # by CAP search block; planted columns are combinations of the ones
     # before them mod both primes, and with vanish the first pivot is
-    # nonzero mod the first prime but zero mod the second
+    # nonzero mod the first prime but zero mod the second.  The forward
+    # elimination matches the reference entry by entry, and the lift's
+    # back-substitution, _back, gives the planted combination
     primes = holonomic._PRIMES[:2]
     modulus = primes[0] * primes[1]
     rng = random.Random(seed)
     M = [[rng.randrange(modulus) for _ in range(cols)] for _ in range(rows)]
     if vanish:
         M[0][0] = primes[1] * rng.randrange(1, primes[0])
-    dependent = sorted(rng.randrange(1, cols) for _ in range(planted if cols > 1 else 0))
-    for c in dependent:
-        mult = [rng.randrange(modulus) for _ in range(c)]
+    combos = {}
+    for c in sorted(rng.randrange(1, cols) for _ in range(planted if cols > 1 else 0)):
+        combos[c] = [rng.randrange(modulus) for _ in range(c)]
         for row in M:
-            row[c] = sum(a * x for a, x in zip(mult, row)) % modulus
+            row[c] = sum(a * x for a, x in zip(combos[c], row)) % modulus
     X = np.array([[[x % p for x in row] for row in M] for p in primes], dtype=np.int64)
     k, pivots, ok = holonomic._eliminate(X, primes)
     want_k, want_pivots, want_ok, want_X = _reference_eliminate(M, primes)
     assert (k, pivots, ok) == (want_k, want_pivots, want_ok)
     assert X.tolist() == want_X
     assert not vanish or ok == [True, False]
-    if dependent:
-        assert k is not None and k <= dependent[0]
+    if combos:
+        assert k is not None and k <= min(combos)
     if k is not None:
-        # each prime with every pivot nonzero solves for column k on the pivot rows
-        for p, good, x in zip(primes, ok, X[:, :k, k].tolist()):
+        # each prime with every pivot nonzero solves for column k on the
+        # pivot rows, uniquely: at a planted column, its combination
+        for p, good, x in zip(primes, ok, holonomic._back(X, primes, k)):
             if good:
                 for i in pivots:
                     assert (sum(a * M[i][c] for c, a in enumerate(x)) - M[i][k]) % p == 0
+                assert k not in combos or x == [a % p for a in combos[k]]

@@ -147,7 +147,10 @@ def test_holonomic_owns_p_and_the_recurrence():
     # coefficients and divides by no p_0(n), neither holonomic.py nor
     # cache.py reads an exact table's weight pairs, and cache.py reads no
     # field of a Recurrence and neither the search's cap nor its windows.
-    # A name counts as an attribute, a bare name or an imported name
+    # A name counts as an attribute, a bare name or an imported name.  No
+    # module but holonomic.py constructs a Recurrence, and engine.py calls
+    # holonomic.find with the table's s and the spec alone (find takes W
+    # as len(s) - 1)
     root, hits = pathlib.Path(foldrate.__file__).parent, []
     for name, names, calls in (("engine.py", {"coeffs"}, {"divmod"}),
                                ("holonomic.py", {"pairs"}, set()),
@@ -161,6 +164,19 @@ def test_holonomic_owns_p_and_the_recurrence():
                     or isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls):
                 hits.append((name, node.lineno))
     assert not hits, hits
+    finds = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "Recurrence" and path.name != "holonomic.py":
+                hits.append((path.name, node.lineno))
+            if called == "find" and path.name == "engine.py":
+                owner = getattr(getattr(node.func, "value", None), "id", None)
+                finds.append((owner, len(node.args), len(node.keywords)))
+    assert not hits, hits
+    assert finds == [("holonomic", 2, 0)], finds
 
 
 def test_one_rule_accepts_a_recurrence():

@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from foldrate import (
     parse_spec_json,
 )
 from foldrate import holonomic
+from foldrate.scalars import _Record
 
 
 def test_parse_single_term():
@@ -138,8 +140,13 @@ def test_records_equal_plain_tuples_but_no_record_of_another_class():
     # equal fields in records of two classes
     assert ExactScalar(Fraction(1)) != LogScalar(1.0)
     assert not ExactScalar(Fraction(1)) == LogScalar(1.0)
-    assert term != holonomic.Recurrence(Op.MAX, 3, Fraction(2))
     assert RecurrenceSpec((term,)) != ExactScalar((term,))
+
+    class Pair(_Record, namedtuple("Pair", "coeffs window")):
+        __slots__ = ()
+
+    rec = holonomic.Recurrence(((1, 2), (3, 4)), 48)
+    assert rec == (((1, 2), (3, 4)), 48) and rec != Pair(*rec)
 
 
 def test_json_matches_text_form():
