@@ -24,7 +24,7 @@ splits, is s_m.
     over any split of m by s_m, which the split (m, 0, ..., 0) attains.
 
 The plan is resolved once, when a table is built: columns s, then the sum
-ranks 2.. (the cache's record order); a pair of source columns per rank,
+ranks 2.. (the cache's order); a pair of source columns per rank,
 its recipe; and (weight, column) pairs for the weighted sum, one per
 arity, each reading its rank: max weights add to the arity-1 weight,
 which reads s.  A fold of a + b parts is the fold of a parts convolved
@@ -85,12 +85,11 @@ with nothing filled, and a load fills them only where the bound passes.
 from __future__ import annotations
 
 import operator
-import struct
 import sys
 from fractions import Fraction
 
 from .recurrence import Op, RecurrenceSpec
-from .scalars import ExactScalar, ln_ratio
+from .scalars import ExactScalar, _int_bytes, _take_int, ln_ratio
 
 __all__ = [
     "DEFAULT_MEMORY_LIMIT",
@@ -363,27 +362,23 @@ class _ExactTable(SequenceTable):
         self._check_index(n)
         return self.cols[0][: n + 1], self.scale
 
-    def encode(self, i: int, count: int) -> bytearray:
-        """Column i's first count ints as a cache record's values: a u64
-        byte length and the little-endian bytes of each."""
-        out = bytearray()
-        for v in self.cols[i][:count]:
-            b = v.to_bytes((v.bit_length() + 7) // 8, "little")
-            out += struct.pack("<Q", len(b))
-            out += b
-        return out
+    def encode(self) -> bytes:
+        """The table's cache values (foldrate.cache docstring): t_0..t_n,
+        then, on the engine, each rank's cells 0..n-1."""
+        cols = self.cols[:1] if self.recurrence else self.cols
+        return b"".join(_int_bytes(v) for i, c in enumerate(cols) for v in c[: self.n + (not i)])
 
-    def decode(self, reader, counts: list[int]) -> None:
-        """Fill each column that has a record, then refuse a table that
-        an uninterrupted extend under the budget would have stopped short
-        of: one whose bytes before its last n exceed it or, on a
-        recurrence, whose engine columns did before its last step to the
-        window W.  Those are filled from s only where _fill_bound passes
-        the budget, counted and emptied again."""
-        for col, count in zip(self.cols, counts):
-            col[:] = [int.from_bytes(reader.take(reader.u("<Q")), "little")
-                      for _ in range(reader.record(count))]
-        getsizeof, n = sys.getsizeof, counts[0] - 1
+    def decode(self, take) -> None:
+        """Fill the columns encode writes at n from take(k), which returns
+        the next k bytes, then refuse a table that an uninterrupted
+        extend under the budget would have stopped short of: one whose
+        bytes before its last n exceed it or, on a recurrence, whose
+        engine columns did before its last step to the window W.  Those
+        are filled from s only where _fill_bound passes the budget,
+        counted and emptied again."""
+        n, getsizeof = self.n, sys.getsizeof
+        for i, col in enumerate(self.cols[:1] if self.recurrence else self.cols):
+            col[:] = [_take_int(take) for _ in range(n + (not i))]
         # the last n added s_n and each stored rank's cell at n - 1
         before = self.nbytes - sum(getsizeof(col[-1]) for col in self.cols if col) if n else 0
         if self.recurrence:

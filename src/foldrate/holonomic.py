@@ -41,14 +41,19 @@ by which find and a cache load accept (R), Recurrence.holds, asks that
 have a positive constant term and no negative coefficient (p_0 > 0).
 
 Persist.  Recurrence.encode is the record of (R) in a cache file
-(foldrate.cache): u16 order r, u16 degree e, u64 window W, then the
-n^0..n^e coefficients of p_0, ..., p_r, each a u64 byte length and
-little-endian two's complement bytes.  decode admits only the shapes
-find could have written: W in engine.WINDOWS, 1 <= r <= R and e at most
-the degree of _shape at W (d the spec's largest arity), and W <= n, the
-table's n; any other record is refused before a coefficient is read or
-P built.  Recurrence.holds accepts it again from the loaded t, so a
-resumed table skips the search and never trusts the file for it.
+(foldrate.cache): order r, degree e, window W, then the n^0..n^e
+coefficients of p_0, ..., p_r, each int in the cache's codec (a u64 byte
+length and little-endian two's complement bytes).  decode admits only
+the records find could have written: W in engine.WINDOWS, 1 <= r <= R
+and 0 <= e at most the degree of _shape at W (d the spec's largest
+arity), and W <= n, the table's n, checked before a coefficient is read
+or P built; and no coefficient of more than 248 CAP bits.  find
+reconstructs from at most 16 primes below 2^31, so its modulus m is
+below 2^496 and each _ratrec factor at most isqrt(m/2) < 2^248; a
+coefficient is a product of at most k + 1 <= CAP such factors, one per
+unknown, and dividing by g only shrinks it.  Recurrence.holds accepts
+the record again from the loaded t, so a resumed table skips the search
+and never trusts the file for it.
 
 Prove.  Multiplying (R) by z^n and summing over n gives, with
 theta = z d/dz,
@@ -89,17 +94,15 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from collections import namedtuple
 
 from .engine import WINDOWS
-from .scalars import _Record
+from .scalars import _int_bytes, _Record, _take_int
 
 __all__ = ["CAP", "Recurrence", "decode", "find", "proved"]
 
 CAP = 64
 _MARGIN = 8
-_HEAD = struct.Struct("<HHQ")  # a record's order, degree, window
 # primes below 2^31: a product of two residues fits an int64.  The
 # search and the lift take those that divide no weight of P: one that
 # divides them all makes every t_n with n >= 1 vanish mod p.
@@ -130,11 +133,8 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs window")):
 
     def encode(self):
         """(R) as a cache record (module docstring, "Persist.")."""
-        out = bytearray(_HEAD.pack(len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.window))
-        for c in (c for p in self.coeffs for c in p):
-            b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
-            out += len(b).to_bytes(8, "little") + b
-        return out
+        ints = [len(self.coeffs) - 1, len(self.coeffs[0]) - 1, self.window]
+        return b"".join(map(_int_bytes, ints + [c for p in self.coeffs for c in p]))
 
     def holds(self, t, spec):
         """Whether (R) is accepted for spec, given t_0..t_{r-1} ("Run.")."""
@@ -144,14 +144,15 @@ class Recurrence(_Record, namedtuple("Recurrence", "coeffs window")):
 
 def decode(take, spec, n):
     """The Recurrence of the cache record that take(k) reads k bytes at a
-    time, for a table of spec at n; or None, read no further, where find
-    could not have written it (module docstring, "Persist.")."""
-    r, e, window = _HEAD.unpack(take(_HEAD.size))
+    time, for a table of spec at n; or None where find could not have
+    written it (module docstring, "Persist.")."""
+    r, e, window = (_take_int(take) for _ in range(3))
     shape = window in WINDOWS and _shape(max(spec.merged_weights()[0]), window)
-    if not shape or not (1 <= r <= shape[1] and e <= shape[0] and window <= n):
+    if not shape or not (1 <= r <= shape[1] and 0 <= e <= shape[0] and window <= n):
         return None
-    c = [int.from_bytes(take(int.from_bytes(take(8), "little")), "little", signed=True)
-         for _ in range((r + 1) * (e + 1))]
+    c = [_take_int(take) for _ in range((r + 1) * (e + 1))]
+    if max(map(int.bit_length, c)) > 248 * CAP:  # past any relation find builds
+        return None
     return Recurrence(tuple(tuple(c[i : i + e + 1]) for i in range(0, len(c), e + 1)), window)
 
 

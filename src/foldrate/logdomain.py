@@ -291,17 +291,20 @@ class _LogTable(engine.SequenceTable):
     def ln_values(self) -> np.ndarray:
         return self.data[0, : self.n + 1].copy()
 
-    def encode(self, i: int, count: int) -> bytes:
-        """Column i's first count ln values as a cache record's values: raw
-        little-endian float64."""
-        return self.data[i, :count].astype("<f8").tobytes()
+    def encode(self) -> bytes:
+        """The table's cache values (foldrate.cache docstring): raw
+        little-endian float64 ln values, s_0..s_n, then each rank's cells
+        0..n-1."""
+        n = self.n
+        return (self.data[0, : n + 1].astype("<f8").tobytes()
+                + self.data[1:, :n].astype("<f8").tobytes())
 
-    def decode(self, reader, counts: list[int]) -> None:
-        """Fill every column from its record, unless a table that long
-        could not have been reached under the budget: that is refused
-        before anything is decoded."""
-        n = counts[0] - 1
+    def decode(self, take) -> None:
+        """Fill the columns encode writes at n from take(k), which returns
+        the next k bytes, unless a table that long could not have been
+        reached under the budget: that is refused before anything is
+        decoded."""
+        n, ranks = self.n, len(self.data) - 1
         self._reserve(n, f"a table at n={n}")
-        for i, count in enumerate(counts):
-            reader.record(count)
-            self.data[i, :count] = np.frombuffer(reader.take(8 * count), dtype="<f8")
+        self.data[0, : n + 1] = np.frombuffer(take(8 * (n + 1)), dtype="<f8")
+        self.data[1:, :n] = np.frombuffer(take(8 * ranks * n), dtype="<f8").reshape(ranks, n)

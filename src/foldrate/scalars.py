@@ -10,6 +10,10 @@ The records of the exact path (these two, Term, RecurrenceSpec,
 GrowthConstants and holonomic.Recurrence) are namedtuples with
 _Record's equality: defining them takes less time than importing
 dataclasses.
+
+_int_bytes and _take_int are the cache's one codec for an exact int
+(foldrate.cache docstring): a u64 byte length, then the int's
+little-endian two's complement bytes.
 """
 
 from __future__ import annotations
@@ -111,6 +115,18 @@ def round12(x):
     if x is None or not math.isfinite(x):
         return x
     return float(f"{x:.12g}")
+
+
+def _int_bytes(v: int) -> bytes:
+    """v as a cache file stores an exact int (module docstring)."""
+    b = v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True)
+    return len(b).to_bytes(8, "little") + b
+
+
+def _take_int(take) -> int:
+    """The int _int_bytes wrote, read through take(k), which returns the
+    next k bytes."""
+    return int.from_bytes(take(int.from_bytes(take(8), "little")), "little", signed=True)
 
 
 class _Record:

@@ -31,6 +31,13 @@ def fresh_python(*args, start=subprocess.run, **kwargs):
     return start([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
+def cache_int(v: int) -> bytes:
+    """An exact int as a cache file stores it (foldrate.cache docstring):
+    a u64 byte length, then little-endian two's complement bytes."""
+    b = v.to_bytes((v.bit_length() + 8) // 8, "little", signed=True)
+    return len(b).to_bytes(8, "little") + b
+
+
 def strict_json(text: str):
     """json.loads(text), refusing NaN, Infinity and -Infinity: RFC 8259
     JSON has no such number."""

@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from foldrate import cli, engine
+from foldrate import cache, cli, engine
 from foldrate.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -536,6 +536,14 @@ def test_readme_names_every_long_option():
     assert not missing, missing
 
 
+def test_readme_and_cache_docstring_name_the_cache_version():
+    # README gives the version save_cache writes, and the cache docstring
+    # refuses every version before it
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"format\s+version\s+(\d+)", readme) == [str(cache._VERSION)]
+    assert f"Versions 1 to {cache._VERSION - 1} are refused" in " ".join(cache.__doc__.split())
+
+
 @pytest.mark.parametrize("argv", [["rate"], ["bounds", "--n", "8"],
                                   ["eval", "--n", "3", "--format", "json"],
                                   ["eval", "--n", "3", "--domain", "exact"]])
@@ -616,14 +624,14 @@ def test_cache_rejects_different_spec(tmp_path, capsys):
     assert "different recurrence" in err
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_old_cache_version_is_refused(tmp_path, capsys, version):
     # version 1 also held max-fold records, version 2 stored exact values
     # as Fractions, version 3 had no path byte, version 4 stored the max
-    # sum rank as a u16 and version 5 a start in the recurrence record;
-    # the header differs only
-    # in the version field and the trailing checksum as far as the reader
-    # gets
+    # sum rank as a u16, version 5 a start in the recurrence record and
+    # version 6 per-record counts and a table count; the header differs
+    # only in the version field and the trailing checksum as far as the
+    # reader gets
     cache = tmp_path / "cat.seq"
     run(capsys, "eval", "--spec-text", "sum 2 1", "--n", "10", "--cache", str(cache))
     data = bytearray(cache.read_bytes())
@@ -656,7 +664,7 @@ def test_corrupt_recurrence_record_is_a_usage_error(tmp_path, capsys):
     code, cold, _ = run(capsys, *argv)
     assert code == EXIT_OK
     data = bytearray(cache.read_bytes())
-    at = 4 + 2 + 32 + 18 + 12 + 8  # header, recurrence header, first length
+    at = 4 + 2 + 32 + 10 + 3 * 9 + 8  # header; r, e and W; the first length
     data[at] ^= 2
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     cache.write_bytes(bytes(data))

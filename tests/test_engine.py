@@ -30,7 +30,8 @@ from foldrate import (
 )
 from foldrate import engine
 from foldrate.scalars import ln_fraction, log_sum_vec
-from helpers import MIXED_EXAMPLE, brute_force_values, fresh_python, random_spec, split_reduce
+from helpers import (MIXED_EXAMPLE, brute_force_values, cache_int, fresh_python, random_spec,
+                     split_reduce)
 
 CATALAN = parse_spec("sum 2 1")
 SCHROEDER = parse_spec("sum 1 1\nsum 2 1")
@@ -826,20 +827,20 @@ def test_cache_round_trip(tmp_path, domain):
 def test_exact_engine_cache_bytes_are_stable(tmp_path):
     # a spec with no recurrence under the cap stays on the engine and its
     # cache holds every rank; squaring the even ranks changes no stored
-    # int, so the bytes are those of the engine that folded s with each
-    # rank below
+    # int, so the bytes, in the version 7 layout, are those of the engine
+    # that folded s with each rank below
     spec = parse_spec("sum 2 1/2\nsum 6 1/3\nmax 3 2\nsum 5 1\nsum 7 1/5")
     path = tmp_path / "seven.seq"
     table = compute_sequence(spec, 110, domain="exact")
     assert table.recurrence is None
     save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f24156deeed3d1a9027dd00e506a42f6d6cf7b98fa3517e8c54ad3ec401206ea"
+        "56570c7546e953e179de3f01c38d45872873fb6f5ed8f25241a11f380d5eb3d9"
     )
 
 
 def test_exact_cache_bytes_are_stable(tmp_path):
-    # digest of the version 6 layout, which stores each t_m = D^m s_m and,
+    # digest of the version 7 layout, which stores each t_m = D^m s_m and,
     # past the window, the recurrence of order 2 and degree 1 in place of
     # the fold records
     spec = parse_spec("sum 2 1/2\nmax 3 2/3\nsum 1 5/7")
@@ -848,7 +849,7 @@ def test_exact_cache_bytes_are_stable(tmp_path):
     assert [len(table.recurrence.coeffs), len(table.recurrence.coeffs[0])] == [3, 2]
     save_cache(table, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "2b360f950496233fdd1e96a186dc23b39f09afdcbe8087731c49e30bdb5b25e9"
+        "1d0a0e48d20e59936142ec6581024ae212b31056a2212badb6081332ef5a612a"
     )
     # the reloaded Fractions, as printed when the cache still held max records
     back = load_cache(str(path), spec)
@@ -859,18 +860,11 @@ def test_exact_cache_bytes_are_stable(tmp_path):
 
 
 def _exact_cache(spec, s_values, fold_values) -> bytes:
-    """A version 6 exact cache on the engine for a spec with a single
+    """A version 7 exact cache on the engine for a spec with a single
     rank-2 sum table, from the integers t_m it stores."""
-    def record(values):
-        out = struct.pack("<Q", len(values))
-        for t in values:
-            tb = t.to_bytes((t.bit_length() + 7) // 8, "little")
-            out += struct.pack("<Q", len(tb)) + tb
-        return out
-
-    body = (b"FRSQ" + struct.pack("<H", 6) + spec.digest()
-            + struct.pack("<BQQB", 0, len(s_values) - 1, 2, 0)
-            + record(s_values) + record(fold_values))
+    body = (b"FRSQ" + struct.pack("<H", 7) + spec.digest()
+            + struct.pack("<BQB", 0, len(s_values) - 1, 0)
+            + b"".join(map(cache_int, s_values + fold_values)))
     return body + struct.pack("<I", zlib.crc32(body))
 
 

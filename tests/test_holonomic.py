@@ -24,7 +24,7 @@ from foldrate import (
 )
 from foldrate import engine, holonomic
 from foldrate.cli import EXIT_USAGE, main
-from helpers import MIXED_EXAMPLE, proved_by_lists, random_spec
+from helpers import MIXED_EXAMPLE, cache_int, proved_by_lists, random_spec
 
 MIX = parse_spec(MIXED_EXAMPLE)
 
@@ -286,7 +286,7 @@ def test_load_reproves_the_recurrence(tmp_path):
     path = tmp_path / "mix.seq"
     save_cache(compute_sequence(MIX, 60, domain="exact"), str(path))
     data = bytearray(path.read_bytes())
-    at = 4 + 2 + 32 + 18 + 12  # header, then the first coefficient's length
+    at = 4 + 2 + 32 + 10 + 3 * 9  # header, r, e and W, then the first coefficient's length
     assert struct.unpack_from("<Q", data, at)[0] >= 1
     data[at + 8] ^= 1
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
@@ -296,20 +296,12 @@ def test_load_reproves_the_recurrence(tmp_path):
 
 
 def _recurrence_cache(spec, t, coeffs, window) -> bytes:
-    """A version 6 exact cache at n = len(t) - 1 on the recurrence with
+    """A version 7 exact cache at n = len(t) - 1 on the recurrence with
     these coefficients, laid out as the holonomic docstring's "Persist."
     paragraph gives the record."""
-    body = (b"FRSQ" + struct.pack("<H", 6) + spec.digest()
-            + struct.pack("<BQQB", 0, len(t) - 1,
-                          SequenceTable(spec, domain="exact").table_count, 1)
-            + struct.pack("<HHQ", len(coeffs) - 1, len(coeffs[0]) - 1, window))
-    for c in (c for p in coeffs for c in p):
-        b = c.to_bytes((c.bit_length() + 8) // 8, "little", signed=True)
-        body += struct.pack("<Q", len(b)) + b
-    body += struct.pack("<Q", len(t))
-    for v in t:
-        b = v.to_bytes((v.bit_length() + 7) // 8, "little")
-        body += struct.pack("<Q", len(b)) + b
+    ints = [len(coeffs) - 1, len(coeffs[0]) - 1, window, *(c for p in coeffs for c in p), *t]
+    body = (b"FRSQ" + struct.pack("<H", 7) + spec.digest()
+            + struct.pack("<BQB", 0, len(t) - 1, 1) + b"".join(map(cache_int, ints)))
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -371,6 +363,38 @@ def test_load_admits_only_a_window_the_search_takes(tmp_path, monkeypatch, windo
         return
     _no_proof(monkeypatch)
     with pytest.raises(CacheCorruptError, match="out of range"):
+        load_cache(str(path), MIX)
+
+
+def test_load_refuses_a_negative_degree(tmp_path, monkeypatch):
+    # the record's ints are signed: a degree of -1, no coefficient per
+    # p_i, is refused before any proof
+    table = compute_sequence(MIX, 60, domain="exact")
+    path = tmp_path / "mix.seq"
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], [[]] * 6, 48))
+    _no_proof(monkeypatch)
+    with pytest.raises(CacheCorruptError, match="out of range"):
+        load_cache(str(path), MIX)
+
+
+@pytest.mark.parametrize("bits, proved", [(248 * holonomic.CAP, True),
+                                          (248 * holonomic.CAP + 1, False),
+                                          (8 * 10**4 + 1, False)])
+def test_load_bounds_a_coefficient_before_its_proof(tmp_path, monkeypatch, bits, proved):
+    # find builds no coefficient past 248 CAP bits (holonomic docstring,
+    # "Persist."): MIX's relation with p_0's constant coefficient set to
+    # 2^(bits - 1) reaches the proof, which refuses it, at that bound, and
+    # past it is refused before the proof (2^(8 10^4) cost about half a
+    # second of proof when no bound held)
+    table = compute_sequence(MIX, 60, domain="exact")
+    rec = table.recurrence
+    coeffs = [list(p) for p in rec.coeffs]
+    coeffs[0][0] = 1 << (bits - 1)
+    path = tmp_path / "mix.seq"
+    path.write_bytes(_recurrence_cache(MIX, table.cols[0], coeffs, rec.window))
+    if not proved:
+        _no_proof(monkeypatch)
+    with pytest.raises(CacheCorruptError, match="does not hold" if proved else "out of range"):
         load_cache(str(path), MIX)
 
 
@@ -585,3 +609,44 @@ def test_eliminate_matches_a_python_reference(rows, cols, seed, planted, vanish)
                 for i in pivots:
                     assert (sum(a * M[i][c] for c, a in enumerate(x)) - M[i][k]) % p == 0
                 assert k not in combos or x == [a % p for a in combos[k]]
+
+
+# odd moduli: a product of search primes, and small primes checked exhaustively
+_MODULI = [math.prod(holonomic._PRIMES[:k]) for k in (1, 2, 8, 16)]
+
+
+@given(m=st.sampled_from(_MODULI), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_ratrec_recovers_a_fraction_inside_its_bound(m, data):
+    # (u, v) with |u|, 0 < v <= isqrt(m/2) and v a unit mod m comes back
+    # from u v^-1 mod m, as the fraction u/v in lowest terms
+    bound = math.isqrt(m // 2)
+    u = data.draw(st.integers(-bound, bound))
+    v = data.draw(st.integers(1, bound).filter(lambda v: math.gcd(v, m) == 1))
+    g = math.gcd(u, v)
+    assert holonomic._ratrec(u * pow(v, -1, m) % m, m) == (u // g, v // g)
+
+
+@pytest.mark.parametrize("m", [101, 211, 1009])
+def test_ratrec_returns_none_where_no_fraction_fits(m):
+    # every residue mod a small prime: a pair inside the bound comes back
+    # exactly where one exists, and None elsewhere
+    bound = math.isqrt(m // 2)
+    fits = {u * pow(v, -1, m) % m for u in range(-bound, bound + 1) for v in range(1, bound + 1)}
+    assert len(fits) < m
+    for a in range(m):
+        rr = holonomic._ratrec(a, m)
+        assert (rr is not None) == (a in fits)
+        if rr:
+            u, v = rr
+            assert abs(u) <= bound and 0 < v <= bound and (u - a * v) % m == 0
+
+
+@given(p=st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=9),
+       c=st.integers(-10**6, 10**6), x=st.integers(-10**6, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_shift_expands_p_at_x_plus_c(p, c, x):
+    shifted = holonomic._shift(p, c)
+    assert len(shifted) == len(p)
+    at_x_plus_c = sum(a * (x + c)**j for j, a in enumerate(p))
+    assert sum(a * x**k for k, a in enumerate(shifted)) == at_x_plus_c

@@ -1,16 +1,19 @@
 """Log-domain helpers against exact rationals, and the read-only records."""
 
 import math
+import struct
+import zlib
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foldrate import ExactScalar, LogScalar, ln_fraction, ln_int
-from foldrate.scalars import LN_ZERO, log_sum_vec
+from foldrate import (CacheCorruptError, ExactScalar, LogScalar, compute_sequence, ln_fraction,
+                      ln_int, load_cache, parse_spec, save_cache)
+from foldrate.scalars import LN_ZERO, _int_bytes, _take_int, log_sum_vec
 
 
 def test_exact_is_immutable():
@@ -151,3 +154,45 @@ def test_ln_fraction_rounds_outward(q):
 @given(st.integers(min_value=1, max_value=2**300), st.integers(min_value=1, max_value=2**300))
 def test_ln_fraction_rounds_outward_on_random_fractions(num, den):
     _assert_outward(Fraction(num, den))
+
+
+# 0, +-1, and both sides of every +-2^(8k-1), where a two's complement
+# int needs one byte more
+_EDGES = [0, 1, -1] + [s * (2 ** (8 * k - 1)) + d
+                       for k in range(1, 10) for s in (1, -1) for d in (-1, 0, 1)]
+
+
+@given(st.one_of(st.sampled_from(_EDGES), st.integers(),
+                 st.integers(-(2**40000), 2**40000)))
+@example(3**20000)
+@example(-(7**9000))
+@settings(max_examples=300, deadline=None)
+def test_int_codec_round_trips(v):
+    # a u64 byte length, then the fewest little-endian two's complement
+    # bytes that hold v; _take_int reads exactly those back
+    data = _int_bytes(v) + b"rest"
+    assert int.from_bytes(data[:8], "little") == (v.bit_length() + 8) // 8 == len(data) - 12
+    pos = 0
+
+    def take(k):
+        nonlocal pos
+        pos += k
+        return data[pos - k : pos]
+
+    assert _take_int(take) == v and data[pos:] == b"rest"
+
+
+def test_a_byte_length_past_the_end_of_the_file_is_truncated(tmp_path):
+    # the last t_m's byte length rewritten to run past the checksum, under
+    # a valid checksum
+    spec = parse_spec("sum 2 1")
+    path = tmp_path / "cat.seq"
+    save_cache(compute_sequence(spec, 10, domain="exact"), str(path))
+    data = bytearray(path.read_bytes())
+    last = len(data) - 4 - len(_int_bytes(16796))  # t_10, the Catalan number C_10
+    assert data[last + 8 : -4] == (16796).to_bytes(2, "little")
+    struct.pack_into("<Q", data, last, 4)
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheCorruptError, match="truncated"):
+        load_cache(str(path), spec)
